@@ -19,7 +19,14 @@ import numpy as np
 from . import linalg
 from .ensembles import DensityOperator, Violation, validate_state_vector
 from .errors import ValidationError
-from .ud import UdInstance, omega_matrix, optimal_dual, retro_basis, ud_states
+from .ud import (
+    REMAINDER_PSD_TOL,
+    UdInstance,
+    omega_matrix,
+    optimal_dual,
+    retro_basis,
+    ud_states,
+)
 
 # Basis order of the amplitudes: |0a 0b>, |0a 1b>, |1a 0b>, |1a 1b>.
 _SWAP = np.array(
@@ -131,13 +138,13 @@ def no_signaling_check(
     off = math.sqrt(e1 * e2) * instance.s
     remainder = np.array([[e1 - mu1, off], [off, e2 - mu2]])
     violations = []
-    if min(e1 - mu1, e2 - mu2) < -1e-12:
+    if min(e1 - mu1, e2 - mu2) < -REMAINDER_PSD_TOL:
         violations.append(
             Violation("psd", -min(e1 - mu1, e2 - mu2),
                       "weighted failure state has a negative diagonal entry")
         )
     det = (e1 - mu1) * (e2 - mu2) - off * off
-    if det < -1e-12:
+    if det < -REMAINDER_PSD_TOL:
         violations.append(
             Violation("psd", -det, "weighted failure state has negative determinant")
         )

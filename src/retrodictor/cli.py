@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, linalg
-from .channel import no_signaling_check, sqrt_omega_in_retro_basis, symmetric_state
+from . import __version__
+from .channel import no_signaling_check, symmetric_state
 from .errors import RetrodictorError, ValidationError
 from .formats import (
     ensemble_to_payload,
@@ -29,11 +29,7 @@ from .formats import (
     vector_to_pairs,
     write_json,
 )
-from .retrodiction import (
-    retro_transform,
-    retrodictive_prob_bayes,
-    retrodictive_prob_symmetric,
-)
+from .retrodiction import retro_transform
 from .sim import RNG_ALGORITHM, StatTable, empirical_report, sample
 from .ud import (
     UdInstance,
@@ -43,12 +39,9 @@ from .ud import (
     omega_matrix,
     optimal_dual,
     optimal_predictive_povm,
-    predictive_success_probability,
     retro_basis,
-    retro_basis_closed_form,
-    verify_purity_identification,
 )
-from .verify import Check, run_suites
+from .verify import Check, checks_for_channel, checks_for_transform, checks_for_ud, run_suites
 
 SEED_ENV_VAR = "RETRODICTOR_SEED"
 
@@ -82,16 +75,18 @@ def _float_table(arr: np.ndarray) -> list:
     return [[_finite_or_none(v) for v in row] for row in np.atleast_2d(np.asarray(arr, float))]
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    rendered = render_json(doc)
+def _finish(doc: dict, checks, out_path: str | None) -> int:
+    """Attach the checks and the verdict, emit the report, and return the exit code."""
+    doc["checks"] = [_check_doc(c) for c in checks]
+    doc["passed"] = all(c.passed for c in checks)
     if out_path:
         write_json(doc, out_path)
-        for check in doc.get("checks", []):
-            verdict = "PASS" if check["passed"] else "FAIL"
-            print(f"[{verdict}] {check['name']}: {check['value']:.3e} (tolerance {check['tolerance']:.3e})")
+        for check in checks:
+            print(check.line())
         print(f"report written to {out_path}")
     else:
-        sys.stdout.write(rendered)
+        sys.stdout.write(render_json(doc))
+    return EXIT_OK if doc["passed"] else EXIT_NUMERIC_FAILURE
 
 
 def _base_doc(command: str) -> dict:
@@ -112,31 +107,7 @@ def cmd_transform(args) -> int:
     ensemble = parse_ensemble_file(args.ensemble)
     povm = parse_povm_file(args.povm)
     dual = retro_transform(ensemble, povm, support_restricted=args.support_restricted)
-
-    worst_sym = 0.0
-    for i in range(len(ensemble)):
-        for j in range(len(povm)):
-            if dual.retro_states[j] is None:
-                continue
-            worst_sym = max(
-                worst_sym,
-                abs(
-                    retrodictive_prob_symmetric(dual, i, j)
-                    - retrodictive_prob_bayes(ensemble, povm, i, j)
-                ),
-            )
-    if dual.retro_povm.sum_target is None:
-        completeness = Check("retro-povm-completeness", dual.completeness_residual(), 1e-10)
-    else:
-        # A singular source only promises completeness on its support.
-        residual = linalg.maxabs(sum(dual.retro_povm.elements) - dual.retro_povm.sum_target)
-        completeness = Check("retro-povm-completeness-on-support", residual, 1e-10)
-    checks = [
-        completeness,
-        Check("retro-state-traces", dual.trace_residual(), 1e-10),
-        Check("source-identity", dual.source_residual(), 1e-10),
-        Check("symmetric-vs-bayes", worst_sym, 1e-9),
-    ]
+    checks = checks_for_transform(ensemble, povm, dual)
 
     doc = _base_doc("transform")
     doc["inputs"] = {
@@ -156,10 +127,7 @@ def cmd_transform(args) -> int:
             None if s is None else matrix_to_rows(s.matrix) for s in dual.retro_states
         ],
     }
-    doc["checks"] = [_check_doc(c) for c in checks]
-    doc["passed"] = all(c.passed for c in checks)
-    _emit(doc, args.out)
-    return EXIT_OK if doc["passed"] else EXIT_NUMERIC_FAILURE
+    return _finish(doc, checks, args.out)
 
 
 def cmd_ud(args) -> int:
@@ -167,44 +135,8 @@ def cmd_ud(args) -> int:
     opt = optimal_dual(inst)
     cf = omega_closed_form(inst)
     numeric_basis = retro_basis(inst)
-    closed_basis = retro_basis_closed_form(inst)
     ud_povm = optimal_predictive_povm(inst)
-    purity = verify_purity_identification(inst)
-    spectrum = linalg.hermitian_eig(omega_matrix(inst))
-    u = numeric_basis.matrix()
-    eq16 = linalg.maxabs(
-        linalg.dag(u) @ omega_matrix(inst) @ u - omega_in_retro_basis(inst)
-    )
-    bridge = abs(predictive_success_probability(inst, ud_povm) - opt.p_success)
-
-    checks = [
-        Check(
-            "retro-basis-orthonormality",
-            max(
-                abs(numeric_basis.phi1.overlap(numeric_basis.phi2)),
-                abs(float(np.linalg.norm(numeric_basis.phi1.amplitudes)) - 1.0),
-                abs(float(np.linalg.norm(numeric_basis.phi2.amplitudes)) - 1.0),
-            ),
-            1e-9,
-        ),
-        Check(
-            "retro-basis-closed-vs-numeric",
-            max(
-                linalg.maxabs(numeric_basis.phi1.amplitudes - closed_basis.phi1.amplitudes),
-                linalg.maxabs(numeric_basis.phi2.amplitudes - closed_basis.phi2.amplitudes),
-            ),
-            1e-10,
-        ),
-        Check(
-            "eigenvalues-closed-vs-numeric",
-            max(abs(spectrum.eigenvalues[0] - cf.w2), abs(spectrum.eigenvalues[1] - cf.w1)),
-            1e-10,
-        ),
-        Check("source-in-retro-basis", eq16, 1e-10),
-        Check("failure-state-determinant", purity.failure_det_residual, 1e-10),
-        Check("retro-state-identification", purity.max_residual, 1e-9),
-        Check("duality-bridge", bridge, 1e-10),
-    ]
+    checks = list(checks_for_ud(inst, opt, numeric_basis, ud_povm))
     doc = _base_doc("ud")
     doc["inputs"] = {
         "alpha": inst.alpha,
@@ -234,31 +166,14 @@ def cmd_ud(args) -> int:
         g1, g2, pg = brute_force_dual(inst, args.grid_check)
         doc["derived"]["grid_check"] = {"step": args.grid_check, "mu": [g1, g2], "p_success": pg}
         checks.append(Check("grid-oracle-deviation", abs(pg - opt.p_success), 2.0 * args.grid_check))
-    doc["checks"] = [_check_doc(c) for c in checks]
-    doc["passed"] = all(c.passed for c in checks)
-    _emit(doc, args.out)
-    return EXIT_OK if doc["passed"] else EXIT_NUMERIC_FAILURE
+    return _finish(doc, checks, args.out)
 
 
 def cmd_channel(args) -> int:
     inst = _instance_from_args(args)
     state = symmetric_state(inst)
     report = no_signaling_check(inst)
-    om = omega_matrix(inst)
-    sq = sqrt_omega_in_retro_basis(inst)
-    checks = [
-        Check("swap-residual", state.swap_residual(), 1e-10),
-        Check(
-            "reduced-states-vs-source",
-            max(
-                linalg.maxabs(state.reduced(0).matrix - om),
-                linalg.maxabs(state.reduced(1).matrix - om),
-            ),
-            1e-10,
-        ),
-        Check("no-signaling-residual", report.max_residual, 1e-10),
-        Check("sqrt-source-symmetry", abs(sq[0, 1] - sq[1, 0]), 1e-12),
-    ]
+    checks = checks_for_channel(inst, state, report)
     doc = _base_doc("channel")
     doc["inputs"] = {
         "alpha": inst.alpha,
@@ -271,10 +186,7 @@ def cmd_channel(args) -> int:
         "rho_a_tilde": matrix_to_rows(report.rho_a_tilde.matrix),
         "rho_b": matrix_to_rows(report.rho_b.matrix),
     }
-    doc["checks"] = [_check_doc(c) for c in checks]
-    doc["passed"] = all(c.passed for c in checks)
-    _emit(doc, args.out)
-    return EXIT_OK if doc["passed"] else EXIT_NUMERIC_FAILURE
+    return _finish(doc, checks, args.out)
 
 
 def _stat_table_doc(table: StatTable) -> dict:
@@ -314,10 +226,7 @@ def cmd_simulate(args) -> int:
         "predictive": _stat_table_doc(report.predictive),
         "retrodictive": _stat_table_doc(report.retrodictive),
     }
-    doc["checks"] = [_check_doc(c) for c in checks]
-    doc["passed"] = all(c.passed for c in checks)
-    _emit(doc, args.out)
-    return EXIT_OK if doc["passed"] else EXIT_NUMERIC_FAILURE
+    return _finish(doc, checks, args.out)
 
 
 def cmd_verify(args) -> int:

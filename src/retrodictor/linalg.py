@@ -18,6 +18,8 @@ import numpy as np
 from .errors import NonHermitianInput, NumericIntegrityError, SingularOperator
 
 TOL_HERM = 1e-12
+# The source-eigenvalue floor: inverse square roots raise SingularOperator for
+# an eigenvalue below it, and sqrtm_psd clips eigenvalues in [-floor, 0) to 0.
 MIN_EIG_DEFAULT = 1e-10
 
 # Jacobi sweep control: converged when the off-diagonal Frobenius mass drops

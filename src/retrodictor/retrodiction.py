@@ -31,7 +31,6 @@ from .errors import (
 
 MU_FLOOR = 1e-12
 PROB_CLAMP_TOL = 1e-12
-OMEGA_MIN_EIG = 1e-10
 
 
 def _clamp_probability(value: float, what: str) -> float:
@@ -156,9 +155,7 @@ def retro_transform(
     require_same_dim(ensemble.dim, povm.dim, "ensemble vs POVM")
     omega = source_from_ensemble(ensemble)
     om = omega.matrix
-    inv_root = linalg.inv_sqrtm_psd(
-        om, min_eig=OMEGA_MIN_EIG, support_restricted=support_restricted
-    )
+    inv_root = linalg.inv_sqrtm_psd(om, support_restricted=support_restricted)
     root = linalg.sqrtm_psd(om)
 
     retro_elements = []

@@ -1,21 +1,29 @@
 """Seeded Monte Carlo sampling of the prepare-and-measure channel.
 
-Draws are generated with the counter-based Philox 4x64 generator so runs are
-bit-reproducible across platforms and independent of how trials are split:
-sampling proceeds in fixed-size shards whose streams are keyed by
-seed XOR shard-index, and counts are merged in shard order.
+Draws are generated with the counter-based Philox 4x64 generator in
+fixed-size shards.  Each shard's stream is keyed by the 128-bit Philox key
+whose low word is the seed and whose high word is the shard index, so
+distinct seeds never share a stream; counts are merged in shard order.
+
+For fixed inputs and seed the counts are bit-reproducible on one platform
+and numpy build, which the tests check.  The bucket edges are correctly
+rounded prefix sums of the joint table, so they do not depend on the
+platform's long double; the joint table itself is built with `einsum`, whose
+summation order may differ between builds, so identical counts across
+platforms are not verified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .ensembles import Ensemble, Povm, require_same_dim
 from .retrodiction import predictive_prob
 
-RNG_ALGORITHM = "philox4x64"
+RNG_ALGORITHM = "philox4x64-v2"
 SHARD_SIZE = 1 << 16
 
 # Joint probabilities below this are rounding residue of structurally zero
@@ -61,11 +69,16 @@ def joint_probability_table(ensemble: Ensemble, povm: Povm) -> np.ndarray:
 
 
 def _cumulative_buckets(table: np.ndarray) -> np.ndarray:
-    # Extended-precision cumsum; the last bucket absorbs the rounding so that
-    # every draw in [0, 1) lands in a bucket.  Capping at 1 keeps the edges
-    # sorted even if accumulated roundoff pokes above 1 before the reset.
-    cum = np.cumsum(table.reshape(-1).astype(np.longdouble))
-    cum = np.minimum(cum.astype(np.float64), 1.0)
+    # Exact prefix sums in integer units of 2**-1074 (every double is a whole
+    # number of them), each rounded once to the nearest double by the correctly
+    # rounded int/int division: the same monotone edges on every IEEE-754
+    # platform.  The last bucket absorbs the rounding so that every draw in
+    # [0, 1) lands in a bucket; capping at 1 keeps the edges sorted when the
+    # total rounds above 1.
+    unit = 1 << 1074
+    ratios = map(float.as_integer_ratio, table.reshape(-1).tolist())
+    exact = accumulate(num * (unit // den) for num, den in ratios)
+    cum = np.minimum(np.array([total / unit for total in exact]), 1.0)
     cum[-1] = 1.0
     return cum
 
@@ -77,11 +90,11 @@ def sample(ensemble: Ensemble, povm: Povm, n: int, seed: int) -> SampleCounts:
     table = joint_probability_table(ensemble, povm)
     cum = _cumulative_buckets(table)
     flat = np.zeros(table.size, dtype=np.int64)
-    key_base = int(seed) & 0xFFFFFFFFFFFFFFFF  # 64-bit stream key
+    seed_word = int(seed) & 0xFFFFFFFFFFFFFFFF  # low 64-bit word of the Philox key
     n_shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
     for shard in range(n_shards):
         m = min(SHARD_SIZE, n - shard * SHARD_SIZE)
-        rng = np.random.Generator(np.random.Philox(key=key_base ^ shard))
+        rng = np.random.Generator(np.random.Philox(key=seed_word | (shard << 64)))
         u = rng.random(m)
         idx = np.searchsorted(cum, u, side="right")
         flat += np.bincount(idx, minlength=table.size)

@@ -25,7 +25,9 @@ from .ensembles import DensityOperator, Ensemble, Povm, PureState, Violation
 from .errors import SingularOperator, ValidationError
 from .retrodiction import RetroDual, retro_transform
 
-W_MIN = 1e-10
+# Positivity tolerance of the source remainder left after the conclusive
+# weights: its diagonal and determinant may dip this far below zero.
+REMAINDER_PSD_TOL = 1e-12
 
 # Below this weight the failure outcome never fires and its state is an
 # arbitrary convention; the balanced superposition of the retro basis is used.
@@ -124,9 +126,10 @@ def omega_closed_form(instance: UdInstance) -> OmegaClosedForm:
     root = math.sqrt(disc)
     w1 = 0.5 * (1.0 + root)
     w2 = 0.5 * (1.0 - root)
-    if w2 < W_MIN:
+    if w2 < linalg.MIN_EIG_DEFAULT:
         raise SingularOperator(
-            f"source function eigenvalue {w2:.3e} below {W_MIN:.0e} (states nearly identical)"
+            f"source function eigenvalue {w2:.3e} below {linalg.MIN_EIG_DEFAULT:.0e}"
+            " (states nearly identical)"
         )
     angle = 0.5 * math.atan2((e1 - e2) * math.sin(two_alpha), math.cos(two_alpha))
     return OmegaClosedForm(w1, w2, angle)
@@ -148,7 +151,7 @@ def retro_basis(instance: UdInstance) -> RetroBasis:
     """phi_i = Omega^{-1/2} sqrt(eta_i) psi_i, computed numerically."""
     omega_closed_form(instance)  # reject singular sources with the closed-form witness
     psi1, psi2 = ud_states(instance)
-    inv_root = linalg.inv_sqrtm_psd(omega_matrix(instance), min_eig=W_MIN)
+    inv_root = linalg.inv_sqrtm_psd(omega_matrix(instance))
     phi1 = inv_root @ (math.sqrt(instance.eta[0]) * psi1.amplitudes)
     phi2 = inv_root @ (math.sqrt(instance.eta[1]) * psi2.amplitudes)
     return RetroBasis(PureState(phi1), PureState(phi2))
@@ -233,19 +236,18 @@ def brute_force_dual(instance: UdInstance, grid_step: float) -> tuple[float, flo
     """Grid-search oracle for the dual optimum.
 
     Scans mu_1 on a grid and pairs it with the largest grid mu_2 keeping the
-    source remainder PSD (non-negative diagonal, determinant >= -1e-12, the
-    same positivity tolerance used everywhere else); returns the feasible grid
-    point maximizing mu_1 + mu_2.  Within O(grid_step) of the closed form by
-    construction.
+    source remainder PSD (non-negative diagonal, determinant >=
+    -REMAINDER_PSD_TOL, the tolerance no_signaling_check applies); returns the
+    feasible grid point maximizing mu_1 + mu_2.  Within O(grid_step) of the
+    closed form by construction.
     """
     if grid_step <= 0.0:
         raise ValueError("grid_step must be positive")
-    det_tol = 1e-12
     e1, e2 = instance.eta
     s2 = instance.s ** 2
     mu1 = np.arange(0.0, e1 + grid_step / 2.0, grid_step)
     mu1 = mu1[mu1 <= e1]
-    numerator = e1 * e2 * s2 - det_tol
+    numerator = e1 * e2 * s2 - REMAINDER_PSD_TOL
     if numerator <= 0.0:
         # Determinant constraint inactive at tolerance: orthogonal-state case.
         return float(e1), float(e2), float(e1 + e2)

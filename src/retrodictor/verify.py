@@ -1,9 +1,13 @@
 """Property suites that back the `verify` command and the acceptance tests.
 
-Each suite runs a family of identities at fixed tolerances over seeded random
-corpora or a deterministic parameter grid, and reports the worst measured
-residual per identity.  The random corpora are generated with the same
-counter-based generator as the sampler, so suite runs are reproducible.
+Each identity family is defined once, per instance, by a `checks_for_*`
+function; the `transform`, `ud` and `channel` CLI reports carry that
+per-instance tuple, and the matching suite reports its worst value over a
+seeded random corpus or a deterministic parameter grid, next to the checks
+that only make sense over a corpus (double dual, unbiased reduction, grid
+oracle, regime classification, branch continuity, spot values).  The random
+corpora are generated with the same counter-based generator as the sampler,
+so suite runs are reproducible.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import numpy as np
 
 from . import linalg
 from .channel import (
+    NoSignalingReport,
+    TwoQubitState,
     entangled_state,
     no_signaling_check,
     sqrt_omega_in_retro_basis,
@@ -29,6 +35,7 @@ from .errors import (
     ZeroProbabilityOutcome,
 )
 from .retrodiction import (
+    RetroDual,
     unbiased_dual,
     outcome_probs,
     retro_transform,
@@ -37,6 +44,9 @@ from .retrodiction import (
 )
 from .sim import empirical_report, sample
 from .ud import (
+    DualOptimum,
+    PredictiveUdPovm,
+    RetroBasis,
     UdInstance,
     brute_force_dual,
     omega_closed_form,
@@ -79,6 +89,11 @@ class Check:
     def passed(self) -> bool:
         return bool(self.value < self.tolerance)
 
+    def line(self, prefix: str = "") -> str:
+        """Human-readable verdict: `[PASS] <prefix><name>: <value> (tolerance <tol>)`."""
+        verdict = "PASS" if self.passed else "FAIL"
+        return f"[{verdict}] {prefix}{self.name}: {self.value:.3e} (tolerance {self.tolerance:.3e})"
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -90,13 +105,159 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
     def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            verdict = "PASS" if c.passed else "FAIL"
-            out.append(
-                f"[{verdict}] {self.suite}/{c.name}: {c.value:.3e} (tolerance {c.tolerance:.3e})"
+        return [c.line(f"{self.suite}/") for c in self.checks]
+
+
+def _worse(worst: tuple[Check, ...] | None, checks: tuple[Check, ...]) -> tuple[Check, ...]:
+    """Position-wise worse of a running worst and one instance's checks; NaN is worst."""
+    if worst is None:
+        return checks
+    return tuple(
+        w if w.value >= c.value or math.isnan(w.value) else c for w, c in zip(worst, checks)
+    )
+
+
+def _max_defined(values) -> float:
+    """Largest residual, skipping the NaN of an outcome that never fires."""
+    return max(v for v in values if not math.isnan(v))
+
+
+def checks_for_transform(ensemble: Ensemble, povm: Povm, dual: RetroDual) -> tuple[Check, ...]:
+    """Transform identities of one ensemble/POVM pair and its retrodictive dual.
+
+    The symmetric Born rule is held against Bayes on every defined outcome.
+    A support-restricted dual only promises completeness on its support.
+    """
+    worst_sym = max(
+        (
+            abs(
+                retrodictive_prob_symmetric(dual, i, j)
+                - retrodictive_prob_bayes(ensemble, povm, i, j)
             )
-        return out
+            for i in range(len(ensemble))
+            for j in range(len(povm))
+            if dual.retro_states[j] is not None
+        ),
+        default=0.0,
+    )
+    if dual.retro_povm.sum_target is None:
+        completeness = Check("retro-povm-completeness", dual.completeness_residual(), 1e-10)
+    else:
+        residual = linalg.maxabs(sum(dual.retro_povm.elements) - dual.retro_povm.sum_target)
+        completeness = Check("retro-povm-completeness-on-support", residual, 1e-10)
+    return (
+        Check("symmetric-born-identity", worst_sym, 1e-9),
+        completeness,
+        Check("retro-state-traces", dual.trace_residual(), 1e-10),
+        Check("source-identity", dual.source_residual(), 1e-10),
+    )
+
+
+def checks_for_ud(
+    inst: UdInstance, opt: DualOptimum, basis: RetroBasis, ud_povm: PredictiveUdPovm
+) -> tuple[Check, ...]:
+    """Retro-basis, source-spectrum, purity and duality identities of one UD instance.
+
+    opt, basis and ud_povm are the instance's optimal_dual, retro_basis and
+    optimal_predictive_povm, which every caller has already built.
+    """
+    closed = retro_basis_closed_form(inst)
+    cf = omega_closed_form(inst)
+    om = omega_matrix(inst)
+    spectrum = linalg.hermitian_eig(om)
+    u = basis.matrix()
+    purity = verify_purity_identification(inst)
+
+    psi1, psi2 = ud_states(inst)
+    bridge1 = inst.eta[0] * float(
+        np.vdot(psi1.amplitudes, ud_povm.povm.elements[0] @ psi1.amplitudes).real
+    )
+    bridge2 = inst.eta[1] * float(
+        np.vdot(psi2.amplitudes, ud_povm.povm.elements[1] @ psi2.amplitudes).real
+    )
+    mu = outcome_probs(ud_povm.povm, source_from_ensemble(ud_ensemble(inst)))
+    return (
+        Check(
+            "retro-basis-orthonormality",
+            max(
+                abs(basis.phi1.overlap(basis.phi2)),
+                abs(float(np.linalg.norm(basis.phi1.amplitudes)) - 1.0),
+                abs(float(np.linalg.norm(basis.phi2.amplitudes)) - 1.0),
+            ),
+            1e-9,
+        ),
+        Check(
+            "retro-basis-closed-vs-numeric",
+            max(
+                linalg.maxabs(basis.phi1.amplitudes - closed.phi1.amplitudes),
+                linalg.maxabs(basis.phi2.amplitudes - closed.phi2.amplitudes),
+            ),
+            1e-10,
+        ),
+        Check(
+            "eigenvalues-closed-vs-numeric",
+            max(abs(spectrum.eigenvalues[0] - cf.w2), abs(spectrum.eigenvalues[1] - cf.w1)),
+            1e-10,
+        ),
+        Check(
+            "source-in-retro-basis",
+            linalg.maxabs(linalg.dag(u) @ om @ u - omega_in_retro_basis(inst)),
+            1e-10,
+        ),
+        Check("retro-state-purity", _max_defined(purity.purity_residuals), 1e-9),
+        Check(
+            "retro-state-identification",
+            _max_defined(purity.projector_residuals + purity.sqrt_route_residuals),
+            1e-9,
+        ),
+        Check("failure-state-determinant", purity.failure_det_residual, 1e-10),
+        Check(
+            "duality-bridge",
+            max(
+                abs(bridge1 - opt.mu1),
+                abs(bridge2 - opt.mu2),
+                abs(mu[0] - opt.mu1),
+                abs(mu[1] - opt.mu2),
+                abs(predictive_success_probability(inst, ud_povm) - opt.p_success),
+            ),
+            1e-10,
+        ),
+    )
+
+
+def checks_for_channel(
+    inst: UdInstance, state: TwoQubitState, report: NoSignalingReport
+) -> tuple[Check, ...]:
+    """Swap symmetry, reduced states, no-signaling and basis-change identities of one channel.
+
+    state and report are the instance's symmetric_state and no_signaling_check.
+    """
+    om = omega_matrix(inst)
+    sq = sqrt_omega_in_retro_basis(inst)
+    plain = entangled_state(inst)
+    lifted = np.kron(retro_basis(inst).matrix(), np.eye(2)) @ plain.amplitudes
+    return (
+        Check("swap-residual", state.swap_residual(), 1e-10),
+        Check(
+            "reduced-states-vs-source",
+            max(
+                linalg.maxabs(state.reduced(0).matrix - om),
+                linalg.maxabs(state.reduced(1).matrix - om),
+            ),
+            1e-10,
+        ),
+        Check("no-signaling-residual", report.max_residual, 1e-10),
+        Check("sqrt-source-symmetry", abs(sq[0, 1] - sq[1, 0]), 1e-12),
+        Check(
+            "asymmetric-channel-relations",
+            max(
+                linalg.maxabs(plain.reduced(0).matrix - om),
+                linalg.maxabs(plain.reduced(1).matrix - omega_in_retro_basis(inst)),
+                linalg.maxabs(lifted - state.amplitudes),
+            ),
+            1e-10,
+        ),
+    )
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -187,21 +348,12 @@ def grid_instances() -> list[UdInstance]:
 
 
 def suite_transform(seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE) -> SuiteResult:
-    """Symmetric-Born identity, transform identities, unbiased reduction, double dual."""
-    worst_sym = worst_comp = worst_tr = worst_src = 0.0
+    """Transform identities over the corpus, unbiased reduction, double dual."""
+    worst = None
     worst_double_src = worst_double_ops = 0.0
     for ensemble, povm in random_corpus(seed, count):
         dual = retro_transform(ensemble, povm)
-        worst_comp = max(worst_comp, dual.completeness_residual())
-        worst_tr = max(worst_tr, dual.trace_residual())
-        worst_src = max(worst_src, dual.source_residual())
-        for i in range(len(ensemble)):
-            for j in range(len(povm)):
-                dev = abs(
-                    retrodictive_prob_symmetric(dual, i, j)
-                    - retrodictive_prob_bayes(ensemble, povm, i, j)
-                )
-                worst_sym = max(worst_sym, dev)
+        worst = _worse(worst, checks_for_transform(ensemble, povm, dual))
         # Double dual: the transformed pair transforms back onto the original.
         back_ensemble = Ensemble(tuple(dual.retro_states), dual.mu.mu)
         worst_double_src = max(
@@ -235,10 +387,7 @@ def suite_transform(seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE) -> Suite
     return SuiteResult(
         "transform",
         (
-            Check("symmetric-born-identity", worst_sym, 1e-9),
-            Check("retro-povm-completeness", worst_comp, 1e-10),
-            Check("retro-state-traces", worst_tr, 1e-10),
-            Check("source-identity", worst_src, 1e-10),
+            *worst,
             Check("double-dual-source", worst_double_src, 1e-10),
             Check("double-dual-roundtrip", worst_double_ops, 1e-9),
             Check("unbiased-reduction", worst_unbiased, 1e-10),
@@ -247,11 +396,10 @@ def suite_transform(seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE) -> Suite
 
 
 def suite_ud() -> SuiteResult:
-    """Closed-form optimum vs the grid oracle, basis identities, purity."""
+    """Closed-form optimum vs the grid oracle, regimes, and the per-instance UD identities."""
+    worst = None
     worst_gap = 0.0
     regime_mismatches = 0.0
-    worst_orth = worst_basis = worst_eig = 0.0
-    worst_purity = worst_projector = worst_det = worst_bridge = 0.0
     for inst in grid_instances():
         opt = optimal_dual(inst)
         _, _, p_grid = brute_force_dual(inst, GRID_STEP)
@@ -263,52 +411,8 @@ def suite_ud() -> SuiteResult:
             regime_mismatches += 1.0
         if opt.regime == "interior" and min(opt.mu1, opt.mu2) <= 0.0:
             regime_mismatches += 1.0
-
-        numeric = retro_basis(inst)
-        closed = retro_basis_closed_form(inst)
-        worst_orth = max(
-            worst_orth,
-            abs(numeric.phi1.overlap(numeric.phi2)),
-            abs(float(np.linalg.norm(numeric.phi1.amplitudes)) - 1.0),
-            abs(float(np.linalg.norm(numeric.phi2.amplitudes)) - 1.0),
-        )
-        worst_basis = max(
-            worst_basis,
-            linalg.maxabs(numeric.phi1.amplitudes - closed.phi1.amplitudes),
-            linalg.maxabs(numeric.phi2.amplitudes - closed.phi2.amplitudes),
-        )
-        cf = omega_closed_form(inst)
-        spectrum = linalg.hermitian_eig(omega_matrix(inst))
-        worst_eig = max(
-            worst_eig,
-            abs(spectrum.eigenvalues[0] - cf.w2),
-            abs(spectrum.eigenvalues[1] - cf.w1),
-        )
-
-        report = verify_purity_identification(inst)
-        defined = [v for v in report.purity_residuals if not math.isnan(v)]
-        worst_purity = max(worst_purity, *defined)
-        defined = [v for v in report.projector_residuals if not math.isnan(v)]
-        worst_projector = max(worst_projector, *defined)
-        worst_det = max(worst_det, report.failure_det_residual)
-
-        ud_povm = optimal_predictive_povm(inst)
-        psi1, psi2 = ud_states(inst)
-        bridge1 = inst.eta[0] * float(
-            np.vdot(psi1.amplitudes, ud_povm.povm.elements[0] @ psi1.amplitudes).real
-        )
-        bridge2 = inst.eta[1] * float(
-            np.vdot(psi2.amplitudes, ud_povm.povm.elements[1] @ psi2.amplitudes).real
-        )
-        mu = outcome_probs(ud_povm.povm, source_from_ensemble(ud_ensemble(inst)))
-        worst_bridge = max(
-            worst_bridge,
-            abs(bridge1 - opt.mu1),
-            abs(bridge2 - opt.mu2),
-            abs(mu[0] - opt.mu1),
-            abs(mu[1] - opt.mu2),
-            abs(predictive_success_probability(inst, ud_povm) - opt.p_success),
-        )
+        checks = checks_for_ud(inst, opt, retro_basis(inst), optimal_predictive_povm(inst))
+        worst = _worse(worst, checks)
 
     # Branch continuity at the regime boundary eta_max = 1/(1+s^2).
     worst_continuity = 0.0
@@ -332,52 +436,18 @@ def suite_ud() -> SuiteResult:
             Check("branch-continuity", worst_continuity, 1e-9),
             Check("spot-value-even-priors", spot_even, 1e-12),
             Check("spot-value-clamped", spot_clamped, 1e-12),
-            Check("retro-basis-orthonormality", worst_orth, 1e-9),
-            Check("retro-basis-closed-vs-numeric", worst_basis, 1e-10),
-            Check("eigenvalues-closed-vs-numeric", worst_eig, 1e-10),
-            Check("retro-state-purity", worst_purity, 1e-9),
-            Check("retro-state-identification", worst_projector, 1e-9),
-            Check("failure-state-determinant", worst_det, 1e-10),
-            Check("duality-bridge", worst_bridge, 1e-10),
+            *worst,
         ),
     )
 
 
 def suite_channel() -> SuiteResult:
-    """Swap symmetry, reduced states, no-signaling, sqrt-source symmetry."""
-    worst_swap = worst_reduced = worst_ns = worst_sqrt = worst_asym = 0.0
+    """Swap symmetry, reduced states, no-signaling, sqrt-source symmetry over the grid."""
+    worst = None
     for inst in grid_instances():
-        state = symmetric_state(inst)
-        worst_swap = max(worst_swap, state.swap_residual())
-        om = omega_matrix(inst)
-        worst_reduced = max(
-            worst_reduced,
-            linalg.maxabs(state.reduced(0).matrix - om),
-            linalg.maxabs(state.reduced(1).matrix - om),
-        )
-        report = no_signaling_check(inst)
-        worst_ns = max(worst_ns, report.max_residual)
-        sq = sqrt_omega_in_retro_basis(inst)
-        worst_sqrt = max(worst_sqrt, abs(sq[0, 1] - sq[1, 0]))
-        plain = entangled_state(inst)
-        worst_asym = max(
-            worst_asym,
-            linalg.maxabs(plain.reduced(0).matrix - om),
-            linalg.maxabs(plain.reduced(1).matrix - omega_in_retro_basis(inst)),
-        )
-        u = retro_basis(inst).matrix()
-        lifted = np.kron(u, np.eye(2)) @ plain.amplitudes
-        worst_asym = max(worst_asym, linalg.maxabs(lifted - state.amplitudes))
-    return SuiteResult(
-        "channel",
-        (
-            Check("swap-residual", worst_swap, 1e-10),
-            Check("reduced-states-vs-source", worst_reduced, 1e-10),
-            Check("no-signaling-residual", worst_ns, 1e-10),
-            Check("sqrt-source-symmetry", worst_sqrt, 1e-12),
-            Check("asymmetric-channel-relations", worst_asym, 1e-10),
-        ),
-    )
+        checks = checks_for_channel(inst, symmetric_state(inst), no_signaling_check(inst))
+        worst = _worse(worst, checks)
+    return SuiteResult("channel", worst)
 
 
 def suite_simulate(seed: int = 42, n: int = 10**6) -> SuiteResult:

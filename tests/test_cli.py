@@ -131,7 +131,7 @@ def test_simulate_reports_are_byte_identical(ud_files, tmp_path):
                  "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
-    assert doc["inputs"]["rng_algorithm"] == "philox4x64"
+    assert doc["inputs"]["rng_algorithm"] == "philox4x64-v2"
     assert doc["derived"]["counts"][0][1] == 0
     assert doc["derived"]["counts"][1][0] == 0
 

@@ -6,6 +6,7 @@ from retrodictor.ensembles import Ensemble, Povm, PureState, source_from_ensembl
 from retrodictor.retrodiction import retro_transform, retrodictive_prob_symmetric
 from retrodictor.sim import (
     RNG_ALGORITHM,
+    SHARD_SIZE,
     SampleCounts,
     empirical_report,
     joint_probability_table,
@@ -44,6 +45,18 @@ def test_sampling_is_deterministic():
     assert a.rng_algorithm == RNG_ALGORITHM
     c = sample(ensemble, povm, 10**6, seed=124)
     assert not np.array_equal(a.counts, c.counts)
+
+
+def test_distinct_seeds_give_distinct_count_tables():
+    # Keying shard streams by seed XOR shard made seeds share streams: seeds
+    # 0 and 1 swap the keys of their two shards and merge to the same counts.
+    ensemble, povm = ud_setup()
+    for shards in (1, 2, 4):
+        tables = {
+            sample(ensemble, povm, shards * SHARD_SIZE, seed).counts.tobytes()
+            for seed in range(8)
+        }
+        assert len(tables) == 8, f"{8 - len(tables)} repeated tables at {shards} shards"
 
 
 def test_ud_structural_zeros_and_mu0():
