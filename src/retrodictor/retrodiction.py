@@ -145,12 +145,11 @@ def retro_transform(
     rho_j^ret = sqrt(Omega) Pi_j sqrt(Omega) / mu_j.
 
     Raises SingularOperator when the source function has an eigenvalue below
-    1e-10, unless support_restricted=True, in which case the inversion acts on
-    the support only (the completeness identity then holds on the support
-    projector rather than the identity).  A source that clears the eigenvalue
-    floor but is conditioned badly enough that the transformed operators miss
-    their invariants raises NumericIntegrityError instead of returning a
-    silently degraded dual.
+    linalg.MIN_EIG_DEFAULT, unless support_restricted=True: such eigenvalues
+    then count as outside the support, the inversion acts on the support only,
+    and completeness holds on the support projector instead of the identity.
+    Above the floor every identity holds at its fixed tolerance; operators that
+    still miss their invariants raise NumericIntegrityError, not a degraded dual.
     """
     require_same_dim(ensemble.dim, povm.dim, "ensemble vs POVM")
     omega = source_from_ensemble(ensemble)

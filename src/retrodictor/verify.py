@@ -12,6 +12,7 @@ so suite runs are reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -67,6 +68,11 @@ CORPUS_SIZE = 500
 CORPUS_DIMS = (2, 3, 4)
 MIN_OMEGA_EIG = 1e-3
 MIN_MU = 1e-3
+
+# Smallest source eigenvalues on either side of linalg.MIN_EIG_DEFAULT.
+FLOOR_SWEEP_ABOVE = (1.05 * linalg.MIN_EIG_DEFAULT, 10.0 * linalg.MIN_EIG_DEFAULT)
+FLOOR_SWEEP_BELOW = (0.5 * linalg.MIN_EIG_DEFAULT, 1e-7, 1e-9)
+FLOOR_SWEEP_DIMS = (2, 3, 4, 8)
 
 GRID_ETA_MAX = np.linspace(0.5, 0.98, 25)
 GRID_OVERLAP = np.linspace(0.02, 0.95, 25)
@@ -321,6 +327,34 @@ def random_corpus(
     return corpus
 
 
+def floor_sweep() -> tuple[list[tuple[float, Ensemble, Povm]], list[tuple[float, UdInstance]]]:
+    """Inputs on either side of the source floor: (min_eig, ensemble, povm) and (w2, UD instance).
+
+    Three pairs per dimension and level, each a random POVM {E_i} splitting
+    Omega = U diag(min_eig, ...) U^dag as eta_i rho_i = sqrt(Omega) E_i sqrt(Omega).
+    """
+    rng = _rng(DEFAULT_SEED)
+    levels = FLOOR_SWEEP_ABOVE + FLOOR_SWEEP_BELOW
+    transforms = []
+    for dim, min_eig, _ in itertools.product(FLOOR_SWEEP_DIMS, levels, range(3)):
+        rest = min_eig + rng.dirichlet(np.ones(dim - 1)) * (1.0 - dim * min_eig)
+        u = _random_unitary(rng, dim)
+        root = (u * np.sqrt(np.concatenate([[min_eig], rest]))) @ linalg.dag(u)
+        parts = [root @ e @ root for e in random_povm(rng, dim, int(rng.integers(2, 5))).elements]
+        priors = np.array([float(np.trace(p).real) for p in parts])
+        states = tuple(
+            DensityOperator((p + linalg.dag(p)) / (2.0 * eta)) for p, eta in zip(parts, priors)
+        )
+        povm = random_povm(rng, dim, int(rng.integers(2, 5)))
+        transforms.append((min_eig, Ensemble(states, priors), povm))
+    uds = [
+        (w2, UdInstance(0.5 * math.asin(math.sqrt(w2 * (1.0 - w2) / (eta[0] * eta[1]))), eta))
+        for eta in ((0.5, 0.5), (0.6, 0.4))
+        for w2 in levels
+    ]
+    return transforms, uds
+
+
 def unbiased_corpus(seed: int, count: int = 60) -> list[tuple[Ensemble, Povm]]:
     """Pairs whose source is maximally mixed: orthonormal pure states, uniform priors."""
     rng = _rng(seed)
@@ -550,7 +584,38 @@ def suite_failure_modes() -> SuiteResult:
     except RetrodictorError as exc:
         failures.append(Check(f"support-restricted-mode-runs ({type(exc).__name__})", 1.0, 0.5))
 
+    failures.append(Check("source-floor-contract", _floor_contract_breaches(), 0.5))
     return SuiteResult("failure-modes", tuple(failures))
+
+
+def _floor_contract_breaches() -> float:
+    """Floor-sweep inputs that miss an identity above the floor or raise no SingularOperator below."""
+    transforms, uds = floor_sweep()
+    runs = [
+        (m, lambda e=e, p=p: checks_for_transform(e, p, retro_transform(e, p)))
+        for m, e, p in transforms
+    ]
+    runs += [
+        (
+            w2,
+            lambda i=inst: checks_for_ud(
+                i, optimal_dual(i), retro_basis(i), optimal_predictive_povm(i)
+            ) + checks_for_channel(i, symmetric_state(i), no_signaling_check(i)),
+        )
+        for w2, inst in uds
+    ]
+    breaches = 0
+    for level, run in runs:
+        above = level >= linalg.MIN_EIG_DEFAULT
+        try:
+            checks = run()
+        except SingularOperator:
+            breaches += above
+        except RetrodictorError:
+            breaches += 1
+        else:
+            breaches += not above or not all(c.passed for c in checks)
+    return float(breaches)
 
 
 def _projective_qubit_povm() -> Povm:

@@ -69,7 +69,8 @@ def test_eig_deterministic_bitwise():
 
 
 def test_eig_reconstruction_property():
-    # 1000 seeded trials, D <= 8: reconstruction error < 1e-10.
+    # 1000 seeded trials, D <= 8: reconstruction error < 1e-10, and every
+    # eigenvector's first component above 1e-8 is real and positive.
     rng = np.random.default_rng(123)
     worst = 0.0
     for _ in range(1000):
@@ -80,6 +81,10 @@ def test_eig_reconstruction_property():
         assert np.all(np.diff(spec.eigenvalues) >= 0)
         gram = dag(spec.eigenvectors) @ spec.eigenvectors
         assert maxabs(gram - np.eye(d)) < 1e-10
+        for k in range(d):
+            col = spec.eigenvectors[:, k]
+            pivot = col[np.flatnonzero(np.abs(col) > 1e-8)[0]]
+            assert pivot.real > 0 and abs(pivot.imag) <= 1e-15
     assert worst < 1e-10
 
 
