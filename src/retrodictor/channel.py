@@ -21,9 +21,10 @@ from .ensembles import DensityOperator, Violation, validate_state_vector
 from .errors import ValidationError
 from .ud import (
     REMAINDER_PSD_TOL,
+    RetroBasis,
     UdInstance,
+    _optimal_mu,
     omega_matrix,
-    optimal_dual,
     retro_basis,
     ud_states,
 )
@@ -81,19 +82,17 @@ def entangled_state(instance: UdInstance) -> TwoQubitState:
     return TwoQubitState(amp)
 
 
-def symmetric_state(instance: UdInstance) -> TwoQubitState:
-    """Shared state prepared in the retrodictive basis; invariant under the a<->b swap."""
+def symmetric_state(instance: UdInstance, basis: RetroBasis) -> TwoQubitState:
+    """Shared state prepared in the instance's retro_basis; invariant under the a<->b swap."""
     psi1, psi2 = ud_states(instance)
-    basis = retro_basis(instance)
     amp = math.sqrt(instance.eta[0]) * np.kron(
         basis.phi1.amplitudes, psi1.amplitudes
     ) + math.sqrt(instance.eta[1]) * np.kron(basis.phi2.amplitudes, psi2.amplitudes)
     return TwoQubitState(amp)
 
 
-def sqrt_omega_in_retro_basis(instance: UdInstance) -> np.ndarray:
-    """Matrix of sqrt(Omega) in the retrodictive basis (symmetric off-diagonal)."""
-    basis = retro_basis(instance)
+def sqrt_omega_in_retro_basis(instance: UdInstance, basis: RetroBasis) -> np.ndarray:
+    """Matrix of sqrt(Omega) in the instance's retro_basis (symmetric off-diagonal)."""
     u = basis.matrix()
     root = linalg.sqrtm_psd(omega_matrix(instance))
     return linalg.dag(u) @ root @ u
@@ -103,6 +102,7 @@ def sqrt_omega_in_retro_basis(instance: UdInstance) -> np.ndarray:
 class NoSignalingReport:
     """Alice's reduced state against her outcome-averaged post-measurement state.
 
+    rho_a and rho_b reduce state, the symmetric state built in basis.
     max_residual is recomputed from the two operators on construction; a value
     at roundoff scale is the no-signaling statement for this channel.
     """
@@ -110,6 +110,8 @@ class NoSignalingReport:
     rho_a: DensityOperator
     rho_a_tilde: DensityOperator
     rho_b: DensityOperator
+    state: TwoQubitState
+    basis: RetroBasis
     max_residual: float = field(init=False)
 
     def __post_init__(self):
@@ -123,17 +125,13 @@ def no_signaling_check(
 ) -> NoSignalingReport:
     """Compare Alice's reduced state with the mu-weighted decomposition.
 
-    mu defaults to the optimal dual weights; any feasible pair may be passed.
+    mu defaults to the closed-form optimal weights; any feasible pair may be passed.
     The failure contribution is the remainder of the source after removing the
     conclusive weights; if the remainder fails positivity (an infeasible mu),
     a ValidationError naming the PSD violation is raised.
     """
     e1, e2 = instance.eta
-    if mu is None:
-        opt = optimal_dual(instance)
-        mu1, mu2 = opt.mu1, opt.mu2
-    else:
-        mu1, mu2 = float(mu[0]), float(mu[1])
+    mu1, mu2 = _optimal_mu(instance)[:2] if mu is None else (float(mu[0]), float(mu[1]))
 
     off = math.sqrt(e1 * e2) * instance.s
     remainder = np.array([[e1 - mu1, off], [off, e2 - mu2]])
@@ -151,11 +149,11 @@ def no_signaling_check(
     if violations:
         raise ValidationError(violations)
 
-    state = symmetric_state(instance)
+    basis = retro_basis(instance)
+    state = symmetric_state(instance, basis)
     rho_a = state.reduced(trace_out=1)
     rho_b = state.reduced(trace_out=0)
 
-    basis = retro_basis(instance)
     u = basis.matrix()
     tilde = (
         mu1 * basis.phi1.projector()
@@ -163,4 +161,4 @@ def no_signaling_check(
         + u @ remainder.astype(np.complex128) @ linalg.dag(u)
     )
     rho_a_tilde = DensityOperator((tilde + linalg.dag(tilde)) / 2.0)
-    return NoSignalingReport(rho_a, rho_a_tilde, rho_b)
+    return NoSignalingReport(rho_a, rho_a_tilde, rho_b, state, basis)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import no_signaling_check, symmetric_state
+from .channel import no_signaling_check
 from .errors import RetrodictorError, ValidationError
 from .formats import (
     ensemble_to_payload,
@@ -39,7 +39,6 @@ from .ud import (
     omega_matrix,
     optimal_dual,
     optimal_predictive_povm,
-    retro_basis,
 )
 from .verify import Check, checks_for_channel, checks_for_transform, checks_for_ud, run_suites
 
@@ -134,9 +133,8 @@ def cmd_ud(args) -> int:
     inst = _instance_from_args(args)
     opt = optimal_dual(inst)
     cf = omega_closed_form(inst)
-    numeric_basis = retro_basis(inst)
     ud_povm = optimal_predictive_povm(inst)
-    checks = list(checks_for_ud(inst, opt, numeric_basis, ud_povm))
+    checks = list(checks_for_ud(inst, opt, ud_povm))
     doc = _base_doc("ud")
     doc["inputs"] = {
         "alpha": inst.alpha,
@@ -153,8 +151,8 @@ def cmd_ud(args) -> int:
         "omega_eigenvalues": [cf.w1, cf.w2],
         "omega_angle": cf.omega_angle,
         "retro_basis": {
-            "phi1": vector_to_pairs(numeric_basis.phi1.amplitudes),
-            "phi2": vector_to_pairs(numeric_basis.phi2.amplitudes),
+            "phi1": vector_to_pairs(opt.basis.phi1.amplitudes),
+            "phi2": vector_to_pairs(opt.basis.phi2.amplitudes),
         },
         "rho0_ret": matrix_to_rows(opt.rho0_ret.matrix),
         "predictive_povm": {
@@ -171,9 +169,8 @@ def cmd_ud(args) -> int:
 
 def cmd_channel(args) -> int:
     inst = _instance_from_args(args)
-    state = symmetric_state(inst)
     report = no_signaling_check(inst)
-    checks = checks_for_channel(inst, state, report)
+    checks = checks_for_channel(inst, report)
     doc = _base_doc("channel")
     doc["inputs"] = {
         "alpha": inst.alpha,
@@ -181,7 +178,7 @@ def cmd_channel(args) -> int:
         "overlap": inst.s,
     }
     doc["derived"] = {
-        "symmetric_state": vector_to_pairs(state.amplitudes),
+        "symmetric_state": vector_to_pairs(report.state.amplitudes),
         "rho_a": matrix_to_rows(report.rho_a.matrix),
         "rho_a_tilde": matrix_to_rows(report.rho_a_tilde.matrix),
         "rho_b": matrix_to_rows(report.rho_b.matrix),
@@ -264,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ensemble", help="ensemble JSON file")
     p.add_argument("povm", help="POVM JSON file")
     p.add_argument("--support-restricted", action="store_true",
-                   help="invert the source on its support only (singular sources)")
+                   help="invert the source on its support only (singular sources); source "
+                        "eigenvalues that are not zero up to roundoff must still clear the floor")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_transform)
 

@@ -26,7 +26,8 @@ from .errors import NonHermitianInput, SingularOperator
 TOL_HERM = 1e-12
 # Inverse square roots raise SingularOperator below this source floor (see above).
 MIN_EIG_DEFAULT = 1e-5
-# sqrtm_psd clips eigenvalues in [-PSD_CLIP_TOL, 0) to 0; is_psd's default tolerance.
+# Square roots clip eigenvalues in [-PSD_CLIP_TOL, 0) to 0, support_restricted drops
+# those up to +PSD_CLIP_TOL, and is_psd uses it as its default tolerance.
 PSD_CLIP_TOL = 1e-10
 
 # Components smaller than this are ignored when picking the entry that fixes
@@ -99,6 +100,42 @@ class Spectrum:
         """Sum of eigenvalue-weighted eigenprojectors."""
         return (self.eigenvectors * self.eigenvalues) @ dag(self.eigenvectors)
 
+    def map(
+        self,
+        f: Callable[[float], float],
+        min_eig: float | None = None,
+        support_restricted: bool = False,
+    ) -> np.ndarray:
+        """Apply a real scalar function to the operator: the one matrix-function body.
+
+        For f with a pole at 0, pass min_eig: eigenvalues below it raise
+        SingularOperator. With support_restricted=True, those at most
+        PSD_CLIP_TOL (zero up to roundoff) are instead mapped to 0, so that f
+        acts on the operator's support only. The support mode deviates from
+        the underlying theory, which assumes an invertible source.
+        """
+        vals = self.eigenvalues
+        small = vals < (-math.inf if min_eig is None else min_eig)
+        dropped = small & (vals <= PSD_CLIP_TOL) & support_restricted
+        raising = small & ~dropped
+        if np.any(raising):
+            raise SingularOperator(f"eigenvalue {vals[raising].min():.3e} below min_eig {min_eig:.3e}")
+        mapped = np.array([0.0 if d else float(f(w)) for w, d in zip(vals, dropped)])
+        out = (self.eigenvectors * mapped) @ dag(self.eigenvectors)
+        return (out + dag(out)) / 2.0
+
+    def sqrt(self) -> np.ndarray:
+        """Square root of a PSD operator (eigenvalues in [-PSD_CLIP_TOL, 0) clipped)."""
+        if self.eigenvalues[0] < -PSD_CLIP_TOL:
+            raise SingularOperator(
+                f"matrix is not PSD: min eigenvalue {self.eigenvalues[0]:.3e}"
+            )
+        return self.map(lambda w: math.sqrt(max(w, 0.0)))
+
+    def inv_sqrt(self, min_eig: float = MIN_EIG_DEFAULT, support_restricted: bool = False):
+        """Inverse square root of a positive definite operator (see map for min_eig)."""
+        return self.map(lambda w: 1.0 / math.sqrt(w), min_eig, support_restricted)
+
 
 def hermitian_eig(matrix) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
@@ -119,38 +156,13 @@ def spectral_map(
     min_eig: float | None = None,
     support_restricted: bool = False,
 ) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix through its spectrum.
-
-    For f with a pole at 0, pass min_eig: eigenvalues below it either raise
-    SingularOperator (default) or, with support_restricted=True, are mapped to
-    0 so that f acts on the operator's support only. The latter deviates from
-    the underlying theory, which assumes an invertible source.
-    """
-    spec = hermitian_eig(matrix)
-    vals = spec.eigenvalues
-    if min_eig is not None:
-        small = vals < min_eig
-        if np.any(small) and not support_restricted:
-            raise SingularOperator(
-                f"eigenvalue {vals.min():.3e} below min_eig {min_eig:.3e}"
-            )
-        mapped = np.array([0.0 if s else float(f(w)) for w, s in zip(vals, small)])
-    else:
-        mapped = np.array([float(f(w)) for w in vals])
-    out = (spec.eigenvectors * mapped) @ dag(spec.eigenvectors)
-    return (out + dag(out)) / 2.0
+    """Apply a real scalar function to a Hermitian matrix (see Spectrum.map)."""
+    return hermitian_eig(matrix).map(f, min_eig, support_restricted)
 
 
 def sqrtm_psd(matrix) -> np.ndarray:
     """Square root of a PSD Hermitian matrix (eigenvalues in [-PSD_CLIP_TOL, 0) clipped)."""
-    spec = hermitian_eig(matrix)
-    if spec.eigenvalues[0] < -PSD_CLIP_TOL:
-        raise SingularOperator(
-            f"matrix is not PSD: min eigenvalue {spec.eigenvalues[0]:.3e}"
-        )
-    vals = np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
-    out = (spec.eigenvectors * vals) @ dag(spec.eigenvectors)
-    return (out + dag(out)) / 2.0
+    return hermitian_eig(matrix).sqrt()
 
 
 def inv_sqrtm_psd(
@@ -158,13 +170,8 @@ def inv_sqrtm_psd(
     min_eig: float = MIN_EIG_DEFAULT,
     support_restricted: bool = False,
 ) -> np.ndarray:
-    """Inverse square root of a positive definite Hermitian matrix."""
-    return spectral_map(
-        matrix,
-        lambda w: 1.0 / math.sqrt(w),
-        min_eig=min_eig,
-        support_restricted=support_restricted,
-    )
+    """Inverse square root of a positive definite Hermitian matrix (see Spectrum.map)."""
+    return hermitian_eig(matrix).inv_sqrt(min_eig, support_restricted)
 
 
 def min_eigenvalue(matrix) -> float:

@@ -145,17 +145,19 @@ def retro_transform(
     rho_j^ret = sqrt(Omega) Pi_j sqrt(Omega) / mu_j.
 
     Raises SingularOperator when the source function has an eigenvalue below
-    linalg.MIN_EIG_DEFAULT, unless support_restricted=True: such eigenvalues
-    then count as outside the support, the inversion acts on the support only,
-    and completeness holds on the support projector instead of the identity.
-    Above the floor every identity holds at its fixed tolerance; operators that
-    still miss their invariants raise NumericIntegrityError, not a degraded dual.
+    linalg.MIN_EIG_DEFAULT. With support_restricted=True, eigenvalues at most
+    linalg.PSD_CLIP_TOL (zero up to roundoff) count as outside the support
+    instead: the inversion acts on the support only, and completeness holds
+    on the support projector instead of the identity. Above the floor every
+    identity holds at its fixed tolerance; operators that still miss their
+    invariants raise NumericIntegrityError, not a degraded dual.
     """
     require_same_dim(ensemble.dim, povm.dim, "ensemble vs POVM")
     omega = source_from_ensemble(ensemble)
     om = omega.matrix
-    inv_root = linalg.inv_sqrtm_psd(om, support_restricted=support_restricted)
-    root = linalg.sqrtm_psd(om)
+    spectrum = linalg.hermitian_eig(om)
+    inv_root = spectrum.inv_sqrt(support_restricted=support_restricted)
+    root = spectrum.sqrt()
 
     retro_elements = []
     for eta, state in zip(ensemble.priors, ensemble.states):

@@ -192,6 +192,7 @@ class DualOptimum:
     mu1/mu2 weight the conclusive retro-basis states, mu0 the failure state.
     rho0_ret is the failure state as an operator in the computational basis;
     at the optimum it is pure (the weighted remainder has zero determinant).
+    basis is the numeric retro_basis the failure state was built in.
     """
 
     mu1: float
@@ -200,6 +201,7 @@ class DualOptimum:
     rho0_ret: DensityOperator
     p_success: float
     regime: Regime
+    basis: RetroBasis
 
 
 def _optimal_mu(instance: UdInstance) -> tuple[float, float, Regime]:
@@ -229,7 +231,7 @@ def optimal_dual(instance: UdInstance) -> DualOptimum:
         u = basis.matrix()
         op = u @ (remainder / mu0) @ linalg.dag(u)
         rho0 = DensityOperator((op + linalg.dag(op)) / 2.0)
-    return DualOptimum(mu1, mu2, mu0, rho0, mu1 + mu2, regime)
+    return DualOptimum(mu1, mu2, mu0, rho0, mu1 + mu2, regime, basis)
 
 
 def brute_force_dual(instance: UdInstance, grid_step: float) -> tuple[float, float, float]:
@@ -314,7 +316,8 @@ class PurityIdentificationReport:
     """Residuals tying the conclusive retrodictive states to the retro basis.
 
     Outcomes with click probability below the floor (a clamped instance's
-    unlikely state) carry NaN residuals and are excluded from the maxima.
+    unlikely state) carry NaN residuals.  verify.checks_for_ud holds the
+    defined residuals to their tolerances; the report carries no verdict.
     """
 
     purity_residuals: tuple[float, float]
@@ -322,30 +325,18 @@ class PurityIdentificationReport:
     sqrt_route_residuals: tuple[float, float]
     failure_det_residual: float
 
-    @property
-    def max_residual(self) -> float:
-        vals = [
-            *self.purity_residuals,
-            *self.projector_residuals,
-            *self.sqrt_route_residuals,
-            self.failure_det_residual,
-        ]
-        return max(v for v in vals if not math.isnan(v))
 
-    def ok(self, tol: float = 1e-10) -> bool:
-        return self.max_residual < tol
-
-
-def verify_purity_identification(instance: UdInstance) -> PurityIdentificationReport:
+def verify_purity_identification(
+    instance: UdInstance, opt: DualOptimum, dual: RetroDual
+) -> PurityIdentificationReport:
     """Check that each conclusive retrodictive state is the matching basis projector.
 
-    Three routes are compared: the generic transform of the optimal
-    measurement, the retro-basis projectors, and sqrt(Omega)|psi_perp>
+    Three routes are compared: dual (the instance's ud_retro_dual), the
+    projectors of opt.basis (opt is its optimal_dual), and sqrt(Omega)|psi_perp>
     renormalized.  Also reports det of the weighted failure state, which
     vanishes at the optimum.
     """
-    basis = retro_basis(instance)
-    dual = ud_retro_dual(instance)
+    basis = opt.basis
     om_root = linalg.sqrtm_psd(omega_matrix(instance))
     ca, sa = math.cos(instance.alpha), math.sin(instance.alpha)
     perps = (np.array([sa, ca]), np.array([-sa, ca]))  # psi_2-perp, psi_1-perp
@@ -366,7 +357,6 @@ def verify_purity_identification(instance: UdInstance) -> PurityIdentificationRe
         vec = vec / np.linalg.norm(vec)
         sqrt_route.append(linalg.maxabs(state.matrix - linalg.outer(vec)))
 
-    opt = optimal_dual(instance)
     weighted = opt.mu0 * opt.rho0_ret.matrix
     det = abs(complex(np.linalg.det(weighted)))
     return PurityIdentificationReport(

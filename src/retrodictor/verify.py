@@ -22,11 +22,9 @@ import numpy as np
 from . import linalg
 from .channel import (
     NoSignalingReport,
-    TwoQubitState,
     entangled_state,
     no_signaling_check,
     sqrt_omega_in_retro_basis,
-    symmetric_state,
 )
 from .ensembles import DensityOperator, Ensemble, Povm, source_from_ensemble
 from .errors import (
@@ -47,7 +45,6 @@ from .sim import empirical_report, sample
 from .ud import (
     DualOptimum,
     PredictiveUdPovm,
-    RetroBasis,
     UdInstance,
     brute_force_dual,
     omega_closed_form,
@@ -160,19 +157,22 @@ def checks_for_transform(ensemble: Ensemble, povm: Povm, dual: RetroDual) -> tup
 
 
 def checks_for_ud(
-    inst: UdInstance, opt: DualOptimum, basis: RetroBasis, ud_povm: PredictiveUdPovm
+    inst: UdInstance, opt: DualOptimum, ud_povm: PredictiveUdPovm
 ) -> tuple[Check, ...]:
     """Retro-basis, source-spectrum, purity and duality identities of one UD instance.
 
-    opt, basis and ud_povm are the instance's optimal_dual, retro_basis and
-    optimal_predictive_povm, which every caller has already built.
+    opt and ud_povm are the instance's optimal_dual and
+    optimal_predictive_povm, which every caller has already built; the
+    numeric retro basis is opt.basis.
     """
+    basis = opt.basis
     closed = retro_basis_closed_form(inst)
     cf = omega_closed_form(inst)
     om = omega_matrix(inst)
     spectrum = linalg.hermitian_eig(om)
     u = basis.matrix()
-    purity = verify_purity_identification(inst)
+    dual = retro_transform(ud_ensemble(inst), ud_povm.povm)
+    purity = verify_purity_identification(inst, opt, dual)
 
     psi1, psi2 = ud_states(inst)
     bridge1 = inst.eta[0] * float(
@@ -181,7 +181,7 @@ def checks_for_ud(
     bridge2 = inst.eta[1] * float(
         np.vdot(psi2.amplitudes, ud_povm.povm.elements[1] @ psi2.amplitudes).real
     )
-    mu = outcome_probs(ud_povm.povm, source_from_ensemble(ud_ensemble(inst)))
+    mu = dual.mu
     return (
         Check(
             "retro-basis-orthonormality",
@@ -231,24 +231,24 @@ def checks_for_ud(
     )
 
 
-def checks_for_channel(
-    inst: UdInstance, state: TwoQubitState, report: NoSignalingReport
-) -> tuple[Check, ...]:
+def checks_for_channel(inst: UdInstance, report: NoSignalingReport) -> tuple[Check, ...]:
     """Swap symmetry, reduced states, no-signaling and basis-change identities of one channel.
 
-    state and report are the instance's symmetric_state and no_signaling_check.
+    report is the instance's no_signaling_check at the optimal weights; its
+    symmetric state, reduced states and retro basis are checked here.
     """
+    state = report.state
     om = omega_matrix(inst)
-    sq = sqrt_omega_in_retro_basis(inst)
+    sq = sqrt_omega_in_retro_basis(inst, report.basis)
     plain = entangled_state(inst)
-    lifted = np.kron(retro_basis(inst).matrix(), np.eye(2)) @ plain.amplitudes
+    lifted = np.kron(report.basis.matrix(), np.eye(2)) @ plain.amplitudes
     return (
         Check("swap-residual", state.swap_residual(), 1e-10),
         Check(
             "reduced-states-vs-source",
             max(
-                linalg.maxabs(state.reduced(0).matrix - om),
-                linalg.maxabs(state.reduced(1).matrix - om),
+                linalg.maxabs(report.rho_b.matrix - om),
+                linalg.maxabs(report.rho_a.matrix - om),
             ),
             1e-10,
         ),
@@ -445,8 +445,7 @@ def suite_ud() -> SuiteResult:
             regime_mismatches += 1.0
         if opt.regime == "interior" and min(opt.mu1, opt.mu2) <= 0.0:
             regime_mismatches += 1.0
-        checks = checks_for_ud(inst, opt, retro_basis(inst), optimal_predictive_povm(inst))
-        worst = _worse(worst, checks)
+        worst = _worse(worst, checks_for_ud(inst, opt, optimal_predictive_povm(inst)))
 
     # Branch continuity at the regime boundary eta_max = 1/(1+s^2).
     worst_continuity = 0.0
@@ -479,8 +478,7 @@ def suite_channel() -> SuiteResult:
     """Swap symmetry, reduced states, no-signaling, sqrt-source symmetry over the grid."""
     worst = None
     for inst in grid_instances():
-        checks = checks_for_channel(inst, symmetric_state(inst), no_signaling_check(inst))
-        worst = _worse(worst, checks)
+        worst = _worse(worst, checks_for_channel(inst, no_signaling_check(inst)))
     return SuiteResult("channel", worst)
 
 
@@ -598,9 +596,8 @@ def _floor_contract_breaches() -> float:
     runs += [
         (
             w2,
-            lambda i=inst: checks_for_ud(
-                i, optimal_dual(i), retro_basis(i), optimal_predictive_povm(i)
-            ) + checks_for_channel(i, symmetric_state(i), no_signaling_check(i)),
+            lambda i=inst: checks_for_ud(i, optimal_dual(i), optimal_predictive_povm(i))
+            + checks_for_channel(i, no_signaling_check(i)),
         )
         for w2, inst in uds
     ]

@@ -46,14 +46,15 @@ def test_entangled_state_reduced_a_is_source_in_retro_matrix_form():
 
 
 def test_symmetric_state_swap_invariance():
-    state = symmetric_state(UdInstance(math.pi / 8, (0.5, 0.5)))
+    inst = UdInstance(math.pi / 8, (0.5, 0.5))
+    state = symmetric_state(inst, retro_basis(inst))
     assert state.swap_residual() < 1e-12
     assert maxabs(state.swapped().amplitudes - state.amplitudes) < 1e-12
 
 
 def test_symmetric_state_both_reductions_equal_source():
     inst = UdInstance.from_overlap(0.6, (0.75, 0.25))
-    state = symmetric_state(inst)
+    state = symmetric_state(inst, retro_basis(inst))
     om = omega_matrix(inst)
     assert maxabs(state.reduced(0).matrix - om) < 1e-10
     assert maxabs(state.reduced(1).matrix - om) < 1e-10
@@ -63,12 +64,13 @@ def test_symmetric_state_is_alice_basis_change_of_entangled_state():
     inst = UdInstance.from_overlap(0.45, (0.65, 0.35))
     u = retro_basis(inst).matrix()
     lifted = np.kron(u, np.eye(2)) @ entangled_state(inst).amplitudes
-    assert maxabs(lifted - symmetric_state(inst).amplitudes) < 1e-10
+    assert maxabs(lifted - symmetric_state(inst, retro_basis(inst)).amplitudes) < 1e-10
 
 
 def test_symmetric_state_rejects_singular_source():
+    inst = UdInstance(1e-9, (0.5, 0.5))
     with pytest.raises(SingularOperator):
-        symmetric_state(UdInstance(1e-9, (0.5, 0.5)))
+        symmetric_state(inst, retro_basis(inst))
 
 
 def test_no_signaling_at_optimum():
@@ -95,7 +97,8 @@ def test_no_signaling_infeasible_mu_reports_psd_violation():
 
 
 def test_sqrt_omega_symmetric_in_retro_basis():
-    sq = sqrt_omega_in_retro_basis(UdInstance.from_overlap(0.7, (0.8, 0.2)))
+    inst = UdInstance.from_overlap(0.7, (0.8, 0.2))
+    sq = sqrt_omega_in_retro_basis(inst, retro_basis(inst))
     assert abs(sq[0, 1] - sq[1, 0]) < 1e-12
 
 
@@ -104,7 +107,8 @@ def test_channel_properties_on_grid():
     for eta_max in ETA_GRID:
         for alpha in ALPHA_GRID:
             inst = UdInstance(float(alpha), (float(1 - eta_max), float(eta_max)))
-            state = symmetric_state(inst)
+            basis = retro_basis(inst)
+            state = symmetric_state(inst, basis)
             worst_swap = max(worst_swap, state.swap_residual())
             om = omega_matrix(inst)
             worst_red = max(
@@ -113,7 +117,7 @@ def test_channel_properties_on_grid():
                 maxabs(state.reduced(1).matrix - om),
             )
             worst_ns = max(worst_ns, no_signaling_check(inst).max_residual)
-            sq = sqrt_omega_in_retro_basis(inst)
+            sq = sqrt_omega_in_retro_basis(inst, basis)
             worst_sq = max(worst_sq, abs(sq[0, 1] - sq[1, 0]))
     assert worst_swap < 1e-10
     assert worst_red < 1e-10

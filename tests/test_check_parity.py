@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from retrodictor import verify
-from retrodictor.channel import no_signaling_check, symmetric_state
+from retrodictor.channel import no_signaling_check
 from retrodictor.cli import main
 from retrodictor.formats import parse_ensemble_file, parse_povm_file
 from retrodictor.retrodiction import retro_transform
-from retrodictor.ud import UdInstance, optimal_dual, optimal_predictive_povm, retro_basis
+from retrodictor.ud import UdInstance, optimal_dual, optimal_predictive_povm
 
 SAMPLES = pathlib.Path(__file__).resolve().parents[1] / "sample_inputs"
 ENSEMBLE = str(SAMPLES / "ud_ensemble.json")
@@ -25,14 +25,12 @@ def _transform_checks():
 
 def _ud_checks(eta1, overlap):
     inst = UdInstance.from_overlap(overlap, (eta1, 1.0 - eta1))
-    return verify.checks_for_ud(
-        inst, optimal_dual(inst), retro_basis(inst), optimal_predictive_povm(inst)
-    )
+    return verify.checks_for_ud(inst, optimal_dual(inst), optimal_predictive_povm(inst))
 
 
 def _channel_checks(eta1, overlap):
     inst = UdInstance.from_overlap(overlap, (eta1, 1.0 - eta1))
-    return verify.checks_for_channel(inst, symmetric_state(inst), no_signaling_check(inst))
+    return verify.checks_for_channel(inst, no_signaling_check(inst))
 
 
 # case: (CLI argv, the per-instance checks, the suite that reduces them)

@@ -16,7 +16,7 @@ from retrodictor.errors import (
     SingularOperator,
     ZeroProbabilityOutcome,
 )
-from retrodictor.linalg import maxabs, outer
+from retrodictor.linalg import maxabs, min_eigenvalue, outer
 from retrodictor.retrodiction import (
     unbiased_dual,
     outcome_probs,
@@ -257,6 +257,19 @@ def test_support_restricted_transform_on_singular_source():
     assert maxabs(sum(dual.retro_povm.elements) - support) < 1e-12
     assert dual.source_residual() < 1e-12
     assert dual.retro_states[1] is None  # the orthogonal outcome never clicks
+
+
+def test_negative_input_eigenvalue_cannot_leak_into_retro_povm():
+    # The state's eigenvalue -5e-11 passes validation; with Omega's smaller
+    # eigenvalue at 2e-5 (above the floor) it becomes -1.25e-6 in Pi_1^ret,
+    # which only the retrodictive POVM's own PSD check rejects.
+    leaky = DensityOperator(np.diag([1.0 + 5e-11, -5e-11]))
+    partner = DensityOperator(np.diag([1.0 - 4e-5 - 5e-11, 4e-5 + 5e-11]))
+    ensemble = Ensemble((leaky, partner), np.array([0.5, 0.5]))
+    omega = source_from_ensemble(ensemble)
+    assert abs(min_eigenvalue(omega.matrix) - 2e-5) < 1e-15
+    with pytest.raises(NumericIntegrityError):
+        retro_transform(ensemble, projective_povm())
 
 
 def test_probability_clamp_rejects_gross_violations():

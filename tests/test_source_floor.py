@@ -2,20 +2,20 @@
 
 A source whose smallest eigenvalue clears the floor gives a dual on which
 every identity holds at its fixed tolerance; one below it raises
-SingularOperator, never NumericIntegrityError or ValidationError.  The
-inputs come from verify.floor_sweep, which the failure-modes suite's
-source-floor-contract check also runs.
+SingularOperator, never NumericIntegrityError or ValidationError, also in
+support_restricted mode.  The inputs come from verify.floor_sweep, which the
+failure-modes suite's source-floor-contract check also runs.
 """
 
 import pytest
 
 from retrodictor import linalg
-from retrodictor.channel import no_signaling_check, symmetric_state
+from retrodictor.channel import no_signaling_check
 from retrodictor.cli import main
 from retrodictor.errors import SingularOperator
 from retrodictor.formats import ensemble_to_payload, povm_to_payload, write_json
 from retrodictor.retrodiction import retro_transform
-from retrodictor.ud import omega_closed_form, optimal_dual, optimal_predictive_povm, retro_basis
+from retrodictor.ud import omega_closed_form, optimal_dual, optimal_predictive_povm
 from retrodictor.verify import (
     FLOOR_SWEEP_ABOVE,
     FLOOR_SWEEP_BELOW,
@@ -66,11 +66,30 @@ def test_transform_below_floor_raises_singular(dim, min_eig):
             retro_transform(ensemble, povm)
 
 
+@pytest.mark.parametrize("min_eig", FLOOR_SWEEP_ABOVE)
+@pytest.mark.parametrize("dim", FLOOR_SWEEP_DIMS)
+def test_support_restricted_above_floor_holds_every_identity(dim, min_eig):
+    for ensemble, povm in pairs_at(dim, min_eig):
+        dual = retro_transform(ensemble, povm, support_restricted=True)
+        checks = checks_for_transform(ensemble, povm, dual)
+        assert [c for c in checks if not c.passed] == []
+
+
+@pytest.mark.parametrize("min_eig", FLOOR_SWEEP_BELOW)
+@pytest.mark.parametrize("dim", FLOOR_SWEEP_DIMS)
+def test_support_restricted_below_floor_raises_singular(dim, min_eig):
+    # Only eigenvalues zero up to roundoff lie outside the support; a real
+    # eigenvalue under the floor would leave a dual that misses its identities.
+    for ensemble, povm in pairs_at(dim, min_eig):
+        with pytest.raises(SingularOperator):
+            retro_transform(ensemble, povm, support_restricted=True)
+
+
 @pytest.mark.parametrize("w2, inst", [c for c in UDS if c[0] >= FLOOR])
 def test_ud_and_channel_above_floor_hold_every_identity(w2, inst):
     checks = checks_for_ud(
-        inst, optimal_dual(inst), retro_basis(inst), optimal_predictive_povm(inst)
-    ) + checks_for_channel(inst, symmetric_state(inst), no_signaling_check(inst))
+        inst, optimal_dual(inst), optimal_predictive_povm(inst)
+    ) + checks_for_channel(inst, no_signaling_check(inst))
     assert [c for c in checks if not c.passed] == []
 
 
