@@ -24,7 +24,6 @@ from .ud import (
     RetroBasis,
     UdInstance,
     _optimal_mu,
-    omega_matrix,
     retro_basis,
     ud_states,
 )
@@ -91,11 +90,10 @@ def symmetric_state(instance: UdInstance, basis: RetroBasis) -> TwoQubitState:
     return TwoQubitState(amp)
 
 
-def sqrt_omega_in_retro_basis(instance: UdInstance, basis: RetroBasis) -> np.ndarray:
-    """Matrix of sqrt(Omega) in the instance's retro_basis (symmetric off-diagonal)."""
+def sqrt_omega_in_retro_basis(basis: RetroBasis) -> np.ndarray:
+    """Matrix of sqrt(Omega) in a retro_basis (symmetric off-diagonal), from its source spectrum."""
     u = basis.matrix()
-    root = linalg.sqrtm_psd(omega_matrix(instance))
-    return linalg.dag(u) @ root @ u
+    return linalg.dag(u) @ basis.omega_spectrum.sqrt() @ u
 
 
 @dataclass(frozen=True, eq=False)

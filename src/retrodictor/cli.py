@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("povm", help="POVM JSON file")
     p.add_argument("--n", type=int, required=True, help="number of samples (>= 1)")
     p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+                   help=f"RNG seed, a signed 64-bit integer in [-2**63, 2**63) "
+                        f"(default: ${SEED_ENV_VAR} or 0)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_simulate)
 
@@ -303,10 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except ValueError as exc:
+    except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except RetrodictorError as exc:

@@ -64,9 +64,7 @@ def validate_state_vector(amplitudes, label: str = "state") -> ValidationReport:
         else:
             res = abs(float(np.linalg.norm(arr)) - 1.0)
             if res > NORM_TOL:
-                violations.append(
-                    Violation("unit_norm", res, f"{label} norm differs from 1")
-                )
+                violations.append(Violation("unit_norm", res, f"{label} norm differs from 1"))
     return ValidationReport(tuple(violations))
 
 
@@ -79,18 +77,16 @@ def validate_hermitian_matrix(matrix, label: str = "operator") -> ValidationRepo
         else:
             res = linalg.hermiticity_residual(arr)
             if res > linalg.TOL_HERM:
-                violations.append(
-                    Violation("hermiticity", res, f"{label} is not Hermitian")
-                )
+                violations.append(Violation("hermiticity", res, f"{label} is not Hermitian"))
     return ValidationReport(tuple(violations))
 
 
-def _psd_violations(matrix: np.ndarray, label: str, tol: float) -> list[Violation]:
+def _psd_violations(matrix: np.ndarray, label: str) -> list[Violation]:
     # Spectral checks run on the Hermitian part so they stay meaningful even
     # when a Hermiticity violation was already recorded.
     herm = (matrix + matrix.conj().T) / 2.0
-    w_min = linalg.min_eigenvalue(herm)
-    if w_min < -tol:
+    w_min = float(np.linalg.eigvalsh(herm)[0])
+    if w_min < -PSD_TOL:
         return [Violation("psd", -w_min, f"{label} has negative eigenvalue {w_min:.3e}")]
     return []
 
@@ -101,55 +97,67 @@ def validate_density_matrix(matrix, label: str = "state") -> ValidationReport:
     violations = list(report.violations)
     if not any(v.check in ("finite_entries", "square_shape") for v in violations):
         arr = np.asarray(matrix, dtype=np.complex128)
-        violations.extend(_psd_violations(arr, label, PSD_TOL))
+        violations.extend(_psd_violations(arr, label))
         res = abs(float(np.trace(arr).real) - 1.0)
         if res > TRACE_TOL:
             violations.append(Violation("unit_trace", res, f"{label} trace differs from 1"))
     return ValidationReport(tuple(violations))
 
 
+def _real_array(values) -> np.ndarray | None:
+    """values as a float64 array, or None when they are not real numbers."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+
+
 def validate_priors(priors) -> ValidationReport:
-    """Check prior probabilities: non-negative, summing to 1 within 1e-12."""
-    violations: list[Violation] = []
-    arr = np.asarray(priors, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] < 1:
-        violations.append(Violation("priors_shape", 0.0, "priors is not a non-empty vector"))
-        return ValidationReport(tuple(violations))
+    """Check prior probabilities: a vector of reals, non-negative, summing to 1 within 1e-12."""
+    arr = _real_array(priors)
+    if arr is None or arr.ndim != 1 or arr.shape[0] < 1:
+        what = "a vector of real numbers" if arr is None else "a non-empty vector"
+        return ValidationReport((Violation("priors_shape", 0.0, f"priors is not {what}"),))
     if not np.all(np.isfinite(arr)):
-        violations.append(Violation("finite_entries", 0.0, "priors has non-finite entries"))
-        return ValidationReport(tuple(violations))
+        return ValidationReport((Violation("finite_entries", 0.0, "priors has non-finite entries"),))
+    violations = []
     if np.any(arr < 0.0):
-        worst = -float(arr.min())
-        violations.append(Violation("priors_nonnegative", worst, "negative prior"))
+        violations.append(Violation("priors_nonnegative", -float(arr.min()), "negative prior"))
     res = abs(float(arr.sum()) - 1.0)
     if res > PRIORS_TOL:
         violations.append(Violation("priors_sum", res, "priors do not sum to 1"))
     return ValidationReport(tuple(violations))
 
 
-def validate_ensemble(state_matrices, priors) -> ValidationReport:
-    """Report every violated Ensemble invariant for raw state matrices and priors."""
+def _ensemble_report(priors, n_states: int, dims: set[int], state_violations) -> ValidationReport:
+    """The Ensemble invariants: valid priors, one per state, states of one dimension.
+
+    The states' own violations are reported between the length and dimension checks.
+    """
     violations = list(validate_priors(priors).violations)
-    mats = list(state_matrices)
-    if len(mats) < 1:
+    arr = _real_array(priors)
+    n_priors = None if arr is None else len(np.atleast_1d(arr))
+    if n_states < 1:
         violations.append(Violation("states_count", 0.0, "ensemble has no states"))
-        return ValidationReport(tuple(violations))
-    n_priors = np.atleast_1d(np.asarray(priors, dtype=np.float64)).shape[0]
-    if len(mats) != n_priors:
+    elif n_priors not in (None, n_states):
         violations.append(
-            Violation("states_priors_length", float(abs(len(mats) - n_priors)),
+            Violation("states_priors_length", float(abs(n_states - n_priors)),
                       "states and priors differ in length")
         )
-    dims = set()
-    for i, m in enumerate(mats):
-        report = validate_density_matrix(m, f"state[{i}]")
-        violations.extend(report.violations)
-        arr = np.asarray(m)
-        if arr.ndim == 2:
-            dims.add(arr.shape[0])
+    violations.extend(state_violations)
     if len(dims) > 1:
         violations.append(Violation("common_dim", 0.0, f"states have mixed dims {sorted(dims)}"))
     return ValidationReport(tuple(violations))
+
+
+def validate_ensemble(state_matrices, priors) -> ValidationReport:
+    """Report every violated Ensemble invariant for raw state matrices and priors."""
+    mats = list(state_matrices)
+    state_violations = [
+        v for i, m in enumerate(mats) for v in validate_density_matrix(m, f"state[{i}]").violations
+    ]
+    dims = {np.shape(m)[0] for m in mats if np.ndim(m) == 2}
+    return _ensemble_report(priors, len(mats), dims, state_violations)
 
 
 def validate_povm(elements, sum_target=None) -> ValidationReport:
@@ -158,11 +166,10 @@ def validate_povm(elements, sum_target=None) -> ValidationReport:
     sum_target overrides the identity as the completeness target (used for
     measurements restricted to the support of a singular source).
     """
-    violations: list[Violation] = []
     elems = list(elements)
     if len(elems) < 1:
-        violations.append(Violation("elements_count", 0.0, "POVM has no elements"))
-        return ValidationReport(tuple(violations))
+        return ValidationReport((Violation("elements_count", 0.0, "POVM has no elements"),))
+    violations: list[Violation] = []
     dims = set()
     arrays = []
     for j, e in enumerate(elems):
@@ -173,7 +180,7 @@ def validate_povm(elements, sum_target=None) -> ValidationReport:
             arrays.append(arr)
             dims.add(arr.shape[0])
             if not any(v.check == "finite_entries" for v in report.violations):
-                violations.extend(_psd_violations(arr, f"element[{j}]", PSD_TOL))
+                violations.extend(_psd_violations(arr, f"element[{j}]"))
     if len(dims) > 1:
         violations.append(Violation("common_dim", 0.0, f"elements have mixed dims {sorted(dims)}"))
     elif arrays and len(arrays) == len(elems):
@@ -182,9 +189,7 @@ def validate_povm(elements, sum_target=None) -> ValidationReport:
         res = linalg.maxabs(total - target)
         if res > PSD_TOL:
             what = "identity" if sum_target is None else "completeness target"
-            violations.append(
-                Violation("completeness", res, f"elements do not sum to the {what}")
-            )
+            violations.append(Violation("completeness", res, f"elements do not sum to the {what}"))
     return ValidationReport(tuple(violations))
 
 
@@ -245,26 +250,11 @@ class Ensemble:
 
     def __post_init__(self):
         states = tuple(self.states)
-        object.__setattr__(self, "states", states)
-        priors = np.asarray(self.priors, dtype=np.float64).copy()
+        _ensemble_report(self.priors, len(states), {s.dim for s in states}, ()).raise_if_failed()
+        priors = np.array(self.priors, dtype=np.float64)
         priors.setflags(write=False)
+        object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
-        report = validate_priors(priors)
-        violations = list(report.violations)
-        if len(states) < 1:
-            violations.append(Violation("states_count", 0.0, "ensemble has no states"))
-        elif priors.ndim == 1 and len(states) != priors.shape[0]:
-            violations.append(
-                Violation("states_priors_length", abs(len(states) - priors.shape[0]),
-                          "states and priors differ in length")
-            )
-        if violations:
-            raise ValidationError(violations)
-        dims = {s.dim for s in states}
-        if len(dims) > 1:
-            raise ValidationError(
-                [Violation("common_dim", 0.0, f"states have mixed dims {sorted(dims)}")]
-            )
 
     @classmethod
     def from_pure_states(cls, states: list[PureState], priors) -> "Ensemble":
@@ -290,8 +280,7 @@ class Povm:
     sum_target: np.ndarray | None = None
 
     def __post_init__(self):
-        report = validate_povm(self.elements, self.sum_target)
-        report.raise_if_failed()
+        validate_povm(self.elements, self.sum_target).raise_if_failed()
         object.__setattr__(self, "elements", tuple(_frozen(e) for e in self.elements))
         if self.sum_target is not None:
             object.__setattr__(self, "sum_target", _frozen(self.sum_target))

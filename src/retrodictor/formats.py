@@ -153,8 +153,9 @@ def parse_povm_file(path: str) -> Povm:
         for j, e in enumerate(elements)
         if e.shape[0] != dim
     ]
-    report = ValidationReport(tuple(violations) + validate_povm(elements).violations)
-    report.raise_if_failed()
+    if violations:
+        raise ValidationError(violations + list(validate_povm(elements).violations))
+    # With the dimensions right, the constructor reports exactly validate_povm's findings.
     return Povm(tuple(elements))
 
 

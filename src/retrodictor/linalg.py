@@ -82,13 +82,17 @@ class Spectrum:
 
     eigenvalues are real and ascending; eigenvectors[:, k] is the unit
     eigenvector paired with eigenvalues[k], with its first component of
-    magnitude > 1e-8 made real and positive.
+    magnitude > 1e-8 made real and positive on construction.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
+        vectors = self.eigenvectors
+        pivots = np.argmax(np.abs(vectors) > _PHASE_PIVOT_TOL, axis=0)
+        pv = vectors[pivots, np.arange(vectors.shape[1])]
+        object.__setattr__(self, "eigenvectors", vectors * (np.conj(pv) / np.abs(pv)))
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
@@ -144,10 +148,7 @@ def hermitian_eig(matrix) -> Spectrum:
     arbitrary eigenvector phases are then fixed by the Spectrum convention.
     """
     a = require_hermitian(matrix)
-    eigenvalues, vectors = np.linalg.eigh((a + dag(a)) / 2.0)
-    pivots = np.argmax(np.abs(vectors) > _PHASE_PIVOT_TOL, axis=0)
-    pv = vectors[pivots, np.arange(vectors.shape[1])]
-    return Spectrum(eigenvalues, vectors * (np.conj(pv) / np.abs(pv)))
+    return Spectrum(*np.linalg.eigh((a + dag(a)) / 2.0))
 
 
 def spectral_map(
@@ -175,8 +176,9 @@ def inv_sqrtm_psd(
 
 
 def min_eigenvalue(matrix) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(hermitian_eig(matrix).eigenvalues[0])
+    """Smallest eigenvalue of a Hermitian matrix, by LAPACK without eigenvectors (eigvalsh)."""
+    a = require_hermitian(matrix)
+    return float(np.linalg.eigvalsh((a + dag(a)) / 2.0)[0])
 
 
 def is_psd(matrix, tol: float = PSD_CLIP_TOL) -> bool:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import linalg
 from .ensembles import (
+    TRACE_TOL,
     DensityOperator,
     Ensemble,
     Povm,
@@ -63,8 +64,8 @@ class OutcomeDistribution:
         if np.any(mu < -PROB_CLAMP_TOL):
             raise NumericIntegrityError(f"negative outcome probability {mu.min():.3e}")
         mu = np.clip(mu, 0.0, None)
-        total = float(mu.sum())
-        if abs(total - 1.0) > 1e-10:
+        total = float(mu.sum())  # = Tr(Omega)
+        if abs(total - 1.0) > TRACE_TOL:
             raise NumericIntegrityError(f"outcome probabilities sum to {total!r}")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)

@@ -2,8 +2,10 @@
 
 Draws are generated with the counter-based Philox 4x64 generator in
 fixed-size shards.  Each shard's stream is keyed by the 128-bit Philox key
-whose low word is the seed and whose high word is the shard index, so
-distinct seeds never share a stream; counts are merged in shard order.
+whose low word is the seed and whose high word is the shard index.  Seeds are
+signed 64-bit integers, in [-2**63, 2**63), the range in which the low word
+(the seed in two's complement) is one-to-one, so distinct seeds never share a
+stream; other seeds raise ValueError.  Counts are merged in shard order.
 
 For fixed inputs and seed the counts are bit-reproducible on one platform
 and numpy build, which the tests check.  The bucket edges are correctly
@@ -87,6 +89,8 @@ def sample(ensemble: Ensemble, povm: Povm, n: int, seed: int) -> SampleCounts:
     """Draw n preparation/outcome pairs; bit-reproducible for fixed inputs and seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not -(1 << 63) <= seed < 1 << 63:
+        raise ValueError(f"seed {seed} is outside the signed 64-bit range [-2**63, 2**63)")
     table = joint_probability_table(ensemble, povm)
     cum = _cumulative_buckets(table)
     flat = np.zeros(table.size, dtype=np.int64)

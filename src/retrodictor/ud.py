@@ -21,9 +21,9 @@ from typing import Literal
 import numpy as np
 
 from . import linalg
-from .ensembles import DensityOperator, Ensemble, Povm, PureState, Violation
+from .ensembles import PRIORS_TOL, DensityOperator, Ensemble, Povm, PureState, Violation
 from .errors import SingularOperator, ValidationError
-from .retrodiction import RetroDual, retro_transform
+from .retrodiction import PROB_CLAMP_TOL, RetroDual, retro_transform
 
 # Positivity tolerance of the source remainder left after the conclusive
 # weights: its diagonal and determinant may dip this far below zero.
@@ -50,7 +50,7 @@ class UdInstance:
         e1, e2 = self.eta
         if not (e1 > 0.0 and e2 > 0.0):
             violations.append(Violation("eta_positive", min(e1, e2), "priors must be positive"))
-        if abs(e1 + e2 - 1.0) > 1e-12:
+        if abs(e1 + e2 - 1.0) > PRIORS_TOL:
             violations.append(
                 Violation("eta_sum", abs(e1 + e2 - 1.0), "priors must sum to 1")
             )
@@ -137,10 +137,11 @@ def omega_closed_form(instance: UdInstance) -> OmegaClosedForm:
 
 @dataclass(frozen=True)
 class RetroBasis:
-    """The orthonormal retrodictive basis built from the input pair."""
+    """The orthonormal retrodictive basis built from the input pair and the source spectrum."""
 
     phi1: PureState
     phi2: PureState
+    omega_spectrum: linalg.Spectrum
 
     def matrix(self) -> np.ndarray:
         """Basis-change unitary with phi1, phi2 as columns."""
@@ -148,13 +149,14 @@ class RetroBasis:
 
 
 def retro_basis(instance: UdInstance) -> RetroBasis:
-    """phi_i = Omega^{-1/2} sqrt(eta_i) psi_i, computed numerically."""
+    """phi_i = Omega^{-1/2} sqrt(eta_i) psi_i, computed numerically from one spectrum of Omega."""
     omega_closed_form(instance)  # reject singular sources with the closed-form witness
     psi1, psi2 = ud_states(instance)
-    inv_root = linalg.inv_sqrtm_psd(omega_matrix(instance))
+    spectrum = linalg.hermitian_eig(omega_matrix(instance))
+    inv_root = spectrum.inv_sqrt()
     phi1 = inv_root @ (math.sqrt(instance.eta[0]) * psi1.amplitudes)
     phi2 = inv_root @ (math.sqrt(instance.eta[1]) * psi2.amplitudes)
-    return RetroBasis(PureState(phi1), PureState(phi2))
+    return RetroBasis(PureState(phi1), PureState(phi2), spectrum)
 
 
 def retro_basis_closed_form(instance: UdInstance) -> RetroBasis:
@@ -172,7 +174,8 @@ def retro_basis_closed_form(instance: UdInstance) -> RetroBasis:
         math.cos(a + w) / math.sqrt(cf.w1) * omega1
         - math.sin(a + w) / math.sqrt(cf.w2) * omega2
     )
-    return RetroBasis(PureState(phi1), PureState(phi2))
+    spectrum = linalg.Spectrum(np.array([cf.w2, cf.w1]), np.column_stack([omega2, omega1]))
+    return RetroBasis(PureState(phi1), PureState(phi2), spectrum)
 
 
 def omega_in_retro_basis(instance: UdInstance) -> np.ndarray:
@@ -284,7 +287,7 @@ def optimal_predictive_povm(instance: UdInstance) -> PredictiveUdPovm:
     one_minus_s2 = 1.0 - instance.s ** 2
     c1 = mu1 / (e1 * one_minus_s2)
     c2 = mu2 / (e2 * one_minus_s2)
-    if not (-1e-12 <= c1 <= 1.0 + 1e-12 and -1e-12 <= c2 <= 1.0 + 1e-12):
+    if not all(-PROB_CLAMP_TOL <= c <= 1.0 + PROB_CLAMP_TOL for c in (c1, c2)):
         raise ValidationError(
             [Violation("c_range", max(c1, c2), "transmission weight outside [0, 1]")]
         )
@@ -333,11 +336,11 @@ def verify_purity_identification(
 
     Three routes are compared: dual (the instance's ud_retro_dual), the
     projectors of opt.basis (opt is its optimal_dual), and sqrt(Omega)|psi_perp>
-    renormalized.  Also reports det of the weighted failure state, which
-    vanishes at the optimum.
+    renormalized, with sqrt(Omega) from the basis's source spectrum.  Also
+    reports det of the weighted failure state, which vanishes at the optimum.
     """
     basis = opt.basis
-    om_root = linalg.sqrtm_psd(omega_matrix(instance))
+    om_root = basis.omega_spectrum.sqrt()
     ca, sa = math.cos(instance.alpha), math.sin(instance.alpha)
     perps = (np.array([sa, ca]), np.array([-sa, ca]))  # psi_2-perp, psi_1-perp
 

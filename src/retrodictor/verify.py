@@ -163,13 +163,14 @@ def checks_for_ud(
 
     opt and ud_povm are the instance's optimal_dual and
     optimal_predictive_povm, which every caller has already built; the
-    numeric retro basis is opt.basis.
+    numeric retro basis is opt.basis, and the numeric source spectrum is the
+    one it was built from.
     """
     basis = opt.basis
     closed = retro_basis_closed_form(inst)
     cf = omega_closed_form(inst)
     om = omega_matrix(inst)
-    spectrum = linalg.hermitian_eig(om)
+    spectrum = basis.omega_spectrum
     u = basis.matrix()
     dual = retro_transform(ud_ensemble(inst), ud_povm.povm)
     purity = verify_purity_identification(inst, opt, dual)
@@ -239,7 +240,7 @@ def checks_for_channel(inst: UdInstance, report: NoSignalingReport) -> tuple[Che
     """
     state = report.state
     om = omega_matrix(inst)
-    sq = sqrt_omega_in_retro_basis(inst, report.basis)
+    sq = sqrt_omega_in_retro_basis(report.basis)
     plain = entangled_state(inst)
     lifted = np.kron(report.basis.matrix(), np.eye(2)) @ plain.amplitudes
     return (

@@ -98,7 +98,7 @@ def test_no_signaling_infeasible_mu_reports_psd_violation():
 
 def test_sqrt_omega_symmetric_in_retro_basis():
     inst = UdInstance.from_overlap(0.7, (0.8, 0.2))
-    sq = sqrt_omega_in_retro_basis(inst, retro_basis(inst))
+    sq = sqrt_omega_in_retro_basis(retro_basis(inst))
     assert abs(sq[0, 1] - sq[1, 0]) < 1e-12
 
 
@@ -117,7 +117,7 @@ def test_channel_properties_on_grid():
                 maxabs(state.reduced(1).matrix - om),
             )
             worst_ns = max(worst_ns, no_signaling_check(inst).max_residual)
-            sq = sqrt_omega_in_retro_basis(inst, basis)
+            sq = sqrt_omega_in_retro_basis(basis)
             worst_sq = max(worst_sq, abs(sq[0, 1] - sq[1, 0]))
     assert worst_swap < 1e-10
     assert worst_red < 1e-10

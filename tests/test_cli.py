@@ -170,3 +170,11 @@ def test_json_report_to_stdout(ud_files, capsys):
 
 def test_missing_file_exit_1(capsys):
     assert main(["transform", "/does/not/exist.json", "/nor/this.json"]) == 1
+
+
+def test_simulate_seed_outside_64_bit_range_exits_1(ud_files, monkeypatch, capsys):
+    ens_path, povm_path = ud_files
+    assert main(["simulate", ens_path, povm_path, "--n", "1000", "--seed", str(2**63)]) == 1
+    monkeypatch.setenv("RETRODICTOR_SEED", str(2**64 - 1))
+    assert main(["simulate", ens_path, povm_path, "--n", "1000"]) == 1
+    assert "signed 64-bit" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from retrodictor.ensembles import (
+    PSD_TOL,
     DensityOperator,
     Ensemble,
     Povm,
@@ -126,3 +127,49 @@ def test_projector_matches_outer_product():
     psi1, _ = qubit_pair(0.3)
     assert maxabs(psi1.projector() - outer(psi1.amplitudes)) == 0.0
     assert abs(psi1.density().purity() - 1.0) < 1e-12
+
+
+def _psd_edge_operators(dim, w_min):
+    """A state and a POVM element with smallest eigenvalue w_min, in a random basis."""
+    rng = np.random.default_rng(dim)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+    def in_basis(eigenvalues):
+        m = (u * eigenvalues) @ u.conj().T
+        return (m + m.conj().T) / 2.0
+
+    rest = np.full(dim - 1, (1.0 - w_min) / (dim - 1))
+    return in_basis(np.r_[w_min, rest]), in_basis(np.r_[w_min, np.full(dim - 1, 0.5)])
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_psd_check_accepts_half_its_tolerance_below_zero(dim):
+    rho, element = _psd_edge_operators(dim, -0.5 * PSD_TOL)
+    DensityOperator(rho)
+    Povm((element, np.eye(dim) - element))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_psd_check_rejects_twice_its_tolerance_below_zero(dim):
+    w_min = -2.0 * PSD_TOL
+    rho, element = _psd_edge_operators(dim, w_min)
+    for build in (lambda: DensityOperator(rho), lambda: Povm((element, np.eye(dim) - element))):
+        with pytest.raises(ValidationError) as excinfo:
+            build()
+        (psd,) = [v for v in excinfo.value.violations if v.check == "psd"]
+        assert abs(psd.residual - (-w_min)) <= 1e-15
+
+
+def test_ensemble_constructor_and_report_share_their_invariants():
+    rho = DensityOperator(np.eye(2) / 2)
+    for states, priors in (
+        ((rho, rho), [0.5, 0.4]),
+        ((rho,), [0.5, 0.5]),
+        ((rho, DensityOperator(np.eye(3) / 3)), [0.5, 0.5]),
+        ((rho, DensityOperator(np.eye(3) / 3)), [0.5, 0.4]),
+        ((), [1.0]),
+    ):
+        with pytest.raises(ValidationError) as excinfo:
+            Ensemble(states, np.array(priors))
+        report = validate_ensemble([s.matrix for s in states], priors)
+        assert [str(v) for v in excinfo.value.violations] == [str(v) for v in report.violations]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from retrodictor.cli import main
 from retrodictor.errors import ValidationError
 from retrodictor.formats import (
     ensemble_to_payload,
@@ -103,6 +104,32 @@ def test_unnormalized_priors_rejected_with_residual(tmp_path):
         parse_ensemble_file(str(path))
     sums = [v for v in excinfo.value.violations if v.check == "priors_sum"]
     assert sums and abs(sums[0].residual - 0.1) < 1e-12
+
+
+def _ensemble_with_priors(tmp_path, priors):
+    state = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    doc = {"dim": 2, "states": [state], "priors": priors}
+    path = tmp_path / "priors.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("priors", [{"a": 1}, ["x"]])
+def test_non_numeric_priors_are_a_named_violation(tmp_path, priors):
+    with pytest.raises(ValidationError) as excinfo:
+        parse_ensemble_file(_ensemble_with_priors(tmp_path, priors))
+    assert [v.check for v in excinfo.value.violations] == ["priors_shape"]
+
+
+def test_cli_reports_non_numeric_priors_without_traceback(tmp_path, capsys):
+    ens_path = _ensemble_with_priors(tmp_path, {"a": 1})
+    povm_path = tmp_path / "povm.json"
+    write_json({"dim": 2, "elements": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+               str(povm_path))
+    assert main(["transform", ens_path, str(povm_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: validation failed" in err and "priors_shape" in err
+    assert "Traceback" not in err
 
 
 def test_dim_mismatch_rejected(tmp_path):

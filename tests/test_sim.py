@@ -84,6 +84,17 @@ def test_negative_seed_is_usable_and_deterministic():
     assert a.seed == -42
 
 
+def test_seeds_outside_the_signed_64_bit_range_raise():
+    # The low key word is the seed modulo 2**64, so wider seeds would share
+    # streams (-1 with 2**64 - 1, 0 with 2**64).
+    ensemble, povm = orthogonal_setup()
+    for seed in (2**63, 2**64 - 1, 2**64, -(2**63) - 1):
+        with pytest.raises(ValueError, match="signed 64-bit"):
+            sample(ensemble, povm, 1000, seed)
+    for seed in (-(2**63), 2**63 - 1):
+        assert sample(ensemble, povm, 1000, seed).seed == seed
+
+
 def test_sample_rejects_bad_n():
     ensemble, povm = orthogonal_setup()
     with pytest.raises(ValueError):

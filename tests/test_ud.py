@@ -136,6 +136,20 @@ def test_retro_basis_orthonormal_and_matches_closed_form_on_grid():
     assert worst_gap < 1e-10
 
 
+def test_retro_bases_carry_the_source_spectrum_they_were_built_from():
+    # Both eta orderings: the eigenvector angle changes sign with eta_1 - eta_2.
+    for eta_max in ETA_GRID[::4]:
+        for alpha in ALPHA_GRID[::4]:
+            for eta in ((eta_max, 1 - eta_max), (1 - eta_max, eta_max)):
+                inst = UdInstance(float(alpha), (float(eta[0]), float(eta[1])))
+                numeric = retro_basis(inst).omega_spectrum
+                closed = retro_basis_closed_form(inst).omega_spectrum
+                assert maxabs(numeric.reconstruct() - omega_matrix(inst)) < 1e-14
+                assert maxabs(numeric.eigenvalues - closed.eigenvalues) < 1e-12
+                # Same vectors, phases included: both follow the Spectrum convention.
+                assert maxabs(numeric.eigenvectors - closed.eigenvectors) < 1e-12
+
+
 def test_omega_in_retro_basis_examples():
     assert maxabs(
         omega_in_retro_basis(UdInstance(math.pi / 4, (0.5, 0.5))) - np.eye(2) / 2

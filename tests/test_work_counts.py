@@ -9,26 +9,45 @@ import sys
 import numpy as np
 import pytest
 
-from retrodictor import linalg, ud
+from retrodictor import ensembles, linalg, ud
 from retrodictor.channel import no_signaling_check
-from retrodictor.ensembles import DensityOperator, Ensemble, Povm
+from retrodictor.ensembles import DensityOperator, Ensemble, Povm, validate_ensemble, validate_povm
+from retrodictor.formats import parse_povm_file, povm_to_payload, write_json
 from retrodictor.retrodiction import retro_transform
 from retrodictor.verify import checks_for_channel, checks_for_ud, random_corpus
 
 
-def count_calls(monkeypatch, owner, name):
-    """Wrap owner.name wherever a retrodictor module binds it; return the list of calls."""
+def wrap(monkeypatch, owner, name, record):
+    """Wrap owner.name wherever a retrodictor module binds it; record(args, result) per call."""
     original = getattr(owner, name)
-    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def wrapped(*args, **kwargs):
+        result = original(*args, **kwargs)
+        record(args, result)
+        return result
 
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "retrodictor" and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, wrapped)
+
+
+def count_calls(monkeypatch, owner, name):
+    """The list of owner.name's call arguments, filled as the calls happen."""
+    calls = []
+    wrap(monkeypatch, owner, name, lambda args, result: calls.append(args))
     return calls
+
+
+def omega_diagonalisations(monkeypatch):
+    """A counter of hermitian_eig calls on an array that ud.omega_matrix returned.
+
+    Matched by identity, so a transform's own source (summed from the
+    ensemble, bit-equal to omega_matrix for equal priors) is not counted.
+    """
+    omegas = []
+    wrap(monkeypatch, ud, "omega_matrix", lambda args, result: omegas.append(result))
+    eigs = count_calls(monkeypatch, linalg, "hermitian_eig")
+    return lambda: sum(any(args[0] is om for om in omegas) for args in eigs)
 
 
 def _transform_inputs():
@@ -44,11 +63,28 @@ def test_transform_diagonalises_the_source_once(monkeypatch):
     calls = count_calls(monkeypatch, linalg, "hermitian_eig")
     for ensemble, povm in pairs:
         calls.clear()
-        dual = retro_transform(ensemble, povm)
-        defined = sum(s is not None for s in dual.retro_states)
-        # Omega's validation, its one spectrum, then one validation per
-        # retrodictive POVM element and per defined retrodictive state.
-        assert len(calls) == 2 + len(ensemble) + defined
+        retro_transform(ensemble, povm)
+        # Omega's one spectrum; validation reads eigenvalues only.
+        assert len(calls) == 1
+
+
+def test_validation_computes_no_eigenvectors(monkeypatch):
+    pairs = _transform_inputs()
+    calls = count_calls(monkeypatch, linalg, "hermitian_eig")
+    for ensemble, povm in pairs:
+        assert validate_ensemble([s.matrix for s in ensemble.states], ensemble.priors).ok
+        assert validate_povm(povm.elements).ok
+        Ensemble(tuple(DensityOperator(s.matrix) for s in ensemble.states), ensemble.priors)
+        Povm(povm.elements)
+    assert not calls
+
+
+def test_parsed_povm_is_validated_once(monkeypatch, tmp_path):
+    path = tmp_path / "povm.json"
+    write_json(povm_to_payload(_transform_inputs()[0][1]), str(path))
+    calls = count_calls(monkeypatch, ensembles, "validate_povm")
+    parse_povm_file(str(path))
+    assert len(calls) == 1
 
 
 UD_INSTANCES = [
@@ -69,3 +105,17 @@ def test_channel_checks_build_one_retro_basis(monkeypatch, inst):
     calls = count_calls(monkeypatch, ud, "retro_basis")
     checks_for_channel(inst, no_signaling_check(inst))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("inst", UD_INSTANCES)
+def test_ud_checks_diagonalise_the_source_once(monkeypatch, inst):
+    count = omega_diagonalisations(monkeypatch)
+    checks_for_ud(inst, ud.optimal_dual(inst), ud.optimal_predictive_povm(inst))
+    assert count() == 1
+
+
+@pytest.mark.parametrize("inst", UD_INSTANCES)
+def test_channel_checks_diagonalise_the_source_once(monkeypatch, inst):
+    count = omega_diagonalisations(monkeypatch)
+    checks_for_channel(inst, no_signaling_check(inst))
+    assert count() == 1
