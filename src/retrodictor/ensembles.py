@@ -4,6 +4,10 @@ Constructors enforce the domain invariants and raise ValidationError naming
 every violated check with its measured residual; the validate_* functions
 return the same findings as a report without raising, so callers (the CLI in
 particular) can show all problems in malformed input at once.
+
+Povm.elements and Ensemble.matrices are read-only (n, d, d) stacks, and
+operators are validated per stack, with one reduction per invariant after each
+item's own conversion and shape check; a density matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -47,74 +51,88 @@ class ValidationReport:
             raise ValidationError(self.violations)
 
 
-def _finite_complex(value, label: str) -> tuple[np.ndarray | None, list[Violation]]:
-    arr = np.asarray(value, dtype=np.complex128)
-    if not np.all(np.isfinite(arr)):
-        bad = float(np.sum(~np.isfinite(arr)))
-        return None, [Violation("finite_entries", bad, f"{label} has non-finite entries")]
-    return arr, []
-
-
-def validate_state_vector(amplitudes, label: str = "state") -> ValidationReport:
-    """Check a pure-state amplitude vector: finite and unit norm."""
-    arr, violations = _finite_complex(amplitudes, label)
-    if arr is not None:
-        if arr.ndim != 1 or arr.shape[0] < 1:
-            violations.append(Violation("vector_shape", 0.0, f"{label} is not a vector"))
-        else:
-            res = abs(float(np.linalg.norm(arr)) - 1.0)
-            if res > NORM_TOL:
-                violations.append(Violation("unit_norm", res, f"{label} norm differs from 1"))
-    return ValidationReport(tuple(violations))
-
-
-def validate_hermitian_matrix(matrix, label: str = "operator") -> ValidationReport:
-    """Check squareness, finiteness, and Hermiticity of one matrix."""
-    arr, violations = _finite_complex(matrix, label)
-    if arr is not None:
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            violations.append(Violation("square_shape", 0.0, f"{label} is not square"))
-        else:
-            res = linalg.hermiticity_residual(arr)
-            if res > linalg.TOL_HERM:
-                violations.append(Violation("hermiticity", res, f"{label} is not Hermitian"))
-    return ValidationReport(tuple(violations))
-
-
-def _psd_violations(matrix: np.ndarray, label: str) -> list[Violation]:
-    # Spectral checks run on the Hermitian part so they stay meaningful even
-    # when a Hermiticity violation was already recorded.
-    herm = (matrix + matrix.conj().T) / 2.0
-    w_min = float(np.linalg.eigvalsh(herm)[0])
-    if w_min < -PSD_TOL:
-        return [Violation("psd", -w_min, f"{label} has negative eigenvalue {w_min:.3e}")]
-    return []
-
-
-def validate_density_matrix(matrix, label: str = "state") -> ValidationReport:
-    """Check a density matrix: Hermitian, PSD, unit trace."""
-    report = validate_hermitian_matrix(matrix, label)
-    violations = list(report.violations)
-    if not any(v.check in ("finite_entries", "square_shape") for v in violations):
-        arr = np.asarray(matrix, dtype=np.complex128)
-        violations.extend(_psd_violations(arr, label))
-        res = abs(float(np.trace(arr).real) - 1.0)
-        if res > TRACE_TOL:
-            violations.append(Violation("unit_trace", res, f"{label} trace differs from 1"))
-    return ValidationReport(tuple(violations))
-
-
-def _real_array(values) -> np.ndarray | None:
-    """values as a float64 array, or None when they are not real numbers."""
+def _as_array(values, dtype) -> np.ndarray | None:
+    """values as an array of dtype, or None when they are not numbers of that kind."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError):
         return None
 
 
+def _entry_violation(arr: np.ndarray | None, label: str) -> Violation | None:
+    """Why arr's entries are not finite complex numbers, or None when they are."""
+    if arr is None:
+        return Violation("complex_entries", 0.0, f"{label} is not an array of complex numbers")
+    bad = np.count_nonzero(~np.isfinite(arr))
+    return Violation("finite_entries", float(bad), f"{label} has non-finite entries") if bad else None
+
+
+def validate_state_vector(amplitudes, label: str = "state") -> ValidationReport:
+    """Check a pure-state amplitude vector: numeric, finite and unit norm."""
+    arr = _as_array(amplitudes, np.complex128)
+    violation = _entry_violation(arr, label)
+    if violation is None:
+        if arr.ndim != 1 or arr.shape[0] < 1:
+            violation = Violation("vector_shape", 0.0, f"{label} is not a vector")
+        elif (res := abs(float(np.linalg.norm(arr)) - 1.0)) > NORM_TOL:
+            violation = Violation("unit_norm", res, f"{label} norm differs from 1")
+    return ValidationReport(() if violation is None else (violation,))
+
+
+def _validate_operators(items, labels: list[str], unit_trace: bool = False):
+    """Violations in element order, the items as arrays (None if not numeric), and their stack.
+
+    The d x d items of each d are checked as one stack: finiteness, then
+    Hermiticity, PSD (eigvalsh of the Hermitian part) and, for states, trace.
+    The stack is returned when every item is a d x d matrix of one d.
+    """
+    arrays = [_as_array(m, np.complex128) for m in items]
+    found: list[list[Violation]] = [[] for _ in arrays]
+    by_dim: dict[int, list[int]] = {}
+    for k, arr in enumerate(arrays):
+        if arr is not None and arr.ndim == 2 and arr.shape[0] == arr.shape[1] >= 1:
+            by_dim.setdefault(arr.shape[0], []).append(k)
+        else:
+            not_square = Violation("square_shape", 0.0, f"{labels[k]} is not square")
+            found[k].append(_entry_violation(arr, labels[k]) or not_square)
+    stack = None
+    for ks in by_dim.values():
+        group = np.array([arrays[k] for k in ks])
+        finite = np.isfinite(group).all(axis=(1, 2)).tolist()
+        rows = [k for k, ok in zip(ks, finite) if ok]
+        for k in set(ks) - set(rows):
+            found[k].append(_entry_violation(arrays[k], labels[k]))
+        ops = group if len(rows) == len(ks) else group[finite]
+        adj = linalg.dag(ops)
+        herm = np.abs(ops - adj).max(axis=(1, 2)).tolist()
+        w_min = np.linalg.eigvalsh((ops + adj) / 2.0)[:, 0].tolist()
+        traces = ops.trace(axis1=1, axis2=2).real.tolist()
+        for k, res, w, tr in zip(rows, herm, w_min, traces):
+            if res > linalg.TOL_HERM:
+                found[k].append(Violation("hermiticity", res, f"{labels[k]} is not Hermitian"))
+            if w < -PSD_TOL:
+                found[k].append(Violation("psd", -w, f"{labels[k]} has negative eigenvalue {w:.3e}"))
+            if unit_trace and abs(tr - 1.0) > TRACE_TOL:
+                found[k].append(Violation("unit_trace", abs(tr - 1.0), f"{labels[k]} trace differs from 1"))
+        if len(ks) == len(arrays):
+            stack = group
+    return [v for vs in found for v in vs], arrays, stack
+
+
+def validate_hermitian_matrix(matrix, label: str = "operator") -> ValidationReport:
+    """Check squareness, finiteness, and Hermiticity of one matrix."""
+    violations = _validate_operators([matrix], [label])[0]
+    return ValidationReport(tuple(v for v in violations if v.check != "psd"))
+
+
+def validate_density_matrix(matrix, label: str = "state") -> ValidationReport:
+    """Check a density matrix: Hermitian, PSD, unit trace (a stack of one)."""
+    return ValidationReport(tuple(_validate_operators([matrix], [label], unit_trace=True)[0]))
+
+
 def validate_priors(priors) -> ValidationReport:
     """Check prior probabilities: a vector of reals, non-negative, summing to 1 within 1e-12."""
-    arr = _real_array(priors)
+    arr = _as_array(priors, np.float64)
     if arr is None or arr.ndim != 1 or arr.shape[0] < 1:
         what = "a vector of real numbers" if arr is None else "a non-empty vector"
         return ValidationReport((Violation("priors_shape", 0.0, f"priors is not {what}"),))
@@ -135,7 +153,7 @@ def _ensemble_report(priors, n_states: int, dims: set[int], state_violations) ->
     The states' own violations are reported between the length and dimension checks.
     """
     violations = list(validate_priors(priors).violations)
-    arr = _real_array(priors)
+    arr = _as_array(priors, np.float64)
     n_priors = None if arr is None else len(np.atleast_1d(arr))
     if n_states < 1:
         violations.append(Violation("states_count", 0.0, "ensemble has no states"))
@@ -153,40 +171,30 @@ def _ensemble_report(priors, n_states: int, dims: set[int], state_violations) ->
 def validate_ensemble(state_matrices, priors) -> ValidationReport:
     """Report every violated Ensemble invariant for raw state matrices and priors."""
     mats = list(state_matrices)
-    state_violations = [
-        v for i, m in enumerate(mats) for v in validate_density_matrix(m, f"state[{i}]").violations
-    ]
-    dims = {np.shape(m)[0] for m in mats if np.ndim(m) == 2}
+    labels = [f"state[{i}]" for i in range(len(mats))]
+    state_violations, arrays, _ = _validate_operators(mats, labels, unit_trace=True)
+    dims = {a.shape[0] for a in arrays if a is not None and a.ndim == 2}
     return _ensemble_report(priors, len(mats), dims, state_violations)
 
 
 def validate_povm(elements, sum_target=None) -> ValidationReport:
     """Report every violated Povm invariant: per-element PSD, sum to identity.
 
-    sum_target overrides the identity as the completeness target (used for
-    measurements restricted to the support of a singular source).
+    The elements are validated as one stack.  sum_target overrides the
+    identity as the completeness target (used for measurements restricted to
+    the support of a singular source).
     """
     elems = list(elements)
     if len(elems) < 1:
         return ValidationReport((Violation("elements_count", 0.0, "POVM has no elements"),))
-    violations: list[Violation] = []
-    dims = set()
-    arrays = []
-    for j, e in enumerate(elems):
-        report = validate_hermitian_matrix(e, f"element[{j}]")
-        violations.extend(report.violations)
-        arr = np.asarray(e, dtype=np.complex128)
-        if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-            arrays.append(arr)
-            dims.add(arr.shape[0])
-            if not any(v.check == "finite_entries" for v in report.violations):
-                violations.extend(_psd_violations(arr, f"element[{j}]"))
+    labels = [f"element[{j}]" for j in range(len(elems))]
+    violations, arrays, stack = _validate_operators(elems, labels)
+    dims = {a.shape[0] for a in arrays if a is not None and a.ndim == 2 and a.shape[0] == a.shape[1]}
     if len(dims) > 1:
         violations.append(Violation("common_dim", 0.0, f"elements have mixed dims {sorted(dims)}"))
-    elif arrays and len(arrays) == len(elems):
-        total = sum(arrays)
-        target = np.eye(arrays[0].shape[0]) if sum_target is None else np.asarray(sum_target)
-        res = linalg.maxabs(total - target)
+    elif stack is not None:
+        target = np.eye(stack.shape[1]) if sum_target is None else np.asarray(sum_target)
+        res = linalg.maxabs(stack.sum(axis=0) - target)
         if res > PSD_TOL:
             what = "identity" if sum_target is None else "completeness target"
             violations.append(Violation("completeness", res, f"elements do not sum to the {what}"))
@@ -243,18 +251,22 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """States with prior probabilities: Alice's side of the preparation."""
+    """States with prior probabilities: Alice's side of the preparation; matrices stacks the states."""
 
     states: tuple[DensityOperator, ...]
     priors: np.ndarray
+    matrices: np.ndarray = field(init=False)
 
     def __post_init__(self):
         states = tuple(self.states)
         _ensemble_report(self.priors, len(states), {s.dim for s in states}, ()).raise_if_failed()
         priors = np.array(self.priors, dtype=np.float64)
         priors.setflags(write=False)
+        matrices = np.array([s.matrix for s in states])
+        matrices.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "matrices", matrices)
 
     @classmethod
     def from_pure_states(cls, states: list[PureState], priors) -> "Ensemble":
@@ -272,25 +284,26 @@ class Ensemble:
 class Povm:
     """Positive operators summing to the identity: Bob's detectors.
 
-    sum_target replaces the identity as the completeness target; it is only
-    used by the support-restricted transform of a singular source.
+    elements is one read-only complex128 (n, d, d) stack.  sum_target replaces
+    the identity as the completeness target; it is only used by the
+    support-restricted transform of a singular source.
     """
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
     sum_target: np.ndarray | None = None
 
     def __post_init__(self):
         validate_povm(self.elements, self.sum_target).raise_if_failed()
-        object.__setattr__(self, "elements", tuple(_frozen(e) for e in self.elements))
+        object.__setattr__(self, "elements", _frozen(self.elements))
         if self.sum_target is not None:
             object.__setattr__(self, "sum_target", _frozen(self.sum_target))
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.elements.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,9 +329,7 @@ class SourceFunction:
 
 def source_from_ensemble(ensemble: Ensemble) -> SourceFunction:
     """Mix the ensemble into its source function."""
-    omega = sum(
-        eta * state.matrix for eta, state in zip(ensemble.priors, ensemble.states)
-    )
+    omega = (ensemble.priors[:, None, None] * ensemble.matrices).sum(axis=0)
     return SourceFunction(DensityOperator(omega))
 
 

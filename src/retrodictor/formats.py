@@ -19,7 +19,6 @@ from .ensembles import (
     Ensemble,
     Povm,
     PureState,
-    ValidationReport,
     Violation,
     validate_ensemble,
     validate_povm,
@@ -126,13 +125,14 @@ def parse_ensemble_file(path: str) -> Ensemble:
             pure_violations.append(
                 Violation("dim_mismatch", float(m.shape[0]), f"states[{i}] dim != {dim}")
             )
-    report = ValidationReport(
-        tuple(pure_violations) + validate_ensemble(matrices, priors).violations
-    )
-    report.raise_if_failed()
-    return Ensemble(
-        tuple(DensityOperator(m) for m in matrices), np.asarray(priors, dtype=np.float64)
-    )
+    if pure_violations:
+        raise ValidationError(pure_violations + list(validate_ensemble(matrices, priors).violations))
+    try:
+        return Ensemble(tuple(DensityOperator(m) for m in matrices), priors)
+    except ValidationError:
+        # The constructors stop at the first invalid state; report every violation at once.
+        validate_ensemble(matrices, priors).raise_if_failed()
+        raise
 
 
 def parse_povm_file(path: str) -> Povm:

@@ -60,8 +60,8 @@ def require_hermitian(matrix, tol: float = TOL_HERM) -> np.ndarray:
 
 
 def dag(matrix: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(matrix).conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return np.asarray(matrix).conj().swapaxes(-1, -2)
 
 
 def outer(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:

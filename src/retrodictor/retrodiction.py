@@ -6,6 +6,10 @@ indexed like the ensemble and retrodictive states indexed like the POVM.
 Born's rule on the transformed pair reproduces the Bayes conditionals for
 arbitrary (biased) sources; for an unbiased source it reduces to the familiar
 construction Pi_i^ret = D eta_i rho_i, rho_j^ret = Pi_j / Tr(Pi_j).
+
+Both sides are tables from born_table, one einsum over two operator stacks:
+joint_probability_table is the one definition of p[i, j] = eta_i Tr(Pi_j rho_i),
+which Bayes and the sampler read, and symmetric_table is the transformed side.
 """
 
 from __future__ import annotations
@@ -34,15 +38,20 @@ MU_FLOOR = 1e-12
 PROB_CLAMP_TOL = 1e-12
 
 
-def _clamp_probability(value: float, what: str) -> float:
-    """Clip into [0, 1], allowing only +-1e-12 of roundoff outside it."""
-    if not (-PROB_CLAMP_TOL <= value <= 1.0 + PROB_CLAMP_TOL):
-        raise NumericIntegrityError(f"{what} = {value!r} is outside [0, 1] beyond clamp tolerance")
-    return min(max(value, 0.0), 1.0)
+def _clamp_probability(value, what: str):
+    """Clip into [0, 1] elementwise, allowing only +-1e-12 of roundoff outside it."""
+    value = np.asarray(value)
+    outside = value[~((value >= -PROB_CLAMP_TOL) & (value <= 1.0 + PROB_CLAMP_TOL))]
+    if outside.size:
+        raise NumericIntegrityError(
+            f"{what} = {float(outside[0])!r} is outside [0, 1] beyond clamp tolerance"
+        )
+    return np.clip(value, 0.0, 1.0)
 
 
-def _real_trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.einsum("ij,ji->", a, b).real)
+def born_table(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """Born's rule for two (n, d, d) and (m, d, d) stacks: t[i, j] = Tr(a_i b_j), clamped."""
+    return _clamp_probability(np.einsum("ikl,jlk->ij", a, b).real, what)
 
 
 def predictive_prob(povm_element, state) -> float:
@@ -50,7 +59,26 @@ def predictive_prob(povm_element, state) -> float:
     pi = np.asarray(povm_element, dtype=np.complex128)
     rho = state.matrix if isinstance(state, DensityOperator) else np.asarray(state, dtype=np.complex128)
     require_same_dim(pi.shape[0], rho.shape[0], "POVM element vs state")
-    return _clamp_probability(_real_trace_product(pi, rho), "predictive probability")
+    return float(born_table(rho[None], pi[None], "predictive probability")[0, 0])
+
+
+def joint_probability_table(ensemble: Ensemble, povm: Povm) -> np.ndarray:
+    """The joint distribution p[i, j] = eta_i Tr(Pi_j rho_i) of preparation i and outcome j."""
+    require_same_dim(ensemble.dim, povm.dim, "ensemble vs POVM")
+    born = born_table(ensemble.matrices, povm.elements, "predictive probability")
+    return ensemble.priors[:, None] * born
+
+
+def bayes_table(joint: np.ndarray, outcomes: list[int]) -> np.ndarray:
+    """Bayes conditionals P(i | j) = p[i, j] / mu_j of the listed outcomes, from the joint table."""
+    columns = joint[:, outcomes]
+    mu = columns.sum(axis=0)
+    for j, mu_j in zip(outcomes, mu):
+        if mu_j <= MU_FLOOR:
+            raise ZeroProbabilityOutcome(
+                f"outcome {j} has probability {mu_j:.3e} <= {MU_FLOOR:.0e}; cannot condition on it"
+            )
+    return _clamp_probability(columns / mu, "retrodictive probability")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,23 +108,13 @@ class OutcomeDistribution:
 def outcome_probs(povm: Povm, omega: SourceFunction) -> OutcomeDistribution:
     """Click probabilities mu_j = Tr(Pi_j Omega)."""
     require_same_dim(povm.dim, omega.dim, "POVM vs source")
-    mu = [_real_trace_product(e, omega.matrix) for e in povm.elements]
+    mu = [float(np.einsum("ij,ji->", e, omega.matrix).real) for e in povm.elements]
     return OutcomeDistribution(np.array(mu))
 
 
 def retrodictive_prob_bayes(ensemble: Ensemble, povm: Povm, i: int, j: int) -> float:
-    """Bayes conditional P(state i | outcome j) from the predictive quantities."""
-    require_same_dim(ensemble.dim, povm.dim, "ensemble vs POVM")
-    joint = [
-        float(ensemble.priors[k]) * predictive_prob(povm.elements[j], ensemble.states[k])
-        for k in range(len(ensemble))
-    ]
-    mu_j = sum(joint)
-    if mu_j <= MU_FLOOR:
-        raise ZeroProbabilityOutcome(
-            f"outcome {j} has probability {mu_j:.3e} <= {MU_FLOOR:.0e}; cannot condition on it"
-        )
-    return _clamp_probability(joint[i] / mu_j, "retrodictive probability")
+    """Bayes conditional P(state i | outcome j), read from column j of the joint table."""
+    return float(bayes_table(joint_probability_table(ensemble, povm), [j])[i, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,25 +131,19 @@ class RetroDual:
     omega: SourceFunction
 
     def completeness_residual(self) -> float:
-        """Max-abs residual of sum_i Pi_i^ret against the identity."""
-        total = sum(self.retro_povm.elements)
-        return linalg.maxabs(total - np.eye(self.retro_povm.dim))
+        """Max-abs residual of sum_i Pi_i^ret against the identity (or the support's sum_target)."""
+        target = self.retro_povm.sum_target
+        target = np.eye(self.retro_povm.dim) if target is None else target
+        return linalg.maxabs(self.retro_povm.elements.sum(axis=0) - target)
 
     def trace_residual(self) -> float:
         """Worst |Tr(rho_j^ret) - 1| over the defined retrodictive states."""
-        residuals = [
-            abs(float(np.trace(s.matrix).real) - 1.0)
-            for s in self.retro_states
-            if s is not None
-        ]
-        return max(residuals, default=0.0)
+        traces = [np.trace(s.matrix).real for s in self.retro_states if s is not None]
+        return linalg.maxabs(np.array(traces) - 1.0)
 
     def source_residual(self) -> float:
         """Max-abs residual of sum_j mu_j rho_j^ret against the source function."""
-        total = np.zeros((self.omega.dim, self.omega.dim), dtype=np.complex128)
-        for j, state in enumerate(self.retro_states):
-            if state is not None:
-                total = total + self.mu[j] * state.matrix
+        total = sum(self.mu[j] * s.matrix for j, s in enumerate(self.retro_states) if s is not None)
         return linalg.maxabs(total - self.omega.matrix)
 
 
@@ -160,10 +172,8 @@ def retro_transform(
     inv_root = spectrum.inv_sqrt(support_restricted=support_restricted)
     root = spectrum.sqrt()
 
-    retro_elements = []
-    for eta, state in zip(ensemble.priors, ensemble.states):
-        e = inv_root @ (float(eta) * state.matrix) @ inv_root
-        retro_elements.append((e + linalg.dag(e)) / 2.0)
+    e = inv_root @ (ensemble.priors[:, None, None] * ensemble.matrices) @ inv_root
+    retro_elements = (e + linalg.dag(e)) / 2.0
     try:
         if support_restricted:
             support = inv_root @ om @ inv_root
@@ -195,17 +205,20 @@ def retro_transform(
     return RetroDual(retro_povm, tuple(retro_states), mu, omega)
 
 
+def symmetric_table(dual: RetroDual, outcomes: list[int]) -> np.ndarray:
+    """Born conditionals Tr(Pi_i^ret rho_j^ret) of the listed outcomes on the transformed pair."""
+    for j in outcomes:
+        if dual.retro_states[j] is None:
+            raise ZeroProbabilityOutcome(
+                f"outcome {j} has probability below {MU_FLOOR:.0e}; its retrodictive state is undefined"
+            )
+    states = np.stack([dual.retro_states[j].matrix for j in outcomes])
+    return born_table(dual.retro_povm.elements, states, "retrodictive probability")
+
+
 def retrodictive_prob_symmetric(dual: RetroDual, i: int, j: int) -> float:
     """Born-rule conditional Tr(Pi_i^ret rho_j^ret) on the transformed pair."""
-    state = dual.retro_states[j]
-    if state is None:
-        raise ZeroProbabilityOutcome(
-            f"outcome {j} has probability below {MU_FLOOR:.0e}; its retrodictive state is undefined"
-        )
-    return _clamp_probability(
-        _real_trace_product(dual.retro_povm.elements[i], state.matrix),
-        "retrodictive probability",
-    )
+    return float(symmetric_table(dual, [j])[i, 0])
 
 
 def unbiased_dual(ensemble: Ensemble, povm: Povm) -> RetroDual:
@@ -215,9 +228,7 @@ def unbiased_dual(ensemble: Ensemble, povm: Povm) -> RetroDual:
     """
     omega = source_from_ensemble(ensemble)
     d = ensemble.dim
-    retro_povm = Povm(
-        [d * float(eta) * s.matrix for eta, s in zip(ensemble.priors, ensemble.states)]
-    )
+    retro_povm = Povm(d * ensemble.priors[:, None, None] * ensemble.matrices)
     mu = outcome_probs(povm, omega)
     retro_states: list[DensityOperator | None] = []
     for j, element in enumerate(povm.elements):

@@ -10,9 +10,9 @@ stream; other seeds raise ValueError.  Counts are merged in shard order.
 For fixed inputs and seed the counts are bit-reproducible on one platform
 and numpy build, which the tests check.  The bucket edges are correctly
 rounded prefix sums of the joint table, so they do not depend on the
-platform's long double; the joint table itself is built with `einsum`, whose
-summation order may differ between builds, so identical counts across
-platforms are not verified.
+platform's long double; the joint table (`retrodiction.joint_probability_table`)
+is one `einsum`, whose summation order may differ between builds, so identical
+counts across platforms are not verified.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .ensembles import Ensemble, Povm, require_same_dim
-from .retrodiction import predictive_prob
+from . import retrodiction
+from .ensembles import Ensemble, Povm
 
 RNG_ALGORITHM = "philox4x64-v2"
 SHARD_SIZE = 1 << 16
@@ -60,12 +60,8 @@ class SampleCounts:
 
 
 def joint_probability_table(ensemble: Ensemble, povm: Povm) -> np.ndarray:
-    """Joint distribution p[i, j] = eta_i Tr(Pi_j rho_i), with structural zeros exact."""
-    require_same_dim(ensemble.dim, povm.dim, "ensemble vs POVM")
-    table = np.empty((len(ensemble), len(povm)))
-    for i, (eta, state) in enumerate(zip(ensemble.priors, ensemble.states)):
-        for j, element in enumerate(povm.elements):
-            table[i, j] = float(eta) * predictive_prob(element, state)
+    """retrodiction.joint_probability_table with structural zeros made exact."""
+    table = retrodiction.joint_probability_table(ensemble, povm)
     table[table < STRUCTURAL_ZERO] = 0.0
     return table
 

@@ -35,11 +35,14 @@ from .errors import (
 )
 from .retrodiction import (
     RetroDual,
-    unbiased_dual,
+    bayes_table,
+    joint_probability_table,
     outcome_probs,
     retro_transform,
     retrodictive_prob_bayes,
     retrodictive_prob_symmetric,
+    symmetric_table,
+    unbiased_dual,
 )
 from .sim import empirical_report, sample
 from .ud import (
@@ -131,26 +134,13 @@ def checks_for_transform(ensemble: Ensemble, povm: Povm, dual: RetroDual) -> tup
     The symmetric Born rule is held against Bayes on every defined outcome.
     A support-restricted dual only promises completeness on its support.
     """
-    worst_sym = max(
-        (
-            abs(
-                retrodictive_prob_symmetric(dual, i, j)
-                - retrodictive_prob_bayes(ensemble, povm, i, j)
-            )
-            for i in range(len(ensemble))
-            for j in range(len(povm))
-            if dual.retro_states[j] is not None
-        ),
-        default=0.0,
-    )
-    if dual.retro_povm.sum_target is None:
-        completeness = Check("retro-povm-completeness", dual.completeness_residual(), 1e-10)
-    else:
-        residual = linalg.maxabs(sum(dual.retro_povm.elements) - dual.retro_povm.sum_target)
-        completeness = Check("retro-povm-completeness-on-support", residual, 1e-10)
+    defined = [j for j, s in enumerate(dual.retro_states) if s is not None]
+    born = symmetric_table(dual, defined)
+    bayes = bayes_table(joint_probability_table(ensemble, povm), defined)
+    on_support = "" if dual.retro_povm.sum_target is None else "-on-support"
     return (
-        Check("symmetric-born-identity", worst_sym, 1e-9),
-        completeness,
+        Check("symmetric-born-identity", linalg.maxabs(born - bayes), 1e-9),
+        Check(f"retro-povm-completeness{on_support}", dual.completeness_residual(), 1e-10),
         Check("retro-state-traces", dual.trace_residual(), 1e-10),
         Check("source-identity", dual.source_residual(), 1e-10),
     )
@@ -288,13 +278,9 @@ def random_povm(rng: np.random.Generator, dim: int, n_elements: int) -> Povm:
     for _ in range(n_elements):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         mats.append(g @ g.conj().T)
-    total = sum(mats)
-    inv_root = linalg.inv_sqrtm_psd(total, min_eig=1e-12)
-    elems = []
-    for m in mats:
-        e = inv_root @ m @ inv_root
-        elems.append((e + linalg.dag(e)) / 2.0)
-    return Povm(tuple(elems))
+    inv_root = linalg.inv_sqrtm_psd(sum(mats), min_eig=1e-12)
+    e = inv_root @ np.stack(mats) @ inv_root
+    return Povm((e + linalg.dag(e)) / 2.0)
 
 
 def random_ensemble(rng: np.random.Generator, dim: int, n_states: int) -> Ensemble:
@@ -341,8 +327,8 @@ def floor_sweep() -> tuple[list[tuple[float, Ensemble, Povm]], list[tuple[float,
         rest = min_eig + rng.dirichlet(np.ones(dim - 1)) * (1.0 - dim * min_eig)
         u = _random_unitary(rng, dim)
         root = (u * np.sqrt(np.concatenate([[min_eig], rest]))) @ linalg.dag(u)
-        parts = [root @ e @ root for e in random_povm(rng, dim, int(rng.integers(2, 5))).elements]
-        priors = np.array([float(np.trace(p).real) for p in parts])
+        parts = root @ random_povm(rng, dim, int(rng.integers(2, 5))).elements @ root
+        priors = np.trace(parts, axis1=1, axis2=2).real
         states = tuple(
             DensityOperator((p + linalg.dag(p)) / (2.0 * eta)) for p, eta in zip(parts, priors)
         )
@@ -396,28 +382,23 @@ def suite_transform(seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE) -> Suite
             linalg.maxabs(source_from_ensemble(back_ensemble).matrix - dual.omega.matrix),
         )
         back = retro_transform(back_ensemble, dual.retro_povm)
-        for j in range(len(povm)):
-            worst_double_ops = max(
-                worst_double_ops,
-                linalg.maxabs(back.retro_povm.elements[j] - povm.elements[j]),
-            )
-        for i in range(len(ensemble)):
-            state = back.retro_states[i]
-            if state is not None:
-                worst_double_ops = max(
-                    worst_double_ops,
-                    linalg.maxabs(state.matrix - ensemble.states[i].matrix),
-                )
+        worst_double_ops = max(
+            worst_double_ops,
+            linalg.maxabs(back.retro_povm.elements - povm.elements),
+            *(linalg.maxabs(b.matrix - a.matrix)
+              for a, b in zip(ensemble.states, back.retro_states) if b is not None),
+        )
 
     worst_unbiased = 0.0
     for ensemble, povm in unbiased_corpus(seed + 1):
         dual = retro_transform(ensemble, povm)
         ref = unbiased_dual(ensemble, povm)
-        for a, b in zip(dual.retro_povm.elements, ref.retro_povm.elements):
-            worst_unbiased = max(worst_unbiased, linalg.maxabs(a - b))
-        for a, b in zip(dual.retro_states, ref.retro_states):
-            if a is not None and b is not None:
-                worst_unbiased = max(worst_unbiased, linalg.maxabs(a.matrix - b.matrix))
+        worst_unbiased = max(
+            worst_unbiased,
+            linalg.maxabs(dual.retro_povm.elements - ref.retro_povm.elements),
+            *(linalg.maxabs(a.matrix - b.matrix)
+              for a, b in zip(dual.retro_states, ref.retro_states) if a is not None and b is not None),
+        )
 
     return SuiteResult(
         "transform",

@@ -123,6 +123,18 @@ def test_values_are_immutable():
         rho.matrix[0, 0] = 9.0
 
 
+def test_operator_stacks_are_read_only():
+    povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    assert povm.elements.shape == (2, 2, 2) and povm.elements.dtype == np.complex128
+    psi1, psi2 = qubit_pair(0.3)
+    ensemble = Ensemble.from_pure_states([psi1, psi2], np.array([0.4, 0.6]))
+    assert ensemble.matrices.shape == (2, 2, 2)
+    assert np.array_equal(ensemble.matrices[1], ensemble.states[1].matrix)
+    for stack in (povm.elements, ensemble.matrices):
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 9.0
+
+
 def test_projector_matches_outer_product():
     psi1, _ = qubit_pair(0.3)
     assert maxabs(psi1.projector() - outer(psi1.amplitudes)) == 0.0

@@ -1,0 +1,182 @@
+"""Every malformed input gets a named violation.
+
+One table feeds the public constructors (DensityOperator, PureState, Povm,
+Ensemble) and the file parsers the same kinds of malformed input.  Each must
+raise ValidationError naming the expected check; no other exception type may
+escape, and the CLI exits 1 without a traceback.
+
+Each case is marked "fixed" (another exception escaped, or nothing was
+reported, before per-stack validation guarded the conversion and the shape)
+or "pin" (already rejected by name; the case holds that behaviour).
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from retrodictor.cli import main
+from retrodictor.ensembles import DensityOperator, Ensemble, Povm, PureState
+from retrodictor.errors import RetrodictorError, ValidationError
+from retrodictor.formats import parse_ensemble_file, parse_povm_file
+
+EYE2 = np.eye(2)
+HALF = np.eye(2) / 2.0
+RHO2 = DensityOperator(HALF)
+RHO3 = DensityOperator(np.eye(3) / 3.0)
+
+# Malformed operators: (case, value, check named for a matrix, check named for a vector, status).
+BAD_OPERATORS = [
+    ("0x0", np.zeros((0, 0)), "square_shape", "vector_shape", "pin"),
+    ("non-square", np.full((2, 3), 0.5), "square_shape", "vector_shape", "pin"),
+    ("ragged", [[0.5, 0.0], [0.5]], "complex_entries", "complex_entries", "fixed"),
+    ("3-d", np.zeros((2, 2, 2)), "square_shape", "vector_shape", "pin"),
+    ("nan", np.array([[np.nan, 0.0], [0.0, 0.5]]), "finite_entries", "finite_entries", "pin"),
+    ("+inf", np.array([[np.inf, 0.0], [0.0, 0.5]]), "finite_entries", "finite_entries", "pin"),
+    ("-inf", np.array([[-np.inf, 0.0], [0.0, 0.5]]), "finite_entries", "finite_entries", "pin"),
+    ("object", np.array([[object(), 0], [0, object()]], dtype=object),
+     "complex_entries", "complex_entries", "fixed"),
+    ("string", np.array([["a", "b"], ["c", "d"]]), "complex_entries", "complex_entries", "fixed"),
+    ("empty", (), "square_shape", "vector_shape", "pin"),
+]
+
+
+def _checks(excinfo) -> set[str]:
+    return {v.check for v in excinfo.value.violations}
+
+
+def _operator_cases(column: int, status: dict[str, str] | None = None) -> list:
+    """(value, expected check) per BAD_OPERATORS row, with ids "<case>-<status>"."""
+    return [
+        pytest.param(row[1], row[column], id=f"{row[0]}-{(status or {}).get(row[0], row[4])}")
+        for row in BAD_OPERATORS
+    ]
+
+
+@pytest.mark.parametrize("value, check", _operator_cases(2))
+def test_density_operator_names_the_violation(value, check):
+    with pytest.raises(ValidationError) as excinfo:
+        DensityOperator(value)
+    assert check in _checks(excinfo)
+
+
+@pytest.mark.parametrize("value, check", _operator_cases(3))
+def test_pure_state_names_the_violation(value, check):
+    with pytest.raises(ValidationError) as excinfo:
+        PureState(value)
+    assert check in _checks(excinfo)
+
+
+# A 0x0 POVM element is a fixed case too: it raised IndexError instead of a violation.
+@pytest.mark.parametrize("value, check", _operator_cases(2, {"0x0": "fixed"}))
+def test_povm_names_the_violation(value, check):
+    with pytest.raises(ValidationError) as excinfo:
+        Povm((EYE2, value))
+    assert check in _checks(excinfo)
+    # Element 1 is named; the valid element 0 is not.
+    assert all("element[0]" not in v.message for v in excinfo.value.violations)
+
+
+BAD_COLLECTIONS = [
+    ("povm-empty", lambda: Povm(()), "elements_count", "pin"),
+    ("povm-mixed-dims", lambda: Povm((EYE2, np.eye(3))), "common_dim", "pin"),
+    ("ensemble-empty", lambda: Ensemble((), np.array([1.0])), "states_count", "pin"),
+    ("ensemble-mixed-dims", lambda: Ensemble((RHO2, RHO3), np.array([0.5, 0.5])), "common_dim", "pin"),
+    ("priors-nan", lambda: Ensemble((RHO2, RHO2), [np.nan, 0.5]), "finite_entries", "pin"),
+    ("priors-inf", lambda: Ensemble((RHO2, RHO2), [np.inf, 0.5]), "finite_entries", "pin"),
+    ("priors-object", lambda: Ensemble((RHO2, RHO2), np.array([object(), object()])),
+     "priors_shape", "pin"),
+    ("priors-string", lambda: Ensemble((RHO2, RHO2), ["a", "b"]), "priors_shape", "pin"),
+    ("priors-ragged", lambda: Ensemble((RHO2, RHO2), [[0.5], [0.25, 0.25]]), "priors_shape", "pin"),
+    ("priors-2-d", lambda: Ensemble((RHO2, RHO2), np.full((2, 1), 0.5)), "priors_shape", "pin"),
+    ("priors-empty", lambda: Ensemble((RHO2, RHO2), ()), "priors_shape", "pin"),
+    ("priors-length", lambda: Ensemble((RHO2, RHO2), [1.0]), "states_priors_length", "pin"),
+]
+
+
+COLLECTION_CASES = [pytest.param(b, c, id=f"{n}-{s}") for n, b, c, s in BAD_COLLECTIONS]
+
+
+@pytest.mark.parametrize("build, check", COLLECTION_CASES)
+def test_collections_name_the_violation(build, check):
+    with pytest.raises(ValidationError) as excinfo:
+        build()
+    assert check in _checks(excinfo)
+
+
+def _pair_rows(matrix) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix, dtype=complex)]
+
+
+# File entries standing in for a 2x2 operator; all were already rejected by name.
+BAD_FILE_ENTRIES = [
+    ("0x0", [], "file_format"),
+    ("non-square", [[[0.5, 0.0], [0.0, 0.0]]], "file_format"),
+    ("ragged", [[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]], "file_format"),
+    ("3-d", [[[[0.5, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0]], [[0.5, 0.0]]]], "file_format"),
+    ("nan", _pair_rows([[math.nan, 0.0], [0.0, 0.5]]), "finite_entries"),
+    ("+inf", _pair_rows([[math.inf, 0.0], [0.0, 0.5]]), "finite_entries"),
+    ("-inf", _pair_rows([[-math.inf, 0.0], [0.0, 0.5]]), "finite_entries"),
+    ("object", [[{"re": 0.5}, [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], "file_format"),
+    ("string", [[["0.5", "0"], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], "file_format"),
+    ("mixed-dims", _pair_rows(np.eye(3) / 3.0), "dim_mismatch"),
+]
+
+
+def _write(path, doc) -> str:
+    # json writes NaN and Infinity literals, which json.load reads back as floats.
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _files(tmp_path, state=None, element=None) -> tuple[str, str]:
+    states = [_pair_rows(HALF), _pair_rows(HALF) if state is None else state]
+    elements = [_pair_rows(EYE2), _pair_rows(np.zeros((2, 2))) if element is None else element]
+    return (
+        _write(tmp_path / "ensemble.json", {"dim": 2, "states": states, "priors": [0.5, 0.5]}),
+        _write(tmp_path / "povm.json", {"dim": 2, "elements": elements}),
+    )
+
+
+def _cli_exits_1(capsys, ens_path, povm_path) -> None:
+    assert main(["transform", ens_path, povm_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation failed")
+    assert "Traceback" not in err
+
+
+FILE_CASES = [pytest.param(entry, check, id=f"{case}-pin") for case, entry, check in BAD_FILE_ENTRIES]
+
+
+@pytest.mark.parametrize("entry, check", FILE_CASES)
+def test_ensemble_file_names_the_violation(tmp_path, capsys, entry, check):
+    ens_path, povm_path = _files(tmp_path, state=entry)
+    with pytest.raises(RetrodictorError) as excinfo:
+        parse_ensemble_file(ens_path)
+    assert check in _checks(excinfo)
+    _cli_exits_1(capsys, ens_path, povm_path)
+
+
+@pytest.mark.parametrize("entry, check", FILE_CASES)
+def test_povm_file_names_the_violation(tmp_path, capsys, entry, check):
+    ens_path, povm_path = _files(tmp_path, element=entry)
+    with pytest.raises(RetrodictorError) as excinfo:
+        parse_povm_file(povm_path)
+    assert check in _checks(excinfo)
+    _cli_exits_1(capsys, ens_path, povm_path)
+
+
+@pytest.mark.parametrize("key", ["states", "elements"], ids=["states-pin", "elements-pin"])
+def test_empty_file_lists_are_named(tmp_path, capsys, key):
+    ens_path, povm_path = _files(tmp_path)
+    path, parse = (ens_path, parse_ensemble_file) if key == "states" else (povm_path, parse_povm_file)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[key] = []
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(RetrodictorError) as excinfo:
+        parse(path)
+    assert _checks(excinfo) == {"file_format"}
+    _cli_exits_1(capsys, ens_path, povm_path)

@@ -16,8 +16,10 @@ from retrodictor.errors import (
     SingularOperator,
     ZeroProbabilityOutcome,
 )
-from retrodictor.linalg import maxabs, min_eigenvalue, outer
+from retrodictor.linalg import dag, hermitian_eig, maxabs, min_eigenvalue, outer
 from retrodictor.retrodiction import (
+    bayes_table,
+    joint_probability_table,
     unbiased_dual,
     outcome_probs,
     predictive_prob,
@@ -281,3 +283,30 @@ def test_outer_probabilities_clamped_within_tolerance():
     # A value 1 + 5e-13 inside the window clamps to exactly 1.
     state = DensityOperator(np.eye(2) / 2)
     assert predictive_prob((2.0 + 1e-12) * np.eye(2) / 2, state) == 1.0
+
+
+def test_stacked_expressions_match_their_loops():
+    # The loops are the per-element definitions the stacks replaced.  Source and
+    # retrodictive POVM keep their arithmetic, so they agree bit for bit; the
+    # joint table's einsum sums in another order, so it gets a roundoff bound
+    # of d^2 unit roundoffs (entries of magnitude <= 1, d <= 4), and Bayes that
+    # bound twice over the smallest column sum.
+    for ensemble, povm in random_corpus(count=30):
+        pairs = list(zip(ensemble.priors, ensemble.states))
+        omega = sum(eta * s.matrix for eta, s in pairs)
+        assert np.array_equal(source_from_ensemble(ensemble).matrix, omega)
+
+        inv_root = hermitian_eig(omega).inv_sqrt()
+        loop = [inv_root @ (float(eta) * s.matrix) @ inv_root for eta, s in pairs]
+        loop = np.array([(e + dag(e)) / 2.0 for e in loop])
+        assert np.array_equal(retro_transform(ensemble, povm).retro_povm.elements, loop)
+
+        joint = np.array([
+            [float(eta) * float(np.einsum("ij,ji->", e, s.matrix).real) for e in povm.elements]
+            for eta, s in pairs
+        ])
+        table = joint_probability_table(ensemble, povm)
+        eps = np.finfo(float).eps
+        assert maxabs(table - joint) <= 16 * eps
+        mu = joint.sum(axis=0)
+        assert maxabs(bayes_table(table, list(range(len(povm)))) - joint / mu) <= 32 * eps / mu.min()

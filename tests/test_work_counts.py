@@ -1,24 +1,31 @@
-"""Each derived object of the source is built once per use.
+"""Each derived object of the source is built once per use, each operator stack
+is validated once, and the transform checks read whole probability tables.
 
 Work is counted by wrapping a function in every retrodictor module that binds
 it, so the program carries no counting hooks.
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from retrodictor import ensembles, linalg, ud
+from retrodictor import ensembles, linalg, retrodiction, ud
 from retrodictor.channel import no_signaling_check
 from retrodictor.ensembles import DensityOperator, Ensemble, Povm, validate_ensemble, validate_povm
-from retrodictor.formats import parse_povm_file, povm_to_payload, write_json
+from retrodictor.formats import parse_ensemble_file, parse_povm_file, povm_to_payload, write_json
 from retrodictor.retrodiction import retro_transform
-from retrodictor.verify import checks_for_channel, checks_for_ud, random_corpus
+from retrodictor.verify import checks_for_channel, checks_for_transform, checks_for_ud, random_corpus
+
+SAMPLE_INPUTS = Path(__file__).resolve().parent.parent / "sample_inputs"
 
 
 def wrap(monkeypatch, owner, name, record):
-    """Wrap owner.name wherever a retrodictor module binds it; record(args, result) per call."""
+    """Wrap owner.name on owner and wherever a retrodictor module binds it.
+
+    record(args, result) is called after each call.
+    """
     original = getattr(owner, name)
 
     def wrapped(*args, **kwargs):
@@ -26,6 +33,7 @@ def wrap(monkeypatch, owner, name, record):
         record(args, result)
         return result
 
+    monkeypatch.setattr(owner, name, wrapped)
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "retrodictor" and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, wrapped)
@@ -85,6 +93,35 @@ def test_parsed_povm_is_validated_once(monkeypatch, tmp_path):
     calls = count_calls(monkeypatch, ensembles, "validate_povm")
     parse_povm_file(str(path))
     assert len(calls) == 1
+
+
+def test_parsed_ensemble_is_validated_once(monkeypatch):
+    states = count_calls(monkeypatch, ensembles, "validate_density_matrix")
+    priors = count_calls(monkeypatch, ensembles, "validate_priors")
+    ensemble = parse_ensemble_file(str(SAMPLE_INPUTS / "ud_ensemble.json"))
+    assert len(ensemble) == 2
+    assert (len(states), len(priors)) == (2, 1)
+
+
+def test_povm_validation_is_one_eigvalsh(monkeypatch):
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    for _, povm in _transform_inputs():
+        calls.clear()
+        assert validate_povm(povm.elements).ok
+        assert len(calls) == 1
+        assert calls[0][0].shape == povm.elements.shape
+
+
+def test_transform_checks_read_two_tables(monkeypatch):
+    pairs = _transform_inputs()
+    duals = [retro_transform(ensemble, povm) for ensemble, povm in pairs]
+    per_cell = [
+        count_calls(monkeypatch, retrodiction, name)
+        for name in ("predictive_prob", "retrodictive_prob_bayes", "retrodictive_prob_symmetric")
+    ]
+    for (ensemble, povm), dual in zip(pairs, duals):
+        checks_for_transform(ensemble, povm, dual)
+    assert per_cell == [[], [], []]
 
 
 UD_INSTANCES = [
