@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .ensembles import DensityOperator, Violation, validate_state_vector
+from .ensembles import DensityOperator, Violation, _frozen, validate_state_vector
 from .errors import ValidationError
 from .ud import (
     REMAINDER_PSD_TOL,
@@ -41,17 +41,17 @@ class TwoQubitState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.amplitudes, dtype=np.complex128)
-        report = validate_state_vector(arr, "two-qubit state")
-        violations = list(report.violations)
+        # Validate the raw amplitudes first: converting ragged or string input raises.
+        violations = list(validate_state_vector(self.amplitudes, "two-qubit state").violations)
+        if violations and violations[0].check == "complex_entries":
+            raise ValidationError(violations)
+        arr = _frozen(self.amplitudes)
         if arr.ndim == 1 and arr.shape[0] != 4:
             violations.append(
                 Violation("vector_length", float(arr.shape[0]), "amplitudes must have length 4")
             )
         if violations:
             raise ValidationError(violations)
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
     def density_matrix(self) -> np.ndarray:

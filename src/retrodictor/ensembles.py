@@ -105,7 +105,9 @@ def _validate_operators(items, labels: list[str], unit_trace: bool = False):
         ops = group if len(rows) == len(ks) else group[finite]
         adj = linalg.dag(ops)
         herm = np.abs(ops - adj).max(axis=(1, 2)).tolist()
-        w_min = np.linalg.eigvalsh((ops + adj) / 2.0)[:, 0].tolist()
+        # Halving before adding keeps finite entries near the float64 limit
+        # finite; an overflowed Hermitian part gives NaN eigenvalues.
+        w_min = np.linalg.eigvalsh(ops / 2.0 + adj / 2.0)[:, 0].tolist()
         traces = ops.trace(axis1=1, axis2=2).real.tolist()
         for k, res, w, tr in zip(rows, herm, w_min, traces):
             if res > linalg.TOL_HERM:

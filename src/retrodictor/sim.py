@@ -1,31 +1,33 @@
 """Seeded Monte Carlo sampling of the prepare-and-measure channel.
 
-Draws are generated with the counter-based Philox 4x64 generator in
+Counts are sampled with the counter-based Philox 4x64 generator in
 fixed-size shards.  Each shard's stream is keyed by the 128-bit Philox key
 whose low word is the seed and whose high word is the shard index.  Seeds are
 signed 64-bit integers, in [-2**63, 2**63), the range in which the low word
 (the seed in two's complement) is one-to-one, so distinct seeds never share a
-stream; other seeds raise ValueError.  Counts are merged in shard order.
+stream; other seeds raise ValueError.  Each shard draws its counts with one
+multinomial over the positive cells of the joint table, which has exactly the
+count distribution of that many categorical draws; counts are merged in shard
+order.
 
 For fixed inputs and seed the counts are bit-reproducible on one platform
-and numpy build, which the tests check.  The bucket edges are correctly
-rounded prefix sums of the joint table, so they do not depend on the
-platform's long double; the joint table (`retrodiction.joint_probability_table`)
-is one `einsum`, whose summation order may differ between builds, so identical
-counts across platforms are not verified.
+and numpy build, which the tests check.  Identical counts across platforms or
+numpy builds are not claimed: the joint table
+(`retrodiction.joint_probability_table`) is one `einsum`, whose summation
+order may differ between builds, and numpy's multinomial sampler may change
+between releases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from . import retrodiction
 from .ensembles import Ensemble, Povm
 
-RNG_ALGORITHM = "philox4x64-v2"
+RNG_ALGORITHM = "philox4x64-v3"
 SHARD_SIZE = 1 << 16
 
 # Joint probabilities below this are rounding residue of structurally zero
@@ -66,38 +68,27 @@ def joint_probability_table(ensemble: Ensemble, povm: Povm) -> np.ndarray:
     return table
 
 
-def _cumulative_buckets(table: np.ndarray) -> np.ndarray:
-    # Exact prefix sums in integer units of 2**-1074 (every double is a whole
-    # number of them), each rounded once to the nearest double by the correctly
-    # rounded int/int division: the same monotone edges on every IEEE-754
-    # platform.  The last bucket absorbs the rounding so that every draw in
-    # [0, 1) lands in a bucket; capping at 1 keeps the edges sorted when the
-    # total rounds above 1.
-    unit = 1 << 1074
-    ratios = map(float.as_integer_ratio, table.reshape(-1).tolist())
-    exact = accumulate(num * (unit // den) for num, den in ratios)
-    cum = np.minimum(np.array([total / unit for total in exact]), 1.0)
-    cum[-1] = 1.0
-    return cum
-
-
 def sample(ensemble: Ensemble, povm: Povm, n: int, seed: int) -> SampleCounts:
-    """Draw n preparation/outcome pairs; bit-reproducible for fixed inputs and seed."""
+    """Sample the joint counts of n pairs; bit-reproducible for fixed inputs and seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not -(1 << 63) <= seed < 1 << 63:
         raise ValueError(f"seed {seed} is outside the signed 64-bit range [-2**63, 2**63)")
     table = joint_probability_table(ensemble, povm)
-    cum = _cumulative_buckets(table)
+    # Only positive cells take part, so a structural zero can never receive
+    # the multinomial's last-category remainder.  Validation lets the table
+    # sum to 1 within ~1e-10, which numpy's multinomial rejects (beyond
+    # 1 + 1e-12), so the live cells are normalised.
+    live = np.flatnonzero(table > 0.0)
+    p = table.reshape(-1)[live]
+    p /= p.sum()
     flat = np.zeros(table.size, dtype=np.int64)
     seed_word = int(seed) & 0xFFFFFFFFFFFFFFFF  # low 64-bit word of the Philox key
     n_shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
     for shard in range(n_shards):
         m = min(SHARD_SIZE, n - shard * SHARD_SIZE)
         rng = np.random.Generator(np.random.Philox(key=seed_word | (shard << 64)))
-        u = rng.random(m)
-        idx = np.searchsorted(cum, u, side="right")
-        flat += np.bincount(idx, minlength=table.size)
+        flat[live] += rng.multinomial(m, p)
     return SampleCounts(n, flat.reshape(table.shape), seed)
 
 

@@ -1,12 +1,12 @@
 """Every malformed input gets a named violation.
 
-One table feeds the public constructors (DensityOperator, PureState, Povm,
-Ensemble) and the file parsers the same kinds of malformed input.  Each must
-raise ValidationError naming the expected check; no other exception type may
-escape, and the CLI exits 1 without a traceback.
+One table feeds the public constructors (DensityOperator, PureState,
+TwoQubitState, Povm, Ensemble) and the file parsers the same kinds of
+malformed input.  Each must raise ValidationError naming the expected check;
+no other exception type may escape, and the CLI exits 1 without a traceback.
 
 Each case is marked "fixed" (another exception escaped, or nothing was
-reported, before per-stack validation guarded the conversion and the shape)
+reported, before the conversion, the shape and the PSD test were guarded)
 or "pin" (already rejected by name; the case holds that behaviour).
 """
 
@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from retrodictor.channel import TwoQubitState
 from retrodictor.cli import main
 from retrodictor.ensembles import DensityOperator, Ensemble, Povm, PureState
 from retrodictor.errors import RetrodictorError, ValidationError
@@ -25,6 +26,7 @@ EYE2 = np.eye(2)
 HALF = np.eye(2) / 2.0
 RHO2 = DensityOperator(HALF)
 RHO3 = DensityOperator(np.eye(3) / 3.0)
+HUGE_OFF = np.array([[0.0, 1e308], [1e308, 0.0]])
 
 # Malformed operators: (case, value, check named for a matrix, check named for a vector, status).
 BAD_OPERATORS = [
@@ -39,6 +41,9 @@ BAD_OPERATORS = [
      "complex_entries", "complex_entries", "fixed"),
     ("string", np.array([["a", "b"], ["c", "d"]]), "complex_entries", "complex_entries", "fixed"),
     ("empty", (), "square_shape", "vector_shape", "pin"),
+    # Finite entries whose Hermitian part (A + A^dag) / 2 overflowed to inf,
+    # so eigvalsh returned NaN and the negative eigenvalue went unreported.
+    ("huge", np.array([[0.5, 1e308], [1e308, 0.5]]), "psd", "vector_shape", "fixed"),
 ]
 
 
@@ -61,10 +66,26 @@ def test_density_operator_names_the_violation(value, check):
     assert check in _checks(excinfo)
 
 
-@pytest.mark.parametrize("value, check", _operator_cases(3))
+# A matrix is not a vector whatever its entries, so "huge" was already named here.
+@pytest.mark.parametrize("value, check", _operator_cases(3, {"huge": "pin"}))
 def test_pure_state_names_the_violation(value, check):
     with pytest.raises(ValidationError) as excinfo:
         PureState(value)
+    assert check in _checks(excinfo)
+
+
+# TwoQubitState converted its amplitudes before validating them, so ragged,
+# object and string input raised ValueError or TypeError instead.
+TWO_QUBIT_CASES = _operator_cases(3, {"huge": "pin"}) + [
+    pytest.param([1, [0]], "complex_entries", id="ragged-vector-fixed"),
+    pytest.param(["a"] * 4, "complex_entries", id="string-vector-fixed"),
+]
+
+
+@pytest.mark.parametrize("value, check", TWO_QUBIT_CASES)
+def test_two_qubit_state_names_the_violation(value, check):
+    with pytest.raises(ValidationError) as excinfo:
+        TwoQubitState(value)
     assert check in _checks(excinfo)
 
 
@@ -81,6 +102,8 @@ def test_povm_names_the_violation(value, check):
 BAD_COLLECTIONS = [
     ("povm-empty", lambda: Povm(()), "elements_count", "pin"),
     ("povm-mixed-dims", lambda: Povm((EYE2, np.eye(3))), "common_dim", "pin"),
+    # Completeness holds exactly; only the PSD test can reject it.
+    ("povm-huge-complement", lambda: Povm((HUGE_OFF, EYE2 - HUGE_OFF)), "psd", "fixed"),
     ("ensemble-empty", lambda: Ensemble((), np.array([1.0])), "states_count", "pin"),
     ("ensemble-mixed-dims", lambda: Ensemble((RHO2, RHO3), np.array([0.5, 0.5])), "common_dim", "pin"),
     ("priors-nan", lambda: Ensemble((RHO2, RHO2), [np.nan, 0.5]), "finite_entries", "pin"),

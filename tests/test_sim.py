@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from retrodictor.ensembles import Ensemble, Povm, PureState, source_from_ensemble
+from retrodictor.ensembles import DensityOperator, Ensemble, Povm, PureState, source_from_ensemble
 from retrodictor.retrodiction import retro_transform, retrodictive_prob_symmetric
 from retrodictor.sim import (
     RNG_ALGORITHM,
@@ -173,3 +173,51 @@ def test_three_sigma_violation_rate_is_small():
             violations += len(table.violations())
             cells += int(table.defined.sum())
     assert violations / cells <= 0.02
+
+
+def test_cell_moments_over_seeds_match_the_multinomial():
+    # The Monte Carlo is the independent route, so its counts must have the
+    # multinomial law of n categorical draws: over many seeds, each cell's
+    # mean is n p and its variance n p (1 - p), within 4 standard errors.
+    rng = np.random.default_rng(55)
+    ensemble = random_ensemble(rng, 3, 3)
+    povm = random_povm(rng, 3, 3)
+    p = joint_probability_table(ensemble, povm)
+    p /= p.sum()
+    n = 2 * SHARD_SIZE + 4321  # three shards, the last one partial
+    seeds = 2000
+    counts = np.array([sample(ensemble, povm, n, seed).counts for seed in range(seeds)], dtype=float)
+    var = n * p * (1.0 - p)
+    mean_se = np.sqrt(var / seeds)
+    # Fourth central moment of a binomial, for the standard error of the sample variance.
+    mu4 = var * (1.0 + 3.0 * (n - 2) * p * (1.0 - p))
+    var_se = np.sqrt((mu4 - var**2 * (seeds - 3) / (seeds - 1)) / seeds)
+    assert np.all(np.abs(counts.mean(axis=0) - n * p) <= 4.0 * mean_se)
+    assert np.all(np.abs(counts.var(axis=0, ddof=1) - var) <= 4.0 * var_se)
+
+
+def test_counts_are_pinned_for_one_seed():
+    # Recorded with numpy 2.4.6; counts are promised on one platform and numpy build.
+    ensemble, povm = ud_setup()
+    counts = sample(ensemble, povm, 3 * SHARD_SIZE + 5, seed=2026)
+    assert counts.rng_algorithm == "philox4x64-v3"
+    assert counts.counts.tolist() == [[49457, 0, 49082], [0, 49015, 49059]]
+
+
+def test_table_summing_just_above_one_samples():
+    # Validation accepts a POVM whose elements sum to 1 + 5e-11; numpy's
+    # multinomial rejects probabilities summing beyond 1 + 1e-12 unless the
+    # sampler normalises them.
+    h = 0.5 + 2.5e-11
+    ensemble = Ensemble((DensityOperator(np.diag([1.0, 0.0])),), np.array([1.0]))
+    povm = Povm((np.diag([h, h]), np.diag([h - 1e-13, h]), np.diag([1e-13, 0.0])))
+    assert joint_probability_table(ensemble, povm).sum() > 1.0 + 1e-12
+    counts = sample(ensemble, povm, 10**6, seed=3)
+    assert counts.n_total == 10**6
+
+
+def test_ud_structural_zeros_are_exact_at_1e8():
+    ensemble, povm = ud_setup()
+    counts = sample(ensemble, povm, 10**8, seed=1)
+    assert counts.counts[0, 1] == counts.counts[1, 0] == 0
+    assert counts.n_total == 10**8
