@@ -52,6 +52,7 @@ from .linalg import (
     sqrtm_psd,
 )
 from .retrodiction import (
+    DualStack,
     OutcomeDistribution,
     RetroDual,
     unbiased_dual,
@@ -60,6 +61,7 @@ from .retrodiction import (
     retro_transform,
     retrodictive_prob_bayes,
     retrodictive_prob_symmetric,
+    transform_stack,
 )
 from .sim import EmpiricalReport, SampleCounts, StatTable, empirical_report, sample
 from .ud import (
@@ -68,6 +70,7 @@ from .ud import (
     PredictiveUdPovm,
     PurityIdentificationReport,
     RetroBasis,
+    UdBatch,
     UdInstance,
     brute_force_dual,
     omega_closed_form,

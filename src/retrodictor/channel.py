@@ -11,27 +11,48 @@ optimization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .ensembles import DensityOperator, Violation, _frozen, validate_state_vector
+from .ensembles import (
+    DensityOperator,
+    Violation,
+    _frozen,
+    _validated,
+    validate_operator_stack,
+    validate_state_vector,
+    validate_vector_stack,
+)
 from .errors import ValidationError
 from .ud import (
     REMAINDER_PSD_TOL,
+    Instances,
     RetroBasis,
     UdInstance,
     _optimal_mu,
+    _eta,
     retro_basis,
-    ud_states,
+    source_remainder,
+    ud_state_vectors,
 )
 
-# Basis order of the amplitudes: |0a 0b>, |0a 1b>, |1a 0b>, |1a 1b>.
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
-)
+# Basis order of the amplitudes: |0a 0b>, |0a 1b>, |1a 0b>, |1a 1b>; the a<->b swap
+# exchanges the middle two.
+_SWAP_ORDER = [0, 2, 1, 3]
+
+
+def reduced_matrix(amplitudes: np.ndarray, trace_out: int) -> np.ndarray:
+    """Reduced state of one qubit of each (..., 4) two-qubit vector (trace_out=0 removes a, 1 removes b)."""
+    m = linalg.partial_trace(linalg.outer(amplitudes), (2, 2), trace_out)
+    return (m + linalg.dag(m)) / 2.0
+
+
+def swap_residual(amplitudes: np.ndarray) -> np.ndarray:
+    """Norm distance between each (..., 4) two-qubit vector and its a<->b swap."""
+    return linalg.norm_each(amplitudes - amplitudes[..., _SWAP_ORDER])
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,35 +80,43 @@ class TwoQubitState:
 
     def reduced(self, trace_out: int) -> DensityOperator:
         """Reduced state of one qubit (trace_out=0 removes a, 1 removes b)."""
-        m = linalg.partial_trace(self.density_matrix(), (2, 2), trace_out)
-        return DensityOperator((m + linalg.dag(m)) / 2.0)
+        return DensityOperator(reduced_matrix(self.amplitudes, trace_out))
 
     def swapped(self) -> "TwoQubitState":
-        return TwoQubitState(_SWAP @ self.amplitudes)
+        return TwoQubitState(self.amplitudes[_SWAP_ORDER])
 
     def swap_residual(self) -> float:
         """Norm distance between the state and its a<->b swap."""
-        return float(np.linalg.norm(self.amplitudes - _SWAP @ self.amplitudes))
+        return float(swap_residual(self.amplitudes))
+
+
+def _two_qubit_vectors(x: Instances, alice: np.ndarray) -> np.ndarray:
+    """sum_i sqrt(eta_i) |alice_i>|psi_i> as validated (..., 4) amplitudes; alice_i are the columns of alice."""
+    products = np.swapaxes(alice, -1, -2)[..., :, :, None] * ud_state_vectors(x)[..., :, None, :]
+    amplitudes = (np.sqrt(_eta(x))[..., :, None, None] * products).sum(axis=-3)
+    amplitudes = amplitudes.reshape(*amplitudes.shape[:-2], 4)
+    validate_vector_stack(amplitudes, "two-qubit state").raise_if_failed()
+    return amplitudes
+
+
+def entangled_amplitudes(x: Instances) -> np.ndarray:
+    """Shared state whose computational-basis preparation on a emits the UD pair, as (..., 4) amplitudes."""
+    return _two_qubit_vectors(x, np.eye(2))
+
+
+def symmetric_amplitudes(x: Instances, basis: RetroBasis) -> np.ndarray:
+    """Shared state prepared in x's retro_basis, as (..., 4) amplitudes; invariant under the a<->b swap."""
+    return _two_qubit_vectors(x, basis.vectors)
 
 
 def entangled_state(instance: UdInstance) -> TwoQubitState:
     """Shared state whose computational-basis preparation on a emits the UD pair."""
-    psi1, psi2 = ud_states(instance)
-    zero = np.array([1.0, 0.0])
-    one = np.array([0.0, 1.0])
-    amp = math.sqrt(instance.eta[0]) * np.kron(zero, psi1.amplitudes) + math.sqrt(
-        instance.eta[1]
-    ) * np.kron(one, psi2.amplitudes)
-    return TwoQubitState(amp)
+    return _validated(TwoQubitState, amplitudes=entangled_amplitudes(instance))
 
 
 def symmetric_state(instance: UdInstance, basis: RetroBasis) -> TwoQubitState:
     """Shared state prepared in the instance's retro_basis; invariant under the a<->b swap."""
-    psi1, psi2 = ud_states(instance)
-    amp = math.sqrt(instance.eta[0]) * np.kron(
-        basis.phi1.amplitudes, psi1.amplitudes
-    ) + math.sqrt(instance.eta[1]) * np.kron(basis.phi2.amplitudes, psi2.amplitudes)
-    return TwoQubitState(amp)
+    return _validated(TwoQubitState, amplitudes=symmetric_amplitudes(instance, basis))
 
 
 def sqrt_omega_in_retro_basis(basis: RetroBasis) -> np.ndarray:
@@ -100,63 +129,81 @@ def sqrt_omega_in_retro_basis(basis: RetroBasis) -> np.ndarray:
 class NoSignalingReport:
     """Alice's reduced state against her outcome-averaged post-measurement state.
 
-    rho_a and rho_b reduce state, the symmetric state built in basis.
-    max_residual is recomputed from the two operators on construction; a value
-    at roundoff scale is the no-signaling statement for this channel.
+    reduced_a and reduced_b reduce the symmetric state (amplitudes) built in
+    basis; tilde_a is Alice's mu-weighted decomposition.  max_residual is
+    recomputed from the two operators on construction; a value at roundoff
+    scale is the no-signaling statement for this channel.  The operator
+    accessors (rho_a, rho_a_tilde, rho_b, state) are views of one instance.
     """
 
-    rho_a: DensityOperator
-    rho_a_tilde: DensityOperator
-    rho_b: DensityOperator
-    state: TwoQubitState
+    reduced_a: np.ndarray
+    tilde_a: np.ndarray
+    reduced_b: np.ndarray
+    amplitudes: np.ndarray
     basis: RetroBasis
     max_residual: float = field(init=False)
 
     def __post_init__(self):
-        res = linalg.maxabs(self.rho_a.matrix - self.rho_a_tilde.matrix)
+        res = linalg.maxabs_each(self.reduced_a - self.tilde_a)[()]
         object.__setattr__(self, "max_residual", res)
+
+    @cached_property
+    def rho_a(self) -> DensityOperator:
+        return _validated(DensityOperator, matrix=self.reduced_a)
+
+    @cached_property
+    def rho_a_tilde(self) -> DensityOperator:
+        return _validated(DensityOperator, matrix=self.tilde_a)
+
+    @cached_property
+    def rho_b(self) -> DensityOperator:
+        return _validated(DensityOperator, matrix=self.reduced_b)
+
+    @cached_property
+    def state(self) -> TwoQubitState:
+        return _validated(TwoQubitState, amplitudes=self.amplitudes)
 
 
 def no_signaling_check(
-    instance: UdInstance,
+    x: Instances,
     mu: tuple[float, float] | None = None,
 ) -> NoSignalingReport:
-    """Compare Alice's reduced state with the mu-weighted decomposition.
+    """Compare Alice's reduced state with the mu-weighted decomposition (of each instance of a batch).
 
     mu defaults to the closed-form optimal weights; any feasible pair may be passed.
     The failure contribution is the remainder of the source after removing the
     conclusive weights; if the remainder fails positivity (an infeasible mu),
     a ValidationError naming the PSD violation is raised.
     """
-    e1, e2 = instance.eta
-    mu1, mu2 = _optimal_mu(instance)[:2] if mu is None else (float(mu[0]), float(mu[1]))
-
-    off = math.sqrt(e1 * e2) * instance.s
-    remainder = np.array([[e1 - mu1, off], [off, e2 - mu2]])
+    mu1, mu2 = _optimal_mu(x)[:2] if mu is None else (float(mu[0]), float(mu[1]))
+    remainder = source_remainder(x, mu1, mu2)
     violations = []
-    if min(e1 - mu1, e2 - mu2) < -REMAINDER_PSD_TOL:
+    diagonal = np.minimum(remainder[..., 0, 0], remainder[..., 1, 1])
+    if np.any(diagonal < -REMAINDER_PSD_TOL):
         violations.append(
-            Violation("psd", -min(e1 - mu1, e2 - mu2),
+            Violation("psd", -float(np.min(diagonal)),
                       "weighted failure state has a negative diagonal entry")
         )
-    det = (e1 - mu1) * (e2 - mu2) - off * off
-    if det < -REMAINDER_PSD_TOL:
+    det = remainder[..., 0, 0] * remainder[..., 1, 1] - remainder[..., 0, 1] * remainder[..., 1, 0]
+    if np.any(det < -REMAINDER_PSD_TOL):
         violations.append(
-            Violation("psd", -det, "weighted failure state has negative determinant")
+            Violation("psd", -float(np.min(det)), "weighted failure state has negative determinant")
         )
     if violations:
         raise ValidationError(violations)
 
-    basis = retro_basis(instance)
-    state = symmetric_state(instance, basis)
-    rho_a = state.reduced(trace_out=1)
-    rho_b = state.reduced(trace_out=0)
-
-    u = basis.matrix()
+    basis = retro_basis(x)
+    amplitudes = symmetric_amplitudes(x, basis)
+    u = basis.vectors
+    projectors = linalg.outer(np.swapaxes(u, -1, -2))
     tilde = (
-        mu1 * basis.phi1.projector()
-        + mu2 * basis.phi2.projector()
+        np.asarray(mu1)[..., None, None] * projectors[..., 0, :, :]
+        + np.asarray(mu2)[..., None, None] * projectors[..., 1, :, :]
         + u @ remainder.astype(np.complex128) @ linalg.dag(u)
     )
-    rho_a_tilde = DensityOperator((tilde + linalg.dag(tilde)) / 2.0)
-    return NoSignalingReport(rho_a, rho_a_tilde, rho_b, state, basis)
+    states = np.stack(
+        [reduced_matrix(amplitudes, 1), (tilde + linalg.dag(tilde)) / 2.0, reduced_matrix(amplitudes, 0)],
+        axis=-3,
+    )
+    validate_operator_stack(states, "channel state (rho_a, rho_a_tilde, rho_b)", unit_trace=True).raise_if_failed()
+    return NoSignalingReport(*(_frozen(states[..., k, :, :]) for k in range(3)), amplitudes, basis)

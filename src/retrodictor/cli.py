@@ -30,7 +30,7 @@ from .formats import (
     write_json,
 )
 from .retrodiction import retro_transform
-from .sim import RNG_ALGORITHM, StatTable, empirical_report, sample
+from .sim import RNG_ALGORITHM, StatTable, empirical_report, joint_probability_table, sample
 from .ud import (
     UdInstance,
     brute_force_dual,
@@ -203,8 +203,9 @@ def cmd_simulate(args) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get(SEED_ENV_VAR, "0"))
-    counts = sample(ensemble, povm, args.n, seed)
-    report = empirical_report(counts, ensemble, povm)
+    table = joint_probability_table(ensemble, povm)
+    counts = sample(ensemble, povm, args.n, seed, table)
+    report = empirical_report(counts, ensemble, povm, table)
     total_violations = sum(
         len(t.violations()) for t in (report.outcome, report.predictive, report.retrodictive)
     )

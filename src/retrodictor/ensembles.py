@@ -71,65 +71,128 @@ def validate_state_vector(amplitudes, label: str = "state") -> ValidationReport:
     """Check a pure-state amplitude vector: numeric, finite and unit norm."""
     arr = _as_array(amplitudes, np.complex128)
     violation = _entry_violation(arr, label)
+    if violation is None and (arr.ndim != 1 or arr.shape[0] < 1):
+        violation = Violation("vector_shape", 0.0, f"{label} is not a vector")
     if violation is None:
-        if arr.ndim != 1 or arr.shape[0] < 1:
-            violation = Violation("vector_shape", 0.0, f"{label} is not a vector")
-        elif (res := abs(float(np.linalg.norm(arr)) - 1.0)) > NORM_TOL:
-            violation = Violation("unit_norm", res, f"{label} norm differs from 1")
-    return ValidationReport(() if violation is None else (violation,))
+        return validate_vector_stack(arr, label)
+    return ValidationReport((violation,))
 
 
-def _validate_operators(items, labels: list[str], unit_trace: bool = False):
+def validate_vector_stack(vectors: np.ndarray, label) -> ValidationReport:
+    """Check each vector of a complex (..., d) stack: finite and unit norm.
+
+    label is a name, which violations suffix with the vector's index, or
+    label(k) for the k-th vector in flat order.
+    """
+    flat = vectors.reshape(-1, vectors.shape[-1])
+    if isinstance(label, str):
+        label = _stack_label(label, vectors.shape[:-1])
+    finite = np.isfinite(flat).all(axis=1)
+    with np.errstate(over="ignore"):
+        norm_residual = np.abs(linalg.norm_each(flat) - 1.0)
+    flagged = ~finite | (norm_residual > NORM_TOL)
+    if not flagged.any():
+        return ValidationReport(())
+    violations = []
+    for k in np.flatnonzero(flagged).tolist():
+        if not finite[k]:
+            violations.append(_entry_violation(flat[k], label(k)))
+        else:
+            violations.append(Violation("unit_norm", float(norm_residual[k]), f"{label(k)} norm differs from 1"))
+    return ValidationReport(tuple(violations))
+
+
+def _validate_operators(items, label, unit_trace: bool = False):
     """Violations in element order, the items as arrays (None if not numeric), and their stack.
 
-    The d x d items of each d are checked as one stack: finiteness, then
-    Hermiticity, PSD (eigvalsh of the Hermitian part) and, for states, trace.
+    label(k) names item k.  The d x d items of each d are checked as one
+    stack: finiteness, then Hermiticity, PSD (eigvalsh of the Hermitian part)
+    and, for states, trace.  A numeric (n, d, d) array is that stack already.
     The stack is returned when every item is a d x d matrix of one d.
     """
-    arrays = [_as_array(m, np.complex128) for m in items]
-    found: list[list[Violation]] = [[] for _ in arrays]
-    by_dim: dict[int, list[int]] = {}
-    for k, arr in enumerate(arrays):
-        if arr is not None and arr.ndim == 2 and arr.shape[0] == arr.shape[1] >= 1:
-            by_dim.setdefault(arr.shape[0], []).append(k)
-        else:
-            not_square = Violation("square_shape", 0.0, f"{labels[k]} is not square")
-            found[k].append(_entry_violation(arr, labels[k]) or not_square)
-    stack = None
-    for ks in by_dim.values():
-        group = np.array([arrays[k] for k in ks])
-        finite = np.isfinite(group).all(axis=(1, 2)).tolist()
-        rows = [k for k, ok in zip(ks, finite) if ok]
-        for k in set(ks) - set(rows):
-            found[k].append(_entry_violation(arrays[k], labels[k]))
-        ops = group if len(rows) == len(ks) else group[finite]
+    if isinstance(items, np.ndarray) and items.ndim == 3 and items.shape[1] == items.shape[2] >= 1:
+        stack = _as_array(items, np.complex128)
+    else:
+        stack = None
+    found: dict[int, list[Violation]] = {}
+    if stack is not None:
+        arrays = stack
+        groups = [(np.arange(len(stack)), stack)]
+    else:
+        arrays = [_as_array(m, np.complex128) for m in items]
+        by_dim: dict[int, list[int]] = {}
+        for k, arr in enumerate(arrays):
+            if arr is not None and arr.ndim == 2 and arr.shape[0] == arr.shape[1] >= 1:
+                by_dim.setdefault(arr.shape[0], []).append(k)
+            else:
+                not_square = Violation("square_shape", 0.0, f"{label(k)} is not square")
+                found[k] = [_entry_violation(arr, label(k)) or not_square]
+        groups = [(np.array(ks), np.array([arrays[k] for k in ks])) for ks in by_dim.values()]
+        if len(groups) == 1 and len(groups[0][0]) == len(arrays):
+            stack = groups[0][1]
+    for ks, group in groups:
+        finite = np.isfinite(group).all(axis=(1, 2))
+        rows, ops = ks, group
+        if not finite.all():
+            for k in ks[~finite].tolist():
+                found.setdefault(k, []).append(_entry_violation(arrays[k], label(k)))
+            rows, ops = ks[finite], group[finite]
         adj = linalg.dag(ops)
-        herm = np.abs(ops - adj).max(axis=(1, 2)).tolist()
-        # Halving before adding keeps finite entries near the float64 limit
-        # finite; an overflowed Hermitian part gives NaN eigenvalues.
-        w_min = np.linalg.eigvalsh(ops / 2.0 + adj / 2.0)[:, 0].tolist()
-        traces = ops.trace(axis1=1, axis2=2).real.tolist()
-        for k, res, w, tr in zip(rows, herm, w_min, traces):
+        # Entries near the float64 limit must not overflow: halving before adding
+        # keeps the Hermitian part finite, and an overflowed residual or trace
+        # is reported as the violation it is.
+        with np.errstate(over="ignore"):
+            herm = np.abs(ops - adj).max(axis=(1, 2))
+            traces = ops.trace(axis1=1, axis2=2).real
+        w_min = np.linalg.eigvalsh(ops / 2.0 + adj / 2.0)[:, 0]
+        flagged = (herm > linalg.TOL_HERM) | (w_min < -PSD_TOL)
+        if unit_trace:
+            flagged |= np.abs(traces - 1.0) > TRACE_TOL
+        if not flagged.any():
+            continue
+        for k, res, w, tr in zip(
+            rows[flagged].tolist(), herm[flagged].tolist(), w_min[flagged].tolist(), traces[flagged].tolist()
+        ):
+            vs = found.setdefault(k, [])
             if res > linalg.TOL_HERM:
-                found[k].append(Violation("hermiticity", res, f"{labels[k]} is not Hermitian"))
+                vs.append(Violation("hermiticity", res, f"{label(k)} is not Hermitian"))
             if w < -PSD_TOL:
-                found[k].append(Violation("psd", -w, f"{labels[k]} has negative eigenvalue {w:.3e}"))
+                vs.append(Violation("psd", -w, f"{label(k)} has negative eigenvalue {w:.3e}"))
             if unit_trace and abs(tr - 1.0) > TRACE_TOL:
-                found[k].append(Violation("unit_trace", abs(tr - 1.0), f"{labels[k]} trace differs from 1"))
-        if len(ks) == len(arrays):
-            stack = group
-    return [v for vs in found for v in vs], arrays, stack
+                vs.append(Violation("unit_trace", abs(tr - 1.0), f"{label(k)} trace differs from 1"))
+    return [v for k in sorted(found) for v in found[k]], arrays, stack
+
+
+def _stack_label(label: str, shape: tuple[int, ...]):
+    """label(k) for the k-th item, in flat order, of a stack with leading shape (none: label)."""
+    if not shape:
+        return lambda k: label
+    return lambda k: f"{label}[{', '.join(map(str, np.unravel_index(k, shape)))}]"
+
+
+def validate_operator_stack(ops: np.ndarray, label, unit_trace: bool = False) -> ValidationReport:
+    """Check each matrix of a (..., d, d) stack of derived operators, as one stack.
+
+    unit_trace=True checks density operators.  label is a name, which
+    violations suffix with the matrix's index, or label(k) for the k-th
+    matrix in flat order.
+    """
+    flat = ops.reshape(-1, *ops.shape[-2:])
+    if isinstance(label, str):
+        label = _stack_label(label, ops.shape[:-2])
+    violations = _validate_operators(flat, label, unit_trace)[0]
+    return ValidationReport(tuple(violations))
 
 
 def validate_hermitian_matrix(matrix, label: str = "operator") -> ValidationReport:
     """Check squareness, finiteness, and Hermiticity of one matrix."""
-    violations = _validate_operators([matrix], [label])[0]
+    violations = _validate_operators([matrix], lambda k: label)[0]
     return ValidationReport(tuple(v for v in violations if v.check != "psd"))
 
 
 def validate_density_matrix(matrix, label: str = "state") -> ValidationReport:
     """Check a density matrix: Hermitian, PSD, unit trace (a stack of one)."""
-    return ValidationReport(tuple(_validate_operators([matrix], [label], unit_trace=True)[0]))
+    return ValidationReport(tuple(_validate_operators([matrix], lambda k: label, unit_trace=True)[0]))
 
 
 def validate_priors(priors) -> ValidationReport:
@@ -173,8 +236,7 @@ def _ensemble_report(priors, n_states: int, dims: set[int], state_violations) ->
 def validate_ensemble(state_matrices, priors) -> ValidationReport:
     """Report every violated Ensemble invariant for raw state matrices and priors."""
     mats = list(state_matrices)
-    labels = [f"state[{i}]" for i in range(len(mats))]
-    state_violations, arrays, _ = _validate_operators(mats, labels, unit_trace=True)
+    state_violations, arrays, _ = _validate_operators(mats, lambda k: f"state[{k}]", unit_trace=True)
     dims = {a.shape[0] for a in arrays if a is not None and a.ndim == 2}
     return _ensemble_report(priors, len(mats), dims, state_violations)
 
@@ -189,24 +251,54 @@ def validate_povm(elements, sum_target=None) -> ValidationReport:
     elems = list(elements)
     if len(elems) < 1:
         return ValidationReport((Violation("elements_count", 0.0, "POVM has no elements"),))
-    labels = [f"element[{j}]" for j in range(len(elems))]
-    violations, arrays, stack = _validate_operators(elems, labels)
+    violations, arrays, stack = _validate_operators(elems, lambda k: f"element[{k}]")
     dims = {a.shape[0] for a in arrays if a is not None and a.ndim == 2 and a.shape[0] == a.shape[1]}
     if len(dims) > 1:
         violations.append(Violation("common_dim", 0.0, f"elements have mixed dims {sorted(dims)}"))
     elif stack is not None:
-        target = np.eye(stack.shape[1]) if sum_target is None else np.asarray(sum_target)
-        res = linalg.maxabs(stack.sum(axis=0) - target)
-        if res > PSD_TOL:
-            what = "identity" if sum_target is None else "completeness target"
-            violations.append(Violation("completeness", res, f"elements do not sum to the {what}"))
+        violations.extend(_completeness_violations(stack, sum_target, lambda k: "elements"))
     return ValidationReport(tuple(violations))
+
+
+def _completeness_violations(elements: np.ndarray, sum_target, label) -> list[Violation]:
+    """The completeness check of each POVM of a (..., n, d, d) stack; label(k) names the k-th POVM."""
+    target = np.eye(elements.shape[-1]) if sum_target is None else np.asarray(sum_target)
+    residual = linalg.maxabs_each(elements.sum(axis=-3) - target).reshape(-1)
+    what = "identity" if sum_target is None else "completeness target"
+    return [
+        Violation("completeness", float(residual[k]), f"{label(k)} do not sum to the {what}")
+        for k in np.flatnonzero(residual > PSD_TOL).tolist()
+    ]
+
+
+def validate_povm_stack(elements: np.ndarray, label: str, sum_target=None) -> ValidationReport:
+    """Check each POVM of a (..., n, d, d) stack of derived measurements, as one operator stack.
+
+    sum_target, if given, is the (..., d, d) completeness target of each POVM.
+    """
+    report = validate_operator_stack(elements, f"{label} element")
+    lead = elements.shape[:-3]
+    completeness = _completeness_violations(
+        elements, sum_target, lambda k: f"{_stack_label(label, lead)(k)} elements"
+    )
+    return ValidationReport(report.violations + tuple(completeness))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.complex128)
     out.setflags(write=False)
     return out
+
+
+def _validated(cls, **fields):
+    """A cls built from fields that were validated as part of a stack; they are not checked again.
+
+    Array fields are frozen as the constructors freeze them.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, _frozen(value) if isinstance(value, np.ndarray) else value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)

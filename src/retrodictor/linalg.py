@@ -36,9 +36,9 @@ _PHASE_PIVOT_TOL = 1e-8
 
 
 def as_complex_matrix(matrix) -> np.ndarray:
-    """Coerce to a square complex128 array, rejecting NaN/Inf entries."""
+    """Coerce to a complex128 square matrix or stack of them (..., d, d), rejecting NaN/Inf entries."""
     m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
@@ -46,8 +46,8 @@ def as_complex_matrix(matrix) -> np.ndarray:
 
 
 def hermiticity_residual(matrix: np.ndarray) -> float:
-    """Max-abs deviation of a matrix from its conjugate transpose."""
-    return float(np.max(np.abs(matrix - matrix.conj().T), initial=0.0))
+    """Max-abs deviation of a matrix (or of any matrix of a stack) from its conjugate transpose."""
+    return float(np.max(np.abs(matrix - dag(matrix)), initial=0.0))
 
 
 def require_hermitian(matrix, tol: float = TOL_HERM) -> np.ndarray:
@@ -65,10 +65,10 @@ def dag(matrix: np.ndarray) -> np.ndarray:
 
 
 def outer(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """Outer product v w^dag (projector |v><v| when w is omitted)."""
+    """Outer product v w^dag (projector |v><v| when w is omitted), of each vector of a stack."""
     v = np.asarray(v, dtype=np.complex128)
     w = v if w is None else np.asarray(w, dtype=np.complex128)
-    return np.outer(v, w.conj())
+    return v[..., :, None] * w.conj()[..., None, :]
 
 
 def maxabs(matrix: np.ndarray) -> float:
@@ -76,13 +76,23 @@ def maxabs(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix), initial=0.0))
 
 
+def maxabs_each(matrices: np.ndarray) -> np.ndarray:
+    """Max-abs entry norm of each matrix of a (..., d, d) stack."""
+    return np.abs(matrices).max(axis=(-2, -1))
+
+
+def norm_each(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each vector of a (..., d) stack."""
+    return np.sqrt((np.abs(vectors) ** 2).sum(axis=-1))
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigendecomposition of a Hermitian operator.
+    """Eigendecomposition of a Hermitian operator, or of each operator of a stack.
 
-    eigenvalues are real and ascending; eigenvectors[:, k] is the unit
-    eigenvector paired with eigenvalues[k], with its first component of
-    magnitude > 1e-8 made real and positive on construction.
+    eigenvalues (..., d) are real and ascending; eigenvectors[..., :, k] is the
+    unit eigenvector paired with eigenvalues[..., k], with its first component
+    of magnitude > 1e-8 made real and positive on construction.
     """
 
     eigenvalues: np.ndarray
@@ -90,33 +100,34 @@ class Spectrum:
 
     def __post_init__(self):
         vectors = self.eigenvectors
-        pivots = np.argmax(np.abs(vectors) > _PHASE_PIVOT_TOL, axis=0)
-        pv = vectors[pivots, np.arange(vectors.shape[1])]
+        pivots = np.argmax(np.abs(vectors) > _PHASE_PIVOT_TOL, axis=-2)
+        pv = np.take_along_axis(vectors, pivots[..., None, :], axis=-2)
         object.__setattr__(self, "eigenvectors", vectors * (np.conj(pv) / np.abs(pv)))
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue-weighted eigenprojectors."""
-        return (self.eigenvectors * self.eigenvalues) @ dag(self.eigenvectors)
+        return (self.eigenvectors * self.eigenvalues[..., None, :]) @ dag(self.eigenvectors)
 
     def map(
         self,
-        f: Callable[[float], float],
+        f: Callable[[np.ndarray], np.ndarray],
         min_eig: float | None = None,
         support_restricted: bool = False,
     ) -> np.ndarray:
-        """Apply a real scalar function to the operator: the one matrix-function body.
+        """Apply a real function, elementwise on an eigenvalue array (a ufunc), to the operator.
 
-        For f with a pole at 0, pass min_eig: eigenvalues below it raise
-        SingularOperator. With support_restricted=True, those at most
-        PSD_CLIP_TOL (zero up to roundoff) are instead mapped to 0, so that f
-        acts on the operator's support only. The support mode deviates from
-        the underlying theory, which assumes an invertible source.
+        The one matrix-function body.  For f with a pole at 0, pass min_eig:
+        eigenvalues below it raise SingularOperator. With
+        support_restricted=True, those at most PSD_CLIP_TOL (zero up to
+        roundoff) are instead mapped to 0 (f never sees them), so that f acts
+        on the operator's support only. The support mode deviates from the
+        underlying theory, which assumes an invertible source.
         """
         vals = self.eigenvalues
         small = vals < (-math.inf if min_eig is None else min_eig)
@@ -124,25 +135,24 @@ class Spectrum:
         raising = small & ~dropped
         if np.any(raising):
             raise SingularOperator(f"eigenvalue {vals[raising].min():.3e} below min_eig {min_eig:.3e}")
-        mapped = np.array([0.0 if d else float(f(w)) for w, d in zip(vals, dropped)])
-        out = (self.eigenvectors * mapped) @ dag(self.eigenvectors)
+        mapped = np.where(dropped, 0.0, f(np.where(dropped, 1.0, vals)))
+        out = (self.eigenvectors * mapped[..., None, :]) @ dag(self.eigenvectors)
         return (out + dag(out)) / 2.0
 
     def sqrt(self) -> np.ndarray:
         """Square root of a PSD operator (eigenvalues in [-PSD_CLIP_TOL, 0) clipped)."""
-        if self.eigenvalues[0] < -PSD_CLIP_TOL:
-            raise SingularOperator(
-                f"matrix is not PSD: min eigenvalue {self.eigenvalues[0]:.3e}"
-            )
-        return self.map(lambda w: math.sqrt(max(w, 0.0)))
+        w_min = self.eigenvalues[..., 0].min()
+        if w_min < -PSD_CLIP_TOL:
+            raise SingularOperator(f"matrix is not PSD: min eigenvalue {w_min:.3e}")
+        return self.map(lambda w: np.sqrt(np.maximum(w, 0.0)))
 
     def inv_sqrt(self, min_eig: float = MIN_EIG_DEFAULT, support_restricted: bool = False):
         """Inverse square root of a positive definite operator (see map for min_eig)."""
-        return self.map(lambda w: 1.0 / math.sqrt(w), min_eig, support_restricted)
+        return self.map(lambda w: 1.0 / np.sqrt(w), min_eig, support_restricted)
 
 
 def hermitian_eig(matrix) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack, by LAPACK (numpy.linalg.eigh).
 
     The input is checked for Hermiticity and symmetrised first; LAPACK's
     arbitrary eigenvector phases are then fixed by the Spectrum convention.
@@ -157,8 +167,8 @@ def spectral_map(
     min_eig: float | None = None,
     support_restricted: bool = False,
 ) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix (see Spectrum.map)."""
-    return hermitian_eig(matrix).map(f, min_eig, support_restricted)
+    """Apply a real scalar function to a Hermitian matrix, eigenvalue by eigenvalue (see Spectrum.map)."""
+    return hermitian_eig(matrix).map(np.vectorize(f, otypes=[float]), min_eig, support_restricted)
 
 
 def sqrtm_psd(matrix) -> np.ndarray:
@@ -187,17 +197,17 @@ def is_psd(matrix, tol: float = PSD_CLIP_TOL) -> bool:
 
 
 def partial_trace(matrix, dims: tuple[int, int], trace_out: int) -> np.ndarray:
-    """Partial trace of an operator on a (dims[0] * dims[1])-dimensional product space.
+    """Partial trace of an operator (or a stack) on a (dims[0] * dims[1])-dimensional product space.
 
     trace_out=0 removes the first factor, trace_out=1 the second.
     """
     da, db = dims
     m = as_complex_matrix(matrix)
-    if m.shape[0] != da * db:
-        raise ValueError(f"operator dim {m.shape[0]} != {da}*{db}")
-    t = m.reshape(da, db, da, db)
+    if m.shape[-1] != da * db:
+        raise ValueError(f"operator dim {m.shape[-1]} != {da}*{db}")
+    t = m.reshape(*m.shape[:-2], da, db, da, db)
     if trace_out == 0:
-        return np.einsum("ijik->jk", t)
+        return np.einsum("...ijik->...jk", t)
     if trace_out == 1:
-        return np.einsum("ijkj->ik", t)
+        return np.einsum("...ijkj->...ik", t)
     raise ValueError("trace_out must be 0 or 1")

@@ -10,6 +10,9 @@ construction Pi_i^ret = D eta_i rho_i, rho_j^ret = Pi_j / Tr(Pi_j).
 Both sides are tables from born_table, one einsum over two operator stacks:
 joint_probability_table is the one definition of p[i, j] = eta_i Tr(Pi_j rho_i),
 which Bayes and the sampler read, and symmetric_table is the transformed side.
+
+The transform itself is transform_stack, over N pairs of one shape at once;
+retro_transform is its N = 1 case, viewed as a RetroDual.
 """
 
 from __future__ import annotations
@@ -25,8 +28,11 @@ from .ensembles import (
     Ensemble,
     Povm,
     SourceFunction,
+    _validated,
     require_same_dim,
     source_from_ensemble,
+    validate_operator_stack,
+    validate_povm_stack,
 )
 from .errors import (
     NumericIntegrityError,
@@ -83,7 +89,7 @@ def bayes_table(joint: np.ndarray, outcomes: list[int]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Unconditional click probabilities of the detectors against the source."""
+    """Unconditional click probabilities of the detectors against the source (of each of a stack)."""
 
     mu: np.ndarray
 
@@ -92,24 +98,29 @@ class OutcomeDistribution:
         if np.any(mu < -PROB_CLAMP_TOL):
             raise NumericIntegrityError(f"negative outcome probability {mu.min():.3e}")
         mu = np.clip(mu, 0.0, None)
-        total = float(mu.sum())  # = Tr(Omega)
-        if abs(total - 1.0) > TRACE_TOL:
-            raise NumericIntegrityError(f"outcome probabilities sum to {total!r}")
+        total = mu.sum(axis=-1)  # = Tr(Omega)
+        off = np.abs(total - 1.0) > TRACE_TOL
+        if np.any(off):
+            raise NumericIntegrityError(f"outcome probabilities sum to {float(total[off].flat[0])!r}")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
 
     def __len__(self) -> int:
-        return self.mu.shape[0]
+        return self.mu.shape[-1]
 
     def __getitem__(self, j: int) -> float:
         return float(self.mu[j])
 
 
+def _click_probabilities(elements: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """mu_j = Tr(Pi_j Omega) of (..., m, d, d) elements against (..., d, d) sources."""
+    return (elements * np.swapaxes(omega, -1, -2)[..., None, :, :]).real.sum(axis=(-2, -1))
+
+
 def outcome_probs(povm: Povm, omega: SourceFunction) -> OutcomeDistribution:
     """Click probabilities mu_j = Tr(Pi_j Omega)."""
     require_same_dim(povm.dim, omega.dim, "POVM vs source")
-    mu = [float(np.einsum("ij,ji->", e, omega.matrix).real) for e in povm.elements]
-    return OutcomeDistribution(np.array(mu))
+    return OutcomeDistribution(_click_probabilities(povm.elements, omega.matrix))
 
 
 def retrodictive_prob_bayes(ensemble: Ensemble, povm: Povm, i: int, j: int) -> float:
@@ -130,6 +141,17 @@ class RetroDual:
     mu: OutcomeDistribution
     omega: SourceFunction
 
+    @property
+    def defined(self) -> np.ndarray:
+        """Which outcomes have a retrodictive state."""
+        return np.array([s is not None for s in self.retro_states])
+
+    @property
+    def state_stack(self) -> np.ndarray:
+        """The retrodictive states as one (m, d, d) stack, zero where undefined."""
+        zero = np.zeros((self.retro_povm.dim,) * 2, dtype=np.complex128)
+        return np.array([zero if s is None else s.matrix for s in self.retro_states])
+
     def completeness_residual(self) -> float:
         """Max-abs residual of sum_i Pi_i^ret against the identity (or the support's sum_target)."""
         target = self.retro_povm.sum_target
@@ -147,12 +169,95 @@ class RetroDual:
         return linalg.maxabs(total - self.omega.matrix)
 
 
+@dataclass(frozen=True, eq=False)
+class DualStack:
+    """Retrodictive duals of N prepare-and-measure pairs of one shape, as arrays.
+
+    povm_stack is (N, n, d, d); state_stack (N, m, d, d) holds rho_j^ret where
+    defined[:, j] (mu_j above the floor) and zeros elsewhere; sum_target is
+    the (N, d, d) completeness target of a support-restricted transform.
+    """
+
+    povm_stack: np.ndarray
+    state_stack: np.ndarray
+    defined: np.ndarray
+    mu: OutcomeDistribution
+    omega: np.ndarray
+    sum_target: np.ndarray | None = None
+
+    def dual(self, k: int) -> RetroDual:
+        """Pair k's RetroDual, a view over operators this stack has validated."""
+        target = None if self.sum_target is None else self.sum_target[k]
+        states = tuple(
+            _validated(DensityOperator, matrix=s) if ok else None
+            for s, ok in zip(self.state_stack[k], self.defined[k].tolist())
+        )
+        return RetroDual(
+            _validated(Povm, elements=self.povm_stack[k], sum_target=target),
+            states,
+            OutcomeDistribution(self.mu.mu[k]),
+            SourceFunction(_validated(DensityOperator, matrix=self.omega[k])),
+        )
+
+
+def transform_stack(
+    priors: np.ndarray,
+    states: np.ndarray,
+    elements: np.ndarray,
+    support_restricted: bool = False,
+) -> DualStack:
+    """Retrodictive duals of N pairs at once: (N, n) priors, (N, n, d, d) states, (N, m, d, d) POVMs.
+
+    Pi_i^ret = Omega^{-1/2} eta_i rho_i Omega^{-1/2} and
+    rho_j^ret = sqrt(Omega) Pi_j sqrt(Omega) / mu_j, with one stacked
+    eigendecomposition of the N sources; each derived stack (sources,
+    retrodictive POVMs, defined retrodictive states) is validated once.
+    Errors have the types retro_transform raises; their messages name the failing pairs.
+    """
+    weighted = priors[..., None, None] * states
+    omega = weighted.sum(axis=-3)
+    validate_operator_stack(omega, "source", unit_trace=True).raise_if_failed()
+    spectrum = linalg.hermitian_eig(omega)
+    inv_root = spectrum.inv_sqrt(support_restricted=support_restricted)[..., None, :, :]
+    root = spectrum.sqrt()[..., None, :, :]
+
+    e = inv_root @ weighted @ inv_root
+    retro_elements = (e + linalg.dag(e)) / 2.0
+    sum_target = None
+    if support_restricted:
+        support = inv_root[..., 0, :, :] @ omega @ inv_root[..., 0, :, :]
+        sum_target = (support + linalg.dag(support)) / 2.0
+    try:
+        validate_povm_stack(retro_elements, "retrodictive POVM", sum_target).raise_if_failed()
+    except ValidationError as exc:
+        raise NumericIntegrityError(f"retrodictive POVM violates its invariants: {exc}") from exc
+
+    mu = OutcomeDistribution(_click_probabilities(elements, omega))
+    defined = mu.mu > MU_FLOOR
+    s = (root @ elements @ root)[defined]
+    # Tr(s) equals mu_j analytically; normalizing by the sandwich's own
+    # trace keeps the state's trace at 1 even when mu_j is tiny.
+    s = s / np.trace(s, axis1=-2, axis2=-1).real[:, None, None]
+    s = (s + linalg.dag(s)) / 2.0
+    pair, outcome = np.nonzero(defined)
+    of_pair = (lambda k: f" of pair {pair[k]}") if len(priors) > 1 else (lambda k: "")
+    try:
+        validate_operator_stack(
+            s, lambda k: f"retrodictive state {outcome[k]}{of_pair(k)}", unit_trace=True
+        ).raise_if_failed()
+    except ValidationError as exc:
+        raise NumericIntegrityError(f"retrodictive states violate their invariants: {exc}") from exc
+    state_stack = np.zeros(defined.shape + s.shape[-2:], dtype=np.complex128)
+    state_stack[defined] = s
+    return DualStack(retro_elements, state_stack, defined, mu, omega, sum_target)
+
+
 def retro_transform(
     ensemble: Ensemble,
     povm: Povm,
     support_restricted: bool = False,
 ) -> RetroDual:
-    """Build the retrodictive dual of a prepare-and-measure pair.
+    """Build the retrodictive dual of a prepare-and-measure pair (transform_stack of one pair).
 
     Pi_i^ret = Omega^{-1/2} eta_i rho_i Omega^{-1/2} and
     rho_j^ret = sqrt(Omega) Pi_j sqrt(Omega) / mu_j.
@@ -166,43 +271,10 @@ def retro_transform(
     invariants raise NumericIntegrityError, not a degraded dual.
     """
     require_same_dim(ensemble.dim, povm.dim, "ensemble vs POVM")
-    omega = source_from_ensemble(ensemble)
-    om = omega.matrix
-    spectrum = linalg.hermitian_eig(om)
-    inv_root = spectrum.inv_sqrt(support_restricted=support_restricted)
-    root = spectrum.sqrt()
-
-    e = inv_root @ (ensemble.priors[:, None, None] * ensemble.matrices) @ inv_root
-    retro_elements = (e + linalg.dag(e)) / 2.0
-    try:
-        if support_restricted:
-            support = inv_root @ om @ inv_root
-            retro_povm = Povm(retro_elements, sum_target=(support + linalg.dag(support)) / 2.0)
-        else:
-            retro_povm = Povm(retro_elements)
-    except ValidationError as exc:
-        raise NumericIntegrityError(
-            f"retrodictive POVM violates its invariants: {exc}"
-        ) from exc
-
-    mu = outcome_probs(povm, omega)
-    retro_states: list[DensityOperator | None] = []
-    for j, element in enumerate(povm.elements):
-        if mu[j] <= MU_FLOOR:
-            retro_states.append(None)
-            continue
-        s = root @ element @ root
-        # Tr(s) equals mu_j analytically; normalizing by the sandwich's own
-        # trace keeps the state's trace at 1 even when mu_j is tiny.
-        s = s / float(np.trace(s).real)
-        try:
-            retro_states.append(DensityOperator((s + linalg.dag(s)) / 2.0))
-        except ValidationError as exc:
-            raise NumericIntegrityError(
-                f"retrodictive state {j} violates its invariants: {exc}"
-            ) from exc
-
-    return RetroDual(retro_povm, tuple(retro_states), mu, omega)
+    stack = transform_stack(
+        ensemble.priors[None], ensemble.matrices[None], povm.elements[None], support_restricted
+    )
+    return stack.dual(0)
 
 
 def symmetric_table(dual: RetroDual, outcomes: list[int]) -> np.ndarray:

@@ -68,13 +68,19 @@ def joint_probability_table(ensemble: Ensemble, povm: Povm) -> np.ndarray:
     return table
 
 
-def sample(ensemble: Ensemble, povm: Povm, n: int, seed: int) -> SampleCounts:
-    """Sample the joint counts of n pairs; bit-reproducible for fixed inputs and seed."""
+def sample(
+    ensemble: Ensemble, povm: Povm, n: int, seed: int, table: np.ndarray | None = None
+) -> SampleCounts:
+    """Sample the joint counts of n pairs; bit-reproducible for fixed inputs and seed.
+
+    table, if given, is the pair's joint_probability_table, already built.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not -(1 << 63) <= seed < 1 << 63:
         raise ValueError(f"seed {seed} is outside the signed 64-bit range [-2**63, 2**63)")
-    table = joint_probability_table(ensemble, povm)
+    if table is None:
+        table = joint_probability_table(ensemble, povm)
     # Only positive cells take part, so a structural zero can never receive
     # the multinomial's last-category remainder.  Validation lets the table
     # sum to 1 within ~1e-10, which numpy's multinomial rejects (beyond
@@ -141,9 +147,15 @@ class EmpiricalReport:
         return self.outcome.all_within and self.predictive.all_within and self.retrodictive.all_within
 
 
-def empirical_report(counts: SampleCounts, ensemble: Ensemble, povm: Povm) -> EmpiricalReport:
-    """Compare empirical frequencies from the counts with the analytic values."""
-    table = joint_probability_table(ensemble, povm)
+def empirical_report(
+    counts: SampleCounts, ensemble: Ensemble, povm: Povm, table: np.ndarray | None = None
+) -> EmpiricalReport:
+    """Compare empirical frequencies from the counts with the analytic values.
+
+    table, if given, is the pair's joint_probability_table, already built.
+    """
+    if table is None:
+        table = joint_probability_table(ensemble, povm)
     if counts.counts.shape != table.shape:
         raise ValueError(
             f"counts shape {counts.counts.shape} does not match instance shape {table.shape}"

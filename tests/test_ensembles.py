@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from retrodictor.ensembles import (
     Povm,
     PureState,
     source_from_ensemble,
+    validate_density_matrix,
     validate_ensemble,
     validate_povm,
     validate_priors,
@@ -185,3 +187,16 @@ def test_ensemble_constructor_and_report_share_their_invariants():
             Ensemble(states, np.array(priors))
         report = validate_ensemble([s.matrix for s in states], priors)
         assert [str(v) for v in excinfo.value.violations] == [str(v) for v in report.violations]
+
+
+def test_huge_trace_reports_unit_trace_without_a_warning():
+    # The trace of entries near the float64 limit overflows to inf: a unit_trace
+    # violation, not a numpy RuntimeWarning escaping validation.
+    huge = [[1e308, 1e308], [1e308, 1e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as excinfo:
+            DensityOperator(huge)
+        report = validate_density_matrix(huge)
+    assert "unit_trace" in [v.check for v in excinfo.value.violations]
+    assert [v.check for v in report.violations] == [v.check for v in excinfo.value.violations]

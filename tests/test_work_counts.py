@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from retrodictor import ensembles, linalg, retrodiction, ud
+from retrodictor import ensembles, linalg, retrodiction, sim, ud, verify
 from retrodictor.channel import no_signaling_check
+from retrodictor.cli import main
 from retrodictor.ensembles import DensityOperator, Ensemble, Povm, validate_ensemble, validate_povm
 from retrodictor.formats import parse_ensemble_file, parse_povm_file, povm_to_payload, write_json
 from retrodictor.retrodiction import retro_transform
@@ -156,3 +157,46 @@ def test_channel_checks_diagonalise_the_source_once(monkeypatch, inst):
     count = omega_diagonalisations(monkeypatch)
     checks_for_channel(inst, no_signaling_check(inst))
     assert count() == 1
+
+
+def test_transform_validates_with_three_eigvalsh_calls(monkeypatch):
+    # The source, the retrodictive POVM, and one stack of the defined
+    # retrodictive states, whatever the number of defined outcomes.
+    pairs = _transform_inputs()
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    defined = set()
+    for ensemble, povm in pairs:
+        calls.clear()
+        dual = retro_transform(ensemble, povm)
+        defined.add(sum(s is not None for s in dual.retro_states))
+        assert len(calls) == 3
+    assert len(defined) > 1
+
+
+GRIDS = {
+    "2x2": (np.array([0.5, 0.9]), np.array([0.3, 0.8])),
+    "6x6": (np.linspace(0.5, 0.98, 6), np.linspace(0.02, 0.95, 6)),
+}
+
+
+@pytest.mark.parametrize("suite", ["ud", "channel"])
+def test_grid_suites_diagonalise_once_per_grid(monkeypatch, suite):
+    counts = {}
+    for name, (eta_max, overlap) in GRIDS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "GRID_ETA_MAX", eta_max)
+            mp.setattr(verify, "GRID_OVERLAP", overlap)
+            eigs = count_calls(mp, linalg, "hermitian_eig")
+            lapack = count_calls(mp, np.linalg, "eigh")
+            assert verify.SUITES[suite]().passed
+            counts[name] = (len(eigs), len(lapack))
+    assert counts["2x2"] == counts["6x6"]
+
+
+def test_simulate_command_builds_the_joint_table_once(monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, sim, "joint_probability_table")
+    argv = ["simulate", str(SAMPLE_INPUTS / "ud_ensemble.json"), str(SAMPLE_INPUTS / "ud_povm.json"),
+            "--n", "1000", "--seed", "3", "--out", str(tmp_path / "sim.json")]
+    main(argv)  # exit 0 or 2, as the 3-sigma statistics fall
+    assert (tmp_path / "sim.json").exists()
+    assert len(calls) == 1
