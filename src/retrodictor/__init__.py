@@ -52,7 +52,6 @@ from .linalg import (
     sqrtm_psd,
 )
 from .retrodiction import (
-    DualStack,
     OutcomeDistribution,
     RetroDual,
     unbiased_dual,
@@ -62,6 +61,7 @@ from .retrodiction import (
     retrodictive_prob_bayes,
     retrodictive_prob_symmetric,
     transform_stack,
+    unbiased_stack,
 )
 from .sim import EmpiricalReport, SampleCounts, StatTable, empirical_report, sample
 from .ud import (

@@ -290,14 +290,23 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+# Rank of the array field that holds one object's amplitudes, matrix or POVM elements.
+_RANKS = {"amplitudes": 1, "matrix": 2, "elements": 3}
+
+
 def _validated(cls, **fields):
     """A cls built from fields that were validated as part of a stack; they are not checked again.
 
-    Array fields are frozen as the constructors freeze them.
+    Array fields are frozen as the constructors freeze them.  A field that is
+    still a stack (above its rank in _RANKS) raises ValueError.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
-        object.__setattr__(obj, name, _frozen(value) if isinstance(value, np.ndarray) else value)
+        if isinstance(value, np.ndarray):
+            if value.ndim > _RANKS.get(name, value.ndim):
+                raise ValueError(f"{cls.__name__} {name} of shape {value.shape} is a stack, not one object")
+            value = _frozen(value)
+        object.__setattr__(obj, name, value)
     return obj
 
 

@@ -8,16 +8,21 @@ arbitrary (biased) sources; for an unbiased source it reduces to the familiar
 construction Pi_i^ret = D eta_i rho_i, rho_j^ret = Pi_j / Tr(Pi_j).
 
 Both sides are tables from born_table, one einsum over two operator stacks:
-joint_probability_table is the one definition of p[i, j] = eta_i Tr(Pi_j rho_i),
-which Bayes and the sampler read, and symmetric_table is the transformed side.
+joint_table is the one definition of p[i, j] = eta_i Tr(Pi_j rho_i), which
+Bayes and the sampler read, and the transformed side is the table of the
+RetroDual's povm_stack against its state_stack.
 
-The transform itself is transform_stack, over N pairs of one shape at once;
-retro_transform is its N = 1 case, viewed as a RetroDual.
+The transform is transform_stack, for one pair or for each pair of a stack of
+one shape at once.  Its result is one type, RetroDual: arrays that keep the
+stack's leading axes, with validated per-pair views when there are none.
+retro_transform is the call for one Ensemble and Povm; unbiased_stack lays
+out the unbiased construction the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +35,6 @@ from .ensembles import (
     SourceFunction,
     _validated,
     require_same_dim,
-    source_from_ensemble,
     validate_operator_stack,
     validate_povm_stack,
 )
@@ -56,8 +60,8 @@ def _clamp_probability(value, what: str):
 
 
 def born_table(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """Born's rule for two (n, d, d) and (m, d, d) stacks: t[i, j] = Tr(a_i b_j), clamped."""
-    return _clamp_probability(np.einsum("ikl,jlk->ij", a, b).real, what)
+    """Born's rule for (..., n, d, d) and (..., m, d, d) stacks: t[..., i, j] = Tr(a_i b_j), clamped."""
+    return _clamp_probability(np.einsum("...ikl,...jlk->...ij", a, b).real, what)
 
 
 def predictive_prob(povm_element, state) -> float:
@@ -68,23 +72,32 @@ def predictive_prob(povm_element, state) -> float:
     return float(born_table(rho[None], pi[None], "predictive probability")[0, 0])
 
 
+def joint_table(priors: np.ndarray, states: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """The joint distribution p[..., i, j] = eta_i Tr(Pi_j rho_i) of preparation i and outcome j."""
+    return priors[..., :, None] * born_table(states, elements, "predictive probability")
+
+
 def joint_probability_table(ensemble: Ensemble, povm: Povm) -> np.ndarray:
-    """The joint distribution p[i, j] = eta_i Tr(Pi_j rho_i) of preparation i and outcome j."""
+    """The joint table of one prepare-and-measure pair."""
     require_same_dim(ensemble.dim, povm.dim, "ensemble vs POVM")
-    born = born_table(ensemble.matrices, povm.elements, "predictive probability")
-    return ensemble.priors[:, None] * born
+    return joint_table(ensemble.priors, ensemble.matrices, povm.elements)
 
 
-def bayes_table(joint: np.ndarray, outcomes: list[int]) -> np.ndarray:
-    """Bayes conditionals P(i | j) = p[i, j] / mu_j of the listed outcomes, from the joint table."""
-    columns = joint[:, outcomes]
-    mu = columns.sum(axis=0)
-    for j, mu_j in zip(outcomes, mu):
-        if mu_j <= MU_FLOOR:
-            raise ZeroProbabilityOutcome(
-                f"outcome {j} has probability {mu_j:.3e} <= {MU_FLOOR:.0e}; cannot condition on it"
-            )
-    return _clamp_probability(columns / mu, "retrodictive probability")
+def bayes_table(joint: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    """Bayes conditionals P(i | j) = p[..., i, j] / mu_j from the joint table, 0 where j is not defined.
+
+    defined (..., m) marks the outcomes to condition on; ZeroProbabilityOutcome
+    is raised if one of them has mu_j = sum_i p[..., i, j] at most MU_FLOOR.
+    """
+    mu = joint.sum(axis=-2)
+    low = defined & (mu <= MU_FLOOR)
+    if np.any(low):
+        raise ZeroProbabilityOutcome(
+            f"outcome {np.argwhere(low)[0, -1]} has probability {mu[low][0]:.3e} <= {MU_FLOOR:.0e};"
+            " cannot condition on it"
+        )
+    conditionals = np.where(defined[..., None, :], joint / np.where(defined, mu, 1.0)[..., None, :], 0.0)
+    return _clamp_probability(conditionals, "retrodictive probability")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +118,6 @@ class OutcomeDistribution:
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
 
-    def __len__(self) -> int:
-        return self.mu.shape[-1]
-
     def __getitem__(self, j: int) -> float:
         return float(self.mu[j])
 
@@ -125,98 +135,95 @@ def outcome_probs(povm: Povm, omega: SourceFunction) -> OutcomeDistribution:
 
 def retrodictive_prob_bayes(ensemble: Ensemble, povm: Povm, i: int, j: int) -> float:
     """Bayes conditional P(state i | outcome j), read from column j of the joint table."""
-    return float(bayes_table(joint_probability_table(ensemble, povm), [j])[i, 0])
+    return float(bayes_table(joint_probability_table(ensemble, povm), np.arange(len(povm)) == j)[i, j])
 
 
 @dataclass(frozen=True, eq=False)
 class RetroDual:
-    """The transformed pair: retrodictive POVM, states, and their weights.
+    """The transformed pair (or each of a stack): retrodictive POVM, states, and their weights.
 
-    retro_states[j] is None exactly when mu_j is below the floor, in which
-    case conditioning on outcome j is rejected rather than divided by ~0.
-    """
-
-    retro_povm: Povm
-    retro_states: tuple[DensityOperator | None, ...]
-    mu: OutcomeDistribution
-    omega: SourceFunction
-
-    @property
-    def defined(self) -> np.ndarray:
-        """Which outcomes have a retrodictive state."""
-        return np.array([s is not None for s in self.retro_states])
-
-    @property
-    def state_stack(self) -> np.ndarray:
-        """The retrodictive states as one (m, d, d) stack, zero where undefined."""
-        zero = np.zeros((self.retro_povm.dim,) * 2, dtype=np.complex128)
-        return np.array([zero if s is None else s.matrix for s in self.retro_states])
-
-    def completeness_residual(self) -> float:
-        """Max-abs residual of sum_i Pi_i^ret against the identity (or the support's sum_target)."""
-        target = self.retro_povm.sum_target
-        target = np.eye(self.retro_povm.dim) if target is None else target
-        return linalg.maxabs(self.retro_povm.elements.sum(axis=0) - target)
-
-    def trace_residual(self) -> float:
-        """Worst |Tr(rho_j^ret) - 1| over the defined retrodictive states."""
-        traces = [np.trace(s.matrix).real for s in self.retro_states if s is not None]
-        return linalg.maxabs(np.array(traces) - 1.0)
-
-    def source_residual(self) -> float:
-        """Max-abs residual of sum_j mu_j rho_j^ret against the source function."""
-        total = sum(self.mu[j] * s.matrix for j, s in enumerate(self.retro_states) if s is not None)
-        return linalg.maxabs(total - self.omega.matrix)
-
-
-@dataclass(frozen=True, eq=False)
-class DualStack:
-    """Retrodictive duals of N prepare-and-measure pairs of one shape, as arrays.
-
-    povm_stack is (N, n, d, d); state_stack (N, m, d, d) holds rho_j^ret where
-    defined[:, j] (mu_j above the floor) and zeros elsewhere; sum_target is
-    the (N, d, d) completeness target of a support-restricted transform.
+    The arrays keep the stack's leading axes, if any: povm_stack (..., n, d, d),
+    state_stack (..., m, d, d) with zeros where not defined (mu_j at most the
+    floor, so conditioning on j is rejected rather than divided by ~0), the
+    source omega_matrix (..., d, d), and a support-restricted transform's
+    completeness target sum_target.  For one pair, retro_povm, retro_states
+    and omega view the arrays as validated objects (a stack has no such views:
+    they raise ValueError), and residuals are floats.
     """
 
     povm_stack: np.ndarray
     state_stack: np.ndarray
     defined: np.ndarray
     mu: OutcomeDistribution
-    omega: np.ndarray
+    omega_matrix: np.ndarray
     sum_target: np.ndarray | None = None
 
-    def dual(self, k: int) -> RetroDual:
-        """Pair k's RetroDual, a view over operators this stack has validated."""
-        target = None if self.sum_target is None else self.sum_target[k]
-        states = tuple(
+    def __post_init__(self):
+        for array in (self.povm_stack, self.state_stack, self.defined, self.omega_matrix, self.sum_target):
+            if array is not None:
+                array.setflags(write=False)
+
+    @cached_property
+    def retro_povm(self) -> Povm:
+        return _validated(Povm, elements=self.povm_stack, sum_target=self.sum_target)
+
+    @cached_property
+    def retro_states(self) -> tuple[DensityOperator | None, ...]:
+        return tuple(
             _validated(DensityOperator, matrix=s) if ok else None
-            for s, ok in zip(self.state_stack[k], self.defined[k].tolist())
-        )
-        return RetroDual(
-            _validated(Povm, elements=self.povm_stack[k], sum_target=target),
-            states,
-            OutcomeDistribution(self.mu.mu[k]),
-            SourceFunction(_validated(DensityOperator, matrix=self.omega[k])),
+            for s, ok in zip(self.state_stack, self.defined.tolist())
         )
 
+    @cached_property
+    def omega(self) -> SourceFunction:
+        return SourceFunction(_validated(DensityOperator, matrix=self.omega_matrix))
 
-def transform_stack(
-    priors: np.ndarray,
-    states: np.ndarray,
-    elements: np.ndarray,
-    support_restricted: bool = False,
-) -> DualStack:
-    """Retrodictive duals of N pairs at once: (N, n) priors, (N, n, d, d) states, (N, m, d, d) POVMs.
+    def completeness_residual(self):
+        """Max-abs residual of sum_i Pi_i^ret against the identity (or the support's sum_target)."""
+        target = np.eye(self.povm_stack.shape[-1]) if self.sum_target is None else self.sum_target
+        return linalg.maxabs_each(self.povm_stack.sum(axis=-3) - target)[()]
 
-    Pi_i^ret = Omega^{-1/2} eta_i rho_i Omega^{-1/2} and
-    rho_j^ret = sqrt(Omega) Pi_j sqrt(Omega) / mu_j, with one stacked
-    eigendecomposition of the N sources; each derived stack (sources,
-    retrodictive POVMs, defined retrodictive states) is validated once.
-    Errors have the types retro_transform raises; their messages name the failing pairs.
-    """
+    def trace_residual(self):
+        """Worst |Tr(rho_j^ret) - 1| over the defined retrodictive states."""
+        traces = np.trace(self.state_stack, axis1=-2, axis2=-1).real
+        return np.where(self.defined, np.abs(traces - 1.0), 0.0).max(axis=-1)[()]
+
+    def source_residual(self):
+        """Max-abs residual of sum_j mu_j rho_j^ret against the source function."""
+        total = (self.mu.mu[..., None, None] * self.state_stack).sum(axis=-3)
+        return linalg.maxabs_each(total - self.omega_matrix)[()]
+
+
+def _source(priors: np.ndarray, states: np.ndarray, elements: np.ndarray):
+    """The weighted states eta_i rho_i and their sum Omega, validated as a state (of each pair)."""
+    require_same_dim(states.shape[-1], elements.shape[-1], "ensemble vs POVM")
     weighted = priors[..., None, None] * states
     omega = weighted.sum(axis=-3)
     validate_operator_stack(omega, "source", unit_trace=True).raise_if_failed()
+    return weighted, omega
+
+
+def transform_stack(
+    priors: np.ndarray, states: np.ndarray, elements: np.ndarray, support_restricted: bool = False
+) -> RetroDual:
+    """Retrodictive dual of one pair, or of each pair of a stack of one shape.
+
+    priors (..., n), states (..., n, d, d) and POVM elements (..., m, d, d)
+    share their leading axes, which the RetroDual keeps.
+    Pi_i^ret = Omega^{-1/2} eta_i rho_i Omega^{-1/2} and
+    rho_j^ret = sqrt(Omega) Pi_j sqrt(Omega) / mu_j, from one stacked
+    eigendecomposition of the sources; each derived stack is validated once.
+
+    Raises SingularOperator when a source function has an eigenvalue below
+    linalg.MIN_EIG_DEFAULT. With support_restricted=True, eigenvalues at most
+    linalg.PSD_CLIP_TOL (zero up to roundoff) count as outside the support
+    instead: the inversion acts on the support only, and completeness holds
+    on the support projector instead of the identity. Above the floor every
+    identity holds at its fixed tolerance; operators that still miss their
+    invariants raise NumericIntegrityError, not a degraded dual.  Messages
+    name the failing pairs of a stack.
+    """
+    weighted, omega = _source(priors, states, elements)
     spectrum = linalg.hermitian_eig(omega)
     inv_root = spectrum.inv_sqrt(support_restricted=support_restricted)[..., None, :, :]
     root = spectrum.sqrt()[..., None, :, :]
@@ -239,74 +246,52 @@ def transform_stack(
     # trace keeps the state's trace at 1 even when mu_j is tiny.
     s = s / np.trace(s, axis1=-2, axis2=-1).real[:, None, None]
     s = (s + linalg.dag(s)) / 2.0
-    pair, outcome = np.nonzero(defined)
-    of_pair = (lambda k: f" of pair {pair[k]}") if len(priors) > 1 else (lambda k: "")
+    index = np.argwhere(defined).tolist()
+
+    def label(k):
+        *pair, j = index[k]
+        return f"retrodictive state {j}" + (f" of pair {', '.join(map(str, pair))}" if pair else "")
+
     try:
-        validate_operator_stack(
-            s, lambda k: f"retrodictive state {outcome[k]}{of_pair(k)}", unit_trace=True
-        ).raise_if_failed()
+        validate_operator_stack(s, label, unit_trace=True).raise_if_failed()
     except ValidationError as exc:
         raise NumericIntegrityError(f"retrodictive states violate their invariants: {exc}") from exc
     state_stack = np.zeros(defined.shape + s.shape[-2:], dtype=np.complex128)
     state_stack[defined] = s
-    return DualStack(retro_elements, state_stack, defined, mu, omega, sum_target)
+    return RetroDual(retro_elements, state_stack, defined, mu, omega, sum_target)
 
 
-def retro_transform(
-    ensemble: Ensemble,
-    povm: Povm,
-    support_restricted: bool = False,
-) -> RetroDual:
-    """Build the retrodictive dual of a prepare-and-measure pair (transform_stack of one pair).
-
-    Pi_i^ret = Omega^{-1/2} eta_i rho_i Omega^{-1/2} and
-    rho_j^ret = sqrt(Omega) Pi_j sqrt(Omega) / mu_j.
-
-    Raises SingularOperator when the source function has an eigenvalue below
-    linalg.MIN_EIG_DEFAULT. With support_restricted=True, eigenvalues at most
-    linalg.PSD_CLIP_TOL (zero up to roundoff) count as outside the support
-    instead: the inversion acts on the support only, and completeness holds
-    on the support projector instead of the identity. Above the floor every
-    identity holds at its fixed tolerance; operators that still miss their
-    invariants raise NumericIntegrityError, not a degraded dual.
-    """
-    require_same_dim(ensemble.dim, povm.dim, "ensemble vs POVM")
-    stack = transform_stack(
-        ensemble.priors[None], ensemble.matrices[None], povm.elements[None], support_restricted
-    )
-    return stack.dual(0)
-
-
-def symmetric_table(dual: RetroDual, outcomes: list[int]) -> np.ndarray:
-    """Born conditionals Tr(Pi_i^ret rho_j^ret) of the listed outcomes on the transformed pair."""
-    for j in outcomes:
-        if dual.retro_states[j] is None:
-            raise ZeroProbabilityOutcome(
-                f"outcome {j} has probability below {MU_FLOOR:.0e}; its retrodictive state is undefined"
-            )
-    states = np.stack([dual.retro_states[j].matrix for j in outcomes])
-    return born_table(dual.retro_povm.elements, states, "retrodictive probability")
+def retro_transform(ensemble: Ensemble, povm: Povm, support_restricted: bool = False) -> RetroDual:
+    """The retrodictive dual of one prepare-and-measure pair (see transform_stack)."""
+    return transform_stack(ensemble.priors, ensemble.matrices, povm.elements, support_restricted)
 
 
 def retrodictive_prob_symmetric(dual: RetroDual, i: int, j: int) -> float:
     """Born-rule conditional Tr(Pi_i^ret rho_j^ret) on the transformed pair."""
-    return float(symmetric_table(dual, [j])[i, 0])
+    if not dual.defined[j]:
+        raise ZeroProbabilityOutcome(
+            f"outcome {j} has probability below {MU_FLOOR:.0e}; its retrodictive state is undefined"
+        )
+    return float(born_table(dual.povm_stack, dual.state_stack[[j]], "retrodictive probability")[i, 0])
+
+
+def unbiased_stack(priors: np.ndarray, states: np.ndarray, elements: np.ndarray) -> RetroDual:
+    """The unbiased-source dual Pi_i^ret = D eta_i rho_i, rho_j^ret = Pi_j / Tr(Pi_j), stacked as transforms.
+
+    No transform is applied, so it is only meaningful for an unbiased source;
+    otherwise the retrodictive POVM is not complete and ValidationError is raised.
+    """
+    _, omega = _source(priors, states, elements)
+    retro_elements = states.shape[-1] * priors[..., None, None] * states
+    validate_povm_stack(retro_elements, "unbiased retrodictive POVM").raise_if_failed()
+    mu = OutcomeDistribution(_click_probabilities(elements, omega))
+    traces = np.trace(elements, axis1=-2, axis2=-1).real
+    defined = (mu.mu > MU_FLOOR) & (traces > MU_FLOOR)
+    state_stack = defined[..., None, None] * elements / np.where(defined, traces, 1.0)[..., None, None]
+    validate_operator_stack(state_stack[defined], "unbiased retro state", unit_trace=True).raise_if_failed()
+    return RetroDual(retro_elements, state_stack, defined, mu, omega)
 
 
 def unbiased_dual(ensemble: Ensemble, povm: Povm) -> RetroDual:
-    """The unbiased-source construction, for comparison with the transform.
-
-    Only meaningful when the source is unbiased; no transform is applied.
-    """
-    omega = source_from_ensemble(ensemble)
-    d = ensemble.dim
-    retro_povm = Povm(d * ensemble.priors[:, None, None] * ensemble.matrices)
-    mu = outcome_probs(povm, omega)
-    retro_states: list[DensityOperator | None] = []
-    for j, element in enumerate(povm.elements):
-        tr = float(np.trace(element).real)
-        if mu[j] <= MU_FLOOR or tr <= MU_FLOOR:
-            retro_states.append(None)
-        else:
-            retro_states.append(DensityOperator(element / tr))
-    return RetroDual(retro_povm, tuple(retro_states), mu, omega)
+    """The unbiased-source construction of one pair (see unbiased_stack)."""
+    return unbiased_stack(ensemble.priors, ensemble.matrices, povm.elements)

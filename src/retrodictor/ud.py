@@ -44,7 +44,7 @@ from .ensembles import (
     validate_vector_stack,
 )
 from .errors import SingularOperator, ValidationError
-from .retrodiction import PROB_CLAMP_TOL, DualStack, RetroDual, retro_transform, transform_stack
+from .retrodiction import PROB_CLAMP_TOL, RetroDual, transform_stack
 
 # Positivity tolerance of the source remainder left after the conclusive
 # weights: its diagonal and determinant may dip this far below zero.
@@ -55,6 +55,26 @@ REMAINDER_PSD_TOL = 1e-12
 _MU0_FLOOR = 1e-14
 
 
+def _require_valid(alpha, e1, e2) -> None:
+    """Raise ValidationError unless alpha is in (0, pi/4] and the priors are positive and sum to 1.
+
+    Over a batch, each violation reports its first failing instance.
+    """
+    alpha, e1, e2 = (np.asarray(v).reshape(-1) for v in (alpha, e1, e2))
+    off = np.abs(e1 + e2 - 1.0)
+    violations = [
+        Violation(name, float(residual[failed][0]), message)
+        for name, failed, residual, message in (
+            ("alpha_range", ~((alpha > 0.0) & (alpha <= math.pi / 4)), alpha, "alpha must lie in (0, pi/4]"),
+            ("eta_positive", ~((e1 > 0.0) & (e2 > 0.0)), np.minimum(e1, e2), "priors must be positive"),
+            ("eta_sum", off > PRIORS_TOL, off, "priors must sum to 1"),
+        )
+        if failed.any()
+    ]
+    if violations:
+        raise ValidationError(violations)
+
+
 @dataclass(frozen=True)
 class UdInstance:
     """Two equally-shaped real qubit states with priors (eta_1, eta_2)."""
@@ -63,20 +83,8 @@ class UdInstance:
     eta: tuple[float, float]
 
     def __post_init__(self):
-        violations = []
-        if not (0.0 < self.alpha <= math.pi / 4):
-            violations.append(
-                Violation("alpha_range", float(self.alpha), "alpha must lie in (0, pi/4]")
-            )
         e1, e2 = self.eta
-        if not (e1 > 0.0 and e2 > 0.0):
-            violations.append(Violation("eta_positive", min(e1, e2), "priors must be positive"))
-        if abs(e1 + e2 - 1.0) > PRIORS_TOL:
-            violations.append(
-                Violation("eta_sum", abs(e1 + e2 - 1.0), "priors must sum to 1")
-            )
-        if violations:
-            raise ValidationError(violations)
+        _require_valid(self.alpha, e1, e2)
         object.__setattr__(self, "eta", (float(e1), float(e2)))
 
     @classmethod
@@ -112,11 +120,15 @@ class UdBatch:
     """N UD instances as arrays: alpha is (N,) and eta is (2, N).
 
     The layout mirrors UdInstance (e1, e2 = batch.eta), so the array-valued
-    functions below read an instance and a batch alike.
+    functions below read an instance and a batch alike; the construction
+    checks each instance's invariants as UdInstance does.
     """
 
     alpha: np.ndarray
     eta: np.ndarray
+
+    def __post_init__(self):
+        _require_valid(self.alpha, *self.eta)
 
     @classmethod
     def of(cls, instances) -> "UdBatch":
@@ -391,7 +403,7 @@ def optimal_predictive_povm(x: Instances) -> PredictiveUdPovm:
     """
     omega_closed_form(x)
     e1, e2 = x.eta
-    mu1, mu2, _ = _optimal_mu(x)
+    mu1, mu2, regime = _optimal_mu(x)
     one_minus_s2 = 1.0 - x.s ** 2
     c = np.asarray([mu1 / (e1 * one_minus_s2), mu2 / (e2 * one_minus_s2)]).T
     outside = ~((c >= -PROB_CLAMP_TOL) & (c <= 1.0 + PROB_CLAMP_TOL))
@@ -402,7 +414,15 @@ def optimal_predictive_povm(x: Instances) -> PredictiveUdPovm:
     ca, sa = np.cos(x.alpha), np.sin(x.alpha)
     # Rows psi_2-perp and psi_1-perp: Pi_1 = c_1 |psi_2-perp><psi_2-perp|, Pi_2 likewise.
     conclusive = c[..., :, None, None] * linalg.outer(_mat2(sa, ca, -sa, ca))
-    pi0 = np.eye(2) - conclusive[..., 0, :, :] - conclusive[..., 1, :, :]
+    # Pi_0 = I - Pi_1 - Pi_2 is rank one: |v><v|, with v = psi_2 or psi_1 when clamped, else
+    # sqrt(s)/2 ((q + 1/q)/cos(alpha), (q - 1/q)/sin(alpha)) for q = (eta_2/eta_1)^(1/4).  The
+    # subtraction leaves its zero eigenvalue at roundoff, which 1/mu_0 amplifies in rho_0^ret.
+    q = (e2 / e1) ** 0.25
+    r = np.sqrt(x.s) / 2.0
+    clamped = [ca, np.where(e1 >= e2, -sa, sa)]
+    interior = [r * (q + 1 / q) / ca, r * (q - 1 / q) / sa]
+    v = np.where(regime == "clamped", clamped, interior)
+    pi0 = linalg.outer(np.moveaxis(v, 0, -1))
     elements = np.concatenate([conclusive, pi0[..., None, :, :]], axis=-3)
     validate_povm_stack(elements, "predictive POVM").raise_if_failed()
     return PredictiveUdPovm(_frozen(elements), (c[..., 0][()], c[..., 1][()]))
@@ -427,17 +447,13 @@ def duality_bridge(x: Instances, ud_povm: PredictiveUdPovm) -> np.ndarray:
     return _eta(x) * _conclusive_clicks(x, ud_povm)
 
 
-def ud_retro_dual(x: Instances, ud_povm: PredictiveUdPovm | None = None) -> RetroDual | DualStack:
+def ud_retro_dual(x: Instances, ud_povm: PredictiveUdPovm | None = None) -> RetroDual:
     """Transform of the instance (each of a batch) against its optimal predictive measurement.
 
-    ud_povm, if given, is x's optimal_predictive_povm.  One instance goes
-    through retro_transform, a batch through the same stacked core at once.
+    ud_povm, if given, is x's optimal_predictive_povm.
     """
     ud_povm = optimal_predictive_povm(x) if ud_povm is None else ud_povm
-    if isinstance(x, UdBatch):
-        states = linalg.outer(ud_state_vectors(x))
-        return transform_stack(_eta(x), states, ud_povm.elements)
-    return retro_transform(ud_ensemble(x), ud_povm.povm)
+    return transform_stack(_eta(x), linalg.outer(ud_state_vectors(x)), ud_povm.elements)
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,7 +474,7 @@ class PurityIdentificationReport:
 
 
 def verify_purity_identification(
-    x: Instances, opt: DualOptimum, dual: RetroDual | DualStack
+    x: Instances, opt: DualOptimum, dual: RetroDual
 ) -> PurityIdentificationReport:
     """Check that each conclusive retrodictive state is the matching basis projector.
 

@@ -7,15 +7,15 @@ a deterministic parameter grid, next to the checks that only make sense over
 a corpus (double dual, unbiased reduction, grid oracle, regime
 classification, branch continuity, spot values).
 
-The UD and channel identities are array-valued: `ud_residuals` and
-`channel_residuals` give one row of check values per instance, for one
-instance (what `checks_for_ud` and `checks_for_channel` report) or for a
-whole `UdBatch`, so the `ud` and `channel` suites are a few vectorised passes
-over slices of the grid (GRID_BATCH instances each), and report each column's
-worst value (NaN is worst).  The
-transform suite loops over its corpus, whose pairs differ in shape.  The
-random corpora are generated with the same counter-based generator as the
-sampler, so suite runs are reproducible.
+Every identity family is array-valued: `transform_residuals`,
+`ud_residuals` and `channel_residuals` give one row of their check table's
+values per instance, for one instance (what the `checks_for_*` functions
+report) or for a whole stack.  The transform suite groups its corpus by shape
+(n, m, d) and runs one `transform_stack` per group; the `ud` and `channel`
+suites are a few vectorised passes over slices of the grid (GRID_BATCH
+instances each).  Each suite reports each column's worst value (NaN is
+worst).  The random corpora are generated with the same counter-based
+generator as the sampler, so suite runs are reproducible.
 """
 
 from __future__ import annotations
@@ -47,13 +47,15 @@ from .errors import (
 from .retrodiction import (
     RetroDual,
     bayes_table,
+    born_table,
     joint_probability_table,
+    joint_table,
     outcome_probs,
     retro_transform,
     retrodictive_prob_bayes,
     retrodictive_prob_symmetric,
-    symmetric_table,
-    unbiased_dual,
+    transform_stack,
+    unbiased_stack,
 )
 from .sim import empirical_report, sample
 from .ud import (
@@ -133,25 +135,13 @@ class SuiteResult:
         return [c.line(f"{self.suite}/") for c in self.checks]
 
 
-def checks_for_transform(ensemble: Ensemble, povm: Povm, dual: RetroDual) -> tuple[Check, ...]:
-    """Transform identities of one ensemble/POVM pair and its retrodictive dual.
-
-    The symmetric Born rule is held against Bayes on every defined outcome.
-    A support-restricted dual only promises completeness on its support.
-    """
-    defined = [j for j, s in enumerate(dual.retro_states) if s is not None]
-    born = symmetric_table(dual, defined)
-    bayes = bayes_table(joint_probability_table(ensemble, povm), defined)
-    on_support = "" if dual.retro_povm.sum_target is None else "-on-support"
-    return (
-        Check("symmetric-born-identity", linalg.maxabs(born - bayes), 1e-9),
-        Check(f"retro-povm-completeness{on_support}", dual.completeness_residual(), 1e-10),
-        Check("retro-state-traces", dual.trace_residual(), 1e-10),
-        Check("source-identity", dual.source_residual(), 1e-10),
-    )
-
-
-# (name, tolerance) of each UD and channel check, in report order.
+# (name, tolerance) of each transform, UD and channel check, in report order.
+TRANSFORM_CHECKS = (
+    ("symmetric-born-identity", 1e-9),
+    ("retro-povm-completeness", 1e-10),
+    ("retro-state-traces", 1e-10),
+    ("source-identity", 1e-10),
+)
 UD_CHECKS = (
     ("retro-basis-orthonormality", 1e-9),
     ("retro-basis-closed-vs-numeric", 1e-10),
@@ -188,6 +178,30 @@ def _checks(table, values) -> tuple[Check, ...]:
 def _worst(table, rows: np.ndarray) -> tuple[Check, ...]:
     """The table's checks at their worst value over the instance rows; NaN is worst."""
     return _checks(table, np.max(rows, axis=0))
+
+
+def transform_residuals(joint: np.ndarray, dual: RetroDual) -> np.ndarray:
+    """The TRANSFORM_CHECKS values of one pair, or one row of them per pair of a stack.
+
+    joint is the pair's joint_table and dual its transform_stack.  The
+    symmetric Born rule is held against Bayes on every defined outcome; both
+    tables are 0 in the columns of the undefined ones.
+    """
+    bayes = bayes_table(joint, dual.defined)
+    born = born_table(dual.povm_stack, dual.state_stack, "retrodictive probability")
+    residuals = (dual.completeness_residual(), dual.trace_residual(), dual.source_residual())
+    return np.stack([np.abs(born - bayes).max(axis=(-2, -1)), *residuals], axis=-1)
+
+
+def checks_for_transform(ensemble: Ensemble, povm: Povm, dual: RetroDual) -> tuple[Check, ...]:
+    """Transform identities of one ensemble/POVM pair and its retrodictive dual (see TRANSFORM_CHECKS).
+
+    A support-restricted dual only promises completeness on its support.
+    """
+    table = TRANSFORM_CHECKS
+    if dual.sum_target is not None:
+        table = [(name.replace("completeness", "completeness-on-support"), tol) for name, tol in table]
+    return _checks(table, transform_residuals(joint_probability_table(ensemble, povm), dual))
 
 
 def ud_residuals(
@@ -241,9 +255,13 @@ def checks_for_ud(
     """Retro-basis, source-spectrum, purity and duality identities of one UD instance.
 
     opt and ud_povm are the instance's optimal_dual and
-    optimal_predictive_povm, which every caller has already built.
+    optimal_predictive_povm, which every caller has already built.  The
+    instance is transformed through retro_transform, the one-pair entry
+    point that perfbench traces as the transform layer (ud_retro_dual of a
+    batch is the same transform_stack without it).
     """
-    return _checks(UD_CHECKS, ud_residuals(inst, opt, ud_povm, ud_retro_dual(inst, ud_povm)))
+    dual = retro_transform(ud_ensemble(inst), ud_povm.povm)
+    return _checks(UD_CHECKS, ud_residuals(inst, opt, ud_povm, dual))
 
 
 def channel_residuals(x: Instances, report: NoSignalingReport) -> np.ndarray:
@@ -395,46 +413,44 @@ def grid_instances() -> list[UdInstance]:
     return out
 
 
-def suite_transform(seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE) -> SuiteResult:
-    """Transform identities over the corpus, unbiased reduction, double dual."""
-    rows = []
-    worst_double_src = worst_double_ops = 0.0
-    for ensemble, povm in random_corpus(seed, count):
-        dual = retro_transform(ensemble, povm)
-        checks = checks_for_transform(ensemble, povm, dual)
-        rows.append([c.value for c in checks])
-        # Double dual: the transformed pair transforms back onto the original.
-        back_ensemble = Ensemble(tuple(dual.retro_states), dual.mu.mu)
-        worst_double_src = max(
-            worst_double_src,
-            linalg.maxabs(source_from_ensemble(back_ensemble).matrix - dual.omega.matrix),
-        )
-        back = retro_transform(back_ensemble, dual.retro_povm)
-        worst_double_ops = max(
-            worst_double_ops,
-            linalg.maxabs(back.retro_povm.elements - povm.elements),
-            *(linalg.maxabs(b.matrix - a.matrix)
-              for a, b in zip(ensemble.states, back.retro_states) if b is not None),
-        )
+def _shape_groups(pairs: list[tuple[Ensemble, Povm]]):
+    """The pairs grouped by shape (n, m, d), each group as stacked (priors, states, elements)."""
+    groups: dict[tuple[int, ...], tuple[list, list, list]] = {}
+    for ensemble, povm in pairs:
+        group = groups.setdefault((len(ensemble), *povm.elements.shape), ([], [], []))
+        for stack, array in zip(group, (ensemble.priors, ensemble.matrices, povm.elements)):
+            stack.append(array)
+    return [tuple(map(np.array, group)) for group in groups.values()]
 
-    worst_unbiased = 0.0
-    for ensemble, povm in unbiased_corpus(seed + 1):
-        dual = retro_transform(ensemble, povm)
-        ref = unbiased_dual(ensemble, povm)
-        worst_unbiased = max(
-            worst_unbiased,
-            linalg.maxabs(dual.retro_povm.elements - ref.retro_povm.elements),
-            *(linalg.maxabs(a.matrix - b.matrix)
-              for a, b in zip(dual.retro_states, ref.retro_states) if a is not None and b is not None),
-        )
+
+def suite_transform(seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE) -> SuiteResult:
+    """Transform identities over the corpus, double dual, unbiased reduction: one stack per shape."""
+    rows, double_src, double_ops = [], [0.0], [0.0]
+    for priors, states, elements in _shape_groups(random_corpus(seed, count)):
+        dual = transform_stack(priors, states, elements)
+        rows.append(transform_residuals(joint_table(priors, states, elements), dual))
+        # Double dual: the transformed pairs transform back onto the originals.
+        back = transform_stack(dual.mu.mu, dual.state_stack, dual.povm_stack)
+        double_src.append(linalg.maxabs(back.omega_matrix - dual.omega_matrix))
+        defined = back.defined[..., None, None]
+        double_ops.append(linalg.maxabs(back.povm_stack - elements))
+        double_ops.append(linalg.maxabs(back.state_stack - defined * states))
+
+    unbiased = [0.0]
+    for priors, states, elements in _shape_groups(unbiased_corpus(seed + 1)):
+        dual = transform_stack(priors, states, elements)
+        ref = unbiased_stack(priors, states, elements)
+        both = (dual.defined & ref.defined)[..., None, None]
+        unbiased.append(linalg.maxabs(dual.povm_stack - ref.povm_stack))
+        unbiased.append(linalg.maxabs(both * (dual.state_stack - ref.state_stack)))
 
     return SuiteResult(
         "transform",
         (
-            *_worst([(c.name, c.tolerance) for c in checks], np.array(rows)),
-            Check("double-dual-source", worst_double_src, 1e-10),
-            Check("double-dual-roundtrip", worst_double_ops, 1e-9),
-            Check("unbiased-reduction", worst_unbiased, 1e-10),
+            *_worst(TRANSFORM_CHECKS, np.concatenate(rows)),
+            Check("double-dual-source", max(double_src), 1e-10),
+            Check("double-dual-roundtrip", max(double_ops), 1e-9),
+            Check("unbiased-reduction", max(unbiased), 1e-10),
         ),
     )
 
@@ -552,52 +568,37 @@ def suite_failure_modes() -> SuiteResult:
         lambda: retro_basis(UdInstance(1e-8, (0.6, 0.4))),
     )
 
-    def rank_deficient():
-        state = DensityOperator(np.diag([1.0, 0.0]))
-        retro_transform(Ensemble((state, state), np.array([0.5, 0.5])), _projective_qubit_povm())
-
-    expect("rank-deficient-source-raises-singular", SingularOperator, rank_deficient)
-
-    def zero_probability():
-        zero = np.zeros((2, 2))
-        povm = Povm((np.eye(2), zero))
-        state = DensityOperator(np.eye(2) / 2.0)
-        ensemble = Ensemble((state,), np.array([1.0]))
-        retrodictive_prob_bayes(ensemble, povm, 0, 1)
-
-    expect("zero-probability-outcome-raises", ZeroProbabilityOutcome, zero_probability)
+    pure = DensityOperator(np.diag([1.0, 0.0]))
+    rank_deficient = Ensemble((pure, pure), np.array([0.5, 0.5]))
+    mixed = Ensemble((DensityOperator(np.eye(2) / 2.0),), np.array([1.0]))
+    never_clicks = Povm((np.eye(2), np.zeros((2, 2))))  # outcome 1 has probability 0
+    expect(
+        "rank-deficient-source-raises-singular",
+        SingularOperator,
+        lambda: retro_transform(rank_deficient, _projective_qubit_povm()),
+    )
+    expect(
+        "zero-probability-outcome-raises",
+        ZeroProbabilityOutcome,
+        lambda: retrodictive_prob_bayes(mixed, never_clicks, 0, 1),
+    )
 
     def flagged_undefined():
-        zero = np.zeros((2, 2))
-        povm = Povm((np.eye(2), zero))
-        state = DensityOperator(np.eye(2) / 2.0)
-        ensemble = Ensemble((state,), np.array([1.0]))
-        dual = retro_transform(ensemble, povm)
-        if dual.retro_states[1] is not None:
-            raise AssertionError("undefined retro state was not flagged")
-        retrodictive_prob_symmetric(dual, 0, 1)
+        dual = retro_transform(mixed, never_clicks)
+        # A retrodictive state for outcome 1 fails the check as "no error raised".
+        return dual.defined[1] or retrodictive_prob_symmetric(dual, 0, 1)
 
     expect("undefined-retro-state-flagged", ZeroProbabilityOutcome, flagged_undefined)
 
     expect(
         "invalid-priors-rejected",
         ValidationError,
-        lambda: Ensemble(
-            (DensityOperator(np.eye(2) / 2.0), DensityOperator(np.eye(2) / 2.0)),
-            np.array([0.5, 0.4]),
-        ),
+        lambda: Ensemble(mixed.states * 2, np.array([0.5, 0.4])),
     )
 
-    def support_restricted_runs():
-        state = DensityOperator(np.diag([1.0, 0.0]))
-        ensemble = Ensemble((state, state), np.array([0.5, 0.5]))
-        dual = retro_transform(ensemble, _projective_qubit_povm(), support_restricted=True)
-        if dual.source_residual() > 1e-10:
-            raise AssertionError("source identity failed on the support")
-
     try:
-        support_restricted_runs()
-        failures.append(Check("support-restricted-mode-runs", 0.0, 0.5))
+        dual = retro_transform(rank_deficient, _projective_qubit_povm(), support_restricted=True)
+        failures.append(Check("support-restricted-mode-runs", float(dual.source_residual() > 1e-10), 0.5))
     except RetrodictorError as exc:
         failures.append(Check(f"support-restricted-mode-runs ({type(exc).__name__})", 1.0, 0.5))
 

@@ -1,8 +1,8 @@
-"""The ud and channel suites evaluate the per-instance checks over the whole grid at once.
+"""The suites evaluate the per-instance checks over whole stacks at once.
 
-Each batched residual row must equal, exactly, what checks_for_ud and
-checks_for_channel report for that instance, and a batch must fail the way
-its instances fail one at a time.
+Each batched residual row must equal, exactly, what checks_for_ud,
+checks_for_channel and checks_for_transform report for that instance, and a
+batch must fail the way its instances fail one at a time.
 """
 
 import numpy as np
@@ -10,8 +10,11 @@ import pytest
 
 from retrodictor import verify
 from retrodictor.channel import no_signaling_check
-from retrodictor.errors import RetrodictorError
-from retrodictor.ud import UdBatch, optimal_dual, optimal_predictive_povm, ud_retro_dual
+from retrodictor.ensembles import Ensemble, source_from_ensemble
+from retrodictor.errors import RetrodictorError, ValidationError
+from retrodictor.linalg import maxabs
+from retrodictor.retrodiction import joint_table, retro_transform, transform_stack, unbiased_dual
+from retrodictor.ud import UdBatch, UdInstance, optimal_dual, optimal_predictive_povm, ud_retro_dual
 
 INSTANCES = verify.grid_instances()
 
@@ -77,3 +80,72 @@ def test_a_batch_with_a_below_floor_instance_fails_like_the_instance(fn, index):
     expected = _raised(fn, inst)
     assert expected is not None
     assert _raised(fn, UdBatch.of([*INSTANCES[:5], inst, *INSTANCES[5:10]])) is expected
+
+
+CORPUS = verify.random_corpus()
+
+
+def _groups(pairs):
+    """The pairs grouped by shape (n, m, d), as a list of pair lists."""
+    groups = {}
+    for ensemble, povm in pairs:
+        groups.setdefault((len(ensemble), *povm.elements.shape), []).append((ensemble, povm))
+    return list(groups.values())
+
+
+def _stacked(pairs):
+    return tuple(np.array(a) for a in zip(*[(e.priors, e.matrices, p.elements) for e, p in pairs]))
+
+
+def test_grouped_transform_rows_equal_the_per_pair_checks():
+    groups = _groups(CORPUS)
+    assert len(groups) < len(CORPUS) / 10
+    for pairs in groups:
+        priors, states, elements = _stacked(pairs)
+        dual = transform_stack(priors, states, elements)
+        rows = verify.transform_residuals(joint_table(priors, states, elements), dual)
+        assert rows.shape == (len(pairs), len(verify.TRANSFORM_CHECKS))
+        for (ensemble, povm), row in zip(pairs, rows):
+            checks = verify.checks_for_transform(ensemble, povm, retro_transform(ensemble, povm))
+            assert [(c.name, c.tolerance) for c in checks] == list(verify.TRANSFORM_CHECKS)
+            assert [c.value for c in checks] == row.tolist()
+
+
+def test_transform_suite_equals_its_per_pair_definition():
+    # The double dual and the unbiased reduction, pair by pair through the
+    # validated per-pair views, reduce to the grouped suite's values exactly.
+    count, seed = 60, verify.DEFAULT_SEED
+    rows, double_src, double_ops, unbiased = [], 0.0, 0.0, 0.0
+    for ensemble, povm in verify.random_corpus(seed, count):
+        dual = retro_transform(ensemble, povm)
+        rows.append([c.value for c in verify.checks_for_transform(ensemble, povm, dual)])
+        back_ensemble = Ensemble(dual.retro_states, dual.mu.mu)
+        double_src = max(double_src, maxabs(source_from_ensemble(back_ensemble).matrix - dual.omega.matrix))
+        back = retro_transform(back_ensemble, dual.retro_povm)
+        double_ops = max(double_ops, maxabs(back.retro_povm.elements - povm.elements),
+                         *(maxabs(b.matrix - a.matrix) for a, b in zip(ensemble.states, back.retro_states)))
+    for ensemble, povm in verify.unbiased_corpus(seed + 1):
+        dual, ref = retro_transform(ensemble, povm), unbiased_dual(ensemble, povm)
+        unbiased = max(unbiased, maxabs(dual.retro_povm.elements - ref.retro_povm.elements),
+                       *(maxabs(a.matrix - b.matrix) for a, b in zip(dual.retro_states, ref.retro_states)
+                         if a is not None and b is not None))
+    expected = [*np.max(rows, axis=0), double_src, double_ops, unbiased]
+    assert [c.value for c in verify.suite_transform(seed, count).checks] == expected
+
+
+@pytest.mark.parametrize(
+    "alpha, eta",
+    [
+        ([0.5, 1.2], [[0.6, 0.6], [0.4, 0.4]]),  # alpha above pi/4
+        ([0.5, 0.0], [[0.6, 0.6], [0.4, 0.4]]),  # alpha zero
+        ([0.5, 0.3], [[0.6, 0.9], [0.4, 0.9]]),  # priors summing to 1.8
+        ([0.5, 0.3], [[0.6, 1.2], [0.4, -0.2]]),  # a negative prior
+    ],
+)
+def test_a_batch_rejects_what_its_instances_reject(alpha, eta):
+    with pytest.raises(ValidationError) as instance:
+        UdInstance(alpha[1], (eta[0][1], eta[1][1]))
+    with pytest.raises(ValidationError) as batch:
+        UdBatch(np.array(alpha), np.array(eta))
+    assert [v.check for v in batch.value.violations] == [v.check for v in instance.value.violations]
+    assert [v.residual for v in batch.value.violations] == [v.residual for v in instance.value.violations]

@@ -26,8 +26,16 @@ from retrodictor.retrodiction import (
     retro_transform,
     retrodictive_prob_bayes,
     retrodictive_prob_symmetric,
+    transform_stack,
 )
-from retrodictor.ud import UdInstance, optimal_predictive_povm, retro_basis, ud_ensemble
+from retrodictor.ud import (
+    UdBatch,
+    UdInstance,
+    optimal_dual,
+    optimal_predictive_povm,
+    retro_basis,
+    ud_ensemble,
+)
 from retrodictor.verify import random_corpus, random_ensemble, random_povm, unbiased_corpus
 
 
@@ -231,6 +239,51 @@ def test_zero_probability_outcome_raises_in_bayes():
         retrodictive_prob_bayes(ensemble, povm, 0, 1)
 
 
+def test_bayes_table_conditions_each_pair_of_a_stack_on_its_defined_outcomes():
+    pairs = random_corpus(seed=21, count=6, dims=(3,))
+    joints = np.array([joint_probability_table(e, p) for e, p in pairs if (len(e), len(p)) == (2, 4)])
+    defined = np.ones(joints.shape[::2], dtype=bool)
+    defined[0, 1] = False
+    table = bayes_table(joints, defined)
+    assert table.shape == joints.shape == (2, 2, 4)
+    for joint, mask, rows in zip(joints, defined, table):
+        assert np.array_equal(rows[:, mask], joint[:, mask] / joint.sum(axis=0)[mask])
+        assert np.array_equal(rows[:, ~mask], np.zeros((2, int((~mask).sum()))))
+
+
+def test_bayes_table_rejects_a_defined_outcome_at_the_floor():
+    joints = np.array([[[0.5, 0.0], [0.5, 0.0]], [[0.5, 5e-13], [0.5 - 5e-13, 0.0]]])
+    bayes_table(joints, np.array([[True, False], [True, False]]))  # the undefined column is skipped
+    with pytest.raises(ZeroProbabilityOutcome, match="outcome 1"):
+        bayes_table(joints, np.array([[True, False], [True, True]]))
+
+
+def test_per_pair_views_of_a_stacked_dual_raise():
+    pairs = random_corpus(seed=5, count=3, dims=(2,))
+    pairs = [(e, p) for e, p in pairs if (len(e), len(p)) == (4, 2)]
+    dual = transform_stack(
+        np.array([e.priors for e, _ in pairs]),
+        np.array([e.matrices for e, _ in pairs]),
+        np.array([p.elements for _, p in pairs]),
+    )
+    assert dual.povm_stack.shape == (2, 4, 2, 2)
+    for view in ("retro_povm", "retro_states", "omega"):
+        with pytest.raises(ValueError, match="is a stack"):
+            getattr(dual, view)
+
+
+def test_per_instance_views_of_a_ud_batch_raise():
+    batch = UdBatch.of([UdInstance.from_overlap(0.5, (0.5, 0.5)), UdInstance.from_overlap(0.3, (0.7, 0.3))])
+    views = {
+        "phi1": retro_basis(batch),
+        "rho0_ret": optimal_dual(batch),
+        "povm": optimal_predictive_povm(batch),
+    }
+    for view, owner in views.items():
+        with pytest.raises(ValueError, match="is a stack"):
+            getattr(owner, view)
+
+
 def test_zero_probability_outcome_flagged_in_transform():
     state = DensityOperator(np.eye(2) / 2)
     ensemble = Ensemble((state,), np.array([1.0]))
@@ -309,4 +362,4 @@ def test_stacked_expressions_match_their_loops():
         eps = np.finfo(float).eps
         assert maxabs(table - joint) <= 16 * eps
         mu = joint.sum(axis=0)
-        assert maxabs(bayes_table(table, list(range(len(povm)))) - joint / mu) <= 32 * eps / mu.min()
+        assert maxabs(bayes_table(table, np.ones(len(povm), dtype=bool)) - joint / mu) <= 32 * eps / mu.min()

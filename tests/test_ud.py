@@ -327,3 +327,41 @@ def test_purity_identification_grid():
             )
             worst = max(worst, *residuals)
     assert worst < 1e-9
+
+
+# Instances whose failure outcome is far above the source floor but rarely
+# fires: Pi_0 = I - Pi_1 - Pi_2 kept its zero eigenvalue only up to
+# roundoff, which the division by the small mu_0 made a negative eigenvalue
+# of rho_0^ret.
+FAR_ABOVE_FLOOR = [
+    UdInstance.from_overlap(1e-6, (0.9, 0.1)),
+    UdInstance.from_overlap(1e-6, (0.1, 0.9)),
+    UdInstance.from_overlap(1e-6, (0.98, 0.02)),
+    UdInstance(0.785398, (0.6, 0.4)),
+]
+
+
+@pytest.mark.parametrize("inst", FAR_ABOVE_FLOOR)
+def test_small_failure_weight_instance_has_a_dual(inst):
+    from retrodictor.verify import checks_for_ud
+
+    ud_povm = optimal_predictive_povm(inst)
+    dual = ud_retro_dual(inst, ud_povm)
+    assert dual.defined[2]
+    assert all(c.passed for c in checks_for_ud(inst, optimal_dual(inst), ud_povm))
+
+
+def test_ud_command_far_above_the_floor_succeeds(tmp_path):
+    from retrodictor.cli import main
+
+    assert main(["ud", "--eta1", "0.6", "--alpha", "0.785398", "--out", str(tmp_path / "ud.json")]) == 0
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-6, 1e-5, 1e-4, 0.3, 0.6, 0.9])
+@pytest.mark.parametrize("eta1", [0.5, 0.6, 0.9, 0.98, 0.1])
+def test_failure_element_is_the_remainder_and_transforms(s, eta1):
+    inst = UdInstance.from_overlap(s, (eta1, 1.0 - eta1))
+    ud_povm = optimal_predictive_povm(inst)
+    pi1, pi2, pi0 = ud_povm.povm.elements
+    assert maxabs(pi0 - (np.eye(2) - pi1 - pi2)) < 1e-15
+    ud_retro_dual(inst, ud_povm)  # validates rho_0^ret

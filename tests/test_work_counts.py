@@ -173,6 +173,25 @@ def test_transform_validates_with_three_eigvalsh_calls(monkeypatch):
     assert len(defined) > 1
 
 
+def _shape_groups(pairs):
+    return len({(len(ensemble), *povm.elements.shape) for ensemble, povm in pairs})
+
+
+def test_transform_suite_transforms_once_per_shape_group(monkeypatch):
+    # The corpus and its double dual take one transform per shape (n, m, d),
+    # the unbiased corpus one more per shape; the pair count does not matter.
+    calls = count_calls(monkeypatch, retrodiction, "transform_stack")
+    counts = {}
+    for count in (100, 500):
+        calls.clear()
+        assert verify.suite_transform(count=count).passed
+        groups = _shape_groups(random_corpus(count=count))
+        unbiased = _shape_groups(verify.unbiased_corpus(verify.DEFAULT_SEED + 1))
+        assert len(calls) == 2 * groups + unbiased
+        counts[count] = len(calls)
+    assert counts[100] == counts[500] < 100
+
+
 GRIDS = {
     "2x2": (np.array([0.5, 0.9]), np.array([0.3, 0.8])),
     "6x6": (np.linspace(0.5, 0.98, 6), np.linspace(0.02, 0.95, 6)),
