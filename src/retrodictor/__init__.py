@@ -70,7 +70,6 @@ from .ud import (
     PredictiveUdPovm,
     PurityIdentificationReport,
     RetroBasis,
-    UdBatch,
     UdInstance,
     brute_force_dual,
     omega_closed_form,

@@ -29,7 +29,6 @@ from .ensembles import (
 from .errors import ValidationError
 from .ud import (
     REMAINDER_PSD_TOL,
-    Instances,
     RetroBasis,
     UdInstance,
     _optimal_mu,
@@ -90,7 +89,7 @@ class TwoQubitState:
         return float(swap_residual(self.amplitudes))
 
 
-def _two_qubit_vectors(x: Instances, alice: np.ndarray) -> np.ndarray:
+def _two_qubit_vectors(x: UdInstance, alice: np.ndarray) -> np.ndarray:
     """sum_i sqrt(eta_i) |alice_i>|psi_i> as validated (..., 4) amplitudes; alice_i are the columns of alice."""
     products = np.swapaxes(alice, -1, -2)[..., :, :, None] * ud_state_vectors(x)[..., :, None, :]
     amplitudes = (np.sqrt(_eta(x))[..., :, None, None] * products).sum(axis=-3)
@@ -99,12 +98,12 @@ def _two_qubit_vectors(x: Instances, alice: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
-def entangled_amplitudes(x: Instances) -> np.ndarray:
+def entangled_amplitudes(x: UdInstance) -> np.ndarray:
     """Shared state whose computational-basis preparation on a emits the UD pair, as (..., 4) amplitudes."""
     return _two_qubit_vectors(x, np.eye(2))
 
 
-def symmetric_amplitudes(x: Instances, basis: RetroBasis) -> np.ndarray:
+def symmetric_amplitudes(x: UdInstance, basis: RetroBasis) -> np.ndarray:
     """Shared state prepared in x's retro_basis, as (..., 4) amplitudes; invariant under the a<->b swap."""
     return _two_qubit_vectors(x, basis.vectors)
 
@@ -141,7 +140,7 @@ class NoSignalingReport:
     reduced_b: np.ndarray
     amplitudes: np.ndarray
     basis: RetroBasis
-    max_residual: float = field(init=False)
+    max_residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
         res = linalg.maxabs_each(self.reduced_a - self.tilde_a)[()]
@@ -165,10 +164,10 @@ class NoSignalingReport:
 
 
 def no_signaling_check(
-    x: Instances,
+    x: UdInstance,
     mu: tuple[float, float] | None = None,
 ) -> NoSignalingReport:
-    """Compare Alice's reduced state with the mu-weighted decomposition (of each instance of a batch).
+    """Compare Alice's reduced state with the mu-weighted decomposition (of each instance of a stack).
 
     mu defaults to the closed-form optimal weights; any feasible pair may be passed.
     The failure contribution is the remainder of the source after removing the

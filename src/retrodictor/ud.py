@@ -11,13 +11,14 @@ through the generic transform machinery.  The tests hold the two against each
 other; an independent grid search over the feasible (mu_1, mu_2) region backs
 the optimal success probability.
 
-The closed forms and constructions are array-valued: each function that takes
-a UdInstance also takes a UdBatch of N instances and then returns its results
-with a leading axis of length N, from one pass of the same code (stacked
+A UdInstance holds one instance or a stack of them over leading axes (...),
+and the closed forms and constructions are array-valued: their results carry
+the same leading axes, from one pass of the same code (stacked
 eigendecompositions, each derived stack validated once).  For one instance
-the results have no batch axis, and the dataclasses' operator accessors
+the results have no leading axes, and the dataclasses' operator accessors
 (RetroBasis.phi1, DualOptimum.rho0_ret, PredictiveUdPovm.povm) are views of
-that instance.
+that instance; the per-instance entry points (ud_states, ud_ensemble,
+brute_force_dual) raise ValueError on a stack.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
 
 import numpy as np
 
@@ -50,15 +50,11 @@ from .retrodiction import PROB_CLAMP_TOL, RetroDual, transform_stack
 # weights: its diagonal and determinant may dip this far below zero.
 REMAINDER_PSD_TOL = 1e-12
 
-# Below this weight the failure outcome never fires and its state is an
-# arbitrary convention; the balanced superposition of the retro basis is used.
-_MU0_FLOOR = 1e-14
-
 
 def _require_valid(alpha, e1, e2) -> None:
     """Raise ValidationError unless alpha is in (0, pi/4] and the priors are positive and sum to 1.
 
-    Over a batch, each violation reports its first failing instance.
+    Over a stack, each violation reports its first failing instance.
     """
     alpha, e1, e2 = (np.asarray(v).reshape(-1) for v in (alpha, e1, e2))
     off = np.abs(e1 + e2 - 1.0)
@@ -75,76 +71,76 @@ def _require_valid(alpha, e1, e2) -> None:
         raise ValidationError(violations)
 
 
-@dataclass(frozen=True)
-class UdInstance:
-    """Two equally-shaped real qubit states with priors (eta_1, eta_2)."""
-
-    alpha: float
-    eta: tuple[float, float]
-
-    def __post_init__(self):
-        e1, e2 = self.eta
-        _require_valid(self.alpha, e1, e2)
-        object.__setattr__(self, "eta", (float(e1), float(e2)))
-
-    @classmethod
-    def from_overlap(cls, overlap: float, eta: tuple[float, float]) -> "UdInstance":
-        """Build from the state overlap s = <psi_1|psi_2> in [0, 1)."""
-        if not (0.0 <= overlap < 1.0):
-            raise ValidationError(
-                [Violation("overlap_range", float(overlap), "overlap must lie in [0, 1)")]
-            )
-        return cls(math.acos(overlap) / 2.0, eta)
-
-    @property
-    def s(self) -> float:
-        """State overlap cos(2*alpha)."""
-        return math.cos(2.0 * self.alpha)
-
-    @property
-    def theta(self) -> float:
-        """Overlap angle: cos(theta) = s."""
-        return math.acos(self.s)
-
-    @property
-    def eta_max(self) -> float:
-        return max(self.eta)
-
-    @property
-    def eta_min(self) -> float:
-        return min(self.eta)
+# libm acos, elementwise: np.arccos differs from it in the last bit at some
+# overlaps (0.5 among them), which would move the reported angles.
+_acos = np.vectorize(math.acos, otypes=[float])
 
 
 @dataclass(frozen=True, eq=False)
-class UdBatch:
-    """N UD instances as arrays: alpha is (N,) and eta is (2, N).
+class UdInstance:
+    """Two equally-shaped real qubit states with priors (eta_1, eta_2), over leading axes.
 
-    The layout mirrors UdInstance (e1, e2 = batch.eta), so the array-valued
-    functions below read an instance and a batch alike; the construction
-    checks each instance's invariants as UdInstance does.
+    alpha has shape (...) and eta shape (2, ...), so e1, e2 = x.eta reads the
+    priors of one instance or of a stack alike; one instance holds NumPy
+    scalars.  Indexing a stack gives its instances along the first axis.
     """
 
     alpha: np.ndarray
     eta: np.ndarray
 
     def __post_init__(self):
-        _require_valid(self.alpha, *self.eta)
+        alpha, eta = np.array(self.alpha, dtype=float), np.array(self.eta, dtype=float)
+        if eta.shape != (2, *alpha.shape):
+            message = f"eta of shape {eta.shape} must have shape (2, *{alpha.shape})"
+            raise ValidationError([Violation("eta_shape", float(eta.size), message)])
+        _require_valid(alpha, *eta)
+        for name, values in (("alpha", alpha), ("eta", eta)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values[()])
 
     @classmethod
-    def of(cls, instances) -> "UdBatch":
-        instances = list(instances)
-        return cls(np.array([i.alpha for i in instances]), np.array([i.eta for i in instances]).T)
+    def from_overlap(cls, overlap, eta) -> "UdInstance":
+        """Build from the state overlaps s = <psi_1|psi_2>, each in [0, 1)."""
+        overlap = np.asarray(overlap, dtype=float)
+        outside = ~((overlap >= 0.0) & (overlap < 1.0))
+        if outside.any():
+            raise ValidationError(
+                [Violation("overlap_range", float(overlap[outside][0]), "overlap must lie in [0, 1)")]
+            )
+        return cls(_acos(overlap) / 2.0, eta)
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+    def __getitem__(self, index) -> "UdInstance":
+        """The instances at index along the first axis, validated with the stack."""
+        if np.ndim(self.alpha) == 0:
+            raise TypeError("one UdInstance is not a stack")
+        out = object.__new__(UdInstance)
+        object.__setattr__(out, "alpha", self.alpha[index])
+        object.__setattr__(out, "eta", self.eta[:, index])
+        return out
 
     @property
     def s(self) -> np.ndarray:
+        """State overlap cos(2*alpha)."""
         return np.cos(2.0 * self.alpha)
 
     @property
+    def theta(self) -> np.ndarray:
+        """Overlap angle: cos(theta) = s."""
+        return _acos(self.s)[()]
+
+    @property
     def eta_max(self) -> np.ndarray:
-        return np.maximum(self.eta[0], self.eta[1])
+        return np.maximum(*self.eta)
 
 
-Instances = UdInstance | UdBatch
+def _one(x: UdInstance) -> UdInstance:
+    """x, which must be one instance: a stack raises ValueError."""
+    if np.ndim(x.alpha):
+        raise ValueError(f"UdInstance of shape {np.shape(x.alpha)} is a stack, not one instance")
+    return x
 
 
 def _mat2(a, b, c, d) -> np.ndarray:
@@ -153,12 +149,12 @@ def _mat2(a, b, c, d) -> np.ndarray:
     return out if out.ndim == 2 else np.moveaxis(out, (0, 1), (-2, -1)).copy()
 
 
-def _eta(x: Instances) -> np.ndarray:
+def _eta(x: UdInstance) -> np.ndarray:
     """(eta_1, eta_2) along the last axis."""
-    return np.asarray(x.eta).T
+    return np.moveaxis(x.eta, 0, -1)
 
 
-def ud_state_vectors(x: Instances) -> np.ndarray:
+def ud_state_vectors(x: UdInstance) -> np.ndarray:
     """The input states as rows: [..., i, :] is psi_{i+1} = (cos(alpha), +-sin(alpha))."""
     c, s = np.cos(x.alpha), np.sin(x.alpha)
     return _mat2(c, s, c, -s)
@@ -166,7 +162,7 @@ def ud_state_vectors(x: Instances) -> np.ndarray:
 
 def ud_states(instance: UdInstance) -> tuple[PureState, PureState]:
     """The two input states cos(alpha)|0> +- sin(alpha)|1>."""
-    psi = ud_state_vectors(instance)
+    psi = ud_state_vectors(_one(instance))
     return PureState(psi[0]), PureState(psi[1])
 
 
@@ -175,7 +171,7 @@ def ud_ensemble(instance: UdInstance) -> Ensemble:
     return Ensemble.from_pure_states([psi1, psi2], np.array(instance.eta))
 
 
-def omega_matrix(x: Instances) -> np.ndarray:
+def omega_matrix(x: UdInstance) -> np.ndarray:
     """Source function in the computational basis."""
     c, s = np.cos(x.alpha), np.sin(x.alpha)
     e1, e2 = x.eta
@@ -185,24 +181,25 @@ def omega_matrix(x: Instances) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OmegaClosedForm:
-    """Spectrum of the source function: eigenvalues w1 >= w2 and the basis angle."""
+    """Spectrum of the source function: eigenvalues w1 >= w2 and the basis angle, each (...)."""
 
-    w1: float
-    w2: float
-    omega_angle: float
+    w1: np.ndarray
+    w2: np.ndarray
+    omega_angle: np.ndarray
 
 
-def omega_closed_form(x: Instances) -> OmegaClosedForm:
+def omega_closed_form(x: UdInstance) -> OmegaClosedForm:
     """Eigenvalues and eigenvector angle of the source function, in closed form.
 
-    w_{1,2} = (1 +- sqrt(1 - 4 eta_1 eta_2 sin^2(2 alpha))) / 2 and
-    tan(2 omega) = (eta_1 - eta_2) tan(2 alpha), with 2*omega in (-pi/2, pi/2]
-    (the boundary is reached only at alpha = pi/4 with unequal priors).
+    w_{1,2} = (1 +- r) / 2 and tan(2 omega) = (eta_1 - eta_2) tan(2 alpha), where
+    r = hypot(cos 2 alpha, (eta_1 - eta_2) sin 2 alpha) = sqrt(1 - 4 eta_1 eta_2 sin^2(2 alpha))
+    does not cancel near Omega = I/2, and 2*omega is in (-pi/2, pi/2] (the
+    boundary is reached only at alpha = pi/4 with unequal priors).
     Raises SingularOperator if w2 (of any instance) is below the source floor.
     """
     e1, e2 = x.eta
-    two_alpha = 2.0 * np.asarray(x.alpha)
-    root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * e1 * e2 * np.sin(two_alpha) ** 2))
+    two_alpha = 2.0 * x.alpha
+    root = np.hypot(np.cos(two_alpha), (e1 - e2) * np.sin(two_alpha))
     w1 = 0.5 * (1.0 + root)
     w2 = 0.5 * (1.0 - root)
     if np.any(w2 < linalg.MIN_EIG_DEFAULT):
@@ -243,7 +240,7 @@ class RetroBasis:
         return self.vectors
 
 
-def retro_basis(x: Instances) -> RetroBasis:
+def retro_basis(x: UdInstance) -> RetroBasis:
     """phi_i = Omega^{-1/2} sqrt(eta_i) psi_i, computed numerically from one spectrum of Omega."""
     omega_closed_form(x)  # reject singular sources with the closed-form witness
     spectrum = linalg.hermitian_eig(omega_matrix(x))
@@ -252,7 +249,7 @@ def retro_basis(x: Instances) -> RetroBasis:
     return RetroBasis(np.swapaxes(phis, -1, -2), spectrum)
 
 
-def retro_basis_closed_form(x: Instances) -> RetroBasis:
+def retro_basis_closed_form(x: UdInstance) -> RetroBasis:
     """The same basis from the closed-form coefficients in the eigenbasis of the source."""
     cf = omega_closed_form(x)
     e1, e2 = x.eta
@@ -278,40 +275,38 @@ def retro_basis_closed_form(x: Instances) -> RetroBasis:
     return RetroBasis(np.stack([phi1, phi2], axis=-1), spectrum)
 
 
-def omega_in_retro_basis(x: Instances) -> np.ndarray:
+def omega_in_retro_basis(x: UdInstance) -> np.ndarray:
     """Matrix of the source function in the retrodictive basis."""
     e1, e2 = x.eta
     off = np.sqrt(e1 * e2) * x.s
     return _mat2(e1, off, off, e2).astype(np.complex128)
 
 
-def source_remainder(x: Instances, mu1, mu2) -> np.ndarray:
+def source_remainder(x: UdInstance, mu1, mu2) -> np.ndarray:
     """The source in the retrodictive basis less the conclusive weights: mu_0 rho_0 in that basis."""
     e1, e2 = x.eta
     off = np.sqrt(e1 * e2) * x.s
     return _mat2(e1 - mu1, off, off, e2 - mu2)
 
 
-Regime = Literal["interior", "clamped"]
-
-
 @dataclass(frozen=True, eq=False)
 class DualOptimum:
     """Optimal weights of the retrodictive source decomposition.
 
-    mu1/mu2 weight the conclusive retro-basis states, mu0 the failure state.
-    rho0 is the failure state's matrix in the computational basis (rho0_ret
-    the operator); at the optimum it is pure (the weighted remainder has zero
+    mu1/mu2 weight the conclusive retro-basis states, mu0 the failure state,
+    and regime is "interior" or "clamped", each (...).  rho0 (..., 2, 2) is
+    the failure state's matrix in the computational basis (rho0_ret the
+    operator); at the optimum it is pure (the weighted remainder has zero
     determinant).  basis is the numeric retro_basis the failure state was
     built in.
     """
 
-    mu1: float
-    mu2: float
-    mu0: float
+    mu1: np.ndarray
+    mu2: np.ndarray
+    mu0: np.ndarray
     rho0: np.ndarray
-    p_success: float
-    regime: Regime
+    p_success: np.ndarray
+    regime: np.ndarray
     basis: RetroBasis
 
     @cached_property
@@ -319,7 +314,7 @@ class DualOptimum:
         return _validated(DensityOperator, matrix=self.rho0)
 
 
-def _optimal_mu(x: Instances) -> tuple[float, float, Regime]:
+def _optimal_mu(x: UdInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e1, e2 = x.eta
     s = x.s
     # Positivity pins the unlikely state's weight at zero in the clamped regime.
@@ -332,20 +327,23 @@ def _optimal_mu(x: Instances) -> tuple[float, float, Regime]:
     return mu1[()], mu2[()], np.where(clamped, "clamped", "interior")[()]
 
 
-def optimal_dual(x: Instances) -> DualOptimum:
+def optimal_dual(x: UdInstance) -> DualOptimum:
     """Maximize mu_1 + mu_2 subject to the remainder of the source staying PSD."""
     mu1, mu2, regime = _optimal_mu(x)
     mu0 = 1.0 - mu1 - mu2
     basis = retro_basis(x)
-    u = basis.vectors
-    # Weighted failure state in the retrodictive basis (remainder of the source).
-    # Where mu0 is below _MU0_FLOOR the balanced state is used instead, and the
-    # unused quotient divides by 1 so that it stays finite.
-    remainder = source_remainder(x, mu1, mu2)
-    balanced = np.asarray(mu0 <= _MU0_FLOOR)[..., None, None]
-    op = u @ (remainder / np.where(balanced, 1.0, np.asarray(mu0)[..., None, None])) @ linalg.dag(u)
-    phi0 = (u[..., :, 0] + u[..., :, 1]) / math.sqrt(2.0)
-    rho0 = np.where(balanced, linalg.outer(phi0), (op + linalg.dag(op)) / 2.0)
+    # The failure state is pure: the source remainder is v v^T up to its weight, in the
+    # retro basis with v = (1, 1) in the interior regime and (sqrt(eta_1) s, sqrt(eta_2))
+    # when clamped with eta_1 >= eta_2 (mirrored otherwise); this avoids dividing by mu0.
+    e1, e2 = x.eta
+    r1, r2 = np.sqrt(e1), np.sqrt(e2)
+    first = e1 >= e2
+    v = np.where(
+        regime == "clamped", [np.where(first, r1 * x.s, r1), np.where(first, r2, r2 * x.s)], 1.0
+    )
+    v = np.moveaxis(v / np.hypot(*v), 0, -1)
+    rho0 = linalg.outer((basis.vectors @ v[..., None])[..., 0])
+    rho0 = (rho0 + linalg.dag(rho0)) / 2.0
     validate_operator_stack(rho0, "failure state", unit_trace=True).raise_if_failed()
     return DualOptimum(mu1, mu2, mu0, _frozen(rho0), mu1 + mu2, regime, basis)
 
@@ -357,11 +355,11 @@ def brute_force_dual(instance: UdInstance, grid_step: float) -> tuple[float, flo
     source remainder PSD (non-negative diagonal, determinant >=
     -REMAINDER_PSD_TOL, the tolerance no_signaling_check applies); returns the
     feasible grid point maximizing mu_1 + mu_2.  Within O(grid_step) of the
-    closed form by construction.
+    closed form by construction.  instance is one instance, not a stack.
     """
     if grid_step <= 0.0:
         raise ValueError("grid_step must be positive")
-    e1, e2 = instance.eta
+    e1, e2 = _one(instance).eta
     s2 = instance.s ** 2
     mu1 = np.arange(0.0, e1 + grid_step / 2.0, grid_step)
     mu1 = mu1[mu1 <= e1]
@@ -384,18 +382,19 @@ def brute_force_dual(instance: UdInstance, grid_step: float) -> tuple[float, flo
 class PredictiveUdPovm:
     """The rank-one unambiguous measurement with its transmission weights.
 
-    elements (..., 3, 2, 2) are Pi_1, Pi_2, Pi_0; povm is the Povm of one instance.
+    elements (..., 3, 2, 2) are Pi_1, Pi_2, Pi_0 and c the weights (c_1, c_2),
+    each (...); povm is the Povm of one instance.
     """
 
     elements: np.ndarray
-    c: tuple[float, float]
+    c: tuple[np.ndarray, np.ndarray]
 
     @cached_property
     def povm(self) -> Povm:
         return _validated(Povm, elements=self.elements, sum_target=None)
 
 
-def optimal_predictive_povm(x: Instances) -> PredictiveUdPovm:
+def optimal_predictive_povm(x: UdInstance) -> PredictiveUdPovm:
     """Detectors Pi_i = c_i |psi_j-perp><psi_j-perp| realizing the optimal weights.
 
     c_i is fixed by the duality eta_i <psi_i|Pi_i|psi_i> = mu_i, so the
@@ -405,7 +404,7 @@ def optimal_predictive_povm(x: Instances) -> PredictiveUdPovm:
     e1, e2 = x.eta
     mu1, mu2, regime = _optimal_mu(x)
     one_minus_s2 = 1.0 - x.s ** 2
-    c = np.asarray([mu1 / (e1 * one_minus_s2), mu2 / (e2 * one_minus_s2)]).T
+    c = np.stack([mu1 / (e1 * one_minus_s2), mu2 / (e2 * one_minus_s2)], axis=-1)
     outside = ~((c >= -PROB_CLAMP_TOL) & (c <= 1.0 + PROB_CLAMP_TOL))
     if np.any(outside):
         worst = float(c[np.any(outside, axis=-1)].max())
@@ -428,27 +427,27 @@ def optimal_predictive_povm(x: Instances) -> PredictiveUdPovm:
     return PredictiveUdPovm(_frozen(elements), (c[..., 0][()], c[..., 1][()]))
 
 
-def _conclusive_clicks(x: Instances, ud_povm: PredictiveUdPovm) -> np.ndarray:
+def _conclusive_clicks(x: UdInstance, ud_povm: PredictiveUdPovm) -> np.ndarray:
     """<psi_i|Pi_i|psi_i> for i = 1, 2, along the last axis."""
     psi = ud_state_vectors(x)
     hits = (ud_povm.elements[..., :2, :, :] @ psi[..., None])[..., 0]
     return (psi.conj() * hits).sum(axis=-1).real
 
 
-def predictive_success_probability(x: Instances, ud_povm: PredictiveUdPovm) -> float:
+def predictive_success_probability(x: UdInstance, ud_povm: PredictiveUdPovm) -> np.ndarray:
     """Average success probability sum_i eta_i <psi_i|Pi_i|psi_i>."""
     e1, e2 = x.eta
     clicks = _conclusive_clicks(x, ud_povm)
     return e1 * clicks[..., 0] + e2 * clicks[..., 1]
 
 
-def duality_bridge(x: Instances, ud_povm: PredictiveUdPovm) -> np.ndarray:
+def duality_bridge(x: UdInstance, ud_povm: PredictiveUdPovm) -> np.ndarray:
     """eta_i <psi_i|Pi_i|psi_i>, which the duality equates with mu_i, along the last axis."""
     return _eta(x) * _conclusive_clicks(x, ud_povm)
 
 
-def ud_retro_dual(x: Instances, ud_povm: PredictiveUdPovm | None = None) -> RetroDual:
-    """Transform of the instance (each of a batch) against its optimal predictive measurement.
+def ud_retro_dual(x: UdInstance, ud_povm: PredictiveUdPovm | None = None) -> RetroDual:
+    """Transform of the instance (each of a stack) against its optimal predictive measurement.
 
     ud_povm, if given, is x's optimal_predictive_povm.
     """
@@ -470,18 +469,19 @@ class PurityIdentificationReport:
     purity_residuals: np.ndarray
     projector_residuals: np.ndarray
     sqrt_route_residuals: np.ndarray
-    failure_det_residual: float
+    failure_det_residual: np.ndarray
 
 
 def verify_purity_identification(
-    x: Instances, opt: DualOptimum, dual: RetroDual
+    x: UdInstance, opt: DualOptimum, dual: RetroDual
 ) -> PurityIdentificationReport:
     """Check that each conclusive retrodictive state is the matching basis projector.
 
     Three routes are compared: dual (the instance's ud_retro_dual), the
     projectors of opt.basis (opt is its optimal_dual), and sqrt(Omega)|psi_perp>
     renormalized, with sqrt(Omega) from the basis's source spectrum.  Also
-    reports det of the weighted failure state, which vanishes at the optimum.
+    reports |det| of the source remainder at opt's weights (the weighted
+    failure state), which vanishes at the optimum.
     """
     basis = opt.basis
     om_root = basis.omega_spectrum.sqrt()
@@ -497,10 +497,9 @@ def verify_purity_identification(
     projectors = linalg.outer(np.swapaxes(basis.vectors, -1, -2))
     vec = (om_root[..., None, :, :] @ perps[..., None])[..., 0]
     vec = vec / linalg.norm_each(vec)[..., None]
-    weighted = np.asarray(opt.mu0)[..., None, None] * opt.rho0
     return PurityIdentificationReport(
         where_defined(purity),
         where_defined(linalg.maxabs_each(states - projectors)),
         where_defined(linalg.maxabs_each(states - linalg.outer(vec))),
-        np.abs(np.linalg.det(weighted))[()],
+        np.abs(np.linalg.det(source_remainder(x, opt.mu1, opt.mu2)))[()],
     )

@@ -60,9 +60,7 @@ from .retrodiction import (
 from .sim import empirical_report, sample
 from .ud import (
     DualOptimum,
-    Instances,
     PredictiveUdPovm,
-    UdBatch,
     UdInstance,
     brute_force_dual,
     duality_bridge,
@@ -205,9 +203,9 @@ def checks_for_transform(ensemble: Ensemble, povm: Povm, dual: RetroDual) -> tup
 
 
 def ud_residuals(
-    x: Instances, opt: DualOptimum, ud_povm: PredictiveUdPovm, dual
+    x: UdInstance, opt: DualOptimum, ud_povm: PredictiveUdPovm, dual
 ) -> np.ndarray:
-    """The UD_CHECKS values of one instance, or one row of them per instance of a batch.
+    """The UD_CHECKS values of one instance, or one row of them per instance of a stack.
 
     opt, ud_povm and dual are x's optimal_dual, optimal_predictive_povm and
     ud_retro_dual; the numeric retro basis is opt.basis, and the numeric
@@ -258,14 +256,14 @@ def checks_for_ud(
     optimal_predictive_povm, which every caller has already built.  The
     instance is transformed through retro_transform, the one-pair entry
     point that perfbench traces as the transform layer (ud_retro_dual of a
-    batch is the same transform_stack without it).
+    stack is the same transform_stack without it).
     """
     dual = retro_transform(ud_ensemble(inst), ud_povm.povm)
     return _checks(UD_CHECKS, ud_residuals(inst, opt, ud_povm, dual))
 
 
-def channel_residuals(x: Instances, report: NoSignalingReport) -> np.ndarray:
-    """The CHANNEL_CHECKS values of one instance, or one row of them per instance of a batch.
+def channel_residuals(x: UdInstance, report: NoSignalingReport) -> np.ndarray:
+    """The CHANNEL_CHECKS values of one instance, or one row of them per instance of a stack.
 
     report is x's no_signaling_check at the optimal weights; its symmetric
     state, reduced states and retro basis are checked here.
@@ -402,15 +400,16 @@ def unbiased_corpus(seed: int, count: int = 60) -> list[tuple[Ensemble, Povm]]:
     return corpus
 
 
-def grid_instances() -> list[UdInstance]:
-    """The acceptance grid over (eta_max, overlap), both prior orderings."""
-    out = []
-    for eta_max in GRID_ETA_MAX:
-        for s in GRID_OVERLAP:
-            out.append(UdInstance.from_overlap(float(s), (float(eta_max), float(1.0 - eta_max))))
-            if eta_max > 0.5:
-                out.append(UdInstance.from_overlap(float(s), (float(1.0 - eta_max), float(eta_max))))
-    return out
+def grid_instances() -> UdInstance:
+    """The acceptance grid over (eta_max, overlap) as one stack, both prior orderings.
+
+    eta_max-major, then overlap, then (eta_max, eta_min) before (eta_min, eta_max).
+    """
+    eta_max, s = (a.ravel() for a in np.meshgrid(GRID_ETA_MAX, GRID_OVERLAP, indexing="ij"))
+    eta_min = 1.0 - eta_max
+    orders = np.array([[eta_max, eta_min], [eta_min, eta_max]]).transpose(1, 2, 0)  # (2, M, 2)
+    keep = np.stack([np.ones_like(eta_max, dtype=bool), eta_max > 0.5], axis=-1)
+    return UdInstance.from_overlap(np.stack([s, s], axis=-1)[keep], orders[:, keep])
 
 
 def _shape_groups(pairs: list[tuple[Ensemble, Povm]]):
@@ -455,33 +454,32 @@ def suite_transform(seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE) -> Suite
     )
 
 
-def _grid_slices() -> list[list[UdInstance]]:
+def _grid_slices() -> list[UdInstance]:
     """grid_instances in slices of at most GRID_BATCH, one vectorised pass each."""
-    instances = grid_instances()
-    return [instances[k : k + GRID_BATCH] for k in range(0, len(instances), GRID_BATCH)]
+    grid = grid_instances()
+    return [grid[k : k + GRID_BATCH] for k in range(0, len(grid), GRID_BATCH)]
 
 
-def _ud_grid_rows(instances: list[UdInstance]) -> np.ndarray:
+def _ud_grid_rows(x: UdInstance) -> np.ndarray:
     """Per instance: the gap to the grid oracle, the regime mismatches, then the UD_CHECKS values."""
-    batch = UdBatch.of(instances)
-    opt = optimal_dual(batch)
-    ud_povm = optimal_predictive_povm(batch)
-    p_grid = np.array([brute_force_dual(inst, GRID_STEP)[2] for inst in instances])
-    s = batch.s
+    opt = optimal_dual(x)
+    ud_povm = optimal_predictive_povm(x)
+    p_grid = np.array([brute_force_dual(inst, GRID_STEP)[2] for inst in x])
+    s = x.s
     clamped = opt.regime == "clamped"
     mu_min = np.minimum(opt.mu1, opt.mu2)
     mismatches = (
-        (clamped != (batch.eta_max >= 1.0 / (1.0 + s * s))).astype(float)
+        (clamped != (x.eta_max >= 1.0 / (1.0 + s * s))).astype(float)
         + (clamped & (mu_min != 0.0))
         + (~clamped & (mu_min <= 0.0))
     )
-    residuals = ud_residuals(batch, opt, ud_povm, ud_retro_dual(batch, ud_povm))
+    residuals = ud_residuals(x, opt, ud_povm, ud_retro_dual(x, ud_povm))
     return np.column_stack([np.abs(opt.p_success - p_grid), mismatches, residuals])
 
 
 def suite_ud() -> SuiteResult:
     """Closed-form optimum vs the grid oracle, regimes, and the UD identities, over the grid."""
-    rows = np.concatenate([_ud_grid_rows(instances) for instances in _grid_slices()])
+    rows = np.concatenate([_ud_grid_rows(x) for x in _grid_slices()])
 
     # Branch continuity at the regime boundary eta_max = 1/(1+s^2).
     worst_continuity = 0.0
@@ -512,8 +510,7 @@ def suite_ud() -> SuiteResult:
 
 def suite_channel() -> SuiteResult:
     """Swap symmetry, reduced states, no-signaling, sqrt-source symmetry over the grid."""
-    batches = [UdBatch.of(instances) for instances in _grid_slices()]
-    rows = np.concatenate([channel_residuals(b, no_signaling_check(b)) for b in batches])
+    rows = np.concatenate([channel_residuals(x, no_signaling_check(x)) for x in _grid_slices()])
     return SuiteResult("channel", _worst(CHANNEL_CHECKS, rows))
 
 

@@ -5,6 +5,8 @@ checks_for_channel and checks_for_transform report for that instance, and a
 batch must fail the way its instances fail one at a time.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,31 @@ from retrodictor.ensembles import Ensemble, source_from_ensemble
 from retrodictor.errors import RetrodictorError, ValidationError
 from retrodictor.linalg import maxabs
 from retrodictor.retrodiction import joint_table, retro_transform, transform_stack, unbiased_dual
-from retrodictor.ud import UdBatch, UdInstance, optimal_dual, optimal_predictive_povm, ud_retro_dual
+from retrodictor.ud import UdInstance, optimal_dual, optimal_predictive_povm, ud_retro_dual
 
 INSTANCES = verify.grid_instances()
 
 
 @pytest.fixture(scope="module")
 def batch():
-    return UdBatch.of(INSTANCES)
+    return INSTANCES
+
+
+def test_grid_stack_equals_the_per_instance_construction():
+    expected = []
+    for eta_max in verify.GRID_ETA_MAX:
+        for s in verify.GRID_OVERLAP:
+            expected.append((math.acos(float(s)) / 2.0, float(eta_max), float(1.0 - eta_max)))
+            if eta_max > 0.5:
+                expected.append((math.acos(float(s)) / 2.0, float(1.0 - eta_max), float(eta_max)))
+    alpha, e1, e2 = np.array(expected).T
+    assert len(INSTANCES) == len(expected)
+    assert INSTANCES.alpha.tobytes() == alpha.tobytes()
+    assert INSTANCES.eta.tobytes() == np.array([e1, e2]).tobytes()
+    inst = INSTANCES[7]
+    assert (inst.alpha, *inst.eta) == expected[7]
+    with pytest.raises(TypeError):
+        inst[0]
 
 
 def test_batched_ud_rows_equal_the_per_instance_checks(batch):
@@ -79,7 +98,9 @@ def test_a_batch_with_a_below_floor_instance_fails_like_the_instance(fn, index):
     inst = BELOW_FLOOR[index]
     expected = _raised(fn, inst)
     assert expected is not None
-    assert _raised(fn, UdBatch.of([*INSTANCES[:5], inst, *INSTANCES[5:10]])) is expected
+    stack = [*INSTANCES[:5], inst, *INSTANCES[5:10]]
+    stack = UdInstance(np.array([i.alpha for i in stack]), np.array([i.eta for i in stack]).T)
+    assert _raised(fn, stack) is expected
 
 
 CORPUS = verify.random_corpus()
@@ -146,6 +167,19 @@ def test_a_batch_rejects_what_its_instances_reject(alpha, eta):
     with pytest.raises(ValidationError) as instance:
         UdInstance(alpha[1], (eta[0][1], eta[1][1]))
     with pytest.raises(ValidationError) as batch:
-        UdBatch(np.array(alpha), np.array(eta))
+        UdInstance(np.array(alpha), np.array(eta))
     assert [v.check for v in batch.value.violations] == [v.check for v in instance.value.violations]
     assert [v.residual for v in batch.value.violations] == [v.residual for v in instance.value.violations]
+
+
+def test_a_stack_over_two_leading_axes_gives_the_rows_of_the_flat_grid(batch):
+    grid = UdInstance(batch.alpha.reshape(5, -1), batch.eta.reshape(2, 5, -1))
+    assert len(grid) == 5 and len(grid[0]) == len(batch) // 5
+    ud_povm = optimal_predictive_povm(grid)
+    rows = verify.ud_residuals(grid, optimal_dual(grid), ud_povm, ud_retro_dual(grid, ud_povm))
+    ud_povm = optimal_predictive_povm(batch)
+    flat = verify.ud_residuals(batch, optimal_dual(batch), ud_povm, ud_retro_dual(batch, ud_povm))
+    assert np.array_equal(rows.reshape(flat.shape), flat, equal_nan=True)
+    rows = verify.channel_residuals(grid, no_signaling_check(grid))
+    flat = verify.channel_residuals(batch, no_signaling_check(batch))
+    assert np.array_equal(rows.reshape(flat.shape), flat)

@@ -29,7 +29,6 @@ from retrodictor.retrodiction import (
     transform_stack,
 )
 from retrodictor.ud import (
-    UdBatch,
     UdInstance,
     optimal_dual,
     optimal_predictive_povm,
@@ -273,7 +272,7 @@ def test_per_pair_views_of_a_stacked_dual_raise():
 
 
 def test_per_instance_views_of_a_ud_batch_raise():
-    batch = UdBatch.of([UdInstance.from_overlap(0.5, (0.5, 0.5)), UdInstance.from_overlap(0.3, (0.7, 0.3))])
+    batch = UdInstance.from_overlap([0.5, 0.3], [[0.5, 0.7], [0.5, 0.3]])
     views = {
         "phi1": retro_basis(batch),
         "rho0_ret": optimal_dual(batch),

@@ -365,3 +365,53 @@ def test_failure_element_is_the_remainder_and_transforms(s, eta1):
     pi1, pi2, pi0 = ud_povm.povm.elements
     assert maxabs(pi0 - (np.eye(2) - pi1 - pi2)) < 1e-15
     ud_retro_dual(inst, ud_povm)  # validates rho_0^ret
+
+
+# Overlaps from 0 to 0.99, dense towards orthogonal states, against priors in
+# both regimes and within 1e-9 of even: every instance clears the source floor.
+SWEEP_OVERLAPS = [0.0, 1e-15, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.3, 0.7, 0.99]
+SWEEP_ETA1 = [
+    0.02, 0.1, 0.2, 0.3, 0.4, 0.45, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.55, 0.6, 0.7, 0.8, 0.9, 0.98, 0.999
+]
+
+
+def test_every_valid_instance_above_the_floor_passes_the_ud_and_channel_checks():
+    # The failure state used to divide the source remainder by a tiny mu_0,
+    # and the closed-form spectrum cancelled where Omega is close to I/2.
+    from retrodictor.channel import no_signaling_check
+    from retrodictor.verify import checks_for_channel, checks_for_ud
+
+    failures = []
+    for s in SWEEP_OVERLAPS:
+        for eta1 in SWEEP_ETA1:
+            try:
+                inst = UdInstance.from_overlap(s, (eta1, 1.0 - eta1))
+                checks = checks_for_ud(inst, optimal_dual(inst), optimal_predictive_povm(inst))
+                checks += checks_for_channel(inst, no_signaling_check(inst))
+            except ValidationError as exc:
+                failures.append((s, eta1, str(exc)))
+            else:
+                failures += [(s, eta1, c.name, c.value) for c in checks if not c.passed]
+    assert failures == []
+
+
+def test_ud_command_for_nearly_orthogonal_states_succeeds(tmp_path):
+    from retrodictor.cli import main
+
+    assert main(["ud", "--eta1", "0.7", "--overlap", "1e-7", "--out", str(tmp_path / "ud.json")]) == 0
+
+
+def test_a_stack_with_mismatched_shapes_or_an_overlap_out_of_range_raises_a_named_error():
+    with pytest.raises(ValidationError) as shape:
+        UdInstance(np.array([0.3, 0.4]), np.array([[0.6, 0.4, 0.5], [0.4, 0.6, 0.5]]))
+    assert [v.check for v in shape.value.violations] == ["eta_shape"]
+    with pytest.raises(ValidationError) as overlap:
+        UdInstance.from_overlap(np.array([0.2, 1.0, 0.5]), np.array([[0.6] * 3, [0.4] * 3]))
+    assert [(v.check, v.residual) for v in overlap.value.violations] == [("overlap_range", 1.0)]
+
+
+@pytest.mark.parametrize("fn", [ud_states, ud_ensemble, lambda x: brute_force_dual(x, 1e-3)])
+def test_per_instance_entry_points_raise_on_a_stack(fn):
+    stack = UdInstance.from_overlap([0.5, 0.3], [[0.5, 0.7], [0.5, 0.3]])
+    with pytest.raises(ValueError, match="is a stack"):
+        fn(stack)
