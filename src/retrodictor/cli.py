@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .channel import no_signaling_check
-from .errors import RetrodictorError, ValidationError
+from .errors import DimensionMismatch, RetrodictorError, ValidationError
 from .formats import (
     ensemble_to_payload,
     matrix_to_rows,
@@ -305,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, DimensionMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except RetrodictorError as exc:

@@ -50,6 +50,9 @@ from .retrodiction import PROB_CLAMP_TOL, RetroDual, transform_stack
 # weights: its diagonal and determinant may dip this far below zero.
 REMAINDER_PSD_TOL = 1e-12
 
+# Smallest brute_force_dual step: at most about 1e6 grid points, 8 MB per temporary.
+MIN_GRID_STEP = 1e-6
+
 
 def _require_valid(alpha, e1, e2) -> None:
     """Raise ValidationError unless alpha is in (0, pi/4] and the priors are positive and sum to 1.
@@ -356,9 +359,10 @@ def brute_force_dual(instance: UdInstance, grid_step: float) -> tuple[float, flo
     -REMAINDER_PSD_TOL, the tolerance no_signaling_check applies); returns the
     feasible grid point maximizing mu_1 + mu_2.  Within O(grid_step) of the
     closed form by construction.  instance is one instance, not a stack.
+    grid_step must be finite and at least MIN_GRID_STEP.
     """
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be positive")
+    if not (math.isfinite(grid_step) and grid_step >= MIN_GRID_STEP):
+        raise ValueError(f"grid_step must be finite and at least {MIN_GRID_STEP:g}, got {grid_step!r}")
     e1, e2 = _one(instance).eta
     s2 = instance.s ** 2
     mu1 = np.arange(0.0, e1 + grid_step / 2.0, grid_step)

@@ -10,12 +10,12 @@ classification, branch continuity, spot values).
 Every identity family is array-valued: `transform_residuals`,
 `ud_residuals` and `channel_residuals` give one row of their check table's
 values per instance, for one instance (what the `checks_for_*` functions
-report) or for a whole stack.  The transform suite groups its corpus by shape
-(n, m, d) and runs one `transform_stack` per group; the `ud` and `channel`
-suites are a few vectorised passes over slices of the grid (GRID_BATCH
-instances each).  Each suite reports each column's worst value (NaN is
-worst).  The random corpora are generated with the same counter-based
-generator as the sampler, so suite runs are reproducible.
+report) or for a whole stack.  The random corpora are drawn, with the
+sampler's counter-based generator (so suite runs are reproducible), straight
+into shape groups (n, m, d) of stacked arrays, one `transform_stack` each;
+the `ud` and `channel` suites are a few vectorised passes over slices of the
+grid (GRID_BATCH instances each).  Each suite reports each column's worst
+value (NaN is worst).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .channel import (
     sqrt_omega_in_retro_basis,
     swap_residual,
 )
-from .ensembles import DensityOperator, Ensemble, Povm, source_from_ensemble, validate_operator_stack
+from .ensembles import DensityOperator, Ensemble, Povm, validate_operator_stack, validate_povm_stack, validate_priors
 from .errors import (
     RetrodictorError,
     SingularOperator,
@@ -46,11 +46,11 @@ from .errors import (
 )
 from .retrodiction import (
     RetroDual,
+    _click_probabilities,
     bayes_table,
     born_table,
     joint_probability_table,
     joint_table,
-    outcome_probs,
     retro_transform,
     retrodictive_prob_bayes,
     retrodictive_prob_symmetric,
@@ -304,57 +304,73 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
-    g = rng.standard_normal((dim, dim + 1)) + 1j * rng.standard_normal((dim, dim + 1))
-    m = g @ g.conj().T
-    return DensityOperator(m / float(np.trace(m).real))
-
-
 def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return linalg.hermitian_eig((g + g.conj().T) / 2.0).eigenvectors
 
 
+def _draw_states(rng: np.random.Generator, dim: int, n_states: int) -> tuple[np.ndarray, np.ndarray]:
+    priors = rng.random(n_states) + 0.1
+    z = rng.standard_normal((n_states, 2, dim, dim + 1))  # real, then imaginary part, per state
+    g = z[:, 0] + 1j * z[:, 1]
+    m = g @ linalg.dag(g)
+    return priors / priors.sum(), m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+
+def _draw_povm(rng: np.random.Generator, dim: int, n_elements: int) -> np.ndarray:
+    z = rng.standard_normal((n_elements, 2, dim, dim))
+    g = z[:, 0] + 1j * z[:, 1]
+    mats = g @ linalg.dag(g)
+    inv_root = linalg.inv_sqrtm_psd(mats.sum(axis=0), min_eig=1e-12)
+    e = inv_root @ mats @ inv_root
+    return (e + linalg.dag(e)) / 2.0
+
+
 def random_povm(rng: np.random.Generator, dim: int, n_elements: int) -> Povm:
     """Random POVM: normalize a set of Ginibre PSD operators by their sum."""
-    mats = []
-    for _ in range(n_elements):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        mats.append(g @ g.conj().T)
-    inv_root = linalg.inv_sqrtm_psd(sum(mats), min_eig=1e-12)
-    e = inv_root @ np.stack(mats) @ inv_root
-    return Povm((e + linalg.dag(e)) / 2.0)
+    return Povm(_draw_povm(rng, dim, n_elements))
 
 
 def random_ensemble(rng: np.random.Generator, dim: int, n_states: int) -> Ensemble:
-    priors = rng.random(n_states) + 0.1
-    priors = priors / priors.sum()
-    return Ensemble(tuple(_random_density(rng, dim) for _ in range(n_states)), priors)
+    priors, states = _draw_states(rng, dim, n_states)
+    return Ensemble(tuple(map(DensityOperator, states)), priors)
+
+
+def corpus_pairs(groups) -> list[tuple[Ensemble, Povm]]:
+    """Per-pair view of a corpus: each pair of each shape group as an Ensemble and a Povm."""
+    return [(Ensemble(tuple(map(DensityOperator, s)), p), Povm(e)) for g in groups for p, s, e in zip(*g)]
+
+
+def _stacked_groups(pairs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Pairs grouped by shape (n, m, d) and stacked, each group validated once (priors row by row)."""
+    groups: dict[tuple[int, ...], list] = {}
+    for pair in pairs:
+        groups.setdefault((len(pair[0]), *pair[2].shape), []).append(pair)
+    stacks = [tuple(map(np.array, zip(*group))) for group in groups.values()]
+    for priors, states, elements in stacks:
+        for row in priors:
+            validate_priors(row).raise_if_failed()
+        validate_operator_stack(states, "corpus state", unit_trace=True).raise_if_failed()
+        validate_povm_stack(elements, "corpus POVM").raise_if_failed()
+    return stacks
 
 
 def random_corpus(
-    seed: int = DEFAULT_SEED,
-    count: int = CORPUS_SIZE,
-    dims: tuple[int, ...] = CORPUS_DIMS,
-    min_omega_eig: float = MIN_OMEGA_EIG,
-    min_mu: float = MIN_MU,
-) -> list[tuple[Ensemble, Povm]]:
-    """Seeded random (ensemble, POVM) pairs with well-conditioned sources and outcomes."""
+    seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE, dims: tuple[int, ...] = CORPUS_DIMS
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Seeded pairs clearing MIN_OMEGA_EIG and MIN_MU, as shape groups of stacked (priors, states, elements)."""
     rng = _rng(seed)
-    corpus = []
-    while len(corpus) < count:
-        dim = dims[len(corpus) % len(dims)]
+    pairs = []
+    while len(pairs) < count:
+        dim = dims[len(pairs) % len(dims)]
         n_states = int(rng.integers(2, 5))
         n_elements = int(rng.integers(2, 5))
-        ensemble = random_ensemble(rng, dim, n_states)
-        povm = random_povm(rng, dim, n_elements)
-        omega = source_from_ensemble(ensemble)
-        if linalg.min_eigenvalue(omega.matrix) < min_omega_eig:
-            continue
-        if outcome_probs(povm, omega).mu.min() < min_mu:
-            continue
-        corpus.append((ensemble, povm))
-    return corpus
+        priors, states = _draw_states(rng, dim, n_states)
+        elements = _draw_povm(rng, dim, n_elements)
+        omega = (priors[:, None, None] * states).sum(axis=0)
+        if linalg.min_eigenvalue(omega) >= MIN_OMEGA_EIG and _click_probabilities(elements, omega).min() >= MIN_MU:
+            pairs.append((priors, states, elements))
+    return _stacked_groups(pairs)
 
 
 def floor_sweep() -> tuple[list[tuple[float, Ensemble, Povm]], list[tuple[float, UdInstance]]]:
@@ -372,11 +388,9 @@ def floor_sweep() -> tuple[list[tuple[float, Ensemble, Povm]], list[tuple[float,
         root = (u * np.sqrt(np.concatenate([[min_eig], rest]))) @ linalg.dag(u)
         parts = root @ random_povm(rng, dim, int(rng.integers(2, 5))).elements @ root
         priors = np.trace(parts, axis1=1, axis2=2).real
-        states = tuple(
-            DensityOperator((p + linalg.dag(p)) / (2.0 * eta)) for p, eta in zip(parts, priors)
-        )
+        states = (parts + linalg.dag(parts)) / (2.0 * priors[:, None, None])
         povm = random_povm(rng, dim, int(rng.integers(2, 5)))
-        transforms.append((min_eig, Ensemble(states, priors), povm))
+        transforms.append((min_eig, Ensemble(tuple(map(DensityOperator, states)), priors), povm))
     uds = [
         (w2, UdInstance(0.5 * math.asin(math.sqrt(w2 * (1.0 - w2) / (eta[0] * eta[1]))), eta))
         for eta in ((0.5, 0.5), (0.6, 0.4))
@@ -385,19 +399,15 @@ def floor_sweep() -> tuple[list[tuple[float, Ensemble, Povm]], list[tuple[float,
     return transforms, uds
 
 
-def unbiased_corpus(seed: int, count: int = 60) -> list[tuple[Ensemble, Povm]]:
-    """Pairs whose source is maximally mixed: orthonormal pure states, uniform priors."""
+def unbiased_corpus(seed: int, count: int = 60) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Pairs whose source is maximally mixed (orthonormal pure states, uniform priors), as shape groups."""
     rng = _rng(seed)
-    corpus = []
+    pairs = []
     for k in range(count):
         dim = CORPUS_DIMS[k % len(CORPUS_DIMS)]
-        u = _random_unitary(rng, dim)
-        states = tuple(
-            DensityOperator(linalg.outer(u[:, i])) for i in range(dim)
-        )
-        ensemble = Ensemble(states, np.full(dim, 1.0 / dim))
-        corpus.append((ensemble, random_povm(rng, dim, int(rng.integers(2, 5)))))
-    return corpus
+        states = linalg.outer(_random_unitary(rng, dim).T)
+        pairs.append((np.full(dim, 1.0 / dim), states, _draw_povm(rng, dim, int(rng.integers(2, 5)))))
+    return _stacked_groups(pairs)
 
 
 def grid_instances() -> UdInstance:
@@ -412,20 +422,10 @@ def grid_instances() -> UdInstance:
     return UdInstance.from_overlap(np.stack([s, s], axis=-1)[keep], orders[:, keep])
 
 
-def _shape_groups(pairs: list[tuple[Ensemble, Povm]]):
-    """The pairs grouped by shape (n, m, d), each group as stacked (priors, states, elements)."""
-    groups: dict[tuple[int, ...], tuple[list, list, list]] = {}
-    for ensemble, povm in pairs:
-        group = groups.setdefault((len(ensemble), *povm.elements.shape), ([], [], []))
-        for stack, array in zip(group, (ensemble.priors, ensemble.matrices, povm.elements)):
-            stack.append(array)
-    return [tuple(map(np.array, group)) for group in groups.values()]
-
-
 def suite_transform(seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE) -> SuiteResult:
     """Transform identities over the corpus, double dual, unbiased reduction: one stack per shape."""
     rows, double_src, double_ops = [], [0.0], [0.0]
-    for priors, states, elements in _shape_groups(random_corpus(seed, count)):
+    for priors, states, elements in random_corpus(seed, count):
         dual = transform_stack(priors, states, elements)
         rows.append(transform_residuals(joint_table(priors, states, elements), dual))
         # Double dual: the transformed pairs transform back onto the originals.
@@ -436,7 +436,7 @@ def suite_transform(seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE) -> Suite
         double_ops.append(linalg.maxabs(back.state_stack - defined * states))
 
     unbiased = [0.0]
-    for priors, states, elements in _shape_groups(unbiased_corpus(seed + 1)):
+    for priors, states, elements in unbiased_corpus(seed + 1):
         dual = transform_stack(priors, states, elements)
         ref = unbiased_stack(priors, states, elements)
         both = (dual.defined & ref.defined)[..., None, None]

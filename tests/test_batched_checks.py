@@ -106,25 +106,12 @@ def test_a_batch_with_a_below_floor_instance_fails_like_the_instance(fn, index):
 CORPUS = verify.random_corpus()
 
 
-def _groups(pairs):
-    """The pairs grouped by shape (n, m, d), as a list of pair lists."""
-    groups = {}
-    for ensemble, povm in pairs:
-        groups.setdefault((len(ensemble), *povm.elements.shape), []).append((ensemble, povm))
-    return list(groups.values())
-
-
-def _stacked(pairs):
-    return tuple(np.array(a) for a in zip(*[(e.priors, e.matrices, p.elements) for e, p in pairs]))
-
-
 def test_grouped_transform_rows_equal_the_per_pair_checks():
-    groups = _groups(CORPUS)
-    assert len(groups) < len(CORPUS) / 10
-    for pairs in groups:
-        priors, states, elements = _stacked(pairs)
-        dual = transform_stack(priors, states, elements)
-        rows = verify.transform_residuals(joint_table(priors, states, elements), dual)
+    assert len(CORPUS) < verify.CORPUS_SIZE / 10
+    for group in CORPUS:
+        dual = transform_stack(*group)
+        rows = verify.transform_residuals(joint_table(*group), dual)
+        pairs = verify.corpus_pairs([group])
         assert rows.shape == (len(pairs), len(verify.TRANSFORM_CHECKS))
         for (ensemble, povm), row in zip(pairs, rows):
             checks = verify.checks_for_transform(ensemble, povm, retro_transform(ensemble, povm))
@@ -137,7 +124,7 @@ def test_transform_suite_equals_its_per_pair_definition():
     # validated per-pair views, reduce to the grouped suite's values exactly.
     count, seed = 60, verify.DEFAULT_SEED
     rows, double_src, double_ops, unbiased = [], 0.0, 0.0, 0.0
-    for ensemble, povm in verify.random_corpus(seed, count):
+    for ensemble, povm in verify.corpus_pairs(verify.random_corpus(seed, count)):
         dual = retro_transform(ensemble, povm)
         rows.append([c.value for c in verify.checks_for_transform(ensemble, povm, dual)])
         back_ensemble = Ensemble(dual.retro_states, dual.mu.mu)
@@ -145,7 +132,7 @@ def test_transform_suite_equals_its_per_pair_definition():
         back = retro_transform(back_ensemble, dual.retro_povm)
         double_ops = max(double_ops, maxabs(back.retro_povm.elements - povm.elements),
                          *(maxabs(b.matrix - a.matrix) for a, b in zip(ensemble.states, back.retro_states)))
-    for ensemble, povm in verify.unbiased_corpus(seed + 1):
+    for ensemble, povm in verify.corpus_pairs(verify.unbiased_corpus(seed + 1)):
         dual, ref = retro_transform(ensemble, povm), unbiased_dual(ensemble, povm)
         unbiased = max(unbiased, maxabs(dual.retro_povm.elements - ref.retro_povm.elements),
                        *(maxabs(a.matrix - b.matrix) for a, b in zip(dual.retro_states, ref.retro_states)

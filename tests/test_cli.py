@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from retrodictor.cli import main
+from retrodictor.ensembles import Povm
 from retrodictor.formats import ensemble_to_payload, povm_to_payload, write_json
 from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble, ud_states
 
@@ -97,6 +98,12 @@ def test_ud_command_grid_check(tmp_path):
     assert check["passed"] is True
 
 
+@pytest.mark.parametrize("step", ["nan", "inf", "5e-7"])
+def test_ud_command_bad_grid_step_exit_1(step, capsys):
+    assert main(["ud", "--eta1", "0.7", "--overlap", "0.4", "--grid-check", step]) == 1
+    assert "grid_step must be finite and at least 1e-06" in capsys.readouterr().err
+
+
 def test_ud_command_alpha_and_overlap_exclusive(capsys):
     code = main(["ud", "--eta1", "0.5", "--alpha", "0.3", "--overlap", "0.5"])
     assert code == 1
@@ -170,6 +177,15 @@ def test_json_report_to_stdout(ud_files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["command"] == "transform"
     assert doc["passed"] is True
+
+
+@pytest.mark.parametrize("command", [["transform"], ["simulate", "--n", "100", "--seed", "1"]])
+def test_dimension_mismatch_between_input_files_exit_1(ud_files, tmp_path, command, capsys):
+    ens_path, _ = ud_files
+    povm_path = tmp_path / "povm3.json"
+    write_json(povm_to_payload(Povm(tuple(np.diag(row) for row in np.eye(3)))), str(povm_path))
+    assert main([command[0], ens_path, str(povm_path), *command[1:]]) == 1
+    assert "ensemble vs POVM: 2 != 3" in capsys.readouterr().err
 
 
 def test_missing_file_exit_1(capsys):

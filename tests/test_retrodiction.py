@@ -20,6 +20,7 @@ from retrodictor.linalg import dag, hermitian_eig, maxabs, min_eigenvalue, outer
 from retrodictor.retrodiction import (
     bayes_table,
     joint_probability_table,
+    joint_table,
     unbiased_dual,
     outcome_probs,
     predictive_prob,
@@ -35,7 +36,7 @@ from retrodictor.ud import (
     retro_basis,
     ud_ensemble,
 )
-from retrodictor.verify import random_corpus, random_ensemble, random_povm, unbiased_corpus
+from retrodictor.verify import corpus_pairs, random_corpus, random_ensemble, random_povm, unbiased_corpus
 
 
 def projective_povm(dim=2):
@@ -99,7 +100,7 @@ def test_bayes_orthogonal_matching_projectors():
 
 
 def test_bayes_matches_unbiased_construction():
-    ensemble, povm = unbiased_corpus(seed=11, count=1)[0]
+    ensemble, povm = corpus_pairs(unbiased_corpus(seed=11, count=1))[0]
     dual = unbiased_dual(ensemble, povm)
     for i in range(len(ensemble)):
         for j in range(len(povm)):
@@ -122,7 +123,7 @@ def test_bayes_matches_symmetric_random_d3():
 
 
 def test_transform_reduces_to_unbiased_construction():
-    ensemble, povm = unbiased_corpus(seed=21, count=1)[0]
+    ensemble, povm = corpus_pairs(unbiased_corpus(seed=21, count=1))[0]
     dual = retro_transform(ensemble, povm)
     ref = unbiased_dual(ensemble, povm)
     for a, b in zip(dual.retro_povm.elements, ref.retro_povm.elements):
@@ -160,7 +161,7 @@ def test_symmetric_ud_exclusion_structure():
 
 def test_symmetry_property_over_seeded_corpus():
     worst = 0.0
-    for ensemble, povm in random_corpus(seed=301, count=60):
+    for ensemble, povm in corpus_pairs(random_corpus(seed=301, count=60)):
         dual = retro_transform(ensemble, povm)
         for i in range(len(ensemble)):
             for j in range(len(povm)):
@@ -239,8 +240,8 @@ def test_zero_probability_outcome_raises_in_bayes():
 
 
 def test_bayes_table_conditions_each_pair_of_a_stack_on_its_defined_outcomes():
-    pairs = random_corpus(seed=21, count=6, dims=(3,))
-    joints = np.array([joint_probability_table(e, p) for e, p in pairs if (len(e), len(p)) == (2, 4)])
+    groups = random_corpus(seed=21, count=6, dims=(3,))
+    joints = joint_table(*next(g for g in groups if (g[0].shape[1], g[2].shape[1]) == (2, 4)))
     defined = np.ones(joints.shape[::2], dtype=bool)
     defined[0, 1] = False
     table = bayes_table(joints, defined)
@@ -258,13 +259,8 @@ def test_bayes_table_rejects_a_defined_outcome_at_the_floor():
 
 
 def test_per_pair_views_of_a_stacked_dual_raise():
-    pairs = random_corpus(seed=5, count=3, dims=(2,))
-    pairs = [(e, p) for e, p in pairs if (len(e), len(p)) == (4, 2)]
-    dual = transform_stack(
-        np.array([e.priors for e, _ in pairs]),
-        np.array([e.matrices for e, _ in pairs]),
-        np.array([p.elements for _, p in pairs]),
-    )
+    groups = random_corpus(seed=5, count=3, dims=(2,))
+    dual = transform_stack(*next(g for g in groups if (g[0].shape[1], g[2].shape[1]) == (4, 2)))
     assert dual.povm_stack.shape == (2, 4, 2, 2)
     for view in ("retro_povm", "retro_states", "omega"):
         with pytest.raises(ValueError, match="is a stack"):
@@ -343,7 +339,7 @@ def test_stacked_expressions_match_their_loops():
     # joint table's einsum sums in another order, so it gets a roundoff bound
     # of d^2 unit roundoffs (entries of magnitude <= 1, d <= 4), and Bayes that
     # bound twice over the smallest column sum.
-    for ensemble, povm in random_corpus(count=30):
+    for ensemble, povm in corpus_pairs(random_corpus(count=30)):
         pairs = list(zip(ensemble.priors, ensemble.states))
         omega = sum(eta * s.matrix for eta, s in pairs)
         assert np.array_equal(source_from_ensemble(ensemble).matrix, omega)

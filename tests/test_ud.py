@@ -8,6 +8,7 @@ from retrodictor.errors import SingularOperator, ValidationError
 from retrodictor.linalg import dag, hermitian_eig, maxabs
 from retrodictor.retrodiction import outcome_probs
 from retrodictor.ud import (
+    MIN_GRID_STEP,
     UdInstance,
     brute_force_dual,
     omega_closed_form,
@@ -204,6 +205,18 @@ def test_brute_force_examples():
 def test_brute_force_rejects_bad_step():
     with pytest.raises(ValueError):
         brute_force_dual(UdInstance(0.3, (0.5, 0.5)), 0.0)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.5 * MIN_GRID_STEP])
+def test_brute_force_rejects_non_finite_and_sub_floor_steps(step):
+    with pytest.raises(ValueError, match=f"at least {MIN_GRID_STEP:g}"):
+        brute_force_dual(UdInstance(0.3, (0.5, 0.5)), step)
+
+
+def test_brute_force_runs_at_the_step_floor():
+    inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
+    _, _, p = brute_force_dual(inst, MIN_GRID_STEP)
+    assert abs(p - optimal_dual(inst).p_success) <= 2.0 * MIN_GRID_STEP
 
 
 def test_dual_invariants_on_grid():

@@ -17,7 +17,13 @@ from retrodictor.cli import main
 from retrodictor.ensembles import DensityOperator, Ensemble, Povm, validate_ensemble, validate_povm
 from retrodictor.formats import parse_ensemble_file, parse_povm_file, povm_to_payload, write_json
 from retrodictor.retrodiction import retro_transform
-from retrodictor.verify import checks_for_channel, checks_for_transform, checks_for_ud, random_corpus
+from retrodictor.verify import (
+    checks_for_channel,
+    checks_for_transform,
+    checks_for_ud,
+    corpus_pairs,
+    random_corpus,
+)
 
 SAMPLE_INPUTS = Path(__file__).resolve().parent.parent / "sample_inputs"
 
@@ -60,7 +66,7 @@ def omega_diagonalisations(monkeypatch):
 
 
 def _transform_inputs():
-    pairs = random_corpus(count=6)
+    pairs = corpus_pairs(random_corpus(count=6))
     # One outcome that never clicks: its retrodictive state is undefined.
     mixed = DensityOperator(np.eye(2) / 2.0)
     pairs.append((Ensemble((mixed,), np.array([1.0])), Povm((np.eye(2), np.zeros((2, 2))))))
@@ -173,8 +179,16 @@ def test_transform_validates_with_three_eigvalsh_calls(monkeypatch):
     assert len(defined) > 1
 
 
-def _shape_groups(pairs):
-    return len({(len(ensemble), *povm.elements.shape) for ensemble, povm in pairs})
+def test_corpus_validation_does_not_grow_with_the_pair_count(monkeypatch):
+    # Each shape group's states and POVMs are validated as two stacks.
+    calls = count_calls(monkeypatch, ensembles, "_validate_operators")
+    counts = {}
+    for count in (100, 500):
+        calls.clear()
+        groups = random_corpus(count=count)
+        assert len(calls) == 2 * len(groups)
+        counts[count] = len(calls)
+    assert counts[500] <= counts[100]
 
 
 def test_transform_suite_transforms_once_per_shape_group(monkeypatch):
@@ -185,8 +199,8 @@ def test_transform_suite_transforms_once_per_shape_group(monkeypatch):
     for count in (100, 500):
         calls.clear()
         assert verify.suite_transform(count=count).passed
-        groups = _shape_groups(random_corpus(count=count))
-        unbiased = _shape_groups(verify.unbiased_corpus(verify.DEFAULT_SEED + 1))
+        groups = len(random_corpus(count=count))
+        unbiased = len(verify.unbiased_corpus(verify.DEFAULT_SEED + 1))
         assert len(calls) == 2 * groups + unbiased
         counts[count] = len(calls)
     assert counts[100] == counts[500] < 100
