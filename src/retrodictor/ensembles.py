@@ -284,14 +284,14 @@ def validate_povm_stack(elements: np.ndarray, label: str, sum_target=None) -> Va
     return ValidationReport(report.violations + tuple(completeness))
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.complex128)
+def _frozen(arr: np.ndarray, dtype=np.complex128) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
-# Rank of the array field that holds one object's amplitudes, matrix or POVM elements.
-_RANKS = {"amplitudes": 1, "matrix": 2, "elements": 3}
+# Rank of the array field that holds one object's amplitudes, matrix, POVM elements or states.
+_RANKS = {"amplitudes": 1, "matrix": 2, "elements": 3, "matrices": 3, "priors": 1}
 
 
 def _validated(cls, **fields):
@@ -305,7 +305,7 @@ def _validated(cls, **fields):
         if isinstance(value, np.ndarray):
             if value.ndim > _RANKS.get(name, value.ndim):
                 raise ValueError(f"{cls.__name__} {name} of shape {value.shape} is a stack, not one object")
-            value = _frozen(value)
+            value = _frozen(value, np.float64 if name == "priors" else np.complex128)
         object.__setattr__(obj, name, value)
     return obj
 
@@ -363,13 +363,9 @@ class Ensemble:
     def __post_init__(self):
         states = tuple(self.states)
         _ensemble_report(self.priors, len(states), {s.dim for s in states}, ()).raise_if_failed()
-        priors = np.array(self.priors, dtype=np.float64)
-        priors.setflags(write=False)
-        matrices = np.array([s.matrix for s in states])
-        matrices.setflags(write=False)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "priors", _frozen(self.priors, np.float64))
+        object.__setattr__(self, "matrices", _frozen([s.matrix for s in states]))
 
     @classmethod
     def from_pure_states(cls, states: list[PureState], priors) -> "Ensemble":

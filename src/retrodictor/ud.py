@@ -12,13 +12,19 @@ other; an independent grid search over the feasible (mu_1, mu_2) region backs
 the optimal success probability.
 
 A UdInstance holds one instance or a stack of them over leading axes (...),
-and the closed forms and constructions are array-valued: their results carry
-the same leading axes, from one pass of the same code (stacked
-eigendecompositions, each derived stack validated once).  For one instance
-the results have no leading axes, and the dataclasses' operator accessors
-(RetroBasis.phi1, DualOptimum.rho0_ret, PredictiveUdPovm.povm) are views of
-that instance; the per-instance entry points (ud_states, ud_ensemble,
-brute_force_dual) raise ValueError on a stack.
+and the closed forms, constructions and the grid oracle are array-valued:
+their results carry the same leading axes, from one pass of the same code
+(stacked eigendecompositions, each derived stack validated once).  For one
+instance the results have no leading axes, and the dataclasses' operator
+accessors (RetroBasis.phi1, DualOptimum.rho0_ret, PredictiveUdPovm.povm) are
+views of that instance; the per-instance entry points (ud_states,
+ud_ensemble) raise ValueError on a stack.
+
+The grid oracle scans a coarse subsample of its grid first, then the full
+grid only in the window where the concave feasibility bound leaves room for
+a maximiser: the same optimum and the same first argmax as a scan of the
+whole grid, from about sqrt(n) coarse points and the window instead of all
+n points of an instance.
 """
 
 from __future__ import annotations
@@ -50,8 +56,13 @@ from .retrodiction import PROB_CLAMP_TOL, RetroDual, transform_stack
 # weights: its diagonal and determinant may dip this far below zero.
 REMAINDER_PSD_TOL = 1e-12
 
-# Smallest brute_force_dual step: at most about 1e6 grid points, 8 MB per temporary.
+# Smallest brute_force_dual step: a grid of at most about 1e6 points per instance.  The
+# windowed scan holds at most one such grid's worth of points per temporary (8 MB of float64).
 MIN_GRID_STEP = 1e-6
+# Largest brute_force_dual step.  The oracle check holds the closed form to 2 * step and the
+# success probability lies in [0, 1], so from a step of 0.5 no deviation can fail it; at 0.01
+# the tolerance is 2% of that range and the grid has at least 100 points per unit of prior.
+MAX_GRID_STEP = 0.01
 
 
 def _require_valid(alpha, e1, e2) -> None:
@@ -351,35 +362,99 @@ def optimal_dual(x: UdInstance) -> DualOptimum:
     return DualOptimum(mu1, mu2, mu0, _frozen(rho0), mu1 + mu2, regime, basis)
 
 
-def brute_force_dual(instance: UdInstance, grid_step: float) -> tuple[float, float, float]:
-    """Grid-search oracle for the dual optimum.
+def _grid_points(e1, e2, numerator, k, step):
+    """The grid points mu_1 = k * step, each paired with the largest grid mu_2 keeping the remainder PSD.
 
-    Scans mu_1 on a grid and pairs it with the largest grid mu_2 keeping the
-    source remainder PSD (non-negative diagonal, determinant >=
-    -REMAINDER_PSD_TOL, the tolerance no_signaling_check applies); returns the
-    feasible grid point maximizing mu_1 + mu_2.  Within O(grid_step) of the
-    closed form by construction.  instance is one instance, not a stack.
-    grid_step must be finite and at least MIN_GRID_STEP.
+    Returns mu_1, mu_2 and the total mu_1 + mu_2, and the bound
+    mu_1 + e2 - numerator / (e1 - mu_1) that the total stays below, both
+    -inf where no mu_2 is feasible.  The parameters are broadcast against k.
     """
-    if not (math.isfinite(grid_step) and grid_step >= MIN_GRID_STEP):
-        raise ValueError(f"grid_step must be finite and at least {MIN_GRID_STEP:g}, got {grid_step!r}")
-    e1, e2 = _one(instance).eta
-    s2 = instance.s ** 2
-    mu1 = np.arange(0.0, e1 + grid_step / 2.0, grid_step)
-    mu1 = mu1[mu1 <= e1]
-    numerator = e1 * e2 * s2 - REMAINDER_PSD_TOL
-    if numerator <= 0.0:
-        # Determinant constraint inactive at tolerance: orthogonal-state case.
-        return float(e1), float(e2), float(e1 + e2)
+    mu1 = k * step
     slack = e1 - mu1
     with np.errstate(divide="ignore"):
         bound = e2 - numerator / slack
     feasible = (slack > 0.0) & (bound >= 0.0)
-    mu2 = np.where(feasible, np.floor(bound / grid_step) * grid_step, -np.inf)
-    mu2 = np.minimum(mu2, e2)
-    total = mu1 + mu2
-    best = int(np.argmax(total))
-    return float(mu1[best]), float(mu2[best]), float(total[best])
+    mu2 = np.minimum(np.where(feasible, np.floor(bound / step) * step, -np.inf), e2)
+    return mu1, mu2, mu1 + mu2, np.where(feasible, mu1 + bound, -np.inf)
+
+
+def _runs(start, count, stride):
+    """Grid indices start_i + j * stride_i (j < count_i) of each run i, flat; with each point's run and each run's offset."""
+    offsets = np.cumsum(count) - count
+    run = np.repeat(np.arange(len(count)), count)
+    return run, offsets, start[run] + stride[run] * (np.arange(run.size) - offsets[run])
+
+
+def _chunks(sizes, budget):
+    """Slices of consecutive runs whose sizes add up to at most budget (a larger run alone)."""
+    ends = np.cumsum(sizes)
+    first = 0
+    while first < len(sizes):
+        stop = int(np.searchsorted(ends, ends[first] - sizes[first] + budget, side="right"))
+        yield slice(first, max(stop, first + 1))
+        first = max(stop, first + 1)
+
+
+def brute_force_dual(x: UdInstance, grid_step: float):
+    """Grid-search oracle for the dual optimum: (mu_1, mu_2, mu_1 + mu_2), floats or arrays over x's axes.
+
+    Scans mu_1 on the grid k * grid_step <= eta_1 and pairs it with the
+    largest grid mu_2 keeping the source remainder PSD (non-negative
+    diagonal, determinant >= -REMAINDER_PSD_TOL, the tolerance
+    no_signaling_check applies); returns the feasible grid point maximizing
+    mu_1 + mu_2, the first one on ties.  Within O(grid_step) of the closed
+    form by construction, and independent of it.
+
+    Every total lies below the concave bound g(mu_1) = mu_1 + eta_2 -
+    (eta_1 eta_2 s^2 - REMAINDER_PSD_TOL) / (eta_1 - mu_1), and the feasible
+    mu_1 form an interval (the mu_2 bound falls as mu_1 grows).  A scan of
+    every stride-th point (stride about sqrt of the grid size) gives a lower
+    bound L on the best total, so every maximiser lies where the point is
+    feasible and g >= L - grid_step, an interval; the full grid is scanned
+    there, widened by one stride on each side.
+    Instances are scanned in chunks of at most one instance's full grid of
+    points.  grid_step must be finite and in [MIN_GRID_STEP, MAX_GRID_STEP].
+    """
+    if not (math.isfinite(grid_step) and MIN_GRID_STEP <= grid_step <= MAX_GRID_STEP):
+        raise ValueError(
+            f"grid_step must be finite and at least {MIN_GRID_STEP:g}, and at most {MAX_GRID_STEP:g},"
+            f" got {grid_step!r}"
+        )
+    e1, e2 = (np.reshape(v, -1) for v in x.eta)
+    numerator = e1 * e2 * np.reshape(x.s ** 2, -1) - REMAINDER_PSD_TOL
+    # Determinant constraint inactive at tolerance (orthogonal states): the whole source.
+    best = np.array([e1, e2, e1 + e2])
+    scan = np.flatnonzero(numerator > 0.0)
+    e1, e2, numerator = e1[scan], e2[scan], numerator[scan]
+    # The grid of np.arange(0, e1 + step / 2, step), less a last point above e1.
+    size = np.ceil((e1 + grid_step / 2.0) / grid_step).astype(np.int64)
+    size -= (size - 1) * grid_step > e1
+    stride = np.maximum(np.sqrt(size).astype(np.int64), 1)
+    budget = int(size.max(initial=1))
+
+    lo, hi = np.zeros_like(size), np.zeros_like(size)
+    coarse = -(-size // stride)
+    for part in _chunks(coarse, budget):
+        run, offsets, k = _runs(np.zeros_like(coarse[part]), coarse[part], stride[part])
+        _, _, total, cap = _grid_points(e1[part][run], e2[part][run], numerator[part][run], k, grid_step)
+        lower = np.maximum.reduceat(total, offsets)
+        near = cap >= (lower - grid_step)[run]
+        first = np.minimum.reduceat(np.where(near, k, budget), offsets)
+        last = np.maximum.reduceat(np.where(near, k, -1), offsets)
+        lo[part] = np.maximum(first - stride[part], 0)
+        hi[part] = np.minimum(last + stride[part], size[part] - 1)
+
+    window = hi - lo + 1
+    for part in _chunks(window, budget):
+        run, offsets, k = _runs(lo[part], window[part], np.ones_like(lo[part]))
+        mu1, mu2, total, _ = _grid_points(e1[part][run], e2[part][run], numerator[part][run], k, grid_step)
+        peak = np.maximum.reduceat(total, offsets)
+        at = np.minimum.reduceat(np.where(total == peak[run], np.arange(total.size), total.size), offsets)
+        best[:, scan[part]] = mu1[at], mu2[at], total[at]
+    shape = np.shape(x.alpha)
+    if not shape:
+        return tuple(float(v) for v in best[:, 0])
+    return tuple(v.reshape(shape) for v in best)
 
 
 @dataclass(frozen=True, eq=False)

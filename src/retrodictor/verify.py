@@ -10,12 +10,14 @@ classification, branch continuity, spot values).
 Every identity family is array-valued: `transform_residuals`,
 `ud_residuals` and `channel_residuals` give one row of their check table's
 values per instance, for one instance (what the `checks_for_*` functions
-report) or for a whole stack.  The random corpora are drawn, with the
-sampler's counter-based generator (so suite runs are reproducible), straight
-into shape groups (n, m, d) of stacked arrays, one `transform_stack` each;
-the `ud` and `channel` suites are a few vectorised passes over slices of the
-grid (GRID_BATCH instances each).  Each suite reports each column's worst
-value (NaN is worst).
+report) or for a whole stack.  Every input is drawn with the sampler's
+counter-based generator (so suite runs are reproducible) and built as
+stacks: the random corpora as shape groups (n, m, d) of stacked arrays, one
+`transform_stack` each, `random_corpus` drawing each shape's candidates as
+blocks; `unbiased_corpus` and `floor_sweep` draw pair by pair and build per
+shape or dimension.  The `ud` and `channel` suites are a few vectorised
+passes over slices of the grid (GRID_BATCH instances each), the grid oracle
+included.  Each suite reports each column's worst value (NaN is worst).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import functools
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +40,15 @@ from .channel import (
     sqrt_omega_in_retro_basis,
     swap_residual,
 )
-from .ensembles import DensityOperator, Ensemble, Povm, validate_operator_stack, validate_povm_stack, validate_priors
+from .ensembles import (
+    DensityOperator,
+    Ensemble,
+    Povm,
+    _validated,
+    validate_operator_stack,
+    validate_povm_stack,
+    validate_priors,
+)
 from .errors import (
     RetrodictorError,
     SingularOperator,
@@ -304,26 +315,43 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _ginibre(z: np.ndarray) -> np.ndarray:
+    """Complex Gaussian matrices from standard normals z (..., 2, r, c): the real, then the imaginary parts."""
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
+
+def _unitaries(z: np.ndarray) -> np.ndarray:
+    """Random unitaries from (..., 2, d, d) normals: the eigenvectors of each Ginibre matrix's Hermitian part."""
+    g = _ginibre(z)
+    return linalg.hermitian_eig((g + linalg.dag(g)) / 2.0).eigenvectors
+
+
 def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return linalg.hermitian_eig((g + g.conj().T) / 2.0).eigenvectors
+    return _unitaries(rng.standard_normal((2, dim, dim)))
 
 
-def _draw_states(rng: np.random.Generator, dim: int, n_states: int) -> tuple[np.ndarray, np.ndarray]:
-    priors = rng.random(n_states) + 0.1
-    z = rng.standard_normal((n_states, 2, dim, dim + 1))  # real, then imaginary part, per state
-    g = z[:, 0] + 1j * z[:, 1]
+def _draw_states(
+    rng: np.random.Generator, dim: int, n_states: int, lead: tuple[int, ...] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Priors (*lead, n) and Ginibre states (*lead, n, d, d) of ensembles, each drawn as one block."""
+    priors = rng.random((*lead, n_states)) + 0.1
+    g = _ginibre(rng.standard_normal((*lead, n_states, 2, dim, dim + 1)))
     m = g @ linalg.dag(g)
-    return priors / priors.sum(), m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return priors / priors.sum(axis=-1, keepdims=True), m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _draw_povm(rng: np.random.Generator, dim: int, n_elements: int) -> np.ndarray:
-    z = rng.standard_normal((n_elements, 2, dim, dim))
-    g = z[:, 0] + 1j * z[:, 1]
+def _normalised_povms(z: np.ndarray) -> np.ndarray:
+    """POVMs from (..., n, 2, d, d) normals: n Ginibre PSD operators normalised by their sum."""
+    g = _ginibre(z)
     mats = g @ linalg.dag(g)
-    inv_root = linalg.inv_sqrtm_psd(mats.sum(axis=0), min_eig=1e-12)
+    inv_root = linalg.inv_sqrtm_psd(mats.sum(axis=-3), min_eig=1e-12)[..., None, :, :]
     e = inv_root @ mats @ inv_root
     return (e + linalg.dag(e)) / 2.0
+
+
+def _draw_povm(rng: np.random.Generator, dim: int, n_elements: int, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """Random POVMs (*lead, n, d, d), drawn as one block."""
+    return _normalised_povms(rng.standard_normal((*lead, n_elements, 2, dim, dim)))
 
 
 def random_povm(rng: np.random.Generator, dim: int, n_elements: int) -> Povm:
@@ -341,36 +369,54 @@ def corpus_pairs(groups) -> list[tuple[Ensemble, Povm]]:
     return [(Ensemble(tuple(map(DensityOperator, s)), p), Povm(e)) for g in groups for p, s, e in zip(*g)]
 
 
-def _stacked_groups(pairs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Pairs grouped by shape (n, m, d) and stacked, each group validated once (priors row by row)."""
-    groups: dict[tuple[int, ...], list] = {}
-    for pair in pairs:
-        groups.setdefault((len(pair[0]), *pair[2].shape), []).append(pair)
-    stacks = [tuple(map(np.array, zip(*group))) for group in groups.values()]
-    for priors, states, elements in stacks:
-        for row in priors:
-            validate_priors(row).raise_if_failed()
-        validate_operator_stack(states, "corpus state", unit_trace=True).raise_if_failed()
-        validate_povm_stack(elements, "corpus POVM").raise_if_failed()
-    return stacks
+def _validated_group(priors, states, elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A shape group of pairs, validated once: priors row by row, states and POVMs as stacks."""
+    for row in priors:
+        validate_priors(row).raise_if_failed()
+    validate_operator_stack(states, "corpus state", unit_trace=True).raise_if_failed()
+    validate_povm_stack(elements, "corpus POVM").raise_if_failed()
+    return priors, states, elements
 
 
 def random_corpus(
     seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE, dims: tuple[int, ...] = CORPUS_DIMS
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Seeded pairs clearing MIN_OMEGA_EIG and MIN_MU, as shape groups of stacked (priors, states, elements)."""
+    """Seeded pairs clearing MIN_OMEGA_EIG and MIN_MU, as shape groups of stacked (priors, states, elements).
+
+    The (states, outcomes) counts of the count slots are drawn first, and the
+    slots' dimensions cycle through dims.  Each shape (n, m, d), in order of
+    first appearance, then draws as many candidates as it has slots left, as
+    one block of priors, states and POVMs, and keeps those that clear the
+    floors, until its slots are filled.
+    """
     rng = _rng(seed)
-    pairs = []
-    while len(pairs) < count:
-        dim = dims[len(pairs) % len(dims)]
-        n_states = int(rng.integers(2, 5))
-        n_elements = int(rng.integers(2, 5))
-        priors, states = _draw_states(rng, dim, n_states)
-        elements = _draw_povm(rng, dim, n_elements)
-        omega = (priors[:, None, None] * states).sum(axis=0)
-        if linalg.min_eigenvalue(omega) >= MIN_OMEGA_EIG and _click_probabilities(elements, omega).min() >= MIN_MU:
-            pairs.append((priors, states, elements))
-    return _stacked_groups(pairs)
+    sizes = rng.integers(2, 5, (count, 2))
+    shapes = Counter((int(n), int(m), dims[k % len(dims)]) for k, (n, m) in enumerate(sizes))
+    groups = []
+    for (n_states, n_elements, dim), slots in shapes.items():
+        kept = []
+        while slots:
+            priors, states = _draw_states(rng, dim, n_states, (slots,))
+            elements = _draw_povm(rng, dim, n_elements, (slots,))
+            omega = (priors[..., None, None] * states).sum(axis=-3)
+            w_min = np.linalg.eigvalsh((omega + linalg.dag(omega)) / 2.0)[:, 0]
+            keep = (w_min >= MIN_OMEGA_EIG) & (_click_probabilities(elements, omega).min(axis=-1) >= MIN_MU)
+            kept.append((priors[keep], states[keep], elements[keep]))
+            slots -= int(keep.sum())
+        groups.append(_validated_group(*map(np.concatenate, zip(*kept))))
+    return groups
+
+
+def _povms_by_shape(zs, label: str) -> list[np.ndarray]:
+    """The POVMs of (n, 2, d, d) normals, normalised and validated as one stack per shape, in order."""
+    out = [None] * len(zs)
+    for shape in dict.fromkeys(z.shape for z in zs):
+        ks = [k for k, z in enumerate(zs) if z.shape == shape]
+        elements = _normalised_povms(np.array([zs[k] for k in ks]))
+        validate_povm_stack(elements, label).raise_if_failed()
+        for k, e in zip(ks, elements):
+            out[k] = e
+    return out
 
 
 def floor_sweep() -> tuple[list[tuple[float, Ensemble, Povm]], list[tuple[float, UdInstance]]]:
@@ -378,19 +424,43 @@ def floor_sweep() -> tuple[list[tuple[float, Ensemble, Povm]], list[tuple[float,
 
     Three pairs per dimension and level, each a random POVM {E_i} splitting
     Omega = U diag(min_eig, ...) U^dag as eta_i rho_i = sqrt(Omega) E_i sqrt(Omega).
+    The draws are made pair by pair; the operators of each dimension are
+    built and validated as stacks, and each pair is a view of them.
     """
     rng = _rng(DEFAULT_SEED)
     levels = FLOOR_SWEEP_ABOVE + FLOOR_SWEEP_BELOW
     transforms = []
-    for dim, min_eig, _ in itertools.product(FLOOR_SWEEP_DIMS, levels, range(3)):
-        rest = min_eig + rng.dirichlet(np.ones(dim - 1)) * (1.0 - dim * min_eig)
-        u = _random_unitary(rng, dim)
-        root = (u * np.sqrt(np.concatenate([[min_eig], rest]))) @ linalg.dag(u)
-        parts = root @ random_povm(rng, dim, int(rng.integers(2, 5))).elements @ root
+    for dim in FLOOR_SWEEP_DIMS:
+        # Per pair: the spectrum, the unitary, then the splitting and the measured POVM.
+        draws = [
+            (
+                min_eig,
+                rng.dirichlet(np.ones(dim - 1)),
+                rng.standard_normal((2, dim, dim)),
+                rng.standard_normal((int(rng.integers(2, 5)), 2, dim, dim)),
+                rng.standard_normal((int(rng.integers(2, 5)), 2, dim, dim)),
+            )
+            for min_eig, _ in itertools.product(levels, range(3))
+        ]
+        min_eigs, dirichlet, z_unitary, z_split, z_povm = zip(*draws)
+        min_eigs = np.array(min_eigs)
+        rest = min_eigs[:, None] + np.array(dirichlet) * (1.0 - dim * min_eigs)[:, None]
+        u = _unitaries(np.array(z_unitary))
+        root = (u * np.sqrt(np.column_stack([min_eigs, rest]))[:, None, :]) @ linalg.dag(u)
+        split = _povms_by_shape(z_split, "floor-sweep splitting POVM")
+        counts = [len(e) for e in split]
+        roots = np.repeat(root, counts, axis=0)
+        parts = roots @ np.concatenate(split) @ roots
         priors = np.trace(parts, axis1=1, axis2=2).real
         states = (parts + linalg.dag(parts)) / (2.0 * priors[:, None, None])
-        povm = random_povm(rng, dim, int(rng.integers(2, 5)))
-        transforms.append((min_eig, Ensemble(tuple(map(DensityOperator, states)), priors), povm))
+        validate_operator_stack(states, "floor-sweep state", unit_trace=True).raise_if_failed()
+        povms = _povms_by_shape(z_povm, "floor-sweep POVM")
+        at = np.cumsum(counts)[:-1]
+        for min_eig, p, s, e in zip(min_eigs.tolist(), np.split(priors, at), np.split(states, at), povms):
+            validate_priors(p).raise_if_failed()
+            views = tuple(_validated(DensityOperator, matrix=m) for m in s)
+            ensemble = _validated(Ensemble, states=views, priors=p, matrices=s)
+            transforms.append((min_eig, ensemble, _validated(Povm, elements=e, sum_target=None)))
     uds = [
         (w2, UdInstance(0.5 * math.asin(math.sqrt(w2 * (1.0 - w2) / (eta[0] * eta[1]))), eta))
         for eta in ((0.5, 0.5), (0.6, 0.4))
@@ -400,14 +470,25 @@ def floor_sweep() -> tuple[list[tuple[float, Ensemble, Povm]], list[tuple[float,
 
 
 def unbiased_corpus(seed: int, count: int = 60) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Pairs whose source is maximally mixed (orthonormal pure states, uniform priors), as shape groups."""
+    """Pairs whose source is maximally mixed (orthonormal pure states, uniform priors), as shape groups.
+
+    The draws are made pair by pair; each shape group is built as one stack.
+    """
     rng = _rng(seed)
-    pairs = []
+    draws: dict[tuple[int, ...], tuple[list, list]] = {}
     for k in range(count):
         dim = CORPUS_DIMS[k % len(CORPUS_DIMS)]
-        states = linalg.outer(_random_unitary(rng, dim).T)
-        pairs.append((np.full(dim, 1.0 / dim), states, _draw_povm(rng, dim, int(rng.integers(2, 5)))))
-    return _stacked_groups(pairs)
+        z_unitary = rng.standard_normal((2, dim, dim))
+        z_povm = rng.standard_normal((int(rng.integers(2, 5)), 2, dim, dim))
+        unitaries, povms = draws.setdefault(z_povm.shape, ([], []))
+        unitaries.append(z_unitary)
+        povms.append(z_povm)
+    groups = []
+    for z_unitary, z_povm in draws.values():
+        n, dim = len(z_unitary), z_unitary[0].shape[-1]
+        states = linalg.outer(np.swapaxes(_unitaries(np.array(z_unitary)), -1, -2))
+        groups.append(_validated_group(np.full((n, dim), 1.0 / dim), states, _normalised_povms(np.array(z_povm))))
+    return groups
 
 
 def grid_instances() -> UdInstance:
@@ -464,7 +545,7 @@ def _ud_grid_rows(x: UdInstance) -> np.ndarray:
     """Per instance: the gap to the grid oracle, the regime mismatches, then the UD_CHECKS values."""
     opt = optimal_dual(x)
     ud_povm = optimal_predictive_povm(x)
-    p_grid = np.array([brute_force_dual(inst, GRID_STEP)[2] for inst in x])
+    p_grid = brute_force_dual(x, GRID_STEP)[2]
     s = x.s
     clamped = opt.regime == "clamped"
     mu_min = np.minimum(opt.mu1, opt.mu2)

@@ -104,6 +104,13 @@ def test_ud_command_bad_grid_step_exit_1(step, capsys):
     assert "grid_step must be finite and at least 1e-06" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["10", "0.02"])
+def test_ud_command_grid_step_above_the_bound_exit_1(step, capsys):
+    # At step 10 the oracle scanned only mu_1 = 0 and passed against a tolerance of 20.
+    assert main(["ud", "--eta1", "0.5", "--overlap", "0.5", "--grid-check", step]) == 1
+    assert "at most 0.01" in capsys.readouterr().err
+
+
 def test_ud_command_alpha_and_overlap_exclusive(capsys):
     code = main(["ud", "--eta1", "0.5", "--alpha", "0.3", "--overlap", "0.5"])
     assert code == 1

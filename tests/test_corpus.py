@@ -1,10 +1,13 @@
-"""The transform corpora are the pairs drawn one at a time, grouped by shape.
+"""The transform corpora and the floor sweep are their pairs built one at a time.
 
-The reference below draws each pair as a validated Ensemble and Povm,
-rejects it through the source function and the outcome distribution, and
-groups the kept pairs by shape (n, m, d) in draw order.  The corpora must
-equal it bit for bit, group for group.
+The references below build each pair as a validated Ensemble and Povm,
+reject it through the source function and the outcome distribution, and
+group the kept pairs by shape (n, m, d) in draw order.  The corpora must
+equal them bit for bit, group for group, and the floor sweep pair for pair.
 """
+
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,25 +27,70 @@ def _grouped(pairs):
     return [tuple(map(np.array, group)) for group in groups.values()]
 
 
+class _Replay:
+    """A generator stand-in that hands out one pair's draws in the order random_ensemble and random_povm ask."""
+
+    def __init__(self, *draws):
+        self._draws = list(draws)
+
+    def _next(self, shape):
+        draw = self._draws.pop(0)
+        assert draw.shape == tuple(np.atleast_1d(shape))
+        return draw
+
+    random = standard_normal = _next
+
+
 def reference_corpus(seed, count, dims=verify.CORPUS_DIMS):
-    """random_corpus pair by pair, and the number of draws it rejected."""
+    """random_corpus pair by pair, and the number of draws it rejected.
+
+    The slots' (states, outcomes) counts come first, dimensions cycling
+    through dims.  Each shape, in order of first appearance, then draws
+    blocks of as many candidates as it has slots left: the uniforms of the
+    priors, the normals of the states, the normals of the POVMs.  Each
+    candidate is built from its slice of the blocks by random_ensemble and
+    random_povm and kept or rejected on its own.
+    """
     rng = verify._rng(seed)
+    sizes = rng.integers(2, 5, (count, 2))
+    shapes = Counter((int(n), int(m), dims[k % len(dims)]) for k, (n, m) in enumerate(sizes))
     pairs, rejected = [], 0
-    while len(pairs) < count:
-        dim = dims[len(pairs) % len(dims)]
-        n_states = int(rng.integers(2, 5))
-        n_elements = int(rng.integers(2, 5))
-        ensemble = verify.random_ensemble(rng, dim, n_states)
-        povm = verify.random_povm(rng, dim, n_elements)
-        omega = source_from_ensemble(ensemble)
-        if (
-            linalg.min_eigenvalue(omega.matrix) < verify.MIN_OMEGA_EIG
-            or outcome_probs(povm, omega).mu.min() < verify.MIN_MU
-        ):
-            rejected += 1
-            continue
-        pairs.append((ensemble, povm))
+    for (n_states, n_elements, dim), slots in shapes.items():
+        while slots:
+            uniforms = rng.random((slots, n_states))
+            state_normals = rng.standard_normal((slots, n_states, 2, dim, dim + 1))
+            povm_normals = rng.standard_normal((slots, n_elements, 2, dim, dim))
+            for draws in zip(uniforms, state_normals, povm_normals):
+                replay = _Replay(*draws)
+                ensemble = verify.random_ensemble(replay, dim, n_states)
+                povm = verify.random_povm(replay, dim, n_elements)
+                omega = source_from_ensemble(ensemble)
+                if (
+                    linalg.min_eigenvalue(omega.matrix) < verify.MIN_OMEGA_EIG
+                    or outcome_probs(povm, omega).mu.min() < verify.MIN_MU
+                ):
+                    rejected += 1
+                    continue
+                pairs.append((ensemble, povm))
+                slots -= 1
     return _grouped(pairs), rejected
+
+
+def reference_floor_sweep():
+    """floor_sweep's transforms drawn and built pair by pair, as validated objects."""
+    rng = verify._rng(verify.DEFAULT_SEED)
+    levels = verify.FLOOR_SWEEP_ABOVE + verify.FLOOR_SWEEP_BELOW
+    transforms = []
+    for dim, min_eig, _ in itertools.product(verify.FLOOR_SWEEP_DIMS, levels, range(3)):
+        rest = min_eig + rng.dirichlet(np.ones(dim - 1)) * (1.0 - dim * min_eig)
+        u = verify._random_unitary(rng, dim)
+        root = (u * np.sqrt(np.concatenate([[min_eig], rest]))) @ linalg.dag(u)
+        parts = root @ verify.random_povm(rng, dim, int(rng.integers(2, 5))).elements @ root
+        priors = np.trace(parts, axis1=1, axis2=2).real
+        states = (parts + linalg.dag(parts)) / (2.0 * priors[:, None, None])
+        povm = verify.random_povm(rng, dim, int(rng.integers(2, 5)))
+        transforms.append((min_eig, Ensemble(tuple(map(DensityOperator, states)), priors), povm))
+    return transforms
 
 
 def reference_unbiased_corpus(seed, count=60):
@@ -96,3 +144,23 @@ def test_the_per_pair_view_lists_the_pairs_group_by_group():
     pairs = verify.corpus_pairs(groups)
     assert len(pairs) == 30
     assert_same_groups(groups, _grouped(pairs))
+
+
+def test_the_floor_sweep_equals_its_per_pair_draws():
+    transforms, _ = verify.floor_sweep()
+    expected = reference_floor_sweep()
+    assert len(transforms) == len(expected)
+    for (level, ensemble, povm), (ref_level, ref_ensemble, ref_povm) in zip(transforms, expected):
+        assert level == ref_level
+        assert len(ensemble.states) == len(ref_ensemble.states)
+        for array, ref in [
+            (ensemble.priors, ref_ensemble.priors),
+            (ensemble.matrices, ref_ensemble.matrices),
+            (povm.elements, ref_povm.elements),
+            *((s.matrix, r.matrix) for s, r in zip(ensemble.states, ref_ensemble.states)),
+        ]:
+            assert array.dtype == ref.dtype
+            assert not array.flags.writeable
+            assert np.array_equal(array, ref)
+        assert povm.sum_target is None
+

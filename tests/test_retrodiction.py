@@ -36,7 +36,16 @@ from retrodictor.ud import (
     retro_basis,
     ud_ensemble,
 )
-from retrodictor.verify import corpus_pairs, random_corpus, random_ensemble, random_povm, unbiased_corpus
+from retrodictor.verify import (
+    _draw_povm,
+    _draw_states,
+    _rng,
+    corpus_pairs,
+    random_corpus,
+    random_ensemble,
+    random_povm,
+    unbiased_corpus,
+)
 
 
 def projective_povm(dim=2):
@@ -240,8 +249,8 @@ def test_zero_probability_outcome_raises_in_bayes():
 
 
 def test_bayes_table_conditions_each_pair_of_a_stack_on_its_defined_outcomes():
-    groups = random_corpus(seed=21, count=6, dims=(3,))
-    joints = joint_table(*next(g for g in groups if (g[0].shape[1], g[2].shape[1]) == (2, 4)))
+    rng = _rng(21)
+    joints = joint_table(*_draw_states(rng, 3, 2, (2,)), _draw_povm(rng, 3, 4, (2,)))
     defined = np.ones(joints.shape[::2], dtype=bool)
     defined[0, 1] = False
     table = bayes_table(joints, defined)
@@ -259,8 +268,8 @@ def test_bayes_table_rejects_a_defined_outcome_at_the_floor():
 
 
 def test_per_pair_views_of_a_stacked_dual_raise():
-    groups = random_corpus(seed=5, count=3, dims=(2,))
-    dual = transform_stack(*next(g for g in groups if (g[0].shape[1], g[2].shape[1]) == (4, 2)))
+    rng = _rng(5)
+    dual = transform_stack(*_draw_states(rng, 2, 4, (2,)), _draw_povm(rng, 2, 2, (2,)))
     assert dual.povm_stack.shape == (2, 4, 2, 2)
     for view in ("retro_povm", "retro_states", "omega"):
         with pytest.raises(ValueError, match="is a stack"):

@@ -8,6 +8,7 @@ from retrodictor.errors import SingularOperator, ValidationError
 from retrodictor.linalg import dag, hermitian_eig, maxabs
 from retrodictor.retrodiction import outcome_probs
 from retrodictor.ud import (
+    MAX_GRID_STEP,
     MIN_GRID_STEP,
     UdInstance,
     brute_force_dual,
@@ -211,6 +212,20 @@ def test_brute_force_rejects_bad_step():
 def test_brute_force_rejects_non_finite_and_sub_floor_steps(step):
     with pytest.raises(ValueError, match=f"at least {MIN_GRID_STEP:g}"):
         brute_force_dual(UdInstance(0.3, (0.5, 0.5)), step)
+
+
+@pytest.mark.parametrize("step", [10.0, 0.5, 0.02, 1.5 * MAX_GRID_STEP])
+def test_brute_force_rejects_steps_above_the_bound(step):
+    # A step this coarse scans little more than mu_1 = 0, and its 2 * step tolerance
+    # (20 at step 10) exceeds any deviation a success probability can have.
+    with pytest.raises(ValueError, match=f"at most {MAX_GRID_STEP:g}"):
+        brute_force_dual(UdInstance.from_overlap(0.5, (0.5, 0.5)), step)
+
+
+def test_brute_force_runs_at_the_step_bound():
+    inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
+    _, _, p = brute_force_dual(inst, MAX_GRID_STEP)
+    assert abs(p - optimal_dual(inst).p_success) <= 2.0 * MAX_GRID_STEP
 
 
 def test_brute_force_runs_at_the_step_floor():
@@ -423,7 +438,7 @@ def test_a_stack_with_mismatched_shapes_or_an_overlap_out_of_range_raises_a_name
     assert [(v.check, v.residual) for v in overlap.value.violations] == [("overlap_range", 1.0)]
 
 
-@pytest.mark.parametrize("fn", [ud_states, ud_ensemble, lambda x: brute_force_dual(x, 1e-3)])
+@pytest.mark.parametrize("fn", [ud_states, ud_ensemble])
 def test_per_instance_entry_points_raise_on_a_stack(fn):
     stack = UdInstance.from_overlap([0.5, 0.3], [[0.5, 0.7], [0.5, 0.3]])
     with pytest.raises(ValueError, match="is a stack"):

@@ -191,6 +191,27 @@ def test_corpus_validation_does_not_grow_with_the_pair_count(monkeypatch):
     assert counts[500] <= counts[100]
 
 
+def test_floor_sweep_validation_does_not_grow_with_the_pair_count(monkeypatch):
+    # One state stack per dimension and one stack per POVM shape, whatever the pair count.
+    calls = count_calls(monkeypatch, ensembles, "_validate_operators")
+    bound = len(verify.FLOOR_SWEEP_DIMS) * (1 + 2 * 3)  # states, two POVMs of 2 to 4 elements
+    for repeat in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "FLOOR_SWEEP_ABOVE", verify.FLOOR_SWEEP_ABOVE * repeat)
+            mp.setattr(verify, "FLOOR_SWEEP_BELOW", verify.FLOOR_SWEEP_BELOW * repeat)
+            calls.clear()
+            transforms, _ = verify.floor_sweep()
+            assert len(transforms) == 60 * repeat
+            assert len(calls) <= bound
+
+
+def test_ud_suite_runs_the_grid_oracle_once_per_grid_slice(monkeypatch):
+    calls = count_calls(monkeypatch, ud, "brute_force_dual")
+    assert verify.suite_ud().passed
+    assert len(calls) == len(verify._grid_slices()) > 1
+    assert sum(len(x) for x, _ in calls) == len(verify.grid_instances())
+
+
 def test_transform_suite_transforms_once_per_shape_group(monkeypatch):
     # The corpus and its double dual take one transform per shape (n, m, d),
     # the unbiased corpus one more per shape; the pair count does not matter.
