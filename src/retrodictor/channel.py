@@ -12,7 +12,6 @@ optimization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .ensembles import (
     DensityOperator,
     Violation,
     _frozen,
-    _validated,
     validate_operator_stack,
     validate_state_vector,
     validate_vector_stack,
@@ -110,17 +108,17 @@ def symmetric_amplitudes(x: UdInstance, basis: RetroBasis) -> np.ndarray:
 
 def entangled_state(instance: UdInstance) -> TwoQubitState:
     """Shared state whose computational-basis preparation on a emits the UD pair."""
-    return _validated(TwoQubitState, amplitudes=entangled_amplitudes(instance))
+    return TwoQubitState(entangled_amplitudes(instance))
 
 
 def symmetric_state(instance: UdInstance, basis: RetroBasis) -> TwoQubitState:
     """Shared state prepared in the instance's retro_basis; invariant under the a<->b swap."""
-    return _validated(TwoQubitState, amplitudes=symmetric_amplitudes(instance, basis))
+    return TwoQubitState(symmetric_amplitudes(instance, basis))
 
 
 def sqrt_omega_in_retro_basis(basis: RetroBasis) -> np.ndarray:
     """Matrix of sqrt(Omega) in a retro_basis (symmetric off-diagonal), from its source spectrum."""
-    u = basis.matrix()
+    u = basis.vectors
     return linalg.dag(u) @ basis.omega_spectrum.sqrt() @ u
 
 
@@ -129,10 +127,10 @@ class NoSignalingReport:
     """Alice's reduced state against her outcome-averaged post-measurement state.
 
     reduced_a and reduced_b reduce the symmetric state (amplitudes) built in
-    basis; tilde_a is Alice's mu-weighted decomposition.  max_residual is
-    recomputed from the two operators on construction; a value at roundoff
-    scale is the no-signaling statement for this channel.  The operator
-    accessors (rho_a, rho_a_tilde, rho_b, state) are views of one instance.
+    basis; tilde_a is Alice's mu-weighted decomposition; the three are
+    validated density matrices.  max_residual is recomputed from the two
+    operators on construction; a value at roundoff scale is the no-signaling
+    statement for this channel.
     """
 
     reduced_a: np.ndarray
@@ -145,22 +143,6 @@ class NoSignalingReport:
     def __post_init__(self):
         res = linalg.maxabs_each(self.reduced_a - self.tilde_a)[()]
         object.__setattr__(self, "max_residual", res)
-
-    @cached_property
-    def rho_a(self) -> DensityOperator:
-        return _validated(DensityOperator, matrix=self.reduced_a)
-
-    @cached_property
-    def rho_a_tilde(self) -> DensityOperator:
-        return _validated(DensityOperator, matrix=self.tilde_a)
-
-    @cached_property
-    def rho_b(self) -> DensityOperator:
-        return _validated(DensityOperator, matrix=self.reduced_b)
-
-    @cached_property
-    def state(self) -> TwoQubitState:
-        return _validated(TwoQubitState, amplitudes=self.amplitudes)
 
 
 def no_signaling_check(

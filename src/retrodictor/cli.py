@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .channel import no_signaling_check
+from .ensembles import source_from_ensemble
 from .errors import DimensionMismatch, RetrodictorError, ValidationError
 from .formats import (
     ensemble_to_payload,
@@ -117,13 +118,13 @@ def cmd_transform(args) -> int:
         "support_restricted": bool(args.support_restricted),
     }
     doc["derived"] = {
-        "omega": matrix_to_rows(dual.omega.matrix),
-        "unbiased": dual.omega.unbiased,
+        "omega": matrix_to_rows(dual.omega_matrix),
+        "unbiased": source_from_ensemble(ensemble).unbiased,
         "mu": [float(m) for m in dual.mu.mu],
-        "undefined_outcomes": [j for j, s in enumerate(dual.retro_states) if s is None],
-        "retro_povm": [matrix_to_rows(e) for e in dual.retro_povm.elements],
+        "undefined_outcomes": [j for j, ok in enumerate(dual.defined.tolist()) if not ok],
+        "retro_povm": matrix_to_rows(dual.povm_stack),
         "retro_states": [
-            None if s is None else matrix_to_rows(s.matrix) for s in dual.retro_states
+            rows if ok else None for rows, ok in zip(matrix_to_rows(dual.state_stack), dual.defined.tolist())
         ],
     }
     return _finish(doc, checks, args.out)
@@ -151,13 +152,13 @@ def cmd_ud(args) -> int:
         "omega_eigenvalues": [cf.w1, cf.w2],
         "omega_angle": cf.omega_angle,
         "retro_basis": {
-            "phi1": vector_to_pairs(opt.basis.phi1.amplitudes),
-            "phi2": vector_to_pairs(opt.basis.phi2.amplitudes),
+            "phi1": vector_to_pairs(opt.basis.vectors[:, 0]),
+            "phi2": vector_to_pairs(opt.basis.vectors[:, 1]),
         },
-        "rho0_ret": matrix_to_rows(opt.rho0_ret.matrix),
+        "rho0_ret": matrix_to_rows(opt.rho0),
         "predictive_povm": {
             "c": [ud_povm.c[0], ud_povm.c[1]],
-            "elements": [matrix_to_rows(e) for e in ud_povm.povm.elements],
+            "elements": matrix_to_rows(ud_povm.elements),
         },
     }
     if args.grid_check is not None:
@@ -178,10 +179,10 @@ def cmd_channel(args) -> int:
         "overlap": inst.s,
     }
     doc["derived"] = {
-        "symmetric_state": vector_to_pairs(report.state.amplitudes),
-        "rho_a": matrix_to_rows(report.rho_a.matrix),
-        "rho_a_tilde": matrix_to_rows(report.rho_a_tilde.matrix),
-        "rho_b": matrix_to_rows(report.rho_b.matrix),
+        "symmetric_state": vector_to_pairs(report.amplitudes),
+        "rho_a": matrix_to_rows(report.reduced_a),
+        "rho_a_tilde": matrix_to_rows(report.tilde_a),
+        "rho_b": matrix_to_rows(report.reduced_b),
     }
     return _finish(doc, checks, args.out)
 

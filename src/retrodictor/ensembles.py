@@ -195,21 +195,44 @@ def validate_density_matrix(matrix, label: str = "state") -> ValidationReport:
     return ValidationReport(tuple(_validate_operators([matrix], lambda k: label, unit_trace=True)[0]))
 
 
+def _priors_violations(rows: np.ndarray, where) -> list[Violation]:
+    """The finite, nonnegative and sum-to-1 (within PRIORS_TOL) checks of each row of (N, n) priors.
+
+    where(k) is appended to the messages of row k ("" for a lone vector).
+    """
+    finite = np.isfinite(rows).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = rows.min(axis=1)
+        off = np.abs(rows.sum(axis=1) - 1.0)
+    violations = []
+    for k in np.flatnonzero(~finite | (low < 0.0) | (off > PRIORS_TOL)).tolist():
+        if not finite[k]:
+            violations.append(Violation("finite_entries", 0.0, f"priors has non-finite entries{where(k)}"))
+            continue
+        if low[k] < 0.0:
+            violations.append(Violation("priors_nonnegative", -float(low[k]), f"negative prior{where(k)}"))
+        if off[k] > PRIORS_TOL:
+            violations.append(Violation("priors_sum", float(off[k]), f"priors do not sum to 1{where(k)}"))
+    return violations
+
+
 def validate_priors(priors) -> ValidationReport:
     """Check prior probabilities: a vector of reals, non-negative, summing to 1 within 1e-12."""
     arr = _as_array(priors, np.float64)
     if arr is None or arr.ndim != 1 or arr.shape[0] < 1:
         what = "a vector of real numbers" if arr is None else "a non-empty vector"
         return ValidationReport((Violation("priors_shape", 0.0, f"priors is not {what}"),))
-    if not np.all(np.isfinite(arr)):
-        return ValidationReport((Violation("finite_entries", 0.0, "priors has non-finite entries"),))
-    violations = []
-    if np.any(arr < 0.0):
-        violations.append(Violation("priors_nonnegative", -float(arr.min()), "negative prior"))
-    res = abs(float(arr.sum()) - 1.0)
-    if res > PRIORS_TOL:
-        violations.append(Violation("priors_sum", res, "priors do not sum to 1"))
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(_priors_violations(arr[None], lambda k: "")))
+
+
+def validate_priors_stack(priors: np.ndarray, label: str) -> ValidationReport:
+    """Check each row of a (..., n) stack of derived priors as validate_priors does, in one pass.
+
+    Violations name the row as label[index].
+    """
+    name = _stack_label(label, priors.shape[:-1])
+    rows = priors.reshape(-1, priors.shape[-1])
+    return ValidationReport(tuple(_priors_violations(rows, lambda k: f" ({name(k)})")))
 
 
 def _ensemble_report(priors, n_states: int, dims: set[int], state_violations) -> ValidationReport:
@@ -288,26 +311,6 @@ def _frozen(arr: np.ndarray, dtype=np.complex128) -> np.ndarray:
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
-
-
-# Rank of the array field that holds one object's amplitudes, matrix, POVM elements or states.
-_RANKS = {"amplitudes": 1, "matrix": 2, "elements": 3, "matrices": 3, "priors": 1}
-
-
-def _validated(cls, **fields):
-    """A cls built from fields that were validated as part of a stack; they are not checked again.
-
-    Array fields are frozen as the constructors freeze them.  A field that is
-    still a stack (above its rank in _RANKS) raises ValueError.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            if value.ndim > _RANKS.get(name, value.ndim):
-                raise ValueError(f"{cls.__name__} {name} of shape {value.shape} is a stack, not one object")
-            value = _frozen(value, np.float64 if name == "priors" else np.complex128)
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 @dataclass(frozen=True, eq=False)

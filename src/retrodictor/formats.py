@@ -27,16 +27,14 @@ from .ensembles import (
 from .errors import ValidationError
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def matrix_to_rows(matrix: np.ndarray) -> list[list[list[float]]]:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(matrix, dtype=complex)]
+def matrix_to_rows(matrix: np.ndarray) -> list:
+    """The [re, im] pair of each entry of a complex array, nested as the array is: rows of a matrix."""
+    arr = np.asarray(matrix, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def vector_to_pairs(vector: np.ndarray) -> list[list[float]]:
-    return [complex_to_pair(z) for z in np.asarray(vector, dtype=complex)]
+    return matrix_to_rows(vector)
 
 
 def _pair_to_complex(pair: Any, where: str) -> complex:
@@ -166,7 +164,7 @@ def ensemble_to_payload(ensemble: Ensemble, pure_states: list[PureState] | None 
             {"pure": True, "vector": vector_to_pairs(s.amplitudes)} for s in pure_states
         ]
     else:
-        states = [matrix_to_rows(s.matrix) for s in ensemble.states]
+        states = matrix_to_rows(ensemble.matrices)
     return {
         "dim": ensemble.dim,
         "states": states,
@@ -175,7 +173,7 @@ def ensemble_to_payload(ensemble: Ensemble, pure_states: list[PureState] | None 
 
 
 def povm_to_payload(povm: Povm) -> dict:
-    return {"dim": povm.dim, "elements": [matrix_to_rows(e) for e in povm.elements]}
+    return {"dim": povm.dim, "elements": matrix_to_rows(povm.elements)}
 
 
 def write_json(doc: dict, path: str) -> None:

@@ -13,16 +13,15 @@ Bayes and the sampler read, and the transformed side is the table of the
 RetroDual's povm_stack against its state_stack.
 
 The transform is transform_stack, for one pair or for each pair of a stack of
-one shape at once.  Its result is one type, RetroDual: arrays that keep the
-stack's leading axes, with validated per-pair views when there are none.
-retro_transform is the call for one Ensemble and Povm; unbiased_stack lays
-out the unbiased construction the same way.
+one shape at once.  Its result is one type, RetroDual: the validated arrays,
+which keep the stack's leading axes.  retro_transform is the call for one
+Ensemble and Povm; unbiased_stack lays out the unbiased construction the same
+way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .ensembles import (
     Ensemble,
     Povm,
     SourceFunction,
-    _validated,
     require_same_dim,
     validate_operator_stack,
     validate_povm_stack,
@@ -146,9 +144,7 @@ class RetroDual:
     state_stack (..., m, d, d) with zeros where not defined (mu_j at most the
     floor, so conditioning on j is rejected rather than divided by ~0), the
     source omega_matrix (..., d, d), and a support-restricted transform's
-    completeness target sum_target.  For one pair, retro_povm, retro_states
-    and omega view the arrays as validated objects (a stack has no such views:
-    they raise ValueError), and residuals are floats.
+    completeness target sum_target.  For one pair the residuals are floats.
     """
 
     povm_stack: np.ndarray
@@ -162,21 +158,6 @@ class RetroDual:
         for array in (self.povm_stack, self.state_stack, self.defined, self.omega_matrix, self.sum_target):
             if array is not None:
                 array.setflags(write=False)
-
-    @cached_property
-    def retro_povm(self) -> Povm:
-        return _validated(Povm, elements=self.povm_stack, sum_target=self.sum_target)
-
-    @cached_property
-    def retro_states(self) -> tuple[DensityOperator | None, ...]:
-        return tuple(
-            _validated(DensityOperator, matrix=s) if ok else None
-            for s, ok in zip(self.state_stack, self.defined.tolist())
-        )
-
-    @cached_property
-    def omega(self) -> SourceFunction:
-        return SourceFunction(_validated(DensityOperator, matrix=self.omega_matrix))
 
     def completeness_residual(self):
         """Max-abs residual of sum_i Pi_i^ret against the identity (or the support's sum_target)."""

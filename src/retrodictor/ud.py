@@ -15,10 +15,9 @@ A UdInstance holds one instance or a stack of them over leading axes (...),
 and the closed forms, constructions and the grid oracle are array-valued:
 their results carry the same leading axes, from one pass of the same code
 (stacked eigendecompositions, each derived stack validated once).  For one
-instance the results have no leading axes, and the dataclasses' operator
-accessors (RetroBasis.phi1, DualOptimum.rho0_ret, PredictiveUdPovm.povm) are
-views of that instance; the per-instance entry points (ud_states,
-ud_ensemble) raise ValueError on a stack.
+instance the results have no leading axes.  Each result is its validated
+arrays; the per-instance entry points (ud_states, ud_ensemble) raise
+ValueError on a stack.
 
 The grid oracle scans a coarse subsample of its grid first, then the full
 grid only in the window where the concave feasibility bound leaves room for
@@ -31,20 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .ensembles import (
     PRIORS_TOL,
-    DensityOperator,
     Ensemble,
-    Povm,
     PureState,
     Violation,
     _frozen,
-    _validated,
     validate_operator_stack,
     validate_povm_stack,
     validate_vector_stack,
@@ -127,13 +122,10 @@ class UdInstance:
         return len(self.alpha)
 
     def __getitem__(self, index) -> "UdInstance":
-        """The instances at index along the first axis, validated with the stack."""
+        """The instances at index along the first axis."""
         if np.ndim(self.alpha) == 0:
             raise TypeError("one UdInstance is not a stack")
-        out = object.__new__(UdInstance)
-        object.__setattr__(out, "alpha", self.alpha[index])
-        object.__setattr__(out, "eta", self.eta[:, index])
-        return out
+        return UdInstance(self.alpha[index], self.eta[:, index])
 
     @property
     def s(self) -> np.ndarray:
@@ -209,7 +201,9 @@ def omega_closed_form(x: UdInstance) -> OmegaClosedForm:
     r = hypot(cos 2 alpha, (eta_1 - eta_2) sin 2 alpha) = sqrt(1 - 4 eta_1 eta_2 sin^2(2 alpha))
     does not cancel near Omega = I/2, and 2*omega is in (-pi/2, pi/2] (the
     boundary is reached only at alpha = pi/4 with unequal priors).
-    Raises SingularOperator if w2 (of any instance) is below the source floor.
+    Raises SingularOperator if w2 (of any instance) is below the source floor:
+    w1 w2 = det(Omega) = eta_1 eta_2 (1 - s^2), so either the states are nearly
+    identical or a prior is near 0.
     """
     e1, e2 = x.eta
     two_alpha = 2.0 * x.alpha
@@ -219,7 +213,7 @@ def omega_closed_form(x: UdInstance) -> OmegaClosedForm:
     if np.any(w2 < linalg.MIN_EIG_DEFAULT):
         raise SingularOperator(
             f"source function eigenvalue {np.min(w2):.3e} below {linalg.MIN_EIG_DEFAULT:.0e}"
-            " (states nearly identical)"
+            " (states nearly identical, or a prior near 0)"
         )
     angle = 0.5 * np.arctan2((e1 - e2) * np.sin(two_alpha), np.cos(two_alpha))
     return OmegaClosedForm(w1, w2, angle)
@@ -230,7 +224,8 @@ class RetroBasis:
     """The orthonormal retrodictive basis built from the input pair and the source spectrum.
 
     vectors[..., :, i] is phi_{i+1}, validated as unit vectors on
-    construction; omega_spectrum is the source spectrum it was built from.
+    construction (the basis-change unitary with phi_1, phi_2 as columns);
+    omega_spectrum is the source spectrum it was built from.
     """
 
     vectors: np.ndarray
@@ -240,18 +235,6 @@ class RetroBasis:
         phis = np.swapaxes(self.vectors, -1, -2)
         validate_vector_stack(phis, "retro basis vector").raise_if_failed()
         object.__setattr__(self, "vectors", _frozen(self.vectors))
-
-    @cached_property
-    def phi1(self) -> PureState:
-        return _validated(PureState, amplitudes=self.vectors[..., :, 0])
-
-    @cached_property
-    def phi2(self) -> PureState:
-        return _validated(PureState, amplitudes=self.vectors[..., :, 1])
-
-    def matrix(self) -> np.ndarray:
-        """Basis-change unitary with phi1, phi2 as columns."""
-        return self.vectors
 
 
 def retro_basis(x: UdInstance) -> RetroBasis:
@@ -309,10 +292,9 @@ class DualOptimum:
 
     mu1/mu2 weight the conclusive retro-basis states, mu0 the failure state,
     and regime is "interior" or "clamped", each (...).  rho0 (..., 2, 2) is
-    the failure state's matrix in the computational basis (rho0_ret the
-    operator); at the optimum it is pure (the weighted remainder has zero
-    determinant).  basis is the numeric retro_basis the failure state was
-    built in.
+    the failure state's validated matrix in the computational basis; at the
+    optimum it is pure (the weighted remainder has zero determinant).  basis
+    is the numeric retro_basis the failure state was built in.
     """
 
     mu1: np.ndarray
@@ -322,10 +304,6 @@ class DualOptimum:
     p_success: np.ndarray
     regime: np.ndarray
     basis: RetroBasis
-
-    @cached_property
-    def rho0_ret(self) -> DensityOperator:
-        return _validated(DensityOperator, matrix=self.rho0)
 
 
 def _optimal_mu(x: UdInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -461,16 +439,12 @@ def brute_force_dual(x: UdInstance, grid_step: float):
 class PredictiveUdPovm:
     """The rank-one unambiguous measurement with its transmission weights.
 
-    elements (..., 3, 2, 2) are Pi_1, Pi_2, Pi_0 and c the weights (c_1, c_2),
-    each (...); povm is the Povm of one instance.
+    elements (..., 3, 2, 2) are the validated Pi_1, Pi_2, Pi_0 and c the
+    weights (c_1, c_2), each (...).
     """
 
     elements: np.ndarray
     c: tuple[np.ndarray, np.ndarray]
-
-    @cached_property
-    def povm(self) -> Povm:
-        return _validated(Povm, elements=self.elements, sum_target=None)
 
 
 def optimal_predictive_povm(x: UdInstance) -> PredictiveUdPovm:

@@ -15,7 +15,8 @@ counter-based generator (so suite runs are reproducible) and built as
 stacks: the random corpora as shape groups (n, m, d) of stacked arrays, one
 `transform_stack` each, `random_corpus` drawing each shape's candidates as
 blocks; `unbiased_corpus` and `floor_sweep` draw pair by pair and build per
-shape or dimension.  The `ud` and `channel` suites are a few vectorised
+shape or dimension, and `floor_sweep` gives each pair as slices of its
+validated stacks.  The `ud` and `channel` suites are a few vectorised
 passes over slices of the grid (GRID_BATCH instances each), the grid oracle
 included.  Each suite reports each column's worst value (NaN is worst).
 """
@@ -44,10 +45,9 @@ from .ensembles import (
     DensityOperator,
     Ensemble,
     Povm,
-    _validated,
     validate_operator_stack,
     validate_povm_stack,
-    validate_priors,
+    validate_priors_stack,
 )
 from .errors import (
     RetrodictorError,
@@ -269,7 +269,7 @@ def checks_for_ud(
     point that perfbench traces as the transform layer (ud_retro_dual of a
     stack is the same transform_stack without it).
     """
-    dual = retro_transform(ud_ensemble(inst), ud_povm.povm)
+    dual = retro_transform(ud_ensemble(inst), Povm(ud_povm.elements))
     return _checks(UD_CHECKS, ud_residuals(inst, opt, ud_povm, dual))
 
 
@@ -365,14 +365,13 @@ def random_ensemble(rng: np.random.Generator, dim: int, n_states: int) -> Ensemb
 
 
 def corpus_pairs(groups) -> list[tuple[Ensemble, Povm]]:
-    """Per-pair view of a corpus: each pair of each shape group as an Ensemble and a Povm."""
+    """Each pair of each shape group of a corpus, built as an Ensemble and a Povm."""
     return [(Ensemble(tuple(map(DensityOperator, s)), p), Povm(e)) for g in groups for p, s, e in zip(*g)]
 
 
 def _validated_group(priors, states, elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A shape group of pairs, validated once: priors row by row, states and POVMs as stacks."""
-    for row in priors:
-        validate_priors(row).raise_if_failed()
+    """A shape group of pairs, validated once: priors, states and POVMs as stacks."""
+    validate_priors_stack(priors, "corpus priors").raise_if_failed()
     validate_operator_stack(states, "corpus state", unit_trace=True).raise_if_failed()
     validate_povm_stack(elements, "corpus POVM").raise_if_failed()
     return priors, states, elements
@@ -408,24 +407,28 @@ def random_corpus(
 
 
 def _povms_by_shape(zs, label: str) -> list[np.ndarray]:
-    """The POVMs of (n, 2, d, d) normals, normalised and validated as one stack per shape, in order."""
+    """The POVMs of (n, 2, d, d) normals, normalised, validated and frozen as one stack per shape, in order."""
     out = [None] * len(zs)
     for shape in dict.fromkeys(z.shape for z in zs):
         ks = [k for k, z in enumerate(zs) if z.shape == shape]
         elements = _normalised_povms(np.array([zs[k] for k in ks]))
         validate_povm_stack(elements, label).raise_if_failed()
+        elements.setflags(write=False)
         for k, e in zip(ks, elements):
             out[k] = e
     return out
 
 
-def floor_sweep() -> tuple[list[tuple[float, Ensemble, Povm]], list[tuple[float, UdInstance]]]:
-    """Inputs on either side of the source floor: (min_eig, ensemble, povm) and (w2, UD instance).
+def floor_sweep() -> tuple[
+    list[tuple[float, np.ndarray, np.ndarray, np.ndarray]], list[tuple[float, UdInstance]]
+]:
+    """Inputs on either side of the source floor: (min_eig, priors, states, elements) and (w2, UD instance).
 
     Three pairs per dimension and level, each a random POVM {E_i} splitting
     Omega = U diag(min_eig, ...) U^dag as eta_i rho_i = sqrt(Omega) E_i sqrt(Omega).
-    The draws are made pair by pair; the operators of each dimension are
-    built and validated as stacks, and each pair is a view of them.
+    The draws are made pair by pair; the priors and operators of each
+    dimension are built and validated as stacks, and each pair's arrays are
+    read-only slices of them.
     """
     rng = _rng(DEFAULT_SEED)
     levels = FLOOR_SWEEP_ABOVE + FLOOR_SWEEP_BELOW
@@ -454,13 +457,15 @@ def floor_sweep() -> tuple[list[tuple[float, Ensemble, Povm]], list[tuple[float,
         priors = np.trace(parts, axis1=1, axis2=2).real
         states = (parts + linalg.dag(parts)) / (2.0 * priors[:, None, None])
         validate_operator_stack(states, "floor-sweep state", unit_trace=True).raise_if_failed()
+        # Each pair's priors as a row, zero-padded to the longest: padding moves neither test.
+        rows = np.zeros((len(counts), max(counts)))
+        rows[np.arange(max(counts)) < np.array(counts)[:, None]] = priors
+        validate_priors_stack(rows, "floor-sweep priors").raise_if_failed()
         povms = _povms_by_shape(z_povm, "floor-sweep POVM")
+        priors.setflags(write=False)
+        states.setflags(write=False)
         at = np.cumsum(counts)[:-1]
-        for min_eig, p, s, e in zip(min_eigs.tolist(), np.split(priors, at), np.split(states, at), povms):
-            validate_priors(p).raise_if_failed()
-            views = tuple(_validated(DensityOperator, matrix=m) for m in s)
-            ensemble = _validated(Ensemble, states=views, priors=p, matrices=s)
-            transforms.append((min_eig, ensemble, _validated(Povm, elements=e, sum_target=None)))
+        transforms += zip(min_eigs.tolist(), np.split(priors, at), np.split(states, at), povms)
     uds = [
         (w2, UdInstance(0.5 * math.asin(math.sqrt(w2 * (1.0 - w2) / (eta[0] * eta[1]))), eta))
         for eta in ((0.5, 0.5), (0.6, 0.4))
@@ -599,7 +604,7 @@ def suite_simulate(seed: int = 42, n: int = 10**6) -> SuiteResult:
     """Monte Carlo reproducibility and statistical agreement on the UD instance."""
     inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
     ensemble = ud_ensemble(inst)
-    povm = optimal_predictive_povm(inst).povm
+    povm = Povm(optimal_predictive_povm(inst).elements)
     start = time.perf_counter()
     counts = sample(ensemble, povm, n, seed)
     elapsed = time.perf_counter() - start
@@ -687,10 +692,12 @@ def suite_failure_modes() -> SuiteResult:
 def _floor_contract_breaches() -> float:
     """Floor-sweep inputs that miss an identity above the floor or raise no SingularOperator below."""
     transforms, uds = floor_sweep()
-    runs = [
-        (m, lambda e=e, p=p: checks_for_transform(e, p, retro_transform(e, p)))
-        for m, e, p in transforms
-    ]
+
+    def transform_checks(priors, states, elements):
+        dual = transform_stack(priors, states, elements)
+        return _checks(TRANSFORM_CHECKS, transform_residuals(joint_table(priors, states, elements), dual))
+
+    runs = [(m, functools.partial(transform_checks, *pair)) for m, *pair in transforms]
     runs += [
         (
             w2,

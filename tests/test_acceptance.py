@@ -9,6 +9,7 @@ import json
 import pytest
 
 from retrodictor.cli import main
+from retrodictor.ensembles import Povm
 from retrodictor.formats import ensemble_to_payload, povm_to_payload, write_json
 from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble, ud_states
 from retrodictor.verify import (
@@ -131,7 +132,7 @@ def test_criterion_9_failure_mode_contract(tmp_path):
     povm_path = tmp_path / "povm.json"
     write_json(ensemble_to_payload(ud_ensemble(inst), pure_states=list(ud_states(inst))),
                str(ens_path))
-    write_json(povm_to_payload(optimal_predictive_povm(inst).povm), str(povm_path))
+    write_json(povm_to_payload(Povm(optimal_predictive_povm(inst).elements)), str(povm_path))
     bad = json.loads(ens_path.read_text())
     bad["priors"] = [0.5, 0.4]
     bad_path = tmp_path / "bad.json"

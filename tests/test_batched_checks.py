@@ -12,7 +12,7 @@ import pytest
 
 from retrodictor import verify
 from retrodictor.channel import no_signaling_check
-from retrodictor.ensembles import Ensemble, source_from_ensemble
+from retrodictor.ensembles import DensityOperator, Ensemble, Povm, source_from_ensemble
 from retrodictor.errors import RetrodictorError, ValidationError
 from retrodictor.linalg import maxabs
 from retrodictor.retrodiction import joint_table, retro_transform, transform_stack, unbiased_dual
@@ -120,23 +120,23 @@ def test_grouped_transform_rows_equal_the_per_pair_checks():
 
 
 def test_transform_suite_equals_its_per_pair_definition():
-    # The double dual and the unbiased reduction, pair by pair through the
-    # validated per-pair views, reduce to the grouped suite's values exactly.
+    # The double dual and the unbiased reduction, pair by pair through objects
+    # built by their constructors, reduce to the grouped suite's values exactly.
     count, seed = 60, verify.DEFAULT_SEED
     rows, double_src, double_ops, unbiased = [], 0.0, 0.0, 0.0
     for ensemble, povm in verify.corpus_pairs(verify.random_corpus(seed, count)):
         dual = retro_transform(ensemble, povm)
         rows.append([c.value for c in verify.checks_for_transform(ensemble, povm, dual)])
-        back_ensemble = Ensemble(dual.retro_states, dual.mu.mu)
-        double_src = max(double_src, maxabs(source_from_ensemble(back_ensemble).matrix - dual.omega.matrix))
-        back = retro_transform(back_ensemble, dual.retro_povm)
-        double_ops = max(double_ops, maxabs(back.retro_povm.elements - povm.elements),
-                         *(maxabs(b.matrix - a.matrix) for a, b in zip(ensemble.states, back.retro_states)))
+        back_ensemble = Ensemble(tuple(map(DensityOperator, dual.state_stack)), dual.mu.mu)
+        double_src = max(double_src, maxabs(source_from_ensemble(back_ensemble).matrix - dual.omega_matrix))
+        back = retro_transform(back_ensemble, Povm(dual.povm_stack))
+        double_ops = max(double_ops, maxabs(back.povm_stack - povm.elements),
+                         *(maxabs(b - a.matrix) for a, b in zip(ensemble.states, back.state_stack)))
     for ensemble, povm in verify.corpus_pairs(verify.unbiased_corpus(seed + 1)):
         dual, ref = retro_transform(ensemble, povm), unbiased_dual(ensemble, povm)
-        unbiased = max(unbiased, maxabs(dual.retro_povm.elements - ref.retro_povm.elements),
-                       *(maxabs(a.matrix - b.matrix) for a, b in zip(dual.retro_states, ref.retro_states)
-                         if a is not None and b is not None))
+        unbiased = max(unbiased, maxabs(dual.povm_stack - ref.povm_stack),
+                       *(maxabs(a - b) for a, b, both in zip(dual.state_stack, ref.state_stack,
+                                                             dual.defined & ref.defined) if both))
     expected = [*np.max(rows, axis=0), double_src, double_ops, unbiased]
     assert [c.value for c in verify.suite_transform(seed, count).checks] == expected
 

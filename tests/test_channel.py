@@ -62,7 +62,7 @@ def test_symmetric_state_both_reductions_equal_source():
 
 def test_symmetric_state_is_alice_basis_change_of_entangled_state():
     inst = UdInstance.from_overlap(0.45, (0.65, 0.35))
-    u = retro_basis(inst).matrix()
+    u = retro_basis(inst).vectors
     lifted = np.kron(u, np.eye(2)) @ entangled_state(inst).amplitudes
     assert maxabs(lifted - symmetric_state(inst, retro_basis(inst)).amplitudes) < 1e-10
 
@@ -77,8 +77,8 @@ def test_no_signaling_at_optimum():
     report = no_signaling_check(UdInstance.from_overlap(0.5, (0.5, 0.5)))
     assert report.max_residual < 1e-10
     om = omega_matrix(UdInstance.from_overlap(0.5, (0.5, 0.5)))
-    assert maxabs(report.rho_a.matrix - om) < 1e-10
-    assert maxabs(report.rho_b.matrix - om) < 1e-10
+    assert maxabs(report.reduced_a - om) < 1e-10
+    assert maxabs(report.reduced_b - om) < 1e-10
 
 
 def test_no_signaling_for_any_feasible_decomposition():

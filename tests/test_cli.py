@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from retrodictor.cli import main
-from retrodictor.ensembles import Povm
+from retrodictor.ensembles import DensityOperator, Ensemble, Povm
 from retrodictor.formats import ensemble_to_payload, povm_to_payload, write_json
 from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble, ud_states
 
@@ -16,7 +16,7 @@ def ud_files(tmp_path):
     ens_path = tmp_path / "ensemble.json"
     povm_path = tmp_path / "povm.json"
     write_json(ensemble_to_payload(ud_ensemble(inst), pure_states=list(ud_states(inst))), str(ens_path))
-    write_json(povm_to_payload(optimal_predictive_povm(inst).povm), str(povm_path))
+    write_json(povm_to_payload(Povm(optimal_predictive_povm(inst).elements)), str(povm_path))
     return str(ens_path), str(povm_path)
 
 
@@ -73,6 +73,20 @@ def test_transform_unbiased_reduction_reported(tmp_path):
     assert np.allclose(got, np.diag([1.0, 0.0]), atol=1e-12)
 
 
+def test_transform_reports_an_outcome_that_never_clicks(tmp_path):
+    # The maximally mixed qubit against the POVM (I, 0): outcome 1 has no retrodictive state.
+    ens, povm = tmp_path / "ens.json", tmp_path / "povm.json"
+    write_json(ensemble_to_payload(Ensemble((DensityOperator(np.eye(2) / 2.0),), [1.0])), str(ens))
+    write_json(povm_to_payload(Povm((np.eye(2), np.zeros((2, 2))))), str(povm))
+    out = tmp_path / "rep.json"
+    assert main(["transform", str(ens), str(povm), "--out", str(out)]) == 0
+    derived = json.loads(out.read_text())["derived"]
+    assert derived["undefined_outcomes"] == [1]
+    assert derived["retro_states"][1] is None
+    assert derived["retro_states"][0] == [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    assert derived["unbiased"] is True
+
+
 def test_ud_command_spot_values(tmp_path):
     out = tmp_path / "ud.json"
     code = main(["ud", "--eta1", "0.5", "--overlap", "0.5", "--out", str(out)])
@@ -122,8 +136,12 @@ def test_ud_command_bad_overlap_exit_1():
     assert main(["ud", "--eta1", "1.0", "--overlap", "0.5"]) == 1
 
 
-def test_ud_command_singular_exit_2():
+def test_ud_command_singular_exit_2(capsys):
     assert main(["ud", "--eta1", "0.5", "--alpha", "1e-9"]) == 2
+    # det(Omega) = eta_1 eta_2 (1 - s^2): at overlap 0.5 only the prior near 0 makes it small.
+    capsys.readouterr()
+    assert main(["ud", "--eta1", "0.999999", "--overlap", "0.5"]) == 2
+    assert "a prior near 0" in capsys.readouterr().err
 
 
 def test_channel_command(tmp_path):
@@ -148,6 +166,16 @@ def test_simulate_reports_are_byte_identical(ud_files, tmp_path):
     assert doc["inputs"]["rng_algorithm"] == "philox4x64-v3"
     assert doc["derived"]["counts"][0][1] == 0
     assert doc["derived"]["counts"][1][0] == 0
+    # Identical input gives byte-identical reports for every command.
+    for argv in (
+        ["transform", ens_path, povm_path],
+        ["transform", ens_path, povm_path, "--support-restricted"],
+        ["ud", "--eta1", "0.7", "--overlap", "0.4", "--grid-check", "1e-3"],
+        ["channel", "--eta1", "0.6", "--alpha", "0.3"],
+    ):
+        assert main([*argv, "--out", str(out1)]) == 0
+        assert main([*argv, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_simulate_seed_env_default(ud_files, tmp_path, monkeypatch):

@@ -150,17 +150,16 @@ def test_the_floor_sweep_equals_its_per_pair_draws():
     transforms, _ = verify.floor_sweep()
     expected = reference_floor_sweep()
     assert len(transforms) == len(expected)
-    for (level, ensemble, povm), (ref_level, ref_ensemble, ref_povm) in zip(transforms, expected):
+    for (level, priors, states, elements), (ref_level, ref_ensemble, ref_povm) in zip(transforms, expected):
         assert level == ref_level
-        assert len(ensemble.states) == len(ref_ensemble.states)
+        assert len(states) == len(ref_ensemble.states)
         for array, ref in [
-            (ensemble.priors, ref_ensemble.priors),
-            (ensemble.matrices, ref_ensemble.matrices),
-            (povm.elements, ref_povm.elements),
-            *((s.matrix, r.matrix) for s, r in zip(ensemble.states, ref_ensemble.states)),
+            (priors, ref_ensemble.priors),
+            (states, ref_ensemble.matrices),
+            (elements, ref_povm.elements),
+            *((s, r.matrix) for s, r in zip(states, ref_ensemble.states)),
         ]:
             assert array.dtype == ref.dtype
             assert not array.flags.writeable
             assert np.array_equal(array, ref)
-        assert povm.sum_target is None
 

@@ -15,6 +15,7 @@ from retrodictor.ensembles import (
     validate_ensemble,
     validate_povm,
     validate_priors,
+    validate_priors_stack,
 )
 from retrodictor.errors import ValidationError
 from retrodictor.linalg import maxabs, outer
@@ -64,6 +65,22 @@ def test_priors_sum_residual_is_named():
     violation = report.violations[0]
     assert violation.check == "priors_sum"
     assert abs(violation.residual - 0.1) < 1e-12
+
+
+def test_a_priors_stack_reports_what_each_row_reports():
+    rows = np.array([[0.5, 0.5], [0.5, 0.4], [1.2, -0.3], [np.inf, 1.0], [0.25, 0.75]])
+    stacked = validate_priors_stack(rows, "corpus priors").violations
+    single = [v for row in rows for v in validate_priors(row).violations]
+    assert [(v.check, v.residual) for v in stacked] == [(v.check, v.residual) for v in single]
+    assert [v.message for v in single] == [
+        "priors do not sum to 1",
+        "negative prior",
+        "priors do not sum to 1",
+        "priors has non-finite entries",
+    ]
+    rows_named = [f" (corpus priors[{k}])" for k in (1, 2, 2, 3)]
+    assert [v.message for v in stacked] == [v.message + at for v, at in zip(single, rows_named)]
+    assert validate_priors_stack(rows[[0, 4]], "corpus priors").ok
 
 
 def test_povm_psd_violation_magnitude_measured():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from retrodictor.cli import main
+from retrodictor.ensembles import Povm
 from retrodictor.errors import ValidationError
 from retrodictor.formats import (
     ensemble_to_payload,
@@ -163,7 +164,7 @@ def test_render_json_is_canonical():
 
 def test_ud_povm_roundtrip(tmp_path):
     inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
-    povm = optimal_predictive_povm(inst).povm
+    povm = Povm(optimal_predictive_povm(inst).elements)
     path = tmp_path / "udpovm.json"
     write_json(povm_to_payload(povm), str(path))
     loaded = parse_povm_file(str(path))

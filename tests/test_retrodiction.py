@@ -27,11 +27,9 @@ from retrodictor.retrodiction import (
     retro_transform,
     retrodictive_prob_bayes,
     retrodictive_prob_symmetric,
-    transform_stack,
 )
 from retrodictor.ud import (
     UdInstance,
-    optimal_dual,
     optimal_predictive_povm,
     retro_basis,
     ud_ensemble,
@@ -62,7 +60,7 @@ def test_predictive_prob_examples():
 
 def test_predictive_prob_ud_condition_is_exact_zero():
     inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
-    povm = optimal_predictive_povm(inst).povm
+    povm = Povm(optimal_predictive_povm(inst).elements)
     ensemble = ud_ensemble(inst)
     assert predictive_prob(povm.elements[0], ensemble.states[1]) < 1e-15
     assert predictive_prob(povm.elements[1], ensemble.states[0]) < 1e-15
@@ -96,7 +94,7 @@ def test_outcome_probs_unbiased_projective_is_uniform():
 def test_outcome_probs_optimal_ud_weights():
     # mu_i = eta_i - sqrt(eta_1 eta_2) s = 1/4 at eta = 1/2, s = 1/2; mu_0 = 1/2.
     inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
-    mu = outcome_probs(optimal_predictive_povm(inst).povm, source_from_ensemble(ud_ensemble(inst)))
+    mu = outcome_probs(Povm(optimal_predictive_povm(inst).elements), source_from_ensemble(ud_ensemble(inst)))
     assert np.allclose(mu.mu, [0.25, 0.25, 0.5], atol=1e-12)
 
 
@@ -135,18 +133,19 @@ def test_transform_reduces_to_unbiased_construction():
     ensemble, povm = corpus_pairs(unbiased_corpus(seed=21, count=1))[0]
     dual = retro_transform(ensemble, povm)
     ref = unbiased_dual(ensemble, povm)
-    for a, b in zip(dual.retro_povm.elements, ref.retro_povm.elements):
+    for a, b in zip(dual.povm_stack, ref.povm_stack):
         assert maxabs(a - b) < 1e-10
-    for a, b in zip(dual.retro_states, ref.retro_states):
-        assert maxabs(a.matrix - b.matrix) < 1e-10
+    assert dual.defined.all() and ref.defined.all()
+    for a, b in zip(dual.state_stack, ref.state_stack):
+        assert maxabs(a - b) < 1e-10
 
 
 def test_transform_ud_retro_povm_is_basis_projectors():
     inst = UdInstance(math.pi / 6, (0.6, 0.4))
-    dual = retro_transform(ud_ensemble(inst), optimal_predictive_povm(inst).povm)
+    dual = retro_transform(ud_ensemble(inst), Povm(optimal_predictive_povm(inst).elements))
     basis = retro_basis(inst)
-    assert maxabs(dual.retro_povm.elements[0] - basis.phi1.projector()) < 1e-12
-    assert maxabs(dual.retro_povm.elements[1] - basis.phi2.projector()) < 1e-12
+    assert maxabs(dual.povm_stack[0] - PureState(basis.vectors[:, 0]).projector()) < 1e-12
+    assert maxabs(dual.povm_stack[1] - PureState(basis.vectors[:, 1]).projector()) < 1e-12
 
 
 def test_transform_identities_on_random_biased_instance():
@@ -161,7 +160,7 @@ def test_transform_identities_on_random_biased_instance():
 
 def test_symmetric_ud_exclusion_structure():
     inst = UdInstance(math.pi / 6, (0.6, 0.4))
-    dual = retro_transform(ud_ensemble(inst), optimal_predictive_povm(inst).povm)
+    dual = retro_transform(ud_ensemble(inst), Povm(optimal_predictive_povm(inst).elements))
     assert retrodictive_prob_symmetric(dual, 0, 1) < 1e-12
     assert retrodictive_prob_symmetric(dual, 1, 0) < 1e-12
     assert abs(retrodictive_prob_symmetric(dual, 0, 0) - 1.0) < 1e-12
@@ -189,13 +188,13 @@ def test_double_dual_shares_the_source():
     ensemble = random_ensemble(rng, 3, 3)
     povm = random_povm(rng, 3, 3)
     dual = retro_transform(ensemble, povm)
-    back_ensemble = Ensemble(tuple(dual.retro_states), dual.mu.mu)
-    assert maxabs(source_from_ensemble(back_ensemble).matrix - dual.omega.matrix) < 1e-10
-    back = retro_transform(back_ensemble, dual.retro_povm)
+    back_ensemble = Ensemble(tuple(map(DensityOperator, dual.state_stack)), dual.mu.mu)
+    assert maxabs(source_from_ensemble(back_ensemble).matrix - dual.omega_matrix) < 1e-10
+    back = retro_transform(back_ensemble, Povm(dual.povm_stack))
     for j in range(len(povm)):
-        assert maxabs(back.retro_povm.elements[j] - povm.elements[j]) < 1e-9
+        assert maxabs(back.povm_stack[j] - povm.elements[j]) < 1e-9
     for i in range(len(ensemble)):
-        assert maxabs(back.retro_states[i].matrix - ensemble.states[i].matrix) < 1e-9
+        assert maxabs(back.state_stack[i] - ensemble.states[i].matrix) < 1e-9
 
 
 def test_tiny_outcome_probability_keeps_unit_trace():
@@ -234,7 +233,7 @@ def test_zero_prior_state_flows_through_transform():
     povm = random_povm(rng, 2, 3)
     dual = retro_transform(ensemble, povm)
     assert dual.completeness_residual() < 1e-12
-    assert maxabs(dual.retro_povm.elements[2]) < 1e-12  # zero prior, zero element
+    assert maxabs(dual.povm_stack[2]) < 1e-12  # zero prior, zero element
     for j in range(len(povm)):
         assert retrodictive_prob_symmetric(dual, 2, j) < 1e-12
         assert retrodictive_prob_bayes(ensemble, povm, 2, j) < 1e-12
@@ -267,34 +266,13 @@ def test_bayes_table_rejects_a_defined_outcome_at_the_floor():
         bayes_table(joints, np.array([[True, False], [True, True]]))
 
 
-def test_per_pair_views_of_a_stacked_dual_raise():
-    rng = _rng(5)
-    dual = transform_stack(*_draw_states(rng, 2, 4, (2,)), _draw_povm(rng, 2, 2, (2,)))
-    assert dual.povm_stack.shape == (2, 4, 2, 2)
-    for view in ("retro_povm", "retro_states", "omega"):
-        with pytest.raises(ValueError, match="is a stack"):
-            getattr(dual, view)
-
-
-def test_per_instance_views_of_a_ud_batch_raise():
-    batch = UdInstance.from_overlap([0.5, 0.3], [[0.5, 0.7], [0.5, 0.3]])
-    views = {
-        "phi1": retro_basis(batch),
-        "rho0_ret": optimal_dual(batch),
-        "povm": optimal_predictive_povm(batch),
-    }
-    for view, owner in views.items():
-        with pytest.raises(ValueError, match="is a stack"):
-            getattr(owner, view)
-
-
 def test_zero_probability_outcome_flagged_in_transform():
     state = DensityOperator(np.eye(2) / 2)
     ensemble = Ensemble((state,), np.array([1.0]))
     povm = Povm((np.eye(2), np.zeros((2, 2))))
     dual = retro_transform(ensemble, povm)
-    assert dual.retro_states[1] is None
-    assert dual.retro_states[0] is not None
+    assert not dual.defined[1]
+    assert dual.defined[0]
     with pytest.raises(ZeroProbabilityOutcome):
         retrodictive_prob_symmetric(dual, 0, 1)
     # identities still hold over the defined states
@@ -313,9 +291,9 @@ def test_support_restricted_transform_on_singular_source():
     ensemble = Ensemble((pure, pure), np.array([0.5, 0.5]))
     dual = retro_transform(ensemble, projective_povm(), support_restricted=True)
     support = np.diag([1.0, 0.0])
-    assert maxabs(sum(dual.retro_povm.elements) - support) < 1e-12
+    assert maxabs(sum(dual.povm_stack) - support) < 1e-12
     assert dual.source_residual() < 1e-12
-    assert dual.retro_states[1] is None  # the orthogonal outcome never clicks
+    assert not dual.defined[1]  # the orthogonal outcome never clicks
 
 
 def test_negative_input_eigenvalue_cannot_leak_into_retro_povm():
@@ -356,7 +334,7 @@ def test_stacked_expressions_match_their_loops():
         inv_root = hermitian_eig(omega).inv_sqrt()
         loop = [inv_root @ (float(eta) * s.matrix) @ inv_root for eta, s in pairs]
         loop = np.array([(e + dag(e)) / 2.0 for e in loop])
-        assert np.array_equal(retro_transform(ensemble, povm).retro_povm.elements, loop)
+        assert np.array_equal(retro_transform(ensemble, povm).povm_stack, loop)
 
         joint = np.array([
             [float(eta) * float(np.einsum("ij,ji->", e, s.matrix).real) for e in povm.elements]

@@ -26,7 +26,7 @@ def orthogonal_setup():
 
 def ud_setup():
     inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
-    return ud_ensemble(inst), optimal_predictive_povm(inst).povm
+    return ud_ensemble(inst), Povm(optimal_predictive_povm(inst).elements)
 
 
 def test_orthogonal_states_have_zero_cross_counts():

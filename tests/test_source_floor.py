@@ -12,6 +12,7 @@ import pytest
 from retrodictor import linalg
 from retrodictor.channel import no_signaling_check
 from retrodictor.cli import main
+from retrodictor.ensembles import DensityOperator, Ensemble, Povm
 from retrodictor.errors import SingularOperator
 from retrodictor.formats import ensemble_to_payload, povm_to_payload, write_json
 from retrodictor.retrodiction import retro_transform
@@ -31,15 +32,20 @@ TRANSFORMS, UDS = floor_sweep()
 
 
 def pairs_at(dim, min_eig):
-    return [(e, p) for m, e, p in TRANSFORMS if m == min_eig and e.dim == dim]
+    """The sweep's pairs at one dimension and level, built as an Ensemble and a Povm."""
+    return [
+        (Ensemble(tuple(map(DensityOperator, states)), priors), Povm(elements))
+        for m, priors, states, elements in TRANSFORMS
+        if m == min_eig and states.shape[-1] == dim
+    ]
 
 
 def test_sweep_levels_bracket_the_floor():
     assert FLOOR == 1e-5
     assert FLOOR_SWEEP_ABOVE == (1.05 * FLOOR, 10.0 * FLOOR)
     assert FLOOR_SWEEP_BELOW == (0.5 * FLOOR, 1e-7, 1e-9)
-    for min_eig, ensemble, _ in TRANSFORMS:
-        source = sum(eta * s.matrix for eta, s in zip(ensemble.priors, ensemble.states))
+    for min_eig, priors, states, _ in TRANSFORMS:
+        source = sum(eta * s for eta, s in zip(priors, states))
         assert abs(linalg.min_eigenvalue(source) - min_eig) < 1e-6 * min_eig
     for w2, inst in UDS:
         if w2 >= FLOOR:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from retrodictor.ensembles import source_from_ensemble
+from retrodictor.ensembles import Povm, PureState, source_from_ensemble
 from retrodictor.errors import SingularOperator, ValidationError
 from retrodictor.linalg import dag, hermitian_eig, maxabs
 from retrodictor.retrodiction import outcome_probs
@@ -103,8 +103,8 @@ def test_quarter_pi_boundary_with_unequal_priors():
         assert abs(abs(cf.omega_angle) - math.pi / 4) < 1e-12
         numeric = retro_basis(inst)
         closed = retro_basis_closed_form(inst)
-        assert maxabs(numeric.phi1.amplitudes - closed.phi1.amplitudes) < 1e-12
-        assert maxabs(numeric.phi2.amplitudes - closed.phi2.amplitudes) < 1e-12
+        assert maxabs(numeric.vectors[:, 0] - closed.vectors[:, 0]) < 1e-12
+        assert maxabs(numeric.vectors[:, 1] - closed.vectors[:, 1]) < 1e-12
         assert abs(optimal_dual(inst).p_success - 1.0) < 1e-12
 
 
@@ -117,8 +117,8 @@ def test_retro_basis_balanced_priors():
     basis = retro_basis(UdInstance(math.pi / 6, (0.5, 0.5)))
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
     minus = np.array([1.0, -1.0]) / math.sqrt(2)
-    assert maxabs(basis.phi1.projector() - np.outer(plus, plus)) < 1e-12
-    assert maxabs(basis.phi2.projector() - np.outer(minus, minus)) < 1e-12
+    assert maxabs(PureState(basis.vectors[:, 0]).projector() - np.outer(plus, plus)) < 1e-12
+    assert maxabs(PureState(basis.vectors[:, 1]).projector() - np.outer(minus, minus)) < 1e-12
 
 
 def test_retro_basis_orthonormal_and_matches_closed_form_on_grid():
@@ -128,11 +128,12 @@ def test_retro_basis_orthonormal_and_matches_closed_form_on_grid():
             inst = UdInstance(float(alpha), (float(eta_max), float(1 - eta_max)))
             numeric = retro_basis(inst)
             closed = retro_basis_closed_form(inst)
-            worst_orth = max(worst_orth, abs(numeric.phi1.overlap(numeric.phi2)))
+            phi1, phi2 = PureState(numeric.vectors[:, 0]), PureState(numeric.vectors[:, 1])
+            worst_orth = max(worst_orth, abs(phi1.overlap(phi2)))
             worst_gap = max(
                 worst_gap,
-                maxabs(numeric.phi1.amplitudes - closed.phi1.amplitudes),
-                maxabs(numeric.phi2.amplitudes - closed.phi2.amplitudes),
+                maxabs(numeric.vectors[:, 0] - closed.vectors[:, 0]),
+                maxabs(numeric.vectors[:, 1] - closed.vectors[:, 1]),
             )
     assert worst_orth < 1e-9
     assert worst_gap < 1e-10
@@ -163,7 +164,7 @@ def test_omega_in_retro_basis_examples():
 
 def test_omega_in_retro_basis_matches_basis_change():
     inst = UdInstance.from_overlap(0.37, (0.62, 0.38))
-    u = retro_basis(inst).matrix()
+    u = retro_basis(inst).vectors
     assert maxabs(dag(u) @ omega_matrix(inst) @ u - omega_in_retro_basis(inst)) < 1e-10
 
 
@@ -242,12 +243,12 @@ def test_dual_invariants_on_grid():
             assert abs(opt.mu1 + opt.mu2 + opt.mu0 - 1.0) < 1e-12
             assert -1e-15 <= opt.mu1 <= inst.eta[0] + 1e-15
             assert -1e-15 <= opt.mu2 <= inst.eta[1] + 1e-15
-            weighted = opt.mu0 * opt.rho0_ret.matrix
+            weighted = opt.mu0 * opt.rho0
             assert abs(np.linalg.det(weighted)) < 1e-10
             basis = retro_basis(inst)
             total = (
-                opt.mu1 * basis.phi1.projector()
-                + opt.mu2 * basis.phi2.projector()
+                opt.mu1 * PureState(basis.vectors[:, 0]).projector()
+                + opt.mu2 * PureState(basis.vectors[:, 1]).projector()
                 + weighted
             )
             assert maxabs(total - omega_matrix(inst)) < 1e-10
@@ -258,8 +259,8 @@ def test_interior_failure_state_is_balanced_superposition():
     opt = optimal_dual(inst)
     assert opt.regime == "interior"
     basis = retro_basis(inst)
-    phi0 = (basis.phi1.amplitudes + basis.phi2.amplitudes) / math.sqrt(2)
-    assert maxabs(opt.rho0_ret.matrix - np.outer(phi0, phi0.conj())) < 1e-10
+    phi0 = (basis.vectors[:, 0] + basis.vectors[:, 1]) / math.sqrt(2)
+    assert maxabs(opt.rho0 - np.outer(phi0, phi0.conj())) < 1e-10
 
 
 def test_regime_boundary_continuity():
@@ -282,8 +283,8 @@ def test_predictive_povm_annihilates_wrong_state():
     for inst in (UdInstance(0.3, (0.6, 0.4)), UdInstance.from_overlap(0.8, (0.85, 0.15))):
         ud_povm = optimal_predictive_povm(inst)
         psi1, psi2 = ud_states(inst)
-        p12 = float(np.vdot(psi2.amplitudes, ud_povm.povm.elements[0] @ psi2.amplitudes).real)
-        p21 = float(np.vdot(psi1.amplitudes, ud_povm.povm.elements[1] @ psi1.amplitudes).real)
+        p12 = float(np.vdot(psi2.amplitudes, ud_povm.elements[0] @ psi2.amplitudes).real)
+        p21 = float(np.vdot(psi1.amplitudes, ud_povm.elements[1] @ psi1.amplitudes).real)
         assert abs(p12) < 1e-12
         assert abs(p21) < 1e-12
 
@@ -306,14 +307,14 @@ def test_duality_bridge_mu_equals_predictive_terms():
     ud_povm = optimal_predictive_povm(inst)
     psi1, psi2 = ud_states(inst)
     term1 = inst.eta[0] * float(
-        np.vdot(psi1.amplitudes, ud_povm.povm.elements[0] @ psi1.amplitudes).real
+        np.vdot(psi1.amplitudes, ud_povm.elements[0] @ psi1.amplitudes).real
     )
     term2 = inst.eta[1] * float(
-        np.vdot(psi2.amplitudes, ud_povm.povm.elements[1] @ psi2.amplitudes).real
+        np.vdot(psi2.amplitudes, ud_povm.elements[1] @ psi2.amplitudes).real
     )
     assert abs(term1 - opt.mu1) < 1e-10
     assert abs(term2 - opt.mu2) < 1e-10
-    mu = outcome_probs(ud_povm.povm, source_from_ensemble(ud_ensemble(inst)))
+    mu = outcome_probs(Povm(ud_povm.elements), source_from_ensemble(ud_ensemble(inst)))
     assert abs(mu[0] - opt.mu1) < 1e-10
     assert abs(mu[1] - opt.mu2) < 1e-10
 
@@ -341,9 +342,10 @@ def test_purity_identification_orthogonal_unbiased_case():
     dual = ud_retro_dual(inst)
     ud_povm = optimal_predictive_povm(inst)
     for j in (0, 1):
-        element = ud_povm.povm.elements[j]
+        element = ud_povm.elements[j]
         expected = element / float(np.trace(element).real)
-        assert maxabs(dual.retro_states[j].matrix - expected) < 1e-12
+        assert dual.defined[j]
+        assert maxabs(dual.state_stack[j] - expected) < 1e-12
 
 
 def test_purity_identification_grid():
@@ -390,7 +392,7 @@ def test_ud_command_far_above_the_floor_succeeds(tmp_path):
 def test_failure_element_is_the_remainder_and_transforms(s, eta1):
     inst = UdInstance.from_overlap(s, (eta1, 1.0 - eta1))
     ud_povm = optimal_predictive_povm(inst)
-    pi1, pi2, pi0 = ud_povm.povm.elements
+    pi1, pi2, pi0 = ud_povm.elements
     assert maxabs(pi0 - (np.eye(2) - pi1 - pi2)) < 1e-15
     ud_retro_dual(inst, ud_povm)  # validates rho_0^ret
 

@@ -174,7 +174,7 @@ def test_transform_validates_with_three_eigvalsh_calls(monkeypatch):
     for ensemble, povm in pairs:
         calls.clear()
         dual = retro_transform(ensemble, povm)
-        defined.add(sum(s is not None for s in dual.retro_states))
+        defined.add(int(dual.defined.sum()))
         assert len(calls) == 3
     assert len(defined) > 1
 
@@ -187,6 +187,18 @@ def test_corpus_validation_does_not_grow_with_the_pair_count(monkeypatch):
         calls.clear()
         groups = random_corpus(count=count)
         assert len(calls) == 2 * len(groups)
+        counts[count] = len(calls)
+    assert counts[500] <= counts[100]
+
+
+def test_corpus_priors_are_checked_once_per_shape_group(monkeypatch):
+    # Each shape group's (N, n) priors are checked as one stack, not row by row.
+    calls = count_calls(monkeypatch, ensembles, "_priors_violations")
+    counts = {}
+    for count in (100, 500):
+        calls.clear()
+        groups = random_corpus(count=count)
+        assert len(calls) == len(groups)
         counts[count] = len(calls)
     assert counts[500] <= counts[100]
 
