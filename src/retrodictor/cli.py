@@ -10,6 +10,7 @@ statistics).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .channel import no_signaling_check
-from .ensembles import source_from_ensemble
+from .ensembles import is_unbiased
 from .errors import DimensionMismatch, RetrodictorError, ValidationError
 from .formats import (
     ensemble_to_payload,
@@ -119,7 +120,7 @@ def cmd_transform(args) -> int:
     }
     doc["derived"] = {
         "omega": matrix_to_rows(dual.omega_matrix),
-        "unbiased": source_from_ensemble(ensemble).unbiased,
+        "unbiased": is_unbiased(dual.omega_matrix),
         "mu": [float(m) for m in dual.mu.mu],
         "undefined_outcomes": [j for j, ok in enumerate(dual.defined.tolist()) if not ok],
         "retro_povm": matrix_to_rows(dual.povm_stack),
@@ -254,7 +255,9 @@ def _add_instance_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--overlap", type=float, help="state overlap s = cos(2 alpha), in [0, 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
     parser = _Parser(prog="retrodictor", description=__doc__)
     parser.add_argument("--version", action="version", version=f"retrodictor {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -266,19 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="invert the source on its support only (singular sources); source "
                         "eigenvalues that are not zero up to roundoff must still clear the floor")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("ud", help="optimal dual of two-state unambiguous discrimination")
     _add_instance_arguments(p)
     p.add_argument("--grid-check", type=float, default=None, metavar="STEP",
                    help="also run the brute-force grid oracle at this step")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_ud)
 
     p = sub.add_parser("channel", help="symmetric entangled channel and no-signaling checks")
     _add_instance_arguments(p)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_channel)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo sampling of a prepare-measure pair")
     p.add_argument("ensemble", help="ensemble JSON file")
@@ -288,13 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"RNG seed, a signed 64-bit integer in [-2**63, 2**63) "
                         f"(default: ${SEED_ENV_VAR} or 0)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("--suite", action="append", default=None,
                    help="suite name (repeatable): transform, ud, channel, simulate, failure-modes, all")
     p.add_argument("--out", help="also write the JSON report here")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -305,7 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports usage errors via exit
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # Looked up per call, so a rebinding of a cmd_* function reaches the cached parser.
+        return globals()[f"cmd_{args.command}"](args)
     except (ValidationError, DimensionMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

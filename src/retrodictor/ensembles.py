@@ -416,9 +416,7 @@ class SourceFunction:
     unbiased: bool = field(init=False)
 
     def __post_init__(self):
-        eye_over_d = np.eye(self.omega.dim) / self.omega.dim
-        res = linalg.maxabs(self.omega.matrix - eye_over_d)
-        object.__setattr__(self, "unbiased", bool(res <= UNBIASED_TOL))
+        object.__setattr__(self, "unbiased", is_unbiased(self.omega.matrix))
 
     @property
     def dim(self) -> int:
@@ -427,6 +425,12 @@ class SourceFunction:
     @property
     def matrix(self) -> np.ndarray:
         return self.omega.matrix
+
+
+def is_unbiased(omega: np.ndarray) -> bool:
+    """Whether a source function Omega (d, d) is I/d to within UNBIASED_TOL, entry by entry."""
+    dim = omega.shape[-1]
+    return bool(linalg.maxabs(omega - np.eye(dim) / dim) <= UNBIASED_TOL)
 
 
 def source_from_ensemble(ensemble: Ensemble) -> SourceFunction:

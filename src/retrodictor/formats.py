@@ -5,11 +5,18 @@ matrices row-major.  Serialization goes through Python's shortest
 round-trip float repr (at most 17 significant digits), so serialize -> parse
 reproduces every value bit-exactly and identical inputs yield byte-identical
 documents.
+
+The canonical form of a document is defined as the standard library's
+json.dumps(doc, indent=2, sort_keys=True) plus a newline.  render_json
+produces exactly that text, faster; tests/test_canonical_json.py pins it.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 import numpy as np
@@ -49,6 +56,20 @@ def _pair_to_complex(pair: Any, where: str) -> complex:
     return complex(float(pair[0]), float(pair[1]))
 
 
+def _entries_to_complex(entries: list, where: str) -> np.ndarray:
+    """complex128 vector of [re, im] entries.
+
+    JSON input (lists of two ints or floats) is checked and converted in bulk;
+    anything else goes entry by entry, which accepts float subclasses and
+    tuples and names a malformed entry.
+    """
+    if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+        values = list(chain.from_iterable(entries))
+        if set(map(type, values)) <= {int, float}:
+            return np.array(values, np.float64).view(np.complex128)
+    return np.array([_pair_to_complex(z, where) for z in entries], dtype=np.complex128)
+
+
 def rows_to_matrix(rows: Any, where: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValidationError(
@@ -59,9 +80,7 @@ def rows_to_matrix(rows: Any, where: str) -> np.ndarray:
         raise ValidationError(
             [Violation("file_format", 0.0, f"{where}: matrix must be square, row-major")]
         )
-    return np.array(
-        [[_pair_to_complex(z, where) for z in row] for row in rows], dtype=np.complex128
-    )
+    return _entries_to_complex(list(chain.from_iterable(rows)), where).reshape(n, n)
 
 
 def pairs_to_vector(pairs: Any, where: str) -> np.ndarray:
@@ -69,7 +88,7 @@ def pairs_to_vector(pairs: Any, where: str) -> np.ndarray:
         raise ValidationError(
             [Violation("file_format", 0.0, f"{where}: vector must be a list of [re, im] pairs")]
         )
-    return np.array([_pair_to_complex(z, where) for z in pairs], dtype=np.complex128)
+    return _entries_to_complex(pairs, where)
 
 
 def _load_json(path: str) -> Any:
@@ -181,6 +200,78 @@ def write_json(doc: dict, path: str) -> None:
         fh.write(render_json(doc))
 
 
-def render_json(doc: dict) -> str:
-    """Canonical rendering: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def render_json(doc: Any) -> str:
+    """Canonical rendering: exactly json.dumps(doc, indent=2, sort_keys=True) + "\\n".
+
+    json's indented encoder is pure Python; this one renders each rectangular
+    nested list of floats through one %-template and raises what json raises.
+    """
+    try:
+        return _render(doc, "") + "\n"
+    except RecursionError:  # a cycle, or nesting too deep: json.dumps raises its own error
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _render(x: Any, indent: str) -> str:
+    """x as json.dumps(x, indent=2, sort_keys=True) writes it, nested at indent."""
+    if isinstance(x, str):
+        return _encode_str(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float_text(x)
+    inner = indent + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        if (block := _float_block(x, indent)) is not None:
+            return block
+        items = [_render(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(x, dict) and set(map(type, x)) <= {str}:
+        if not x:
+            return "{}"
+        items = [_encode_str(k) + ": " + _render(x[k], inner) for k in sorted(x)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    # Non-str keys and unknown types: json's own text or error.  Newlines in
+    # json text are all structural (strings escape them), so this re-indents it.
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _float_block(x: list, indent: str) -> str | None:
+    """A non-empty rectangular nested list of Python floats as one template fill, else None."""
+    level, shape, seen = x, [len(x)], {id(x)}
+    while (types := set(map(type, level))) == {list}:
+        lengths, known = set(map(len, level)), len(seen)
+        seen.update(map(id, level))
+        if len(lengths) != 1 or 0 in lengths or len(seen) != known + len(level):
+            return None  # ragged, empty, or a list met twice (shared or cyclic)
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    if types != {float}:
+        return None
+    text = _template(shape, indent) % tuple(map(float.__repr__, level))
+    return None if "n" in text else text  # nan and inf: json spells them NaN, Infinity
+
+
+def _template(shape: list, indent: str) -> str:
+    """A nested list of this shape as json indents it, with %s for each float."""
+    inner = indent + "  "
+    item = _template(shape[1:], inner) if shape[1:] else "%s"
+    return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + indent + "]"

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import retrodictor
+from retrodictor import cli
 from retrodictor.cli import main
-from retrodictor.ensembles import DensityOperator, Ensemble, Povm
+from retrodictor.ensembles import UNBIASED_TOL, DensityOperator, Ensemble, Povm, source_from_ensemble
 from retrodictor.formats import ensemble_to_payload, povm_to_payload, write_json
 from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble, ud_states
 
@@ -233,3 +239,42 @@ def test_simulate_seed_outside_64_bit_range_exits_1(ud_files, monkeypatch, capsy
     monkeypatch.setenv("RETRODICTOR_SEED", str(2**64 - 1))
     assert main(["simulate", ens_path, povm_path, "--n", "1000"]) == 1
     assert "signed 64-bit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.4 * UNBIASED_TOL, 4 * UNBIASED_TOL, 0.25])
+def test_transform_unbiased_flag_is_the_source_functions(delta, tmp_path):
+    # Two orthogonal pure states with priors 1/2 +- delta: Omega is I/2 off by delta on the diagonal.
+    ensemble = Ensemble(tuple(DensityOperator(np.diag(row)) for row in np.eye(2)), [0.5 + delta, 0.5 - delta])
+    ens, povm, out = tmp_path / "ens.json", tmp_path / "povm.json", tmp_path / "rep.json"
+    write_json(ensemble_to_payload(ensemble), str(ens))
+    write_json(povm_to_payload(Povm((np.eye(2) / 2.0, np.eye(2) / 2.0))), str(povm))
+    assert main(["transform", str(ens), str(povm), "--out", str(out)]) == 0
+    unbiased = json.loads(out.read_text())["derived"]["unbiased"]
+    assert unbiased is (delta <= UNBIASED_TOL)
+    assert unbiased is source_from_ensemble(ensemble).unbiased
+
+
+def test_main_is_reusable_within_one_process(capsys, monkeypatch):
+    samples = pathlib.Path(__file__).resolve().parents[1] / "sample_inputs"
+    assert main(["ud", "--eta1", "0.5"]) == 1  # neither --alpha nor --overlap
+    err = capsys.readouterr().err
+    assert err.startswith("usage: retrodictor ud") and "error:" in err
+    src = str(pathlib.Path(retrodictor.__file__).resolve().parents[1])
+    for argv in (
+        ["transform", str(samples / "ud_ensemble.json"), str(samples / "ud_povm.json")],
+        ["ud", "--eta1", "0.7", "--overlap", "0.4", "--grid-check", "1e-3"],
+        ["channel", "--eta1", "0.6", "--alpha", "0.3"],
+    ):
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "retrodictor.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        )
+        assert report == fresh.stdout
+    # A command function rebound after the parser was built is the one that runs.
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_ud", lambda args: calls.append(args.eta1) or 0)
+    assert main(["ud", "--eta1", "0.25", "--overlap", "0.5"]) == 0
+    assert calls == [0.25]

@@ -1,4 +1,6 @@
 import json
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from retrodictor.formats import (
     ensemble_to_payload,
     parse_ensemble_file,
     parse_povm_file,
+    pairs_to_vector,
     povm_to_payload,
     render_json,
+    rows_to_matrix,
     write_json,
 )
 from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble, ud_states
@@ -170,3 +174,68 @@ def test_ud_povm_roundtrip(tmp_path):
     loaded = parse_povm_file(str(path))
     for a, b in zip(loaded.elements, povm.elements):
         assert np.array_equal(a, b)
+
+
+def _per_entry(rows) -> np.ndarray:
+    return np.array([[complex(float(re), float(im)) for re, im in row] for row in rows], dtype=np.complex128)
+
+
+def _random_part(rng: random.Random):
+    k = rng.randrange(6)
+    if k == 0:  # any bit pattern but NaN: subnormals and infinities included
+        x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        return x if x == x else -0.0
+    if k == 1:
+        return rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e-300])
+    if k == 2:
+        return rng.choice([0, -1, 3, 2**53 + 1, -(2**63) - 1, 2**64 + 1, 10**300 + 12345])
+    return rng.uniform(-1.0, 1.0)
+
+
+def test_bulk_parse_is_bit_identical_to_the_per_entry_parse():
+    rng = random.Random(16)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = [[[_random_part(rng), _random_part(rng)] for _ in range(n)] for _ in range(n)]
+        got, want = rows_to_matrix(rows, "m"), _per_entry(rows)
+        assert got.dtype == np.complex128 and got.shape == (n, n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+        vector = pairs_to_vector(rows[0], "v")
+        assert vector.shape == (n,)
+        assert np.array_equal(vector.view(np.uint64), want[0].view(np.uint64))
+
+
+@pytest.mark.parametrize("entry", [
+    [True, 0.0], [0.0, False], ["1", 0.0], [None, 0.0], [0.5], [0.5, 0.0, 0.0], [], {"re": 1.0}, 0.5, "x", None,
+])
+def test_a_malformed_entry_gives_the_same_validation_error(entry):
+    message = "w: complex entries must be [re, im] pairs"
+    for parse, doc in ((rows_to_matrix, [[[1.0, 0.0], entry], [[0.0, 0.0], [1.0, 0.0]]]), (pairs_to_vector, [[1.0, 0.0], entry])):
+        with pytest.raises(ValidationError) as excinfo:
+            parse(doc, "w")
+        [violation] = excinfo.value.violations
+        assert (violation.check, violation.message) == ("file_format", message)
+
+
+@pytest.mark.parametrize("rows", [[[[1.0, 0.0]], (0.0, 0.0)], [[[1.0, 0.0]], "row"], [0.5], [], "rows", None])
+def test_rows_that_are_not_lists_give_the_same_validation_error(rows):
+    with pytest.raises(ValidationError) as excinfo:
+        rows_to_matrix(rows, "w")
+    [violation] = excinfo.value.violations
+    assert (violation.check, violation.message) == ("file_format", "w: matrix must be a list of rows")
+
+
+def test_entries_off_the_json_path_still_parse_entry_by_entry():
+    rows = [[(1.0, 0.0), [np.float64(0.5), 0]], [[0, np.float64(-0.0)], (0.25, 1)]]
+    got = rows_to_matrix(rows, "w")
+    assert np.array_equal(got.view(np.uint64), _per_entry(rows).view(np.uint64))
+
+
+def test_an_int_beyond_float_range_raises_as_before():
+    with pytest.raises(OverflowError):
+        complex(float(10**400), 0.0)
+    with pytest.raises(OverflowError):
+        rows_to_matrix([[[10**400, 0.0]]], "w")
+    with pytest.raises(OverflowError):
+        pairs_to_vector([[0.0, -(10**400)]], "w")
