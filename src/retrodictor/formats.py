@@ -44,30 +44,19 @@ def vector_to_pairs(vector: np.ndarray) -> list[list[float]]:
     return matrix_to_rows(vector)
 
 
-def _pair_to_complex(pair: Any, where: str) -> complex:
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-    ):
-        raise ValidationError(
-            [Violation("file_format", 0.0, f"{where}: complex entries must be [re, im] pairs")]
-        )
-    return complex(float(pair[0]), float(pair[1]))
-
-
 def _entries_to_complex(entries: list, where: str) -> np.ndarray:
-    """complex128 vector of [re, im] entries.
+    """complex128 vector of [re, im] entries, checked and converted in bulk.
 
-    JSON input (lists of two ints or floats) is checked and converted in bulk;
-    anything else goes entry by entry, which accepts float subclasses and
-    tuples and names a malformed entry.
+    Each entry must be a list of two ints or floats (not bools), as json.load
+    gives them; any other entry fails the whole matrix with one message.
     """
     if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
         values = list(chain.from_iterable(entries))
         if set(map(type, values)) <= {int, float}:
             return np.array(values, np.float64).view(np.complex128)
-    return np.array([_pair_to_complex(z, where) for z in entries], dtype=np.complex128)
+    raise ValidationError(
+        [Violation("file_format", 0.0, f"{where}: complex entries must be [re, im] pairs")]
+    )
 
 
 def rows_to_matrix(rows: Any, where: str) -> np.ndarray:
@@ -205,6 +194,9 @@ def render_json(doc: Any) -> str:
 
     json's indented encoder is pure Python; this one renders each rectangular
     nested list of floats through one %-template and raises what json raises.
+    That includes a cycle, which gets json's ValueError rather than a hang:
+    _float_block gives up on a list it has met before, and RecursionError
+    hands the document to json.dumps.
     """
     try:
         return _render(doc, "") + "\n"

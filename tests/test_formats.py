@@ -226,12 +226,6 @@ def test_rows_that_are_not_lists_give_the_same_validation_error(rows):
     assert (violation.check, violation.message) == ("file_format", "w: matrix must be a list of rows")
 
 
-def test_entries_off_the_json_path_still_parse_entry_by_entry():
-    rows = [[(1.0, 0.0), [np.float64(0.5), 0]], [[0, np.float64(-0.0)], (0.25, 1)]]
-    got = rows_to_matrix(rows, "w")
-    assert np.array_equal(got.view(np.uint64), _per_entry(rows).view(np.uint64))
-
-
 def test_an_int_beyond_float_range_raises_as_before():
     with pytest.raises(OverflowError):
         complex(float(10**400), 0.0)
