@@ -91,9 +91,16 @@ def sample(
     flat = np.zeros(table.size, dtype=np.int64)
     seed_word = int(seed) & 0xFFFFFFFFFFFFFFFF  # low 64-bit word of the Philox key
     n_shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
+    # One generator, reset to each shard's stream start (counter 0, empty
+    # buffer): the state of a fresh Philox(key=seed_word | shard << 64), which
+    # would first seed and discard a SeedSequence of its own.
+    bits = np.random.Philox(key=seed_word)
+    start = bits.state
+    rng = np.random.Generator(bits)
     for shard in range(n_shards):
         m = min(SHARD_SIZE, n - shard * SHARD_SIZE)
-        rng = np.random.Generator(np.random.Philox(key=seed_word | (shard << 64)))
+        start["state"]["key"][1] = shard
+        bits.state = start
         flat[live] += rng.multinomial(m, p)
     return SampleCounts(n, flat.reshape(table.shape), seed)
 

@@ -10,15 +10,17 @@ classification, branch continuity, spot values).
 Every identity family is array-valued: `transform_residuals`,
 `ud_residuals` and `channel_residuals` give one row of their check table's
 values per instance, for one instance (what the `checks_for_*` functions
-report) or for a whole stack.  Every input is drawn with the sampler's
-counter-based generator (so suite runs are reproducible) and built as
-stacks: the random corpora as shape groups (n, m, d) of stacked arrays, one
-`transform_stack` each, `random_corpus` drawing each shape's candidates as
-blocks; `unbiased_corpus` and `floor_sweep` draw pair by pair and build per
-shape or dimension, and `floor_sweep` gives each pair as slices of its
-validated stacks.  The `ud` and `channel` suites are a few vectorised
-passes over slices of the grid (GRID_BATCH instances each), the grid oracle
-included.  Each suite reports each column's worst value (NaN is worst).
+report) or for a whole stack.  The seeded inputs come from one block drawer
+on the sampler's counter-based generator, so suite runs are reproducible:
+each corpus draws its slots' state and outcome counts as one block, groups
+the slots by shape (n, m, d), and draws each input kind of a shape as one
+block (priors and states, POVMs, unitaries, the floor sweep's spectra and
+splittings), validated once.  The transform suite runs one
+`transform_stack` per shape group; `floor_sweep` gives each pair as
+read-only slices of its shape's stacks.  The `ud` and `channel` suites are a
+few vectorised passes over slices of the grid (GRID_BATCH instances each),
+the grid oracle included.  Each suite reports each column's worst value (NaN
+is worst).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import functools
 import itertools
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,14 +321,10 @@ def _ginibre(z: np.ndarray) -> np.ndarray:
     return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
-def _unitaries(z: np.ndarray) -> np.ndarray:
-    """Random unitaries from (..., 2, d, d) normals: the eigenvectors of each Ginibre matrix's Hermitian part."""
-    g = _ginibre(z)
+def _draw_unitaries(rng: np.random.Generator, dim: int, lead: tuple[int, ...]) -> np.ndarray:
+    """Random unitaries (*lead, d, d), drawn as one block: the eigenvectors of Ginibre matrices' Hermitian parts."""
+    g = _ginibre(rng.standard_normal((*lead, 2, dim, dim)))
     return linalg.hermitian_eig((g + linalg.dag(g)) / 2.0).eigenvectors
-
-
-def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return _unitaries(rng.standard_normal((2, dim, dim)))
 
 
 def _draw_states(
@@ -340,18 +337,13 @@ def _draw_states(
     return priors / priors.sum(axis=-1, keepdims=True), m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _normalised_povms(z: np.ndarray) -> np.ndarray:
-    """POVMs from (..., n, 2, d, d) normals: n Ginibre PSD operators normalised by their sum."""
-    g = _ginibre(z)
+def _draw_povm(rng: np.random.Generator, dim: int, n_elements: int, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """Random POVMs (*lead, n, d, d), drawn as one block: n Ginibre PSD operators normalised by their sum."""
+    g = _ginibre(rng.standard_normal((*lead, n_elements, 2, dim, dim)))
     mats = g @ linalg.dag(g)
     inv_root = linalg.inv_sqrtm_psd(mats.sum(axis=-3), min_eig=1e-12)[..., None, :, :]
     e = inv_root @ mats @ inv_root
     return (e + linalg.dag(e)) / 2.0
-
-
-def _draw_povm(rng: np.random.Generator, dim: int, n_elements: int, lead: tuple[int, ...] = ()) -> np.ndarray:
-    """Random POVMs (*lead, n, d, d), drawn as one block."""
-    return _normalised_povms(rng.standard_normal((*lead, n_elements, 2, dim, dim)))
 
 
 def random_povm(rng: np.random.Generator, dim: int, n_elements: int) -> Povm:
@@ -369,6 +361,26 @@ def corpus_pairs(groups) -> list[tuple[Ensemble, Povm]]:
     return [(Ensemble(tuple(map(DensityOperator, s)), p), Povm(e)) for g in groups for p, s, e in zip(*g)]
 
 
+def _slots_by_shape(
+    rng: np.random.Generator, dims: list[int], n_states: list[int] | None = None
+) -> dict[tuple[int, int, int], list[int]]:
+    """The indices of slots of dimensions dims, grouped by shape (n, m, d) in order of first appearance.
+
+    The drawer's first step: the slots' (states, outcomes) counts, 2 to 4
+    each, are drawn as one block.  n_states, if given, fixes the state counts
+    and only the outcome counts are drawn.  Each shape then draws every input
+    kind of its slots as one block.
+    """
+    if n_states is None:
+        n_states, n_outcomes = rng.integers(2, 5, (len(dims), 2)).T.tolist()
+    else:
+        n_outcomes = rng.integers(2, 5, len(dims)).tolist()
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for k, shape in enumerate(zip(n_states, n_outcomes, dims)):
+        groups.setdefault(shape, []).append(k)
+    return groups
+
+
 def _validated_group(priors, states, elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A shape group of pairs, validated once: priors, states and POVMs as stacks."""
     validate_priors_stack(priors, "corpus priors").raise_if_failed()
@@ -382,18 +394,16 @@ def random_corpus(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Seeded pairs clearing MIN_OMEGA_EIG and MIN_MU, as shape groups of stacked (priors, states, elements).
 
-    The (states, outcomes) counts of the count slots are drawn first, and the
-    slots' dimensions cycle through dims.  Each shape (n, m, d), in order of
-    first appearance, then draws as many candidates as it has slots left, as
-    one block of priors, states and POVMs, and keeps those that clear the
-    floors, until its slots are filled.
+    The slots' dimensions cycle through dims.  Each shape (n, m, d) draws as
+    many candidates as it has slots left, as one block of priors and states
+    and one of POVMs, and keeps those that clear the floors, until its slots
+    are filled.
     """
     rng = _rng(seed)
-    sizes = rng.integers(2, 5, (count, 2))
-    shapes = Counter((int(n), int(m), dims[k % len(dims)]) for k, (n, m) in enumerate(sizes))
+    shapes = _slots_by_shape(rng, [dims[k % len(dims)] for k in range(count)])
     groups = []
-    for (n_states, n_elements, dim), slots in shapes.items():
-        kept = []
+    for (n_states, n_elements, dim), ks in shapes.items():
+        kept, slots = [], len(ks)
         while slots:
             priors, states = _draw_states(rng, dim, n_states, (slots,))
             elements = _draw_povm(rng, dim, n_elements, (slots,))
@@ -406,17 +416,30 @@ def random_corpus(
     return groups
 
 
-def _povms_by_shape(zs, label: str) -> list[np.ndarray]:
-    """The POVMs of (n, 2, d, d) normals, normalised, validated and frozen as one stack per shape, in order."""
-    out = [None] * len(zs)
-    for shape in dict.fromkeys(z.shape for z in zs):
-        ks = [k for k, z in enumerate(zs) if z.shape == shape]
-        elements = _normalised_povms(np.array([zs[k] for k in ks]))
-        validate_povm_stack(elements, label).raise_if_failed()
-        elements.setflags(write=False)
-        for k, e in zip(ks, elements):
-            out[k] = e
-    return out
+def unbiased_corpus(seed: int, count: int = 60) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Pairs whose source is maximally mixed (orthonormal pure states, uniform priors), as shape groups.
+
+    Slot k has dimension d = CORPUS_DIMS[k % 3] and d states, the columns of
+    a random unitary.  Each shape draws its unitaries, then its POVMs, as one
+    block each.
+    """
+    rng = _rng(seed)
+    dims = [CORPUS_DIMS[k % len(CORPUS_DIMS)] for k in range(count)]
+    groups = []
+    for (_, n_elements, dim), ks in _slots_by_shape(rng, dims, n_states=dims).items():
+        lead = (len(ks),)
+        # C order, as each pair's own arrays are: the sources then sum their
+        # states in the same order for the stack as for each pair alone.
+        states = np.ascontiguousarray(linalg.outer(np.swapaxes(_draw_unitaries(rng, dim, lead), -1, -2)))
+        elements = _draw_povm(rng, dim, n_elements, lead)
+        groups.append(_validated_group(np.full((*lead, dim), 1.0 / dim), states, elements))
+    return groups
+
+
+def _validate_by_shape(stacks, validate) -> None:
+    """Validate (N, ...) stacks of one kind as one stack per trailing shape, in order of first appearance."""
+    for shape in dict.fromkeys(s.shape[1:] for s in stacks):
+        validate(np.concatenate([s for s in stacks if s.shape[1:] == shape])).raise_if_failed()
 
 
 def floor_sweep() -> tuple[
@@ -424,76 +447,44 @@ def floor_sweep() -> tuple[
 ]:
     """Inputs on either side of the source floor: (min_eig, priors, states, elements) and (w2, UD instance).
 
-    Three pairs per dimension and level, each a random POVM {E_i} splitting
-    Omega = U diag(min_eig, ...) U^dag as eta_i rho_i = sqrt(Omega) E_i sqrt(Omega).
-    The draws are made pair by pair; the priors and operators of each
-    dimension are built and validated as stacks, and each pair's arrays are
-    read-only slices of them.
+    Three pairs per dimension and level, in that order, each a random POVM
+    {E_i} splitting Omega = U diag(min_eig, ...) U^dag as
+    eta_i rho_i = sqrt(Omega) E_i sqrt(Omega), measured by another random
+    POVM.  Each shape (n, m, d) draws its spectra, unitaries, splittings and
+    POVMs as one block each.  Each kind is validated once, as one stack per
+    trailing shape (the states per dimension), and each pair's arrays are
+    read-only slices of its shape's stacks.
     """
     rng = _rng(DEFAULT_SEED)
-    levels = FLOOR_SWEEP_ABOVE + FLOOR_SWEEP_BELOW
-    transforms = []
-    for dim in FLOOR_SWEEP_DIMS:
-        # Per pair: the spectrum, the unitary, then the splitting and the measured POVM.
-        draws = [
-            (
-                min_eig,
-                rng.dirichlet(np.ones(dim - 1)),
-                rng.standard_normal((2, dim, dim)),
-                rng.standard_normal((int(rng.integers(2, 5)), 2, dim, dim)),
-                rng.standard_normal((int(rng.integers(2, 5)), 2, dim, dim)),
-            )
-            for min_eig, _ in itertools.product(levels, range(3))
-        ]
-        min_eigs, dirichlet, z_unitary, z_split, z_povm = zip(*draws)
-        min_eigs = np.array(min_eigs)
-        rest = min_eigs[:, None] + np.array(dirichlet) * (1.0 - dim * min_eigs)[:, None]
-        u = _unitaries(np.array(z_unitary))
-        root = (u * np.sqrt(np.column_stack([min_eigs, rest]))[:, None, :]) @ linalg.dag(u)
-        split = _povms_by_shape(z_split, "floor-sweep splitting POVM")
-        counts = [len(e) for e in split]
-        roots = np.repeat(root, counts, axis=0)
-        parts = roots @ np.concatenate(split) @ roots
-        priors = np.trace(parts, axis1=1, axis2=2).real
-        states = (parts + linalg.dag(parts)) / (2.0 * priors[:, None, None])
-        validate_operator_stack(states, "floor-sweep state", unit_trace=True).raise_if_failed()
-        # Each pair's priors as a row, zero-padded to the longest: padding moves neither test.
-        rows = np.zeros((len(counts), max(counts)))
-        rows[np.arange(max(counts)) < np.array(counts)[:, None]] = priors
-        validate_priors_stack(rows, "floor-sweep priors").raise_if_failed()
-        povms = _povms_by_shape(z_povm, "floor-sweep POVM")
-        priors.setflags(write=False)
-        states.setflags(write=False)
-        at = np.cumsum(counts)[:-1]
-        transforms += zip(min_eigs.tolist(), np.split(priors, at), np.split(states, at), povms)
+    slots = list(itertools.product(FLOOR_SWEEP_DIMS, FLOOR_SWEEP_ABOVE + FLOOR_SWEEP_BELOW, range(3)))
+    transforms, blocks = [None] * len(slots), []
+    for (n_states, n_elements, dim), ks in _slots_by_shape(rng, [dim for dim, _, _ in slots]).items():
+        lead = (len(ks),)
+        min_eigs = np.array([slots[k][1] for k in ks])
+        rest = min_eigs[:, None] + rng.dirichlet(np.ones(dim - 1), lead) * (1.0 - dim * min_eigs)[:, None]
+        u = _draw_unitaries(rng, dim, lead)
+        root = ((u * np.sqrt(np.column_stack([min_eigs, rest]))[:, None, :]) @ linalg.dag(u))[:, None]
+        split = _draw_povm(rng, dim, n_states, lead)
+        parts = root @ split @ root
+        priors = np.trace(parts, axis1=-2, axis2=-1).real
+        states = (parts + linalg.dag(parts)) / (2.0 * priors[..., None, None])
+        elements = _draw_povm(rng, dim, n_elements, lead)
+        for array in (priors, states, elements):
+            array.setflags(write=False)
+        blocks.append((priors, split, states.reshape(-1, dim, dim), elements))
+        for k, *pair in zip(ks, min_eigs.tolist(), priors, states, elements):
+            transforms[k] = tuple(pair)
+    priors, split, states, elements = zip(*blocks)
+    _validate_by_shape(priors, lambda p: validate_priors_stack(p, "floor-sweep priors"))
+    _validate_by_shape(split, lambda e: validate_povm_stack(e, "floor-sweep splitting POVM"))
+    _validate_by_shape(states, lambda s: validate_operator_stack(s, "floor-sweep state", unit_trace=True))
+    _validate_by_shape(elements, lambda e: validate_povm_stack(e, "floor-sweep POVM"))
     uds = [
         (w2, UdInstance(0.5 * math.asin(math.sqrt(w2 * (1.0 - w2) / (eta[0] * eta[1]))), eta))
         for eta in ((0.5, 0.5), (0.6, 0.4))
-        for w2 in levels
+        for w2 in FLOOR_SWEEP_ABOVE + FLOOR_SWEEP_BELOW
     ]
     return transforms, uds
-
-
-def unbiased_corpus(seed: int, count: int = 60) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Pairs whose source is maximally mixed (orthonormal pure states, uniform priors), as shape groups.
-
-    The draws are made pair by pair; each shape group is built as one stack.
-    """
-    rng = _rng(seed)
-    draws: dict[tuple[int, ...], tuple[list, list]] = {}
-    for k in range(count):
-        dim = CORPUS_DIMS[k % len(CORPUS_DIMS)]
-        z_unitary = rng.standard_normal((2, dim, dim))
-        z_povm = rng.standard_normal((int(rng.integers(2, 5)), 2, dim, dim))
-        unitaries, povms = draws.setdefault(z_povm.shape, ([], []))
-        unitaries.append(z_unitary)
-        povms.append(z_povm)
-    groups = []
-    for z_unitary, z_povm in draws.values():
-        n, dim = len(z_unitary), z_unitary[0].shape[-1]
-        states = linalg.outer(np.swapaxes(_unitaries(np.array(z_unitary)), -1, -2))
-        groups.append(_validated_group(np.full((n, dim), 1.0 / dim), states, _normalised_povms(np.array(z_povm))))
-    return groups
 
 
 def grid_instances() -> UdInstance:

@@ -1,19 +1,20 @@
-"""The transform corpora and the floor sweep are their pairs built one at a time.
+"""The verification inputs of the block drawer.
 
-The references below build each pair as a validated Ensemble and Povm,
-reject it through the source function and the outcome distribution, and
-group the kept pairs by shape (n, m, d) in draw order.  The corpora must
-equal them bit for bit, group for group, and the floor sweep pair for pair.
+random_corpus equals its pairs built one at a time: the reference below
+builds each pair as a validated Ensemble and Povm, rejects it through the
+source function and the outcome distribution, and groups the kept pairs by
+shape (n, m, d) in draw order, bit for bit.  unbiased_corpus and floor_sweep
+are held to the drawer's contract: seed-deterministic, each group of the shape
+it is keyed by, and the unbiased sources maximally mixed.
 """
 
-import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from retrodictor import linalg, verify
-from retrodictor.ensembles import DensityOperator, Ensemble, source_from_ensemble
+from retrodictor.ensembles import source_from_ensemble
 from retrodictor.retrodiction import outcome_probs
 
 
@@ -76,36 +77,6 @@ def reference_corpus(seed, count, dims=verify.CORPUS_DIMS):
     return _grouped(pairs), rejected
 
 
-def reference_floor_sweep():
-    """floor_sweep's transforms drawn and built pair by pair, as validated objects."""
-    rng = verify._rng(verify.DEFAULT_SEED)
-    levels = verify.FLOOR_SWEEP_ABOVE + verify.FLOOR_SWEEP_BELOW
-    transforms = []
-    for dim, min_eig, _ in itertools.product(verify.FLOOR_SWEEP_DIMS, levels, range(3)):
-        rest = min_eig + rng.dirichlet(np.ones(dim - 1)) * (1.0 - dim * min_eig)
-        u = verify._random_unitary(rng, dim)
-        root = (u * np.sqrt(np.concatenate([[min_eig], rest]))) @ linalg.dag(u)
-        parts = root @ verify.random_povm(rng, dim, int(rng.integers(2, 5))).elements @ root
-        priors = np.trace(parts, axis1=1, axis2=2).real
-        states = (parts + linalg.dag(parts)) / (2.0 * priors[:, None, None])
-        povm = verify.random_povm(rng, dim, int(rng.integers(2, 5)))
-        transforms.append((min_eig, Ensemble(tuple(map(DensityOperator, states)), priors), povm))
-    return transforms
-
-
-def reference_unbiased_corpus(seed, count=60):
-    """unbiased_corpus pair by pair."""
-    rng = verify._rng(seed)
-    pairs = []
-    for k in range(count):
-        dim = verify.CORPUS_DIMS[k % len(verify.CORPUS_DIMS)]
-        u = verify._random_unitary(rng, dim)
-        states = tuple(DensityOperator(linalg.outer(u[:, i])) for i in range(dim))
-        ensemble = Ensemble(states, np.full(dim, 1.0 / dim))
-        pairs.append((ensemble, verify.random_povm(rng, dim, int(rng.integers(2, 5)))))
-    return _grouped(pairs)
-
-
 def assert_same_groups(groups, expected):
     assert len(groups) == len(expected)
     for group, reference in zip(groups, expected):
@@ -134,11 +105,6 @@ def test_a_corpus_in_one_dimension_equals_its_per_pair_draws():
     assert_same_groups(verify.random_corpus(21, 6, dims=(3,)), expected)
 
 
-@pytest.mark.parametrize("seed", [verify.DEFAULT_SEED + 1, 11, 21])
-def test_the_unbiased_corpus_equals_its_per_pair_draws(seed):
-    assert_same_groups(verify.unbiased_corpus(seed), reference_unbiased_corpus(seed))
-
-
 def test_the_per_pair_view_lists_the_pairs_group_by_group():
     groups = verify.random_corpus(verify.DEFAULT_SEED, 30)
     pairs = verify.corpus_pairs(groups)
@@ -146,20 +112,47 @@ def test_the_per_pair_view_lists_the_pairs_group_by_group():
     assert_same_groups(groups, _grouped(pairs))
 
 
-def test_the_floor_sweep_equals_its_per_pair_draws():
-    transforms, _ = verify.floor_sweep()
-    expected = reference_floor_sweep()
-    assert len(transforms) == len(expected)
-    for (level, priors, states, elements), (ref_level, ref_ensemble, ref_povm) in zip(transforms, expected):
-        assert level == ref_level
-        assert len(states) == len(ref_ensemble.states)
-        for array, ref in [
-            (priors, ref_ensemble.priors),
-            (states, ref_ensemble.matrices),
-            (elements, ref_povm.elements),
-            *((s, r.matrix) for s, r in zip(states, ref_ensemble.states)),
-        ]:
-            assert array.dtype == ref.dtype
-            assert not array.flags.writeable
-            assert np.array_equal(array, ref)
 
+def group_shapes(groups):
+    """Each group's (n, m, d), after checking that its three C-order stacks agree on it."""
+    shapes = []
+    for priors, states, elements in groups:
+        (size, n), (m, d) = priors.shape, elements.shape[-3:-1]
+        assert states.shape == (size, n, d, d) and elements.shape == (size, m, d, d)
+        assert states.flags.c_contiguous and elements.flags.c_contiguous
+        shapes.append((n, m, d))
+    return shapes
+
+
+@pytest.mark.parametrize("draw", [verify.random_corpus, verify.unbiased_corpus])
+def test_the_drawer_is_seed_deterministic_and_keys_each_group_by_its_shape(draw):
+    seed = verify.DEFAULT_SEED + 1
+    groups, other = draw(seed, 60), draw(seed + 1, 60)
+    assert_same_groups(groups, draw(seed, 60))
+    assert not all(np.array_equal(a, b) for g, h in zip(groups, other) for a, b in zip(g, h))
+    shapes = group_shapes(groups)
+    assert len(set(shapes)) == len(shapes) and {d for _, _, d in shapes} == set(verify.CORPUS_DIMS)
+    assert sum(len(priors) for priors, _, _ in groups) == 60
+
+
+def test_the_floor_sweep_is_deterministic_and_its_pairs_are_read_only_slices():
+    transforms, again = verify.floor_sweep()[0], verify.floor_sweep()[0]
+    levels = verify.FLOOR_SWEEP_ABOVE + verify.FLOOR_SWEEP_BELOW
+    expected = [(d, m) for d in verify.FLOOR_SWEEP_DIMS for m in levels for _ in range(3)]
+    assert [(states.shape[-1], m) for m, _, states, _ in transforms] == expected
+    for (_, *pair), (_, *pair_again) in zip(transforms, again):
+        assert all(np.array_equal(a, b) for a, b in zip(pair, pair_again))
+        group_shapes([tuple(a[None] for a in pair)])
+        assert not any(a.flags.writeable or a.flags.owndata for a in pair)
+
+
+@pytest.mark.parametrize("seed", [verify.DEFAULT_SEED + 1, 11, 21])
+def test_the_unbiased_sources_are_orthonormal_projectors_with_uniform_priors(seed):
+    groups = verify.unbiased_corpus(seed)
+    for (n, _, d), (priors, states, _) in zip(group_shapes(groups), groups):
+        assert n == d and np.array_equal(priors, np.full(priors.shape, 1.0 / d))
+        # Hermitian idempotents of trace 1 are rank-one projectors; d of them summing to I are orthonormal.
+        assert linalg.maxabs(states - linalg.dag(states)) < 1e-15
+        assert linalg.maxabs(states @ states - states) < 1e-12
+        assert np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0).max() < 1e-12
+        assert linalg.maxabs(states.sum(axis=1) - np.eye(d)) < 1e-12

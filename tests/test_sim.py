@@ -204,6 +204,19 @@ def test_counts_are_pinned_for_one_seed():
     assert counts.counts.tolist() == [[49457, 0, 49080], [0, 49061, 49015]]
 
 
+def test_each_shard_draws_the_stream_of_a_fresh_philox_keyed_by_seed_and_shard():
+    ensemble, povm = ud_setup()
+    table = joint_probability_table(ensemble, povm)
+    live = np.flatnonzero(table > 0.0)
+    p = table.reshape(-1)[live] / table.reshape(-1)[live].sum()
+    for seed in (-(1 << 63), -1, 0, 2026, (1 << 63) - 1):
+        expected = np.zeros(table.size, dtype=np.int64)
+        for shard, m in enumerate((SHARD_SIZE, SHARD_SIZE, 5)):
+            key = (seed & 0xFFFFFFFFFFFFFFFF) | (shard << 64)
+            expected[live] += np.random.Generator(np.random.Philox(key=key)).multinomial(m, p)
+        assert sample(ensemble, povm, 2 * SHARD_SIZE + 5, seed).counts.ravel().tolist() == expected.tolist()
+
+
 def test_table_summing_just_above_one_samples():
     # Validation accepts a POVM whose elements sum to 1 + 5e-11; numpy's
     # multinomial rejects probabilities summing beyond 1 + 1e-12 unless the

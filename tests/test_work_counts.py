@@ -203,6 +203,19 @@ def test_corpus_priors_are_checked_once_per_shape_group(monkeypatch):
     assert counts[500] <= counts[100]
 
 
+def test_unbiased_corpus_validates_each_shape_group_once(monkeypatch):
+    # Per shape group: its priors as one stack, its states and POVMs as two operator stacks.
+    operators = count_calls(monkeypatch, ensembles, "_validate_operators")
+    priors = count_calls(monkeypatch, ensembles, "_priors_violations")
+    for count in (60, 600):
+        operators.clear()
+        priors.clear()
+        groups = verify.unbiased_corpus(verify.DEFAULT_SEED + 1, count)
+        assert len(groups) <= 9  # three outcome counts in each of the three dimensions
+        assert (len(operators), len(priors)) == (2 * len(groups), len(groups))
+        assert [len(args[0]) for args in priors] == [len(p) for p, _, _ in groups]
+
+
 def test_floor_sweep_validation_does_not_grow_with_the_pair_count(monkeypatch):
     # One state stack per dimension and one stack per POVM shape, whatever the pair count.
     calls = count_calls(monkeypatch, ensembles, "_validate_operators")
@@ -265,4 +278,14 @@ def test_simulate_command_builds_the_joint_table_once(monkeypatch, tmp_path):
             "--n", "1000", "--seed", "3", "--out", str(tmp_path / "sim.json")]
     main(argv)  # exit 0 or 2, as the 3-sigma statistics fall
     assert (tmp_path / "sim.json").exists()
+    assert len(calls) == 1
+
+
+def test_sampler_builds_one_bit_generator_per_call(monkeypatch):
+    # Each shard resets the one Philox to its own stream start instead of seeding a new one.
+    calls = count_calls(monkeypatch, np.random, "Philox")
+    ensemble = parse_ensemble_file(str(SAMPLE_INPUTS / "ud_ensemble.json"))
+    povm = parse_povm_file(str(SAMPLE_INPUTS / "ud_povm.json"))
+    counts = sim.sample(ensemble, povm, 3 * sim.SHARD_SIZE + 5, 7)
+    assert counts.n_total == 3 * sim.SHARD_SIZE + 5
     assert len(calls) == 1
