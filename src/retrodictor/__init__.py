@@ -23,10 +23,8 @@ from .ensembles import (
     Ensemble,
     Povm,
     PureState,
-    SourceFunction,
     ValidationReport,
     Violation,
-    source_from_ensemble,
     validate_density_matrix,
     validate_ensemble,
     validate_povm,
@@ -52,14 +50,8 @@ from .linalg import (
     sqrtm_psd,
 )
 from .retrodiction import (
-    OutcomeDistribution,
     RetroDual,
-    unbiased_dual,
-    outcome_probs,
-    predictive_prob,
     retro_transform,
-    retrodictive_prob_bayes,
-    retrodictive_prob_symmetric,
     transform_stack,
     unbiased_stack,
 )

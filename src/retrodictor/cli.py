@@ -121,7 +121,7 @@ def cmd_transform(args) -> int:
     doc["derived"] = {
         "omega": matrix_to_rows(dual.omega_matrix),
         "unbiased": is_unbiased(dual.omega_matrix),
-        "mu": [float(m) for m in dual.mu.mu],
+        "mu": [float(m) for m in dual.mu],
         "undefined_outcomes": [j for j, ok in enumerate(dual.defined.tolist()) if not ok],
         "retro_povm": matrix_to_rows(dual.povm_stack),
         "retro_states": [

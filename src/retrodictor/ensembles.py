@@ -1,18 +1,22 @@
-"""Domain types for states, priors, and measurements, plus the source function.
+"""Domain types for states, priors, and measurements.
 
 Constructors enforce the domain invariants and raise ValidationError naming
 every violated check with its measured residual; the validate_* functions
 return the same findings as a report without raising, so callers (the CLI in
 particular) can show all problems in malformed input at once.
 
-Povm.elements and Ensemble.matrices are read-only (n, d, d) stacks, and
-operators are validated per stack, with one reduction per invariant after each
-item's own conversion and shape check; a density matrix is a stack of one.
+Povm and Ensemble hold their validated operators as read-only (n, d, d)
+stacks, elements and matrices, built from an (n, d, d) array or a sequence
+of d x d array-likes and checked by one validate_povm or validate_ensemble
+call.  Operators are validated per stack, with one reduction per invariant
+after each item's own conversion and shape check; a density matrix is a
+stack of one.  The computing is done by the stack functions of
+`retrodiction`, which read these arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,6 +106,11 @@ def validate_vector_stack(vectors: np.ndarray, label) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+def _is_stack(items) -> bool:
+    """Whether items is an (n, d, d) array, validated as one stack as it is."""
+    return isinstance(items, np.ndarray) and items.ndim == 3 and items.shape[1] == items.shape[2] >= 1
+
+
 def _validate_operators(items, label, unit_trace: bool = False):
     """Violations in element order, the items as arrays (None if not numeric), and their stack.
 
@@ -110,7 +119,7 @@ def _validate_operators(items, label, unit_trace: bool = False):
     and, for states, trace.  A numeric (n, d, d) array is that stack already.
     The stack is returned when every item is a d x d matrix of one d.
     """
-    if isinstance(items, np.ndarray) and items.ndim == 3 and items.shape[1] == items.shape[2] >= 1:
+    if _is_stack(items):
         stack = _as_array(items, np.complex128)
     else:
         stack = None
@@ -235,33 +244,30 @@ def validate_priors_stack(priors: np.ndarray, label: str) -> ValidationReport:
     return ValidationReport(tuple(_priors_violations(rows, lambda k: f" ({name(k)})")))
 
 
-def _ensemble_report(priors, n_states: int, dims: set[int], state_violations) -> ValidationReport:
-    """The Ensemble invariants: valid priors, one per state, states of one dimension.
+def validate_ensemble(state_matrices, priors) -> ValidationReport:
+    """Report every violated Ensemble invariant for raw state matrices and priors.
 
-    The states' own violations are reported between the length and dimension checks.
+    The states are an (n, d, d) array or a sequence of d x d array-likes.
+    Valid priors, one per state, then the states' own violations, then one
+    dimension for all states.
     """
+    mats = state_matrices if _is_stack(state_matrices) else list(state_matrices)
+    state_violations, arrays, _ = _validate_operators(mats, lambda k: f"state[{k}]", unit_trace=True)
     violations = list(validate_priors(priors).violations)
     arr = _as_array(priors, np.float64)
     n_priors = None if arr is None else len(np.atleast_1d(arr))
-    if n_states < 1:
+    if len(mats) < 1:
         violations.append(Violation("states_count", 0.0, "ensemble has no states"))
-    elif n_priors not in (None, n_states):
+    elif n_priors not in (None, len(mats)):
         violations.append(
-            Violation("states_priors_length", float(abs(n_states - n_priors)),
+            Violation("states_priors_length", float(abs(len(mats) - n_priors)),
                       "states and priors differ in length")
         )
     violations.extend(state_violations)
+    dims = {a.shape[0] for a in arrays if a is not None and a.ndim == 2}
     if len(dims) > 1:
         violations.append(Violation("common_dim", 0.0, f"states have mixed dims {sorted(dims)}"))
     return ValidationReport(tuple(violations))
-
-
-def validate_ensemble(state_matrices, priors) -> ValidationReport:
-    """Report every violated Ensemble invariant for raw state matrices and priors."""
-    mats = list(state_matrices)
-    state_violations, arrays, _ = _validate_operators(mats, lambda k: f"state[{k}]", unit_trace=True)
-    dims = {a.shape[0] for a in arrays if a is not None and a.ndim == 2}
-    return _ensemble_report(priors, len(mats), dims, state_violations)
 
 
 def validate_povm(elements, sum_target=None) -> ValidationReport:
@@ -271,7 +277,7 @@ def validate_povm(elements, sum_target=None) -> ValidationReport:
     identity as the completeness target (used for measurements restricted to
     the support of a singular source).
     """
-    elems = list(elements)
+    elems = elements if _is_stack(elements) else list(elements)
     if len(elems) < 1:
         return ValidationReport((Violation("elements_count", 0.0, "POVM has no elements"),))
     violations, arrays, stack = _validate_operators(elems, lambda k: f"element[{k}]")
@@ -357,29 +363,30 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """States with prior probabilities: Alice's side of the preparation; matrices stacks the states."""
+    """States with prior probabilities: Alice's side of the preparation.
 
-    states: tuple[DensityOperator, ...]
+    matrices is one read-only complex128 (n, d, d) stack of the states and
+    priors the read-only (n,) float64 vector.
+    """
+
+    matrices: np.ndarray
     priors: np.ndarray
-    matrices: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        states = tuple(self.states)
-        _ensemble_report(self.priors, len(states), {s.dim for s in states}, ()).raise_if_failed()
-        object.__setattr__(self, "states", states)
+        validate_ensemble(self.matrices, self.priors).raise_if_failed()
+        object.__setattr__(self, "matrices", _frozen(self.matrices))
         object.__setattr__(self, "priors", _frozen(self.priors, np.float64))
-        object.__setattr__(self, "matrices", _frozen([s.matrix for s in states]))
 
     @classmethod
     def from_pure_states(cls, states: list[PureState], priors) -> "Ensemble":
-        return cls(tuple(s.density() for s in states), priors)
+        return cls([s.projector() for s in states], priors)
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.matrices.shape[-1]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.matrices.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,35 +415,10 @@ class Povm:
         return self.elements.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class SourceFunction:
-    """Prior-weighted average state of the source, with the unbiasedness flag."""
-
-    omega: DensityOperator
-    unbiased: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "unbiased", is_unbiased(self.omega.matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.omega.dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.omega.matrix
-
-
 def is_unbiased(omega: np.ndarray) -> bool:
     """Whether a source function Omega (d, d) is I/d to within UNBIASED_TOL, entry by entry."""
     dim = omega.shape[-1]
     return bool(linalg.maxabs(omega - np.eye(dim) / dim) <= UNBIASED_TOL)
-
-
-def source_from_ensemble(ensemble: Ensemble) -> SourceFunction:
-    """Mix the ensemble into its source function."""
-    omega = (ensemble.priors[:, None, None] * ensemble.matrices).sum(axis=0)
-    return SourceFunction(DensityOperator(omega))
 
 
 def require_same_dim(dim_a: int, dim_b: int, what: str) -> None:

@@ -22,7 +22,6 @@ from typing import Any
 import numpy as np
 
 from .ensembles import (
-    DensityOperator,
     Ensemble,
     Povm,
     PureState,
@@ -133,12 +132,7 @@ def parse_ensemble_file(path: str) -> Ensemble:
             )
     if pure_violations:
         raise ValidationError(pure_violations + list(validate_ensemble(matrices, priors).violations))
-    try:
-        return Ensemble(tuple(DensityOperator(m) for m in matrices), priors)
-    except ValidationError:
-        # The constructors stop at the first invalid state; report every violation at once.
-        validate_ensemble(matrices, priors).raise_if_failed()
-        raise
+    return Ensemble(matrices, priors)
 
 
 def parse_povm_file(path: str) -> Povm:

@@ -1,4 +1,4 @@
-"""Predictive and retrodictive probabilities and the source transform.
+"""Predictive and retrodictive probability tables and the source transform.
 
 The transform conjugates states by the inverse square root of the source
 function and detectors by its square root, producing a retrodictive POVM
@@ -9,14 +9,19 @@ construction Pi_i^ret = D eta_i rho_i, rho_j^ret = Pi_j / Tr(Pi_j).
 
 Both sides are tables from born_table, one einsum over two operator stacks:
 joint_table is the one definition of p[i, j] = eta_i Tr(Pi_j rho_i), which
-Bayes and the sampler read, and the transformed side is the table of the
-RetroDual's povm_stack against its state_stack.
+bayes_table conditions and the sampler reads, and the transformed side is
+the table of the RetroDual's povm_stack against its state_stack.  The
+paper's identity is the equality of the two tables:
+
+    born_table(dual.povm_stack, dual.state_stack, ...)
+        == bayes_table(joint_table(priors, states, elements), dual.defined)
 
 The transform is transform_stack, for one pair or for each pair of a stack of
 one shape at once.  Its result is one type, RetroDual: the validated arrays,
 which keep the stack's leading axes.  retro_transform is the call for one
 Ensemble and Povm; unbiased_stack lays out the unbiased construction the same
-way.
+way.  Both stack functions read their inputs in C order (copying any that
+are not), so the same values give bit-identical results in any memory layout.
 """
 
 from __future__ import annotations
@@ -28,10 +33,8 @@ import numpy as np
 from . import linalg
 from .ensembles import (
     TRACE_TOL,
-    DensityOperator,
     Ensemble,
     Povm,
-    SourceFunction,
     require_same_dim,
     validate_operator_stack,
     validate_povm_stack,
@@ -62,23 +65,9 @@ def born_table(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     return _clamp_probability(np.einsum("...ikl,...jlk->...ij", a, b).real, what)
 
 
-def predictive_prob(povm_element, state) -> float:
-    """Born-rule probability Tr(Pi rho) of one outcome given one state."""
-    pi = np.asarray(povm_element, dtype=np.complex128)
-    rho = state.matrix if isinstance(state, DensityOperator) else np.asarray(state, dtype=np.complex128)
-    require_same_dim(pi.shape[0], rho.shape[0], "POVM element vs state")
-    return float(born_table(rho[None], pi[None], "predictive probability")[0, 0])
-
-
 def joint_table(priors: np.ndarray, states: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """The joint distribution p[..., i, j] = eta_i Tr(Pi_j rho_i) of preparation i and outcome j."""
     return priors[..., :, None] * born_table(states, elements, "predictive probability")
-
-
-def joint_probability_table(ensemble: Ensemble, povm: Povm) -> np.ndarray:
-    """The joint table of one prepare-and-measure pair."""
-    require_same_dim(ensemble.dim, povm.dim, "ensemble vs POVM")
-    return joint_table(ensemble.priors, ensemble.matrices, povm.elements)
 
 
 def bayes_table(joint: np.ndarray, defined: np.ndarray) -> np.ndarray:
@@ -98,42 +87,21 @@ def bayes_table(joint: np.ndarray, defined: np.ndarray) -> np.ndarray:
     return _clamp_probability(conditionals, "retrodictive probability")
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
-    """Unconditional click probabilities of the detectors against the source (of each of a stack)."""
-
-    mu: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64).copy()
-        if np.any(mu < -PROB_CLAMP_TOL):
-            raise NumericIntegrityError(f"negative outcome probability {mu.min():.3e}")
-        mu = np.clip(mu, 0.0, None)
-        total = mu.sum(axis=-1)  # = Tr(Omega)
-        off = np.abs(total - 1.0) > TRACE_TOL
-        if np.any(off):
-            raise NumericIntegrityError(f"outcome probabilities sum to {float(total[off].flat[0])!r}")
-        mu.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-
-    def __getitem__(self, j: int) -> float:
-        return float(self.mu[j])
-
-
 def _click_probabilities(elements: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """mu_j = Tr(Pi_j Omega) of (..., m, d, d) elements against (..., d, d) sources."""
-    return (elements * np.swapaxes(omega, -1, -2)[..., None, :, :]).real.sum(axis=(-2, -1))
+    """mu_j = Tr(Pi_j Omega) of (..., m, d, d) elements against (..., d, d) sources, validated.
 
-
-def outcome_probs(povm: Povm, omega: SourceFunction) -> OutcomeDistribution:
-    """Click probabilities mu_j = Tr(Pi_j Omega)."""
-    require_same_dim(povm.dim, omega.dim, "POVM vs source")
-    return OutcomeDistribution(_click_probabilities(povm.elements, omega.matrix))
-
-
-def retrodictive_prob_bayes(ensemble: Ensemble, povm: Povm, i: int, j: int) -> float:
-    """Bayes conditional P(state i | outcome j), read from column j of the joint table."""
-    return float(bayes_table(joint_probability_table(ensemble, povm), np.arange(len(povm)) == j)[i, j])
+    Each mu_j may dip PROB_CLAMP_TOL below 0 (clipped to 0), and each row
+    must sum to 1 (= Tr(Omega)) within TRACE_TOL; otherwise NumericIntegrityError.
+    """
+    mu = (elements * np.swapaxes(omega, -1, -2)[..., None, :, :]).real.sum(axis=(-2, -1))
+    if np.any(mu < -PROB_CLAMP_TOL):
+        raise NumericIntegrityError(f"negative outcome probability {mu.min():.3e}")
+    mu = np.clip(mu, 0.0, None)
+    total = mu.sum(axis=-1)
+    off = np.abs(total - 1.0) > TRACE_TOL
+    if np.any(off):
+        raise NumericIntegrityError(f"outcome probabilities sum to {float(total[off].flat[0])!r}")
+    return mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,19 +111,21 @@ class RetroDual:
     The arrays keep the stack's leading axes, if any: povm_stack (..., n, d, d),
     state_stack (..., m, d, d) with zeros where not defined (mu_j at most the
     floor, so conditioning on j is rejected rather than divided by ~0), the
-    source omega_matrix (..., d, d), and a support-restricted transform's
+    click probabilities mu (..., m) of the POVM against the source
+    omega_matrix (..., d, d), and a support-restricted transform's
     completeness target sum_target.  For one pair the residuals are floats.
     """
 
     povm_stack: np.ndarray
     state_stack: np.ndarray
     defined: np.ndarray
-    mu: OutcomeDistribution
+    mu: np.ndarray
     omega_matrix: np.ndarray
     sum_target: np.ndarray | None = None
 
     def __post_init__(self):
-        for array in (self.povm_stack, self.state_stack, self.defined, self.omega_matrix, self.sum_target):
+        arrays = (self.povm_stack, self.state_stack, self.defined, self.mu, self.omega_matrix, self.sum_target)
+        for array in arrays:
             if array is not None:
                 array.setflags(write=False)
 
@@ -171,7 +141,7 @@ class RetroDual:
 
     def source_residual(self):
         """Max-abs residual of sum_j mu_j rho_j^ret against the source function."""
-        total = (self.mu.mu[..., None, None] * self.state_stack).sum(axis=-3)
+        total = (self.mu[..., None, None] * self.state_stack).sum(axis=-3)
         return linalg.maxabs_each(total - self.omega_matrix)[()]
 
 
@@ -204,6 +174,7 @@ def transform_stack(
     invariants raise NumericIntegrityError, not a degraded dual.  Messages
     name the failing pairs of a stack.
     """
+    priors, states, elements = map(np.ascontiguousarray, (priors, states, elements))
     weighted, omega = _source(priors, states, elements)
     spectrum = linalg.hermitian_eig(omega)
     inv_root = spectrum.inv_sqrt(support_restricted=support_restricted)[..., None, :, :]
@@ -220,8 +191,8 @@ def transform_stack(
     except ValidationError as exc:
         raise NumericIntegrityError(f"retrodictive POVM violates its invariants: {exc}") from exc
 
-    mu = OutcomeDistribution(_click_probabilities(elements, omega))
-    defined = mu.mu > MU_FLOOR
+    mu = _click_probabilities(elements, omega)
+    defined = mu > MU_FLOOR
     s = (root @ elements @ root)[defined]
     # Tr(s) equals mu_j analytically; normalizing by the sandwich's own
     # trace keeps the state's trace at 1 even when mu_j is tiny.
@@ -247,32 +218,19 @@ def retro_transform(ensemble: Ensemble, povm: Povm, support_restricted: bool = F
     return transform_stack(ensemble.priors, ensemble.matrices, povm.elements, support_restricted)
 
 
-def retrodictive_prob_symmetric(dual: RetroDual, i: int, j: int) -> float:
-    """Born-rule conditional Tr(Pi_i^ret rho_j^ret) on the transformed pair."""
-    if not dual.defined[j]:
-        raise ZeroProbabilityOutcome(
-            f"outcome {j} has probability below {MU_FLOOR:.0e}; its retrodictive state is undefined"
-        )
-    return float(born_table(dual.povm_stack, dual.state_stack[[j]], "retrodictive probability")[i, 0])
-
-
 def unbiased_stack(priors: np.ndarray, states: np.ndarray, elements: np.ndarray) -> RetroDual:
     """The unbiased-source dual Pi_i^ret = D eta_i rho_i, rho_j^ret = Pi_j / Tr(Pi_j), stacked as transforms.
 
     No transform is applied, so it is only meaningful for an unbiased source;
     otherwise the retrodictive POVM is not complete and ValidationError is raised.
     """
+    priors, states, elements = map(np.ascontiguousarray, (priors, states, elements))
     _, omega = _source(priors, states, elements)
     retro_elements = states.shape[-1] * priors[..., None, None] * states
     validate_povm_stack(retro_elements, "unbiased retrodictive POVM").raise_if_failed()
-    mu = OutcomeDistribution(_click_probabilities(elements, omega))
+    mu = _click_probabilities(elements, omega)
     traces = np.trace(elements, axis1=-2, axis2=-1).real
-    defined = (mu.mu > MU_FLOOR) & (traces > MU_FLOOR)
+    defined = (mu > MU_FLOOR) & (traces > MU_FLOOR)
     state_stack = defined[..., None, None] * elements / np.where(defined, traces, 1.0)[..., None, None]
     validate_operator_stack(state_stack[defined], "unbiased retro state", unit_trace=True).raise_if_failed()
     return RetroDual(retro_elements, state_stack, defined, mu, omega)
-
-
-def unbiased_dual(ensemble: Ensemble, povm: Povm) -> RetroDual:
-    """The unbiased-source construction of one pair (see unbiased_stack)."""
-    return unbiased_stack(ensemble.priors, ensemble.matrices, povm.elements)

@@ -12,9 +12,9 @@ order.
 
 For fixed inputs and seed the counts are bit-reproducible on one platform
 and numpy build, which the tests check.  Identical counts across platforms or
-numpy builds are not claimed: the joint table
-(`retrodiction.joint_probability_table`) is one `einsum`, whose summation
-order may differ between builds, and numpy's multinomial sampler may change
+numpy builds are not claimed: the joint table (`joint_probability_table`,
+from `retrodiction.joint_table`) is one `einsum`, whose summation order may
+differ between builds, and numpy's multinomial sampler may change
 between releases.
 """
 
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import retrodiction
-from .ensembles import Ensemble, Povm
+from .ensembles import Ensemble, Povm, require_same_dim
+from .retrodiction import joint_table
 
 RNG_ALGORITHM = "philox4x64-v3"
 SHARD_SIZE = 1 << 16
@@ -62,8 +62,9 @@ class SampleCounts:
 
 
 def joint_probability_table(ensemble: Ensemble, povm: Povm) -> np.ndarray:
-    """retrodiction.joint_probability_table with structural zeros made exact."""
-    table = retrodiction.joint_probability_table(ensemble, povm)
+    """The joint table p[i, j] = eta_i Tr(Pi_j rho_i) of one pair, with structural zeros made exact."""
+    require_same_dim(ensemble.dim, povm.dim, "ensemble vs POVM")
+    table = joint_table(ensemble.priors, ensemble.matrices, povm.elements)
     table[table < STRUCTURAL_ZERO] = 0.0
     return table
 

@@ -43,7 +43,6 @@ from .channel import (
     swap_residual,
 )
 from .ensembles import (
-    DensityOperator,
     Ensemble,
     Povm,
     validate_operator_stack,
@@ -61,11 +60,8 @@ from .retrodiction import (
     _click_probabilities,
     bayes_table,
     born_table,
-    joint_probability_table,
     joint_table,
     retro_transform,
-    retrodictive_prob_bayes,
-    retrodictive_prob_symmetric,
     transform_stack,
     unbiased_stack,
 )
@@ -211,7 +207,8 @@ def checks_for_transform(ensemble: Ensemble, povm: Povm, dual: RetroDual) -> tup
     table = TRANSFORM_CHECKS
     if dual.sum_target is not None:
         table = [(name.replace("completeness", "completeness-on-support"), tol) for name, tol in table]
-    return _checks(table, transform_residuals(joint_probability_table(ensemble, povm), dual))
+    joint = joint_table(ensemble.priors, ensemble.matrices, povm.elements)
+    return _checks(table, transform_residuals(joint, dual))
 
 
 def ud_residuals(
@@ -231,7 +228,7 @@ def ud_residuals(
     purity = verify_purity_identification(x, opt, dual)
     norms = linalg.norm_each(np.swapaxes(u, -1, -2))
     bridge = duality_bridge(x, ud_povm)
-    mu = dual.mu.mu
+    mu = dual.mu
     return np.stack(
         np.broadcast_arrays(
             _max_each(
@@ -344,21 +341,6 @@ def _draw_povm(rng: np.random.Generator, dim: int, n_elements: int, lead: tuple[
     inv_root = linalg.inv_sqrtm_psd(mats.sum(axis=-3), min_eig=1e-12)[..., None, :, :]
     e = inv_root @ mats @ inv_root
     return (e + linalg.dag(e)) / 2.0
-
-
-def random_povm(rng: np.random.Generator, dim: int, n_elements: int) -> Povm:
-    """Random POVM: normalize a set of Ginibre PSD operators by their sum."""
-    return Povm(_draw_povm(rng, dim, n_elements))
-
-
-def random_ensemble(rng: np.random.Generator, dim: int, n_states: int) -> Ensemble:
-    priors, states = _draw_states(rng, dim, n_states)
-    return Ensemble(tuple(map(DensityOperator, states)), priors)
-
-
-def corpus_pairs(groups) -> list[tuple[Ensemble, Povm]]:
-    """Each pair of each shape group of a corpus, built as an Ensemble and a Povm."""
-    return [(Ensemble(tuple(map(DensityOperator, s)), p), Povm(e)) for g in groups for p, s, e in zip(*g)]
 
 
 def _slots_by_shape(
@@ -506,7 +488,7 @@ def suite_transform(seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE) -> Suite
         dual = transform_stack(priors, states, elements)
         rows.append(transform_residuals(joint_table(priors, states, elements), dual))
         # Double dual: the transformed pairs transform back onto the originals.
-        back = transform_stack(dual.mu.mu, dual.state_stack, dual.povm_stack)
+        back = transform_stack(dual.mu, dual.state_stack, dual.povm_stack)
         double_src.append(linalg.maxabs(back.omega_matrix - dual.omega_matrix))
         defined = back.defined[..., None, None]
         double_ops.append(linalg.maxabs(back.povm_stack - elements))
@@ -642,10 +624,11 @@ def suite_failure_modes() -> SuiteResult:
         lambda: retro_basis(UdInstance(1e-8, (0.6, 0.4))),
     )
 
-    pure = DensityOperator(np.diag([1.0, 0.0]))
+    pure = np.diag([1.0, 0.0])
     rank_deficient = Ensemble((pure, pure), np.array([0.5, 0.5]))
-    mixed = Ensemble((DensityOperator(np.eye(2) / 2.0),), np.array([1.0]))
+    mixed = Ensemble((np.eye(2) / 2.0,), np.array([1.0]))
     never_clicks = Povm((np.eye(2), np.zeros((2, 2))))  # outcome 1 has probability 0
+    every_outcome = np.ones(len(never_clicks), dtype=bool)
     expect(
         "rank-deficient-source-raises-singular",
         SingularOperator,
@@ -654,20 +637,23 @@ def suite_failure_modes() -> SuiteResult:
     expect(
         "zero-probability-outcome-raises",
         ZeroProbabilityOutcome,
-        lambda: retrodictive_prob_bayes(mixed, never_clicks, 0, 1),
+        lambda: bayes_table(joint_table(mixed.priors, mixed.matrices, never_clicks.elements), every_outcome),
     )
 
     def flagged_undefined():
         dual = retro_transform(mixed, never_clicks)
-        # A retrodictive state for outcome 1 fails the check as "no error raised".
-        return dual.defined[1] or retrodictive_prob_symmetric(dual, 0, 1)
+        # Born's rule on the dual weighted by mu_j, conditioned on every outcome:
+        # the undefined outcome 1 has no weight.  A retrodictive state for
+        # outcome 1 fails the check as "no error raised".
+        born = born_table(dual.povm_stack, dual.state_stack, "retrodictive probability")
+        return dual.defined[1] or bayes_table(born * dual.mu, every_outcome)
 
     expect("undefined-retro-state-flagged", ZeroProbabilityOutcome, flagged_undefined)
 
     expect(
         "invalid-priors-rejected",
         ValidationError,
-        lambda: Ensemble(mixed.states * 2, np.array([0.5, 0.4])),
+        lambda: Ensemble(np.concatenate([mixed.matrices] * 2), np.array([0.5, 0.4])),
     )
 
     try:

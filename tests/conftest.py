@@ -1,0 +1,26 @@
+"""Seeded pairs built one at a time as validated Ensemble and Povm values.
+
+The package computes on stacks; tests that want one pair as the input types
+build it here, from the same block drawers the verification corpus uses.
+"""
+
+import numpy as np
+
+from retrodictor.ensembles import Ensemble, Povm
+from retrodictor.verify import _draw_povm, _draw_states
+
+
+def random_povm(rng: np.random.Generator, dim: int, n_elements: int) -> Povm:
+    """Random POVM: normalize a set of Ginibre PSD operators by their sum."""
+    return Povm(_draw_povm(rng, dim, n_elements))
+
+
+def random_ensemble(rng: np.random.Generator, dim: int, n_states: int) -> Ensemble:
+    """Random Ginibre states with random priors (each at least 0.1 before normalising)."""
+    priors, states = _draw_states(rng, dim, n_states)
+    return Ensemble(states, priors)
+
+
+def corpus_pairs(groups) -> list[tuple[Ensemble, Povm]]:
+    """Each pair of each shape group of a corpus, built as an Ensemble and a Povm."""
+    return [(Ensemble(s, p), Povm(e)) for g in groups for p, s, e in zip(*g)]

@@ -10,12 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import corpus_pairs
 from retrodictor import verify
 from retrodictor.channel import no_signaling_check
-from retrodictor.ensembles import DensityOperator, Ensemble, Povm, source_from_ensemble
+from retrodictor.ensembles import Ensemble, Povm
 from retrodictor.errors import RetrodictorError, ValidationError
 from retrodictor.linalg import maxabs
-from retrodictor.retrodiction import joint_table, retro_transform, transform_stack, unbiased_dual
+from retrodictor.retrodiction import joint_table, retro_transform, transform_stack, unbiased_stack
 from retrodictor.ud import UdInstance, optimal_dual, optimal_predictive_povm, ud_retro_dual
 
 INSTANCES = verify.grid_instances()
@@ -111,7 +112,7 @@ def test_grouped_transform_rows_equal_the_per_pair_checks():
     for group in CORPUS:
         dual = transform_stack(*group)
         rows = verify.transform_residuals(joint_table(*group), dual)
-        pairs = verify.corpus_pairs([group])
+        pairs = corpus_pairs([group])
         assert rows.shape == (len(pairs), len(verify.TRANSFORM_CHECKS))
         for (ensemble, povm), row in zip(pairs, rows):
             checks = verify.checks_for_transform(ensemble, povm, retro_transform(ensemble, povm))
@@ -124,16 +125,17 @@ def test_transform_suite_equals_its_per_pair_definition():
     # built by their constructors, reduce to the grouped suite's values exactly.
     count, seed = 60, verify.DEFAULT_SEED
     rows, double_src, double_ops, unbiased = [], 0.0, 0.0, 0.0
-    for ensemble, povm in verify.corpus_pairs(verify.random_corpus(seed, count)):
+    for ensemble, povm in corpus_pairs(verify.random_corpus(seed, count)):
         dual = retro_transform(ensemble, povm)
         rows.append([c.value for c in verify.checks_for_transform(ensemble, povm, dual)])
-        back_ensemble = Ensemble(tuple(map(DensityOperator, dual.state_stack)), dual.mu.mu)
-        double_src = max(double_src, maxabs(source_from_ensemble(back_ensemble).matrix - dual.omega_matrix))
+        back_ensemble = Ensemble(dual.state_stack, dual.mu)
         back = retro_transform(back_ensemble, Povm(dual.povm_stack))
+        double_src = max(double_src, maxabs(back.omega_matrix - dual.omega_matrix))
         double_ops = max(double_ops, maxabs(back.povm_stack - povm.elements),
-                         *(maxabs(b - a.matrix) for a, b in zip(ensemble.states, back.state_stack)))
-    for ensemble, povm in verify.corpus_pairs(verify.unbiased_corpus(seed + 1)):
-        dual, ref = retro_transform(ensemble, povm), unbiased_dual(ensemble, povm)
+                         *(maxabs(b - a) for a, b in zip(ensemble.matrices, back.state_stack)))
+    for ensemble, povm in corpus_pairs(verify.unbiased_corpus(seed + 1)):
+        dual = retro_transform(ensemble, povm)
+        ref = unbiased_stack(ensemble.priors, ensemble.matrices, povm.elements)
         unbiased = max(unbiased, maxabs(dual.povm_stack - ref.povm_stack),
                        *(maxabs(a - b) for a, b, both in zip(dual.state_stack, ref.state_stack,
                                                              dual.defined & ref.defined) if both))

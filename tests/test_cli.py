@@ -11,7 +11,7 @@ import pytest
 import retrodictor
 from retrodictor import cli
 from retrodictor.cli import main
-from retrodictor.ensembles import UNBIASED_TOL, DensityOperator, Ensemble, Povm, source_from_ensemble
+from retrodictor.ensembles import UNBIASED_TOL, Ensemble, Povm, is_unbiased
 from retrodictor.formats import ensemble_to_payload, povm_to_payload, write_json
 from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble, ud_states
 
@@ -82,7 +82,7 @@ def test_transform_unbiased_reduction_reported(tmp_path):
 def test_transform_reports_an_outcome_that_never_clicks(tmp_path):
     # The maximally mixed qubit against the POVM (I, 0): outcome 1 has no retrodictive state.
     ens, povm = tmp_path / "ens.json", tmp_path / "povm.json"
-    write_json(ensemble_to_payload(Ensemble((DensityOperator(np.eye(2) / 2.0),), [1.0])), str(ens))
+    write_json(ensemble_to_payload(Ensemble((np.eye(2) / 2.0,), [1.0])), str(ens))
     write_json(povm_to_payload(Povm((np.eye(2), np.zeros((2, 2))))), str(povm))
     out = tmp_path / "rep.json"
     assert main(["transform", str(ens), str(povm), "--out", str(out)]) == 0
@@ -244,14 +244,14 @@ def test_simulate_seed_outside_64_bit_range_exits_1(ud_files, monkeypatch, capsy
 @pytest.mark.parametrize("delta", [0.0, 0.4 * UNBIASED_TOL, 4 * UNBIASED_TOL, 0.25])
 def test_transform_unbiased_flag_is_the_source_functions(delta, tmp_path):
     # Two orthogonal pure states with priors 1/2 +- delta: Omega is I/2 off by delta on the diagonal.
-    ensemble = Ensemble(tuple(DensityOperator(np.diag(row)) for row in np.eye(2)), [0.5 + delta, 0.5 - delta])
+    ensemble = Ensemble([np.diag(row) for row in np.eye(2)], [0.5 + delta, 0.5 - delta])
     ens, povm, out = tmp_path / "ens.json", tmp_path / "povm.json", tmp_path / "rep.json"
     write_json(ensemble_to_payload(ensemble), str(ens))
     write_json(povm_to_payload(Povm((np.eye(2) / 2.0, np.eye(2) / 2.0))), str(povm))
     assert main(["transform", str(ens), str(povm), "--out", str(out)]) == 0
     unbiased = json.loads(out.read_text())["derived"]["unbiased"]
     assert unbiased is (delta <= UNBIASED_TOL)
-    assert unbiased is source_from_ensemble(ensemble).unbiased
+    assert unbiased is is_unbiased((ensemble.priors[:, None, None] * ensemble.matrices).sum(axis=0))
 
 
 def test_main_is_reusable_within_one_process(capsys, monkeypatch):

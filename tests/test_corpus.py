@@ -1,9 +1,10 @@
 """The verification inputs of the block drawer.
 
 random_corpus equals its pairs built one at a time: the reference below
-builds each pair as a validated Ensemble and Povm, rejects it through the
-source function and the outcome distribution, and groups the kept pairs by
-shape (n, m, d) in draw order, bit for bit.  unbiased_corpus and floor_sweep
+builds each pair as a validated Ensemble and Povm, rejects it on its source
+function and click probabilities (plain numpy expressions here, not the
+package's own), and groups the kept pairs by shape (n, m, d) in draw order,
+bit for bit.  unbiased_corpus and floor_sweep
 are held to the drawer's contract: seed-deterministic, each group of the shape
 it is keyed by, and the unbiased sources maximally mixed.
 """
@@ -13,9 +14,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import corpus_pairs, random_ensemble, random_povm
 from retrodictor import linalg, verify
-from retrodictor.ensembles import source_from_ensemble
-from retrodictor.retrodiction import outcome_probs
 
 
 def _grouped(pairs):
@@ -50,7 +50,9 @@ def reference_corpus(seed, count, dims=verify.CORPUS_DIMS):
     blocks of as many candidates as it has slots left: the uniforms of the
     priors, the normals of the states, the normals of the POVMs.  Each
     candidate is built from its slice of the blocks by random_ensemble and
-    random_povm and kept or rejected on its own.
+    random_povm and kept or rejected on its own: on the smallest eigenvalue
+    of its source sum_i eta_i rho_i and its smallest click probability
+    Tr(Pi_j Omega).
     """
     rng = verify._rng(seed)
     sizes = rng.integers(2, 5, (count, 2))
@@ -63,13 +65,11 @@ def reference_corpus(seed, count, dims=verify.CORPUS_DIMS):
             povm_normals = rng.standard_normal((slots, n_elements, 2, dim, dim))
             for draws in zip(uniforms, state_normals, povm_normals):
                 replay = _Replay(*draws)
-                ensemble = verify.random_ensemble(replay, dim, n_states)
-                povm = verify.random_povm(replay, dim, n_elements)
-                omega = source_from_ensemble(ensemble)
-                if (
-                    linalg.min_eigenvalue(omega.matrix) < verify.MIN_OMEGA_EIG
-                    or outcome_probs(povm, omega).mu.min() < verify.MIN_MU
-                ):
+                ensemble = random_ensemble(replay, dim, n_states)
+                povm = random_povm(replay, dim, n_elements)
+                omega = sum(eta * rho for eta, rho in zip(ensemble.priors, ensemble.matrices))
+                clicks = np.trace(povm.elements @ omega, axis1=1, axis2=2).real
+                if np.linalg.eigvalsh(omega)[0] < verify.MIN_OMEGA_EIG or clicks.min() < verify.MIN_MU:
                     rejected += 1
                     continue
                 pairs.append((ensemble, povm))
@@ -107,7 +107,7 @@ def test_a_corpus_in_one_dimension_equals_its_per_pair_draws():
 
 def test_the_per_pair_view_lists_the_pairs_group_by_group():
     groups = verify.random_corpus(verify.DEFAULT_SEED, 30)
-    pairs = verify.corpus_pairs(groups)
+    pairs = corpus_pairs(groups)
     assert len(pairs) == 30
     assert_same_groups(groups, _grouped(pairs))
 

@@ -10,7 +10,7 @@ from retrodictor.ensembles import (
     Ensemble,
     Povm,
     PureState,
-    source_from_ensemble,
+    is_unbiased,
     validate_density_matrix,
     validate_ensemble,
     validate_povm,
@@ -26,13 +26,17 @@ def qubit_pair(alpha):
     return PureState(np.array([c, s])), PureState(np.array([c, -s]))
 
 
+def source(ensemble):
+    """The source function Omega = sum_i eta_i rho_i, summed in state order."""
+    return sum(eta * rho for eta, rho in zip(ensemble.priors, ensemble.matrices))
+
+
 def test_orthogonal_pair_gives_unbiased_source():
     up = PureState(np.array([1.0, 0.0]))
     down = PureState(np.array([0.0, 1.0]))
     ensemble = Ensemble.from_pure_states([up, down], np.array([0.5, 0.5]))
-    source = source_from_ensemble(ensemble)
-    assert maxabs(source.matrix - np.eye(2) / 2) < 1e-14
-    assert source.unbiased
+    assert maxabs(source(ensemble) - np.eye(2) / 2) < 1e-14
+    assert is_unbiased(source(ensemble))
 
 
 def test_source_matrix_matches_two_state_closed_form():
@@ -41,17 +45,15 @@ def test_source_matrix_matches_two_state_closed_form():
     alpha, e1, e2 = math.pi / 6, 0.7, 0.3
     psi1, psi2 = qubit_pair(alpha)
     ensemble = Ensemble.from_pure_states([psi1, psi2], np.array([e1, e2]))
-    source = source_from_ensemble(ensemble)
     c, s = math.cos(alpha), math.sin(alpha)
     expected = np.array([[c * c, (e1 - e2) * s * c], [(e1 - e2) * s * c, s * s]])
-    assert maxabs(source.matrix - expected) < 1e-14
-    assert not source.unbiased
+    assert maxabs(source(ensemble) - expected) < 1e-14
+    assert not is_unbiased(source(ensemble))
 
 
 def test_single_state_source_is_the_state():
-    rho = DensityOperator(np.diag([0.25, 0.75]))
-    source = source_from_ensemble(Ensemble((rho,), np.array([1.0])))
-    assert maxabs(source.matrix - rho.matrix) < 1e-14
+    rho = np.diag([0.25, 0.75])
+    assert maxabs(source(Ensemble((rho,), np.array([1.0]))) - rho) < 1e-14
 
 
 def test_wellformed_povm_validates_clean():
@@ -103,13 +105,13 @@ def test_ensemble_report_collects_all_failures():
 
 
 def test_priors_drift_is_an_error_not_renormalized():
-    rho = DensityOperator(np.eye(2) / 2)
+    rho = np.eye(2) / 2
     with pytest.raises(ValidationError):
         Ensemble((rho, rho), np.array([0.5, 0.5 + 1e-9]))
 
 
 def test_negative_prior_rejected():
-    rho = DensityOperator(np.eye(2) / 2)
+    rho = np.eye(2) / 2
     with pytest.raises(ValidationError):
         Ensemble((rho, rho), np.array([1.5, -0.5]))
 
@@ -147,11 +149,18 @@ def test_operator_stacks_are_read_only():
     assert povm.elements.shape == (2, 2, 2) and povm.elements.dtype == np.complex128
     psi1, psi2 = qubit_pair(0.3)
     ensemble = Ensemble.from_pure_states([psi1, psi2], np.array([0.4, 0.6]))
-    assert ensemble.matrices.shape == (2, 2, 2)
-    assert np.array_equal(ensemble.matrices[1], ensemble.states[1].matrix)
-    for stack in (povm.elements, ensemble.matrices):
+    assert ensemble.matrices.shape == (2, 2, 2) and ensemble.matrices.dtype == np.complex128
+    assert np.array_equal(ensemble.matrices[1], psi2.projector())
+    assert ensemble.priors.dtype == np.float64
+    for stack in (povm.elements, ensemble.matrices, ensemble.priors):
         with pytest.raises(ValueError):
-            stack[0, 0, 0] = 9.0
+            stack[(0,) * stack.ndim] = 9.0
+    # An (n, d, d) array is taken as the stack, copied.
+    states, priors = np.array([np.eye(2) / 2, np.diag([1.0, 0.0])]), np.array([0.5, 0.5])
+    ensemble = Ensemble(states, priors)
+    states[0, 0, 0], priors[0] = 9.0, 9.0
+    assert ensemble.matrices[0, 0, 0] == 0.5 and ensemble.priors[0] == 0.5
+    assert (len(ensemble), ensemble.dim) == (2, 2)
 
 
 def test_projector_matches_outer_product():
@@ -192,17 +201,19 @@ def test_psd_check_rejects_twice_its_tolerance_below_zero(dim):
 
 
 def test_ensemble_constructor_and_report_share_their_invariants():
-    rho = DensityOperator(np.eye(2) / 2)
+    rho = np.eye(2) / 2
     for states, priors in (
         ((rho, rho), [0.5, 0.4]),
         ((rho,), [0.5, 0.5]),
-        ((rho, DensityOperator(np.eye(3) / 3)), [0.5, 0.5]),
-        ((rho, DensityOperator(np.eye(3) / 3)), [0.5, 0.4]),
+        ((rho, np.eye(3) / 3), [0.5, 0.5]),
+        ((rho, np.eye(3) / 3), [0.5, 0.4]),
         ((), [1.0]),
+        ((rho, np.diag([1.5, -0.5])), [0.5, 0.5]),
+        (np.array([rho, np.diag([0.7, 0.7])]), [0.5, 0.4]),
     ):
         with pytest.raises(ValidationError) as excinfo:
             Ensemble(states, np.array(priors))
-        report = validate_ensemble([s.matrix for s in states], priors)
+        report = validate_ensemble(states, priors)
         assert [str(v) for v in excinfo.value.violations] == [str(v) for v in report.violations]
 
 

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import random_ensemble, random_povm
 from retrodictor.cli import main
 from retrodictor.ensembles import Povm
 from retrodictor.errors import ValidationError
@@ -19,7 +20,6 @@ from retrodictor.formats import (
     write_json,
 )
 from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble, ud_states
-from retrodictor.verify import random_ensemble, random_povm
 
 
 def test_ensemble_roundtrip_is_bit_exact(tmp_path):
@@ -31,8 +31,7 @@ def test_ensemble_roundtrip_is_bit_exact(tmp_path):
         write_json(ensemble_to_payload(ensemble), str(path))
         loaded = parse_ensemble_file(str(path))
         assert loaded.priors.tolist() == ensemble.priors.tolist()
-        for a, b in zip(loaded.states, ensemble.states):
-            assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(loaded.matrices, ensemble.matrices)
 
 
 def test_povm_roundtrip_is_bit_exact(tmp_path):
@@ -53,8 +52,8 @@ def test_pure_state_entries_parse(tmp_path):
     path = tmp_path / "pure.json"
     write_json(payload, str(path))
     loaded = parse_ensemble_file(str(path))
-    for a, b in zip(loaded.states, ensemble.states):
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-15
+    assert loaded.matrices.shape == ensemble.matrices.shape
+    assert np.max(np.abs(loaded.matrices - ensemble.matrices)) < 1e-15
 
 
 def test_mixed_pure_and_matrix_entries(tmp_path):

@@ -24,8 +24,7 @@ from retrodictor.formats import parse_ensemble_file, parse_povm_file
 
 EYE2 = np.eye(2)
 HALF = np.eye(2) / 2.0
-RHO2 = DensityOperator(HALF)
-RHO3 = DensityOperator(np.eye(3) / 3.0)
+THIRD = np.eye(3) / 3.0
 HUGE_OFF = np.array([[0.0, 1e308], [1e308, 0.0]])
 
 # Malformed operators: (case, value, check named for a matrix, check named for a vector, status).
@@ -99,22 +98,33 @@ def test_povm_names_the_violation(value, check):
     assert all("element[0]" not in v.message for v in excinfo.value.violations)
 
 
+# The ensemble validates its states as one stack, so every row was already named there.
+@pytest.mark.parametrize("value, check", _operator_cases(2, {row[0]: "pin" for row in BAD_OPERATORS}))
+def test_ensemble_names_the_violation(value, check):
+    with pytest.raises(ValidationError) as excinfo:
+        Ensemble((HALF, value), [0.5, 0.5])
+    assert check in _checks(excinfo)
+    # State 1 is named; the valid state 0 is not.
+    assert any("state[1]" in v.message for v in excinfo.value.violations if v.check == check)
+    assert all("state[0]" not in v.message for v in excinfo.value.violations)
+
+
 BAD_COLLECTIONS = [
     ("povm-empty", lambda: Povm(()), "elements_count", "pin"),
     ("povm-mixed-dims", lambda: Povm((EYE2, np.eye(3))), "common_dim", "pin"),
     # Completeness holds exactly; only the PSD test can reject it.
     ("povm-huge-complement", lambda: Povm((HUGE_OFF, EYE2 - HUGE_OFF)), "psd", "fixed"),
     ("ensemble-empty", lambda: Ensemble((), np.array([1.0])), "states_count", "pin"),
-    ("ensemble-mixed-dims", lambda: Ensemble((RHO2, RHO3), np.array([0.5, 0.5])), "common_dim", "pin"),
-    ("priors-nan", lambda: Ensemble((RHO2, RHO2), [np.nan, 0.5]), "finite_entries", "pin"),
-    ("priors-inf", lambda: Ensemble((RHO2, RHO2), [np.inf, 0.5]), "finite_entries", "pin"),
-    ("priors-object", lambda: Ensemble((RHO2, RHO2), np.array([object(), object()])),
+    ("ensemble-mixed-dims", lambda: Ensemble((HALF, THIRD), np.array([0.5, 0.5])), "common_dim", "pin"),
+    ("priors-nan", lambda: Ensemble((HALF, HALF), [np.nan, 0.5]), "finite_entries", "pin"),
+    ("priors-inf", lambda: Ensemble((HALF, HALF), [np.inf, 0.5]), "finite_entries", "pin"),
+    ("priors-object", lambda: Ensemble((HALF, HALF), np.array([object(), object()])),
      "priors_shape", "pin"),
-    ("priors-string", lambda: Ensemble((RHO2, RHO2), ["a", "b"]), "priors_shape", "pin"),
-    ("priors-ragged", lambda: Ensemble((RHO2, RHO2), [[0.5], [0.25, 0.25]]), "priors_shape", "pin"),
-    ("priors-2-d", lambda: Ensemble((RHO2, RHO2), np.full((2, 1), 0.5)), "priors_shape", "pin"),
-    ("priors-empty", lambda: Ensemble((RHO2, RHO2), ()), "priors_shape", "pin"),
-    ("priors-length", lambda: Ensemble((RHO2, RHO2), [1.0]), "states_priors_length", "pin"),
+    ("priors-string", lambda: Ensemble((HALF, HALF), ["a", "b"]), "priors_shape", "pin"),
+    ("priors-ragged", lambda: Ensemble((HALF, HALF), [[0.5], [0.25, 0.25]]), "priors_shape", "pin"),
+    ("priors-2-d", lambda: Ensemble((HALF, HALF), np.full((2, 1), 0.5)), "priors_shape", "pin"),
+    ("priors-empty", lambda: Ensemble((HALF, HALF), ()), "priors_shape", "pin"),
+    ("priors-length", lambda: Ensemble((HALF, HALF), [1.0]), "states_priors_length", "pin"),
 ]
 
 

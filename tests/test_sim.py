@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from retrodictor.ensembles import DensityOperator, Ensemble, Povm, PureState, source_from_ensemble
-from retrodictor.retrodiction import retro_transform, retrodictive_prob_symmetric
+from conftest import random_ensemble, random_povm
+from retrodictor.ensembles import Ensemble, Povm, PureState
+from retrodictor.retrodiction import born_table, retro_transform
 from retrodictor.sim import (
     RNG_ALGORITHM,
     SHARD_SIZE,
@@ -13,7 +14,6 @@ from retrodictor.sim import (
     sample,
 )
 from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble
-from retrodictor.verify import random_ensemble, random_povm
 
 
 def orthogonal_setup():
@@ -113,10 +113,10 @@ def test_joint_table_matches_born_rule():
     table = joint_probability_table(ensemble, povm)
     total = table.sum()
     assert abs(total - 1.0) < 1e-10
-    omega = source_from_ensemble(ensemble)
+    omega = sum(eta * rho for eta, rho in zip(ensemble.priors, ensemble.matrices))
     mu = table.sum(axis=0)
     for j, element in enumerate(povm.elements):
-        assert abs(mu[j] - float(np.trace(element @ omega.matrix).real)) < 1e-12
+        assert abs(mu[j] - float(np.trace(element @ omega).real)) < 1e-12
 
 
 def test_empirical_report_exact_zero_cells():
@@ -143,9 +143,11 @@ def test_empirical_retrodictive_matches_symmetric_born_rule():
     counts = sample(ensemble, povm, 10**6, seed=31)
     report = empirical_report(counts, ensemble, povm)
     dual = retro_transform(ensemble, povm)
+    assert dual.defined.all()
+    born = born_table(dual.povm_stack, dual.state_stack, "retrodictive probability")
     for i in range(2):
         for j in range(3):
-            analytic = retrodictive_prob_symmetric(dual, i, j)
+            analytic = born[i, j]
             assert abs(report.retrodictive.analytic[i, j] - analytic) < 1e-10
             assert (
                 abs(report.retrodictive.empirical[i, j] - analytic)
@@ -222,7 +224,7 @@ def test_table_summing_just_above_one_samples():
     # multinomial rejects probabilities summing beyond 1 + 1e-12 unless the
     # sampler normalises them.
     h = 0.5 + 2.5e-11
-    ensemble = Ensemble((DensityOperator(np.diag([1.0, 0.0])),), np.array([1.0]))
+    ensemble = Ensemble((np.diag([1.0, 0.0]),), np.array([1.0]))
     povm = Povm((np.diag([h, h]), np.diag([h - 1e-13, h]), np.diag([1e-13, 0.0])))
     assert joint_probability_table(ensemble, povm).sum() > 1.0 + 1e-12
     counts = sample(ensemble, povm, 10**6, seed=3)

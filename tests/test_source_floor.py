@@ -12,7 +12,7 @@ import pytest
 from retrodictor import linalg
 from retrodictor.channel import no_signaling_check
 from retrodictor.cli import main
-from retrodictor.ensembles import DensityOperator, Ensemble, Povm
+from retrodictor.ensembles import Ensemble, Povm
 from retrodictor.errors import SingularOperator
 from retrodictor.formats import ensemble_to_payload, povm_to_payload, write_json
 from retrodictor.retrodiction import retro_transform
@@ -34,7 +34,7 @@ TRANSFORMS, UDS = floor_sweep()
 def pairs_at(dim, min_eig):
     """The sweep's pairs at one dimension and level, built as an Ensemble and a Povm."""
     return [
-        (Ensemble(tuple(map(DensityOperator, states)), priors), Povm(elements))
+        (Ensemble(states, priors), Povm(elements))
         for m, priors, states, elements in TRANSFORMS
         if m == min_eig and states.shape[-1] == dim
     ]

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from retrodictor.ensembles import Povm, PureState, source_from_ensemble
+from retrodictor.ensembles import Povm, PureState
 from retrodictor.errors import SingularOperator, ValidationError
 from retrodictor.linalg import dag, hermitian_eig, maxabs
-from retrodictor.retrodiction import outcome_probs
+from retrodictor.retrodiction import retro_transform
 from retrodictor.ud import (
     MAX_GRID_STEP,
     MIN_GRID_STEP,
@@ -314,7 +314,7 @@ def test_duality_bridge_mu_equals_predictive_terms():
     )
     assert abs(term1 - opt.mu1) < 1e-10
     assert abs(term2 - opt.mu2) < 1e-10
-    mu = outcome_probs(Povm(ud_povm.elements), source_from_ensemble(ud_ensemble(inst)))
+    mu = retro_transform(ud_ensemble(inst), Povm(ud_povm.elements)).mu
     assert abs(mu[0] - opt.mu1) < 1e-10
     assert abs(mu[1] - opt.mu2) < 1e-10
 

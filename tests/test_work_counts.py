@@ -11,17 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import corpus_pairs
 from retrodictor import ensembles, linalg, retrodiction, sim, ud, verify
 from retrodictor.channel import no_signaling_check
 from retrodictor.cli import main
-from retrodictor.ensembles import DensityOperator, Ensemble, Povm, validate_ensemble, validate_povm
+from retrodictor.ensembles import Ensemble, Povm, validate_ensemble, validate_povm
 from retrodictor.formats import parse_ensemble_file, parse_povm_file, povm_to_payload, write_json
 from retrodictor.retrodiction import retro_transform
 from retrodictor.verify import (
     checks_for_channel,
     checks_for_transform,
     checks_for_ud,
-    corpus_pairs,
     random_corpus,
 )
 
@@ -68,8 +68,7 @@ def omega_diagonalisations(monkeypatch):
 def _transform_inputs():
     pairs = corpus_pairs(random_corpus(count=6))
     # One outcome that never clicks: its retrodictive state is undefined.
-    mixed = DensityOperator(np.eye(2) / 2.0)
-    pairs.append((Ensemble((mixed,), np.array([1.0])), Povm((np.eye(2), np.zeros((2, 2))))))
+    pairs.append((Ensemble((np.eye(2) / 2.0,), np.array([1.0])), Povm((np.eye(2), np.zeros((2, 2))))))
     return pairs
 
 
@@ -87,9 +86,9 @@ def test_validation_computes_no_eigenvectors(monkeypatch):
     pairs = _transform_inputs()
     calls = count_calls(monkeypatch, linalg, "hermitian_eig")
     for ensemble, povm in pairs:
-        assert validate_ensemble([s.matrix for s in ensemble.states], ensemble.priors).ok
+        assert validate_ensemble(ensemble.matrices, ensemble.priors).ok
         assert validate_povm(povm.elements).ok
-        Ensemble(tuple(DensityOperator(s.matrix) for s in ensemble.states), ensemble.priors)
+        Ensemble(ensemble.matrices, ensemble.priors)
         Povm(povm.elements)
     assert not calls
 
@@ -103,11 +102,15 @@ def test_parsed_povm_is_validated_once(monkeypatch, tmp_path):
 
 
 def test_parsed_ensemble_is_validated_once(monkeypatch):
+    # One validate_ensemble over the state stack: its priors once, its states as one eigvalsh.
+    ensemble_calls = count_calls(monkeypatch, ensembles, "validate_ensemble")
     states = count_calls(monkeypatch, ensembles, "validate_density_matrix")
     priors = count_calls(monkeypatch, ensembles, "validate_priors")
+    eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
     ensemble = parse_ensemble_file(str(SAMPLE_INPUTS / "ud_ensemble.json"))
     assert len(ensemble) == 2
-    assert (len(states), len(priors)) == (2, 1)
+    assert (len(ensemble_calls), len(states), len(priors)) == (1, 0, 1)
+    assert [args[0].shape for args in eigvalsh] == [(2, 2, 2)]
 
 
 def test_povm_validation_is_one_eigvalsh(monkeypatch):
@@ -120,15 +123,20 @@ def test_povm_validation_is_one_eigvalsh(monkeypatch):
 
 
 def test_transform_checks_read_two_tables(monkeypatch):
+    # Per pair: Bayes on the joint table of the predictive pair (one born_table
+    # inside joint_table) and Born's rule on the retrodictive pair.
     pairs = _transform_inputs()
     duals = [retro_transform(ensemble, povm) for ensemble, povm in pairs]
-    per_cell = [
-        count_calls(monkeypatch, retrodiction, name)
-        for name in ("predictive_prob", "retrodictive_prob_bayes", "retrodictive_prob_symmetric")
-    ]
+    born, bayes = (count_calls(monkeypatch, retrodiction, name) for name in ("born_table", "bayes_table"))
     for (ensemble, povm), dual in zip(pairs, duals):
+        born.clear()
+        bayes.clear()
         checks_for_transform(ensemble, povm, dual)
-    assert per_cell == [[], [], []]
+        assert (len(born), len(bayes)) == (2, 1)
+        (states, elements), (retro_povm, retro_states) = (args[:2] for args in born)
+        assert states is ensemble.matrices and elements is povm.elements
+        assert retro_povm is dual.povm_stack and retro_states is dual.state_stack
+        assert bayes[0][1] is dual.defined
 
 
 UD_INSTANCES = [
