@@ -12,17 +12,14 @@ __version__ = "0.1.0"
 
 from .channel import (
     NoSignalingReport,
-    TwoQubitState,
     entangled_state,
     no_signaling_check,
     sqrt_omega_in_retro_basis,
     symmetric_state,
 )
 from .ensembles import (
-    DensityOperator,
     Ensemble,
     Povm,
-    PureState,
     ValidationReport,
     Violation,
     validate_density_matrix,
@@ -44,9 +41,7 @@ from .linalg import (
     Spectrum,
     hermitian_eig,
     inv_sqrtm_psd,
-    is_psd,
     partial_trace,
-    spectral_map,
     sqrtm_psd,
 )
 from .retrodiction import (
@@ -74,7 +69,6 @@ from .ud import (
     retro_basis_closed_form,
     ud_ensemble,
     ud_retro_dual,
-    ud_states,
     verify_purity_identification,
 )
 

@@ -7,6 +7,9 @@ under swapping the two parties, whose reduced state on either side is the
 source function.  The no-signaling statement -- Bob's measurement cannot
 change Alice's reduced state -- is the same constraint that bounds the dual
 optimization.
+
+A two-qubit state is its validated (..., 4) amplitude array, subsystem a
+first; reduced_matrix and swap_residual read such arrays.
 """
 
 from __future__ import annotations
@@ -16,14 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .ensembles import (
-    DensityOperator,
-    Violation,
-    _frozen,
-    validate_operator_stack,
-    validate_state_vector,
-    validate_vector_stack,
-)
+from .ensembles import Violation, _frozen, validate_operator_stack, validate_vector_stack
 from .errors import ValidationError
 from .ud import (
     REMAINDER_PSD_TOL,
@@ -52,41 +48,6 @@ def swap_residual(amplitudes: np.ndarray) -> np.ndarray:
     return linalg.norm_each(amplitudes - amplitudes[..., _SWAP_ORDER])
 
 
-@dataclass(frozen=True, eq=False)
-class TwoQubitState:
-    """Unit vector on the two-qubit product space, subsystem a first."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        # Validate the raw amplitudes first: converting ragged or string input raises.
-        violations = list(validate_state_vector(self.amplitudes, "two-qubit state").violations)
-        if violations and violations[0].check == "complex_entries":
-            raise ValidationError(violations)
-        arr = _frozen(self.amplitudes)
-        if arr.ndim == 1 and arr.shape[0] != 4:
-            violations.append(
-                Violation("vector_length", float(arr.shape[0]), "amplitudes must have length 4")
-            )
-        if violations:
-            raise ValidationError(violations)
-        object.__setattr__(self, "amplitudes", arr)
-
-    def density_matrix(self) -> np.ndarray:
-        return linalg.outer(self.amplitudes)
-
-    def reduced(self, trace_out: int) -> DensityOperator:
-        """Reduced state of one qubit (trace_out=0 removes a, 1 removes b)."""
-        return DensityOperator(reduced_matrix(self.amplitudes, trace_out))
-
-    def swapped(self) -> "TwoQubitState":
-        return TwoQubitState(self.amplitudes[_SWAP_ORDER])
-
-    def swap_residual(self) -> float:
-        """Norm distance between the state and its a<->b swap."""
-        return float(swap_residual(self.amplitudes))
-
-
 def _two_qubit_vectors(x: UdInstance, alice: np.ndarray) -> np.ndarray:
     """sum_i sqrt(eta_i) |alice_i>|psi_i> as validated (..., 4) amplitudes; alice_i are the columns of alice."""
     products = np.swapaxes(alice, -1, -2)[..., :, :, None] * ud_state_vectors(x)[..., :, None, :]
@@ -96,24 +57,14 @@ def _two_qubit_vectors(x: UdInstance, alice: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
-def entangled_amplitudes(x: UdInstance) -> np.ndarray:
+def entangled_state(x: UdInstance) -> np.ndarray:
     """Shared state whose computational-basis preparation on a emits the UD pair, as (..., 4) amplitudes."""
     return _two_qubit_vectors(x, np.eye(2))
 
 
-def symmetric_amplitudes(x: UdInstance, basis: RetroBasis) -> np.ndarray:
+def symmetric_state(x: UdInstance, basis: RetroBasis) -> np.ndarray:
     """Shared state prepared in x's retro_basis, as (..., 4) amplitudes; invariant under the a<->b swap."""
     return _two_qubit_vectors(x, basis.vectors)
-
-
-def entangled_state(instance: UdInstance) -> TwoQubitState:
-    """Shared state whose computational-basis preparation on a emits the UD pair."""
-    return TwoQubitState(entangled_amplitudes(instance))
-
-
-def symmetric_state(instance: UdInstance, basis: RetroBasis) -> TwoQubitState:
-    """Shared state prepared in the instance's retro_basis; invariant under the a<->b swap."""
-    return TwoQubitState(symmetric_amplitudes(instance, basis))
 
 
 def sqrt_omega_in_retro_basis(basis: RetroBasis) -> np.ndarray:
@@ -174,7 +125,7 @@ def no_signaling_check(
         raise ValidationError(violations)
 
     basis = retro_basis(x)
-    amplitudes = symmetric_amplitudes(x, basis)
+    amplitudes = symmetric_state(x, basis)
     u = basis.vectors
     projectors = linalg.outer(np.swapaxes(u, -1, -2))
     tilde = (

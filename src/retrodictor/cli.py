@@ -28,7 +28,6 @@ from .formats import (
     parse_povm_file,
     povm_to_payload,
     render_json,
-    vector_to_pairs,
     write_json,
 )
 from .retrodiction import retro_transform
@@ -153,8 +152,8 @@ def cmd_ud(args) -> int:
         "omega_eigenvalues": [cf.w1, cf.w2],
         "omega_angle": cf.omega_angle,
         "retro_basis": {
-            "phi1": vector_to_pairs(opt.basis.vectors[:, 0]),
-            "phi2": vector_to_pairs(opt.basis.vectors[:, 1]),
+            "phi1": matrix_to_rows(opt.basis.vectors[:, 0]),
+            "phi2": matrix_to_rows(opt.basis.vectors[:, 1]),
         },
         "rho0_ret": matrix_to_rows(opt.rho0),
         "predictive_povm": {
@@ -180,7 +179,7 @@ def cmd_channel(args) -> int:
         "overlap": inst.s,
     }
     doc["derived"] = {
-        "symmetric_state": vector_to_pairs(report.amplitudes),
+        "symmetric_state": matrix_to_rows(report.amplitudes),
         "rho_a": matrix_to_rows(report.reduced_a),
         "rho_a_tilde": matrix_to_rows(report.tilde_a),
         "rho_b": matrix_to_rows(report.reduced_b),

@@ -1,17 +1,17 @@
-"""Domain types for states, priors, and measurements.
+"""Input types for states, priors, and measurements, and the checks behind them.
 
 Constructors enforce the domain invariants and raise ValidationError naming
 every violated check with its measured residual; the validate_* functions
 return the same findings as a report without raising, so callers (the CLI in
 particular) can show all problems in malformed input at once.
 
-Povm and Ensemble hold their validated operators as read-only (n, d, d)
-stacks, elements and matrices, built from an (n, d, d) array or a sequence
-of d x d array-likes and checked by one validate_povm or validate_ensemble
-call.  Operators are validated per stack, with one reduction per invariant
-after each item's own conversion and shape check; a density matrix is a
-stack of one.  The computing is done by the stack functions of
-`retrodiction`, which read these arrays.
+Ensemble and Povm are the input types: each holds its validated operators as
+a read-only (n, d, d) stack, matrices or elements, built from an (n, d, d)
+array or a sequence of d x d array-likes and checked by one validate_ensemble
+or validate_povm call.  Every other value is a validated array.  Operators
+are validated per stack, with one reduction per invariant after each item's
+own conversion and shape check.  The computing is done by the stack
+functions of `retrodiction`, which read these arrays.
 """
 
 from __future__ import annotations
@@ -109,6 +109,16 @@ def validate_vector_stack(vectors: np.ndarray, label) -> ValidationReport:
 def _is_stack(items) -> bool:
     """Whether items is an (n, d, d) array, validated as one stack as it is."""
     return isinstance(items, np.ndarray) and items.ndim == 3 and items.shape[1] == items.shape[2] >= 1
+
+
+def _items(items) -> list | np.ndarray | None:
+    """items as a list, an (n, d, d) array as it is, or None when they are not a collection."""
+    if _is_stack(items):
+        return items
+    try:
+        return list(items)
+    except TypeError:
+        return None
 
 
 def _validate_operators(items, label, unit_trace: bool = False):
@@ -251,7 +261,10 @@ def validate_ensemble(state_matrices, priors) -> ValidationReport:
     Valid priors, one per state, then the states' own violations, then one
     dimension for all states.
     """
-    mats = state_matrices if _is_stack(state_matrices) else list(state_matrices)
+    mats = _items(state_matrices)
+    if mats is None:
+        not_states = Violation("states_shape", 0.0, "states is not a sequence of matrices")
+        return ValidationReport(validate_priors(priors).violations + (not_states,))
     state_violations, arrays, _ = _validate_operators(mats, lambda k: f"state[{k}]", unit_trace=True)
     violations = list(validate_priors(priors).violations)
     arr = _as_array(priors, np.float64)
@@ -277,7 +290,9 @@ def validate_povm(elements, sum_target=None) -> ValidationReport:
     identity as the completeness target (used for measurements restricted to
     the support of a singular source).
     """
-    elems = elements if _is_stack(elements) else list(elements)
+    elems = _items(elements)
+    if elems is None:
+        return ValidationReport((Violation("elements_shape", 0.0, "POVM elements are not a sequence of matrices"),))
     if len(elems) < 1:
         return ValidationReport((Violation("elements_count", 0.0, "POVM has no elements"),))
     violations, arrays, stack = _validate_operators(elems, lambda k: f"element[{k}]")
@@ -320,48 +335,6 @@ def _frozen(arr: np.ndarray, dtype=np.complex128) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PureState:
-    """Unit-norm amplitude vector."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        validate_state_vector(self.amplitudes).raise_if_failed()
-        object.__setattr__(self, "amplitudes", _frozen(self.amplitudes))
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def projector(self) -> np.ndarray:
-        return linalg.outer(self.amplitudes)
-
-    def density(self) -> "DensityOperator":
-        return DensityOperator(self.projector())
-
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Hermitian, PSD, trace-one operator."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        validate_density_matrix(self.matrix).raise_if_failed()
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-
-@dataclass(frozen=True, eq=False)
 class Ensemble:
     """States with prior probabilities: Alice's side of the preparation.
 
@@ -376,10 +349,6 @@ class Ensemble:
         validate_ensemble(self.matrices, self.priors).raise_if_failed()
         object.__setattr__(self, "matrices", _frozen(self.matrices))
         object.__setattr__(self, "priors", _frozen(self.priors, np.float64))
-
-    @classmethod
-    def from_pure_states(cls, states: list[PureState], priors) -> "Ensemble":
-        return cls([s.projector() for s in states], priors)
 
     @property
     def dim(self) -> int:

@@ -24,7 +24,6 @@ import numpy as np
 from .ensembles import (
     Ensemble,
     Povm,
-    PureState,
     Violation,
     validate_ensemble,
     validate_povm,
@@ -37,10 +36,6 @@ def matrix_to_rows(matrix: np.ndarray) -> list:
     """The [re, im] pair of each entry of a complex array, nested as the array is: rows of a matrix."""
     arr = np.asarray(matrix, dtype=complex)
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
-
-
-def vector_to_pairs(vector: np.ndarray) -> list[list[float]]:
-    return matrix_to_rows(vector)
 
 
 def _entries_to_complex(entries: list, where: str) -> np.ndarray:
@@ -122,7 +117,9 @@ def parse_ensemble_file(path: str) -> Ensemble:
             vec = pairs_to_vector(entry.get("vector"), where)
             report = validate_state_vector(vec, f"states[{i}]")
             pure_violations.extend(report.violations)
-            matrices.append(np.outer(vec, vec.conj()))
+            # A huge or infinite vector's projector overflows: validate_ensemble names it, numpy stays quiet.
+            with np.errstate(over="ignore", invalid="ignore"):
+                matrices.append(np.outer(vec, vec.conj()))
         else:
             matrices.append(rows_to_matrix(entry, where))
     for i, m in enumerate(matrices):
@@ -159,17 +156,11 @@ def parse_povm_file(path: str) -> Povm:
     return Povm(tuple(elements))
 
 
-def ensemble_to_payload(ensemble: Ensemble, pure_states: list[PureState] | None = None) -> dict:
-    """Serializable document for an ensemble; pure_states overrides matrix encoding."""
-    if pure_states is not None:
-        states: list[Any] = [
-            {"pure": True, "vector": vector_to_pairs(s.amplitudes)} for s in pure_states
-        ]
-    else:
-        states = matrix_to_rows(ensemble.matrices)
+def ensemble_to_payload(ensemble: Ensemble) -> dict:
+    """Serializable document for an ensemble."""
     return {
         "dim": ensemble.dim,
-        "states": states,
+        "states": matrix_to_rows(ensemble.matrices),
         "priors": [float(p) for p in ensemble.priors],
     }
 

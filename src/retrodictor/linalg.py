@@ -26,8 +26,8 @@ from .errors import NonHermitianInput, SingularOperator
 TOL_HERM = 1e-12
 # Inverse square roots raise SingularOperator below this source floor (see above).
 MIN_EIG_DEFAULT = 1e-5
-# Square roots clip eigenvalues in [-PSD_CLIP_TOL, 0) to 0, support_restricted drops
-# those up to +PSD_CLIP_TOL, and is_psd uses it as its default tolerance.
+# Square roots clip eigenvalues in [-PSD_CLIP_TOL, 0) to 0, and support_restricted
+# drops those up to +PSD_CLIP_TOL.
 PSD_CLIP_TOL = 1e-10
 
 # Components smaller than this are ignored when picking the entry that fixes
@@ -161,16 +161,6 @@ def hermitian_eig(matrix) -> Spectrum:
     return Spectrum(*np.linalg.eigh((a + dag(a)) / 2.0))
 
 
-def spectral_map(
-    matrix,
-    f: Callable[[float], float],
-    min_eig: float | None = None,
-    support_restricted: bool = False,
-) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix, eigenvalue by eigenvalue (see Spectrum.map)."""
-    return hermitian_eig(matrix).map(np.vectorize(f, otypes=[float]), min_eig, support_restricted)
-
-
 def sqrtm_psd(matrix) -> np.ndarray:
     """Square root of a PSD Hermitian matrix (eigenvalues in [-PSD_CLIP_TOL, 0) clipped)."""
     return hermitian_eig(matrix).sqrt()
@@ -183,17 +173,6 @@ def inv_sqrtm_psd(
 ) -> np.ndarray:
     """Inverse square root of a positive definite Hermitian matrix (see Spectrum.map)."""
     return hermitian_eig(matrix).inv_sqrt(min_eig, support_restricted)
-
-
-def min_eigenvalue(matrix) -> float:
-    """Smallest eigenvalue of a Hermitian matrix, by LAPACK without eigenvectors (eigvalsh)."""
-    a = require_hermitian(matrix)
-    return float(np.linalg.eigvalsh((a + dag(a)) / 2.0)[0])
-
-
-def is_psd(matrix, tol: float = PSD_CLIP_TOL) -> bool:
-    """True iff the Hermitian matrix has min eigenvalue >= -tol."""
-    return min_eigenvalue(matrix) >= -tol
 
 
 def partial_trace(matrix, dims: tuple[int, int], trace_out: int) -> np.ndarray:

@@ -16,8 +16,8 @@ and the closed forms, constructions and the grid oracle are array-valued:
 their results carry the same leading axes, from one pass of the same code
 (stacked eigendecompositions, each derived stack validated once).  For one
 instance the results have no leading axes.  Each result is its validated
-arrays; the per-instance entry points (ud_states, ud_ensemble) raise
-ValueError on a stack.
+arrays; the per-instance entry point ud_ensemble raises ValueError on a
+stack.
 
 The grid oracle scans a coarse subsample of its grid first, then the full
 grid only in the window where the concave feasibility bound leaves room for
@@ -37,7 +37,6 @@ from . import linalg
 from .ensembles import (
     PRIORS_TOL,
     Ensemble,
-    PureState,
     Violation,
     _frozen,
     validate_operator_stack,
@@ -166,15 +165,9 @@ def ud_state_vectors(x: UdInstance) -> np.ndarray:
     return _mat2(c, s, c, -s)
 
 
-def ud_states(instance: UdInstance) -> tuple[PureState, PureState]:
-    """The two input states cos(alpha)|0> +- sin(alpha)|1>."""
-    psi = ud_state_vectors(_one(instance))
-    return PureState(psi[0]), PureState(psi[1])
-
-
-def ud_ensemble(instance: UdInstance) -> Ensemble:
-    psi1, psi2 = ud_states(instance)
-    return Ensemble.from_pure_states([psi1, psi2], np.array(instance.eta))
+def ud_ensemble(x: UdInstance) -> Ensemble:
+    """The two input states cos(alpha)|0> +- sin(alpha)|1> as projectors, with priors eta."""
+    return Ensemble(linalg.outer(ud_state_vectors(_one(x))), x.eta)
 
 
 def omega_matrix(x: UdInstance) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 from . import linalg
 from .channel import (
     NoSignalingReport,
-    entangled_amplitudes,
+    entangled_state,
     no_signaling_check,
     reduced_matrix,
     sqrt_omega_in_retro_basis,
@@ -279,7 +279,7 @@ def channel_residuals(x: UdInstance, report: NoSignalingReport) -> np.ndarray:
     """
     om = omega_matrix(x)
     sq = sqrt_omega_in_retro_basis(report.basis)
-    plain = entangled_amplitudes(x)
+    plain = entangled_state(x)
     plain_reduced = np.stack([reduced_matrix(plain, 0), reduced_matrix(plain, 1)], axis=-3)
     validate_operator_stack(plain_reduced, "entangled-state reduction", unit_trace=True).raise_if_failed()
     lifted = report.basis.vectors @ plain.reshape(*plain.shape[:-1], 2, 2)

@@ -2,11 +2,13 @@
 
 The package computes on stacks; tests that want one pair as the input types
 build it here, from the same block drawers the verification corpus uses.
+Ensemble files with {"pure": true} vector entries are built here too.
 """
 
 import numpy as np
 
 from retrodictor.ensembles import Ensemble, Povm
+from retrodictor.formats import matrix_to_rows
 from retrodictor.verify import _draw_povm, _draw_states
 
 
@@ -24,3 +26,13 @@ def random_ensemble(rng: np.random.Generator, dim: int, n_states: int) -> Ensemb
 def corpus_pairs(groups) -> list[tuple[Ensemble, Povm]]:
     """Each pair of each shape group of a corpus, built as an Ensemble and a Povm."""
     return [(Ensemble(s, p), Povm(e)) for g in groups for p, s, e in zip(*g)]
+
+
+def pure_ensemble_payload(vectors, priors) -> dict:
+    """An ensemble file document with one {"pure": true} entry per state vector (the rows of vectors)."""
+    vectors = np.asarray(vectors, dtype=complex)
+    return {
+        "dim": vectors.shape[-1],
+        "states": [{"pure": True, "vector": matrix_to_rows(v)} for v in vectors],
+        "priors": [float(p) for p in priors],
+    }

@@ -8,10 +8,11 @@ import json
 
 import pytest
 
+from conftest import pure_ensemble_payload
 from retrodictor.cli import main
 from retrodictor.ensembles import Povm
-from retrodictor.formats import ensemble_to_payload, povm_to_payload, write_json
-from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble, ud_states
+from retrodictor.formats import povm_to_payload, write_json
+from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_state_vectors
 from retrodictor.verify import (
     suite_channel,
     suite_failure_modes,
@@ -130,8 +131,7 @@ def test_criterion_9_failure_mode_contract(tmp_path):
     inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
     ens_path = tmp_path / "ens.json"
     povm_path = tmp_path / "povm.json"
-    write_json(ensemble_to_payload(ud_ensemble(inst), pure_states=list(ud_states(inst))),
-               str(ens_path))
+    write_json(pure_ensemble_payload(ud_state_vectors(inst), inst.eta), str(ens_path))
     write_json(povm_to_payload(Povm(optimal_predictive_povm(inst).elements)), str(povm_path))
     bad = json.loads(ens_path.read_text())
     bad["priors"] = [0.5, 0.4]

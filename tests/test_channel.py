@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from retrodictor.channel import (
-    TwoQubitState,
     entangled_state,
     no_signaling_check,
+    reduced_matrix,
     sqrt_omega_in_retro_basis,
+    swap_residual,
     symmetric_state,
 )
 from retrodictor.errors import SingularOperator, ValidationError
@@ -18,53 +19,48 @@ ETA_GRID = np.linspace(0.5, 0.98, 12)
 ALPHA_GRID = np.linspace(0.05, math.pi / 4 - 0.01, 12)
 
 
-def test_two_qubit_state_validation():
-    with pytest.raises(ValidationError):
-        TwoQubitState(np.array([1.0, 1.0, 0.0, 0.0]))  # not normalized
-    with pytest.raises(ValidationError):
-        TwoQubitState(np.array([1.0, 0.0]))  # wrong length
-
-
 def test_entangled_state_orthogonal_inputs_is_maximally_entangled():
     # s = 0: Schmidt coefficients are (1/2, 1/2).
     state = entangled_state(UdInstance(math.pi / 4, (0.5, 0.5)))
-    rho_a = state.reduced(trace_out=1)
-    schmidt = hermitian_eig(rho_a.matrix).eigenvalues
+    rho_a = reduced_matrix(state, trace_out=1)
+    schmidt = hermitian_eig(rho_a).eigenvalues
     assert np.allclose(schmidt, [0.5, 0.5], atol=1e-12)
 
 
 def test_entangled_state_reduced_b_is_source():
     inst = UdInstance(math.pi / 6, (0.7, 0.3))
     state = entangled_state(inst)
-    assert maxabs(state.reduced(trace_out=0).matrix - omega_matrix(inst)) < 1e-10
+    assert maxabs(reduced_matrix(state, trace_out=0) - omega_matrix(inst)) < 1e-10
 
 
 def test_entangled_state_reduced_a_is_source_in_retro_matrix_form():
     inst = UdInstance(math.pi / 6, (0.7, 0.3))
     state = entangled_state(inst)
-    assert maxabs(state.reduced(trace_out=1).matrix - omega_in_retro_basis(inst)) < 1e-10
+    assert maxabs(reduced_matrix(state, trace_out=1) - omega_in_retro_basis(inst)) < 1e-10
 
 
 def test_symmetric_state_swap_invariance():
     inst = UdInstance(math.pi / 8, (0.5, 0.5))
     state = symmetric_state(inst, retro_basis(inst))
-    assert state.swap_residual() < 1e-12
-    assert maxabs(state.swapped().amplitudes - state.amplitudes) < 1e-12
+    assert state.shape == (4,) and abs(np.linalg.norm(state) - 1.0) < 1e-12
+    assert swap_residual(state) < 1e-12
+    # Amplitude order |0a 0b>, |0a 1b>, |1a 0b>, |1a 1b>: the swap exchanges the middle two.
+    assert maxabs(state[[0, 2, 1, 3]] - state) < 1e-12
 
 
 def test_symmetric_state_both_reductions_equal_source():
     inst = UdInstance.from_overlap(0.6, (0.75, 0.25))
     state = symmetric_state(inst, retro_basis(inst))
     om = omega_matrix(inst)
-    assert maxabs(state.reduced(0).matrix - om) < 1e-10
-    assert maxabs(state.reduced(1).matrix - om) < 1e-10
+    assert maxabs(reduced_matrix(state, 0) - om) < 1e-10
+    assert maxabs(reduced_matrix(state, 1) - om) < 1e-10
 
 
 def test_symmetric_state_is_alice_basis_change_of_entangled_state():
     inst = UdInstance.from_overlap(0.45, (0.65, 0.35))
     u = retro_basis(inst).vectors
-    lifted = np.kron(u, np.eye(2)) @ entangled_state(inst).amplitudes
-    assert maxabs(lifted - symmetric_state(inst, retro_basis(inst)).amplitudes) < 1e-10
+    lifted = np.kron(u, np.eye(2)) @ entangled_state(inst)
+    assert maxabs(lifted - symmetric_state(inst, retro_basis(inst))) < 1e-10
 
 
 def test_symmetric_state_rejects_singular_source():
@@ -109,12 +105,12 @@ def test_channel_properties_on_grid():
             inst = UdInstance(float(alpha), (float(1 - eta_max), float(eta_max)))
             basis = retro_basis(inst)
             state = symmetric_state(inst, basis)
-            worst_swap = max(worst_swap, state.swap_residual())
+            worst_swap = max(worst_swap, swap_residual(state))
             om = omega_matrix(inst)
             worst_red = max(
                 worst_red,
-                maxabs(state.reduced(0).matrix - om),
-                maxabs(state.reduced(1).matrix - om),
+                maxabs(reduced_matrix(state, 0) - om),
+                maxabs(reduced_matrix(state, 1) - om),
             )
             worst_ns = max(worst_ns, no_signaling_check(inst).max_residual)
             sq = sqrt_omega_in_retro_basis(basis)

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import retrodictor
+from conftest import pure_ensemble_payload
 from retrodictor import cli
 from retrodictor.cli import main
 from retrodictor.ensembles import UNBIASED_TOL, Ensemble, Povm, is_unbiased
 from retrodictor.formats import ensemble_to_payload, povm_to_payload, write_json
-from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble, ud_states
+from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_state_vectors
 
 
 @pytest.fixture
@@ -21,7 +22,7 @@ def ud_files(tmp_path):
     inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
     ens_path = tmp_path / "ensemble.json"
     povm_path = tmp_path / "povm.json"
-    write_json(ensemble_to_payload(ud_ensemble(inst), pure_states=list(ud_states(inst))), str(ens_path))
+    write_json(pure_ensemble_payload(ud_state_vectors(inst), inst.eta), str(ens_path))
     write_json(povm_to_payload(Povm(optimal_predictive_povm(inst).elements)), str(povm_path))
     return str(ens_path), str(povm_path)
 

@@ -4,26 +4,28 @@ import warnings
 import numpy as np
 import pytest
 
+from retrodictor.channel import no_signaling_check
 from retrodictor.ensembles import (
     PSD_TOL,
-    DensityOperator,
     Ensemble,
     Povm,
-    PureState,
     is_unbiased,
     validate_density_matrix,
     validate_ensemble,
     validate_povm,
     validate_priors,
     validate_priors_stack,
+    validate_state_vector,
 )
 from retrodictor.errors import ValidationError
 from retrodictor.linalg import maxabs, outer
+from retrodictor.ud import UdInstance, retro_basis
 
 
 def qubit_pair(alpha):
+    """The state vectors cos(alpha)|0> +- sin(alpha)|1>, as rows."""
     c, s = math.cos(alpha), math.sin(alpha)
-    return PureState(np.array([c, s])), PureState(np.array([c, -s]))
+    return np.array([[c, s], [c, -s]])
 
 
 def source(ensemble):
@@ -32,9 +34,7 @@ def source(ensemble):
 
 
 def test_orthogonal_pair_gives_unbiased_source():
-    up = PureState(np.array([1.0, 0.0]))
-    down = PureState(np.array([0.0, 1.0]))
-    ensemble = Ensemble.from_pure_states([up, down], np.array([0.5, 0.5]))
+    ensemble = Ensemble(outer(np.eye(2)), np.array([0.5, 0.5]))
     assert maxabs(source(ensemble) - np.eye(2) / 2) < 1e-14
     assert is_unbiased(source(ensemble))
 
@@ -43,8 +43,7 @@ def test_source_matrix_matches_two_state_closed_form():
     # cos(a)|0> +- sin(a)|1> with priors (e1, e2):
     # [[cos^2 a, (e1-e2) sin a cos a], [(e1-e2) sin a cos a, sin^2 a]]
     alpha, e1, e2 = math.pi / 6, 0.7, 0.3
-    psi1, psi2 = qubit_pair(alpha)
-    ensemble = Ensemble.from_pure_states([psi1, psi2], np.array([e1, e2]))
+    ensemble = Ensemble(outer(qubit_pair(alpha)), np.array([e1, e2]))
     c, s = math.cos(alpha), math.sin(alpha)
     expected = np.array([[c * c, (e1 - e2) * s * c], [(e1 - e2) * s * c, s * s]])
     assert maxabs(source(ensemble) - expected) < 1e-14
@@ -116,18 +115,20 @@ def test_negative_prior_rejected():
         Ensemble((rho, rho), np.array([1.5, -0.5]))
 
 
+def _checks_raised(report) -> list[str]:
+    with pytest.raises(ValidationError) as excinfo:
+        report.raise_if_failed()
+    return [v.check for v in excinfo.value.violations]
+
+
 def test_pure_state_norm_enforced():
-    with pytest.raises(ValidationError):
-        PureState(np.array([1.0, 1.0]))
+    assert _checks_raised(validate_state_vector(np.array([1.0, 1.0]))) == ["unit_norm"]
 
 
 def test_density_operator_invariants_enforced():
-    with pytest.raises(ValidationError):
-        DensityOperator(np.diag([1.0, 1.0]))  # trace 2
-    with pytest.raises(ValidationError):
-        DensityOperator(np.diag([1.5, -0.5]))  # negative eigenvalue
-    with pytest.raises(ValidationError):
-        DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+    assert _checks_raised(validate_density_matrix(np.diag([1.0, 1.0]))) == ["unit_trace"]
+    assert _checks_raised(validate_density_matrix(np.diag([1.5, -0.5]))) == ["psd"]
+    assert _checks_raised(validate_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))) == ["hermiticity"]
 
 
 def test_povm_completeness_enforced():
@@ -136,21 +137,23 @@ def test_povm_completeness_enforced():
 
 
 def test_values_are_immutable():
-    state = PureState(np.array([1.0, 0.0]))
+    # Derived state vectors and density matrices are returned read-only.
+    inst = UdInstance(0.3, (0.6, 0.4))
+    vectors = retro_basis(inst).vectors
     with pytest.raises(ValueError):
-        state.amplitudes[0] = 0.0
-    rho = DensityOperator(np.eye(2) / 2)
+        vectors[0, 0] = 0.0
+    rho = no_signaling_check(inst).reduced_a
     with pytest.raises(ValueError):
-        rho.matrix[0, 0] = 9.0
+        rho[0, 0] = 9.0
 
 
 def test_operator_stacks_are_read_only():
     povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     assert povm.elements.shape == (2, 2, 2) and povm.elements.dtype == np.complex128
-    psi1, psi2 = qubit_pair(0.3)
-    ensemble = Ensemble.from_pure_states([psi1, psi2], np.array([0.4, 0.6]))
+    psi = qubit_pair(0.3)
+    ensemble = Ensemble([outer(v) for v in psi], np.array([0.4, 0.6]))
     assert ensemble.matrices.shape == (2, 2, 2) and ensemble.matrices.dtype == np.complex128
-    assert np.array_equal(ensemble.matrices[1], psi2.projector())
+    assert np.array_equal(ensemble.matrices[1], outer(psi[1]))
     assert ensemble.priors.dtype == np.float64
     for stack in (povm.elements, ensemble.matrices, ensemble.priors):
         with pytest.raises(ValueError):
@@ -164,9 +167,10 @@ def test_operator_stacks_are_read_only():
 
 
 def test_projector_matches_outer_product():
-    psi1, _ = qubit_pair(0.3)
-    assert maxabs(psi1.projector() - outer(psi1.amplitudes)) == 0.0
-    assert abs(psi1.density().purity() - 1.0) < 1e-12
+    psi = qubit_pair(0.3)
+    projectors = Ensemble(outer(psi), np.array([0.5, 0.5])).matrices
+    assert maxabs(projectors[0] - np.outer(psi[0], psi[0].conj())) == 0.0
+    assert abs(np.trace(projectors[0] @ projectors[0]).real - 1.0) < 1e-12
 
 
 def _psd_edge_operators(dim, w_min):
@@ -185,7 +189,7 @@ def _psd_edge_operators(dim, w_min):
 @pytest.mark.parametrize("dim", [2, 4, 8])
 def test_psd_check_accepts_half_its_tolerance_below_zero(dim):
     rho, element = _psd_edge_operators(dim, -0.5 * PSD_TOL)
-    DensityOperator(rho)
+    Ensemble((rho,), [1.0])
     Povm((element, np.eye(dim) - element))
 
 
@@ -193,7 +197,7 @@ def test_psd_check_accepts_half_its_tolerance_below_zero(dim):
 def test_psd_check_rejects_twice_its_tolerance_below_zero(dim):
     w_min = -2.0 * PSD_TOL
     rho, element = _psd_edge_operators(dim, w_min)
-    for build in (lambda: DensityOperator(rho), lambda: Povm((element, np.eye(dim) - element))):
+    for build in (lambda: Ensemble((rho,), [1.0]), lambda: Povm((element, np.eye(dim) - element))):
         with pytest.raises(ValidationError) as excinfo:
             build()
         (psd,) = [v for v in excinfo.value.violations if v.check == "psd"]
@@ -224,7 +228,7 @@ def test_huge_trace_reports_unit_trace_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError) as excinfo:
-            DensityOperator(huge)
+            Ensemble((huge,), [1.0])
         report = validate_density_matrix(huge)
     assert "unit_trace" in [v.check for v in excinfo.value.violations]
     assert [v.check for v in report.violations] == [v.check for v in excinfo.value.violations]

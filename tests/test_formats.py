@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import random_ensemble, random_povm
+from conftest import pure_ensemble_payload, random_ensemble, random_povm
 from retrodictor.cli import main
 from retrodictor.ensembles import Povm
 from retrodictor.errors import ValidationError
@@ -19,7 +19,7 @@ from retrodictor.formats import (
     rows_to_matrix,
     write_json,
 )
-from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble, ud_states
+from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble, ud_state_vectors
 
 
 def test_ensemble_roundtrip_is_bit_exact(tmp_path):
@@ -48,7 +48,7 @@ def test_povm_roundtrip_is_bit_exact(tmp_path):
 def test_pure_state_entries_parse(tmp_path):
     inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
     ensemble = ud_ensemble(inst)
-    payload = ensemble_to_payload(ensemble, pure_states=list(ud_states(inst)))
+    payload = pure_ensemble_payload(ud_state_vectors(inst), inst.eta)
     path = tmp_path / "pure.json"
     write_json(payload, str(path))
     loaded = parse_ensemble_file(str(path))

@@ -1,8 +1,9 @@
 """Every malformed input gets a named violation.
 
-One table feeds the public constructors (DensityOperator, PureState,
-TwoQubitState, Povm, Ensemble) and the file parsers the same kinds of
-malformed input.  Each must raise ValidationError naming the expected check;
+One table feeds the input types (Povm, Ensemble), the single-operator
+validators (validate_density_matrix, validate_state_vector) and the file
+parsers the same kinds of malformed input.  The input types must raise
+ValidationError naming the expected check and the validators must report it;
 no other exception type may escape, and the CLI exits 1 without a traceback.
 
 Each case is marked "fixed" (another exception escaped, or nothing was
@@ -16,9 +17,8 @@ import math
 import numpy as np
 import pytest
 
-from retrodictor.channel import TwoQubitState
 from retrodictor.cli import main
-from retrodictor.ensembles import DensityOperator, Ensemble, Povm, PureState
+from retrodictor.ensembles import Ensemble, Povm, validate_density_matrix, validate_state_vector
 from retrodictor.errors import RetrodictorError, ValidationError
 from retrodictor.formats import parse_ensemble_file, parse_povm_file
 
@@ -60,32 +60,19 @@ def _operator_cases(column: int, status: dict[str, str] | None = None) -> list:
 
 @pytest.mark.parametrize("value, check", _operator_cases(2))
 def test_density_operator_names_the_violation(value, check):
-    with pytest.raises(ValidationError) as excinfo:
-        DensityOperator(value)
-    assert check in _checks(excinfo)
+    assert check in {v.check for v in validate_density_matrix(value).violations}
 
 
 # A matrix is not a vector whatever its entries, so "huge" was already named here.
-@pytest.mark.parametrize("value, check", _operator_cases(3, {"huge": "pin"}))
-def test_pure_state_names_the_violation(value, check):
-    with pytest.raises(ValidationError) as excinfo:
-        PureState(value)
-    assert check in _checks(excinfo)
-
-
-# TwoQubitState converted its amplitudes before validating them, so ragged,
-# object and string input raised ValueError or TypeError instead.
-TWO_QUBIT_CASES = _operator_cases(3, {"huge": "pin"}) + [
-    pytest.param([1, [0]], "complex_entries", id="ragged-vector-fixed"),
-    pytest.param(["a"] * 4, "complex_entries", id="string-vector-fixed"),
+PURE_STATE_CASES = _operator_cases(3, {"huge": "pin"}) + [
+    pytest.param([1, [0]], "complex_entries", id="ragged-vector-pin"),
+    pytest.param(["a"] * 4, "complex_entries", id="string-vector-pin"),
 ]
 
 
-@pytest.mark.parametrize("value, check", TWO_QUBIT_CASES)
-def test_two_qubit_state_names_the_violation(value, check):
-    with pytest.raises(ValidationError) as excinfo:
-        TwoQubitState(value)
-    assert check in _checks(excinfo)
+@pytest.mark.parametrize("value, check", PURE_STATE_CASES)
+def test_pure_state_names_the_violation(value, check):
+    assert check in {v.check for v in validate_state_vector(value).violations}
 
 
 # A 0x0 POVM element is a fixed case too: it raised IndexError instead of a violation.
@@ -125,6 +112,12 @@ BAD_COLLECTIONS = [
     ("priors-2-d", lambda: Ensemble((HALF, HALF), np.full((2, 1), 0.5)), "priors_shape", "pin"),
     ("priors-empty", lambda: Ensemble((HALF, HALF), ()), "priors_shape", "pin"),
     ("priors-length", lambda: Ensemble((HALF, HALF), [1.0]), "states_priors_length", "pin"),
+    # Not collections at all: list() raised a bare TypeError before they were named.
+    ("ensemble-int", lambda: Ensemble(5, [1.0]), "states_shape", "fixed"),
+    ("ensemble-none", lambda: Ensemble(None, [1.0]), "states_shape", "fixed"),
+    ("ensemble-numpy-scalar", lambda: Ensemble(np.float64(0.5), [1.0]), "states_shape", "fixed"),
+    ("povm-int", lambda: Povm(5), "elements_shape", "fixed"),
+    ("povm-none", lambda: Povm(None), "elements_shape", "fixed"),
 ]
 
 
@@ -186,6 +179,30 @@ FILE_CASES = [pytest.param(entry, check, id=f"{case}-pin") for case, entry, chec
 def test_ensemble_file_names_the_violation(tmp_path, capsys, entry, check):
     ens_path, povm_path = _files(tmp_path, state=entry)
     with pytest.raises(RetrodictorError) as excinfo:
+        parse_ensemble_file(ens_path)
+    assert check in _checks(excinfo)
+    _cli_exits_1(capsys, ens_path, povm_path)
+
+
+# {"pure": true} entries standing in for a 2-vector.  The projector of a huge or
+# infinite vector overflowed (or met inf * 0) in numpy before the fix, a RuntimeWarning.
+BAD_PURE_ENTRIES = [
+    ("non-unit", [[1.0, 0.0], [1.0, 0.0]], "unit_norm", "pin"),
+    ("zero", [[0.0, 0.0], [0.0, 0.0]], "unit_norm", "pin"),
+    ("nan", [[math.nan, 0.0], [0.0, 0.0]], "finite_entries", "pin"),
+    ("huge", [[1e308, 0.0], [1e308, 0.0]], "unit_norm", "fixed"),
+    ("inf", [[math.inf, 0.0], [0.0, 0.0]], "finite_entries", "fixed"),
+    ("length-3", [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "dim_mismatch", "pin"),
+    ("string", [["1", "0"], [0.0, 0.0]], "file_format", "pin"),
+]
+
+
+@pytest.mark.parametrize(
+    "vector, check", [pytest.param(v, c, id=f"{n}-{s}") for n, v, c, s in BAD_PURE_ENTRIES]
+)
+def test_pure_vector_file_entry_names_the_violation(tmp_path, capsys, vector, check):
+    ens_path, povm_path = _files(tmp_path, state={"pure": True, "vector": vector})
+    with pytest.raises(ValidationError) as excinfo:
         parse_ensemble_file(ens_path)
     assert check in _checks(excinfo)
     _cli_exits_1(capsys, ens_path, povm_path)

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from conftest import random_ensemble, random_povm
-from retrodictor.ensembles import Ensemble, Povm, PureState
+from retrodictor.ensembles import Ensemble, Povm
+from retrodictor.linalg import outer
 from retrodictor.retrodiction import born_table, retro_transform
 from retrodictor.sim import (
     RNG_ALGORITHM,
@@ -17,9 +18,7 @@ from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble
 
 
 def orthogonal_setup():
-    up = PureState(np.array([1.0, 0.0]))
-    down = PureState(np.array([0.0, 1.0]))
-    ensemble = Ensemble.from_pure_states([up, down], np.array([0.5, 0.5]))
+    ensemble = Ensemble(outer(np.eye(2)), np.array([0.5, 0.5]))
     povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
     return ensemble, povm
 

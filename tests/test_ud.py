@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from retrodictor.ensembles import Povm, PureState
+from retrodictor.ensembles import Povm
 from retrodictor.errors import SingularOperator, ValidationError
-from retrodictor.linalg import dag, hermitian_eig, maxabs
+from retrodictor.linalg import dag, hermitian_eig, maxabs, outer
 from retrodictor.retrodiction import retro_transform
 from retrodictor.ud import (
     MAX_GRID_STEP,
@@ -22,7 +22,7 @@ from retrodictor.ud import (
     retro_basis_closed_form,
     ud_ensemble,
     ud_retro_dual,
-    ud_states,
+    ud_state_vectors,
     verify_purity_identification,
 )
 
@@ -45,8 +45,8 @@ def test_instance_validation():
 
 def test_angle_conventions():
     inst = UdInstance(math.pi / 8, (0.5, 0.5))
-    psi1, psi2 = ud_states(inst)
-    overlap = float(psi1.overlap(psi2).real)
+    psi1, psi2 = ud_state_vectors(inst)
+    overlap = float(np.vdot(psi1, psi2).real)
     assert abs(overlap - math.cos(2 * inst.alpha)) < 1e-12
     assert abs(overlap - inst.s) < 1e-12
     assert abs(math.cos(inst.theta) - inst.s) < 1e-12
@@ -55,11 +55,11 @@ def test_angle_conventions():
 
 
 def test_states_at_quarter_pi_are_pm():
-    psi1, psi2 = ud_states(UdInstance(math.pi / 4, (0.5, 0.5)))
+    psi1, psi2 = ud_state_vectors(UdInstance(math.pi / 4, (0.5, 0.5)))
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
     minus = np.array([1.0, -1.0]) / math.sqrt(2)
-    assert maxabs(psi1.amplitudes - plus) < 1e-14
-    assert maxabs(psi2.amplitudes - minus) < 1e-14
+    assert maxabs(psi1 - plus) < 1e-14
+    assert maxabs(psi2 - minus) < 1e-14
     assert abs(UdInstance(math.pi / 4, (0.5, 0.5)).s) < 1e-12
 
 
@@ -117,8 +117,8 @@ def test_retro_basis_balanced_priors():
     basis = retro_basis(UdInstance(math.pi / 6, (0.5, 0.5)))
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
     minus = np.array([1.0, -1.0]) / math.sqrt(2)
-    assert maxabs(PureState(basis.vectors[:, 0]).projector() - np.outer(plus, plus)) < 1e-12
-    assert maxabs(PureState(basis.vectors[:, 1]).projector() - np.outer(minus, minus)) < 1e-12
+    assert maxabs(outer(basis.vectors[:, 0]) - np.outer(plus, plus)) < 1e-12
+    assert maxabs(outer(basis.vectors[:, 1]) - np.outer(minus, minus)) < 1e-12
 
 
 def test_retro_basis_orthonormal_and_matches_closed_form_on_grid():
@@ -128,8 +128,7 @@ def test_retro_basis_orthonormal_and_matches_closed_form_on_grid():
             inst = UdInstance(float(alpha), (float(eta_max), float(1 - eta_max)))
             numeric = retro_basis(inst)
             closed = retro_basis_closed_form(inst)
-            phi1, phi2 = PureState(numeric.vectors[:, 0]), PureState(numeric.vectors[:, 1])
-            worst_orth = max(worst_orth, abs(phi1.overlap(phi2)))
+            worst_orth = max(worst_orth, abs(np.vdot(numeric.vectors[:, 0], numeric.vectors[:, 1])))
             worst_gap = max(
                 worst_gap,
                 maxabs(numeric.vectors[:, 0] - closed.vectors[:, 0]),
@@ -247,8 +246,8 @@ def test_dual_invariants_on_grid():
             assert abs(np.linalg.det(weighted)) < 1e-10
             basis = retro_basis(inst)
             total = (
-                opt.mu1 * PureState(basis.vectors[:, 0]).projector()
-                + opt.mu2 * PureState(basis.vectors[:, 1]).projector()
+                opt.mu1 * outer(basis.vectors[:, 0])
+                + opt.mu2 * outer(basis.vectors[:, 1])
                 + weighted
             )
             assert maxabs(total - omega_matrix(inst)) < 1e-10
@@ -282,9 +281,9 @@ def test_tie_priors_hit_no_strict_branch():
 def test_predictive_povm_annihilates_wrong_state():
     for inst in (UdInstance(0.3, (0.6, 0.4)), UdInstance.from_overlap(0.8, (0.85, 0.15))):
         ud_povm = optimal_predictive_povm(inst)
-        psi1, psi2 = ud_states(inst)
-        p12 = float(np.vdot(psi2.amplitudes, ud_povm.elements[0] @ psi2.amplitudes).real)
-        p21 = float(np.vdot(psi1.amplitudes, ud_povm.elements[1] @ psi1.amplitudes).real)
+        psi1, psi2 = ud_state_vectors(inst)
+        p12 = float(np.vdot(psi2, ud_povm.elements[0] @ psi2).real)
+        p21 = float(np.vdot(psi1, ud_povm.elements[1] @ psi1).real)
         assert abs(p12) < 1e-12
         assert abs(p21) < 1e-12
 
@@ -305,13 +304,9 @@ def test_duality_bridge_mu_equals_predictive_terms():
     inst = UdInstance.from_overlap(0.45, (0.7, 0.3))
     opt = optimal_dual(inst)
     ud_povm = optimal_predictive_povm(inst)
-    psi1, psi2 = ud_states(inst)
-    term1 = inst.eta[0] * float(
-        np.vdot(psi1.amplitudes, ud_povm.elements[0] @ psi1.amplitudes).real
-    )
-    term2 = inst.eta[1] * float(
-        np.vdot(psi2.amplitudes, ud_povm.elements[1] @ psi2.amplitudes).real
-    )
+    psi1, psi2 = ud_state_vectors(inst)
+    term1 = inst.eta[0] * float(np.vdot(psi1, ud_povm.elements[0] @ psi1).real)
+    term2 = inst.eta[1] * float(np.vdot(psi2, ud_povm.elements[1] @ psi2).real)
     assert abs(term1 - opt.mu1) < 1e-10
     assert abs(term2 - opt.mu2) < 1e-10
     mu = retro_transform(ud_ensemble(inst), Povm(ud_povm.elements)).mu
@@ -440,7 +435,7 @@ def test_a_stack_with_mismatched_shapes_or_an_overlap_out_of_range_raises_a_name
     assert [(v.check, v.residual) for v in overlap.value.violations] == [("overlap_range", 1.0)]
 
 
-@pytest.mark.parametrize("fn", [ud_states, ud_ensemble])
+@pytest.mark.parametrize("fn", [ud_ensemble])
 def test_per_instance_entry_points_raise_on_a_stack(fn):
     stack = UdInstance.from_overlap([0.5, 0.3], [[0.5, 0.7], [0.5, 0.3]])
     with pytest.raises(ValueError, match="is a stack"):

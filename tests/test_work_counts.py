@@ -113,6 +113,17 @@ def test_parsed_ensemble_is_validated_once(monkeypatch):
     assert [args[0].shape for args in eigvalsh] == [(2, 2, 2)]
 
 
+def test_ud_ensemble_is_validated_once(monkeypatch):
+    # The two projectors are validated as one (2, 2, 2) stack; the state vectors are not validated apart.
+    ensemble_calls = count_calls(monkeypatch, ensembles, "validate_ensemble")
+    vectors = count_calls(monkeypatch, ensembles, "validate_state_vector")
+    eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    ensemble = ud.ud_ensemble(ud.UdInstance.from_overlap(0.4, (0.7, 0.3)))
+    assert len(ensemble) == 2
+    assert (len(ensemble_calls), len(vectors)) == (1, 0)
+    assert [args[0].shape for args in eigvalsh] == [(2, 2, 2)]
+
+
 def test_povm_validation_is_one_eigvalsh(monkeypatch):
     calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
     for _, povm in _transform_inputs():
