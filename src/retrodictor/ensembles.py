@@ -112,7 +112,7 @@ def _is_stack(items) -> bool:
 
 
 def _items(items) -> list | np.ndarray | None:
-    """items as a list, an (n, d, d) array as it is, or None when they are not a collection."""
+    """items as a list (a generator read once), an (n, d, d) array as it is, or None if not a collection."""
     if _is_stack(items):
         return items
     try:
@@ -288,7 +288,8 @@ def validate_povm(elements, sum_target=None) -> ValidationReport:
 
     The elements are validated as one stack.  sum_target overrides the
     identity as the completeness target (used for measurements restricted to
-    the support of a singular source).
+    the support of a singular source); one that is not a d x d matrix is a
+    sum_target_shape violation.
     """
     elems = _items(elements)
     if elems is None:
@@ -297,10 +298,14 @@ def validate_povm(elements, sum_target=None) -> ValidationReport:
         return ValidationReport((Violation("elements_count", 0.0, "POVM has no elements"),))
     violations, arrays, stack = _validate_operators(elems, lambda k: f"element[{k}]")
     dims = {a.shape[0] for a in arrays if a is not None and a.ndim == 2 and a.shape[0] == a.shape[1]}
+    target = None if sum_target is None else _as_array(sum_target, np.complex128)
     if len(dims) > 1:
         violations.append(Violation("common_dim", 0.0, f"elements have mixed dims {sorted(dims)}"))
+    elif stack is not None and sum_target is not None and getattr(target, "shape", None) != stack.shape[1:]:
+        message = f"completeness target is not a {stack.shape[1]} x {stack.shape[2]} matrix"
+        violations.append(Violation("sum_target_shape", 0.0, message))
     elif stack is not None:
-        violations.extend(_completeness_violations(stack, sum_target, lambda k: "elements"))
+        violations.extend(_completeness_violations(stack, target, lambda k: "elements"))
     return ValidationReport(tuple(violations))
 
 
@@ -346,8 +351,9 @@ class Ensemble:
     priors: np.ndarray
 
     def __post_init__(self):
-        validate_ensemble(self.matrices, self.priors).raise_if_failed()
-        object.__setattr__(self, "matrices", _frozen(self.matrices))
+        matrices = _items(self.matrices)
+        validate_ensemble(matrices, self.priors).raise_if_failed()
+        object.__setattr__(self, "matrices", _frozen(matrices))
         object.__setattr__(self, "priors", _frozen(self.priors, np.float64))
 
     @property
@@ -371,8 +377,9 @@ class Povm:
     sum_target: np.ndarray | None = None
 
     def __post_init__(self):
-        validate_povm(self.elements, self.sum_target).raise_if_failed()
-        object.__setattr__(self, "elements", _frozen(self.elements))
+        elements = _items(self.elements)
+        validate_povm(elements, self.sum_target).raise_if_failed()
+        object.__setattr__(self, "elements", _frozen(elements))
         if self.sum_target is not None:
             object.__setattr__(self, "sum_target", _frozen(self.sum_target))
 

@@ -25,7 +25,18 @@ class NonHermitianInput(RetrodictorError):
 
 
 class SingularOperator(RetrodictorError):
-    """A pole function (inverse square root) was requested on a rank-deficient operator."""
+    """A pole function (inverse square root) was requested on a rank-deficient operator.
+
+    rows holds the leading indices of a stack's operators below the floor, as
+    np.argwhere gives them (((1,),) for row 1 of an (N, d, d) stack), and the
+    message names them; one operator's empty index names nothing.
+    """
+
+    def __init__(self, message: str, rows=()):
+        self.rows = tuple(tuple(map(int, row)) for row in rows if len(row))
+        named = ", ".join(f"[{', '.join(map(str, row))}]" for row in self.rows)
+        plural = "s" * (len(self.rows) > 1)
+        super().__init__(f"{message} at stack row{plural} {named}" if self.rows else message)
 
 
 class ZeroProbabilityOutcome(RetrodictorError):

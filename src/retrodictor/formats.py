@@ -117,9 +117,9 @@ def parse_ensemble_file(path: str) -> Ensemble:
             vec = pairs_to_vector(entry.get("vector"), where)
             report = validate_state_vector(vec, f"states[{i}]")
             pure_violations.extend(report.violations)
-            # A huge or infinite vector's projector overflows: validate_ensemble names it, numpy stays quiet.
-            with np.errstate(over="ignore", invalid="ignore"):
-                matrices.append(np.outer(vec, vec.conj()))
+            # A failed vector's projector is skipped: I/d stands in, a valid state of its dimension,
+            # so validate_ensemble names no second violation of the same entry.
+            matrices.append(np.outer(vec, vec.conj()) if report.ok else np.eye(len(vec)) / len(vec))
         else:
             matrices.append(rows_to_matrix(entry, where))
     for i, m in enumerate(matrices):

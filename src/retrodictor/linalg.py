@@ -45,20 +45,6 @@ def as_complex_matrix(matrix) -> np.ndarray:
     return m
 
 
-def hermiticity_residual(matrix: np.ndarray) -> float:
-    """Max-abs deviation of a matrix (or of any matrix of a stack) from its conjugate transpose."""
-    return float(np.max(np.abs(matrix - dag(matrix)), initial=0.0))
-
-
-def require_hermitian(matrix, tol: float = TOL_HERM) -> np.ndarray:
-    """Return the input as a complex array, raising NonHermitianInput beyond tol."""
-    m = as_complex_matrix(matrix)
-    res = hermiticity_residual(m)
-    if res > tol:
-        raise NonHermitianInput(f"Hermiticity residual {res:.3e} exceeds {tol:.3e}")
-    return m
-
-
 def dag(matrix: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of each matrix of a stack)."""
     return np.asarray(matrix).conj().swapaxes(-1, -2)
@@ -123,10 +109,10 @@ class Spectrum:
         """Apply a real function, elementwise on an eigenvalue array (a ufunc), to the operator.
 
         The one matrix-function body.  For f with a pole at 0, pass min_eig:
-        eigenvalues below it raise SingularOperator. With
-        support_restricted=True, those at most PSD_CLIP_TOL (zero up to
-        roundoff) are instead mapped to 0 (f never sees them), so that f acts
-        on the operator's support only. The support mode deviates from the
+        eigenvalues below it raise SingularOperator, naming the stack's rows
+        that hold them. With support_restricted=True, those at most
+        PSD_CLIP_TOL (zero up to roundoff) are instead mapped to 0 (f never
+        sees them), so that f acts on the operator's support only. The support mode deviates from the
         underlying theory, which assumes an invertible source.
         """
         vals = self.eigenvalues
@@ -134,16 +120,18 @@ class Spectrum:
         dropped = small & (vals <= PSD_CLIP_TOL) & support_restricted
         raising = small & ~dropped
         if np.any(raising):
-            raise SingularOperator(f"eigenvalue {vals[raising].min():.3e} below min_eig {min_eig:.3e}")
+            message = f"eigenvalue {vals[raising].min():.3e} below min_eig {min_eig:.3e}"
+            raise SingularOperator(message, np.argwhere(raising.any(axis=-1)))
         mapped = np.where(dropped, 0.0, f(np.where(dropped, 1.0, vals)))
         out = (self.eigenvectors * mapped[..., None, :]) @ dag(self.eigenvectors)
         return (out + dag(out)) / 2.0
 
     def sqrt(self) -> np.ndarray:
         """Square root of a PSD operator (eigenvalues in [-PSD_CLIP_TOL, 0) clipped)."""
-        w_min = self.eigenvalues[..., 0].min()
-        if w_min < -PSD_CLIP_TOL:
-            raise SingularOperator(f"matrix is not PSD: min eigenvalue {w_min:.3e}")
+        negative = self.eigenvalues[..., 0] < -PSD_CLIP_TOL
+        if np.any(negative):
+            w_min = self.eigenvalues[..., 0].min()
+            raise SingularOperator(f"matrix is not PSD: min eigenvalue {w_min:.3e}", np.argwhere(negative))
         return self.map(lambda w: np.sqrt(np.maximum(w, 0.0)))
 
     def inv_sqrt(self, min_eig: float = MIN_EIG_DEFAULT, support_restricted: bool = False):
@@ -154,10 +142,14 @@ class Spectrum:
 def hermitian_eig(matrix) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, or of each of a stack, by LAPACK (numpy.linalg.eigh).
 
-    The input is checked for Hermiticity and symmetrised first; LAPACK's
-    arbitrary eigenvector phases are then fixed by the Spectrum convention.
+    The input is checked for Hermiticity (NonHermitianInput beyond TOL_HERM)
+    and symmetrised first; LAPACK's arbitrary eigenvector phases are then
+    fixed by the Spectrum convention.
     """
-    a = require_hermitian(matrix)
+    a = as_complex_matrix(matrix)
+    residual = maxabs(a - dag(a))
+    if residual > TOL_HERM:
+        raise NonHermitianInput(f"Hermiticity residual {residual:.3e} exceeds {TOL_HERM:.3e}")
     return Spectrum(*np.linalg.eigh((a + dag(a)) / 2.0))
 
 

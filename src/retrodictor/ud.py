@@ -194,19 +194,21 @@ def omega_closed_form(x: UdInstance) -> OmegaClosedForm:
     r = hypot(cos 2 alpha, (eta_1 - eta_2) sin 2 alpha) = sqrt(1 - 4 eta_1 eta_2 sin^2(2 alpha))
     does not cancel near Omega = I/2, and 2*omega is in (-pi/2, pi/2] (the
     boundary is reached only at alpha = pi/4 with unequal priors).
-    Raises SingularOperator if w2 (of any instance) is below the source floor:
-    w1 w2 = det(Omega) = eta_1 eta_2 (1 - s^2), so either the states are nearly
-    identical or a prior is near 0.
+    Raises SingularOperator if w2 (of any instance) is below the source floor,
+    naming the stack's rows below it: w1 w2 = det(Omega) = eta_1 eta_2 (1 - s^2),
+    so either the states are nearly identical or a prior is near 0.
     """
     e1, e2 = x.eta
     two_alpha = 2.0 * x.alpha
     root = np.hypot(np.cos(two_alpha), (e1 - e2) * np.sin(two_alpha))
     w1 = 0.5 * (1.0 + root)
     w2 = 0.5 * (1.0 - root)
-    if np.any(w2 < linalg.MIN_EIG_DEFAULT):
+    below = w2 < linalg.MIN_EIG_DEFAULT
+    if np.any(below):
         raise SingularOperator(
             f"source function eigenvalue {np.min(w2):.3e} below {linalg.MIN_EIG_DEFAULT:.0e}"
-            " (states nearly identical, or a prior near 0)"
+            " (states nearly identical, or a prior near 0)",
+            np.argwhere(below),
         )
     angle = 0.5 * np.arctan2((e1 - e2) * np.sin(two_alpha), np.cos(two_alpha))
     return OmegaClosedForm(w1, w2, angle)

@@ -16,8 +16,9 @@ each corpus draws its slots' state and outcome counts as one block, groups
 the slots by shape (n, m, d), and draws each input kind of a shape as one
 block (priors and states, POVMs, unitaries, the floor sweep's spectra and
 splittings), validated once.  The transform suite runs one
-`transform_stack` per shape group; `floor_sweep` gives each pair as
-read-only slices of its shape's stacks.  The `ud` and `channel` suites are a
+`transform_stack` per shape group; `floor_sweep` gives one stack per
+dimension, which the floor contract transforms whole, then once more for
+its rows above the floor.  The `ud` and `channel` suites are a
 few vectorised passes over slices of the grid (GRID_BATCH instances each),
 the grid oracle included.  Each suite reports each column's worst value (NaN
 is worst).
@@ -26,7 +27,6 @@ is worst).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -418,55 +418,41 @@ def unbiased_corpus(seed: int, count: int = 60) -> list[tuple[np.ndarray, np.nda
     return groups
 
 
-def _validate_by_shape(stacks, validate) -> None:
-    """Validate (N, ...) stacks of one kind as one stack per trailing shape, in order of first appearance."""
-    for shape in dict.fromkeys(s.shape[1:] for s in stacks):
-        validate(np.concatenate([s for s in stacks if s.shape[1:] == shape])).raise_if_failed()
+def floor_sweep() -> tuple[list[tuple[np.ndarray, ...]], tuple[np.ndarray, UdInstance]]:
+    """Inputs on either side of the source floor: one stack of pairs per dimension, and one UD stack.
 
-
-def floor_sweep() -> tuple[
-    list[tuple[float, np.ndarray, np.ndarray, np.ndarray]], list[tuple[float, UdInstance]]
-]:
-    """Inputs on either side of the source floor: (min_eig, priors, states, elements) and (w2, UD instance).
-
-    Three pairs per dimension and level, in that order, each a random POVM
-    {E_i} splitting Omega = U diag(min_eig, ...) U^dag as
+    Each dimension of FLOOR_SWEEP_DIMS gives read-only stacks (levels,
+    priors, states, elements) of three pairs per level, level-major.  Pair k
+    is a random POVM {E_i} splitting Omega = U diag(levels[k], ...) U^dag as
     eta_i rho_i = sqrt(Omega) E_i sqrt(Omega), measured by another random
-    POVM.  Each shape (n, m, d) draws its spectra, unitaries, splittings and
-    POVMs as one block each.  Each kind is validated once, as one stack per
-    trailing shape (the states per dimension), and each pair's arrays are
-    read-only slices of its shape's stacks.
+    POVM.  The dimensions' (n, m), 2 to 4 each, are drawn as one block; each
+    dimension then draws its spectra, unitaries, splittings and POVMs as one
+    block each, validated once.  The UD stack is (w2, instances): the
+    instance at each level w2 of its smallest source eigenvalue, at priors
+    (0.5, 0.5), then at (0.6, 0.4).
     """
     rng = _rng(DEFAULT_SEED)
-    slots = list(itertools.product(FLOOR_SWEEP_DIMS, FLOOR_SWEEP_ABOVE + FLOOR_SWEEP_BELOW, range(3)))
-    transforms, blocks = [None] * len(slots), []
-    for (n_states, n_elements, dim), ks in _slots_by_shape(rng, [dim for dim, _, _ in slots]).items():
-        lead = (len(ks),)
-        min_eigs = np.array([slots[k][1] for k in ks])
-        rest = min_eigs[:, None] + rng.dirichlet(np.ones(dim - 1), lead) * (1.0 - dim * min_eigs)[:, None]
+    levels = np.repeat(FLOOR_SWEEP_ABOVE + FLOOR_SWEEP_BELOW, 3)
+    levels.setflags(write=False)
+    transforms = []
+    for n_states, n_elements, dim in _slots_by_shape(rng, list(FLOOR_SWEEP_DIMS)):
+        lead = levels.shape
+        rest = levels[:, None] + rng.dirichlet(np.ones(dim - 1), lead) * (1.0 - dim * levels)[:, None]
         u = _draw_unitaries(rng, dim, lead)
-        root = ((u * np.sqrt(np.column_stack([min_eigs, rest]))[:, None, :]) @ linalg.dag(u))[:, None]
+        root = ((u * np.sqrt(np.column_stack([levels, rest]))[:, None, :]) @ linalg.dag(u))[:, None]
         split = _draw_povm(rng, dim, n_states, lead)
+        validate_povm_stack(split, "floor-sweep splitting POVM").raise_if_failed()
         parts = root @ split @ root
         priors = np.trace(parts, axis1=-2, axis2=-1).real
         states = (parts + linalg.dag(parts)) / (2.0 * priors[..., None, None])
-        elements = _draw_povm(rng, dim, n_elements, lead)
-        for array in (priors, states, elements):
+        pairs = _validated_group(priors, states, _draw_povm(rng, dim, n_elements, lead))
+        for array in pairs:
             array.setflags(write=False)
-        blocks.append((priors, split, states.reshape(-1, dim, dim), elements))
-        for k, *pair in zip(ks, min_eigs.tolist(), priors, states, elements):
-            transforms[k] = tuple(pair)
-    priors, split, states, elements = zip(*blocks)
-    _validate_by_shape(priors, lambda p: validate_priors_stack(p, "floor-sweep priors"))
-    _validate_by_shape(split, lambda e: validate_povm_stack(e, "floor-sweep splitting POVM"))
-    _validate_by_shape(states, lambda s: validate_operator_stack(s, "floor-sweep state", unit_trace=True))
-    _validate_by_shape(elements, lambda e: validate_povm_stack(e, "floor-sweep POVM"))
-    uds = [
-        (w2, UdInstance(0.5 * math.asin(math.sqrt(w2 * (1.0 - w2) / (eta[0] * eta[1]))), eta))
-        for eta in ((0.5, 0.5), (0.6, 0.4))
-        for w2 in FLOOR_SWEEP_ABOVE + FLOOR_SWEEP_BELOW
-    ]
-    return transforms, uds
+        transforms.append((levels, *pairs))
+    w2 = np.tile(FLOOR_SWEEP_ABOVE + FLOOR_SWEEP_BELOW, 2)
+    w2.setflags(write=False)
+    eta = np.repeat([[0.5, 0.6], [0.5, 0.4]], len(w2) // 2, axis=1)
+    return transforms, (w2, UdInstance(0.5 * np.arcsin(np.sqrt(w2 * (1.0 - w2) / (eta[0] * eta[1]))), eta))
 
 
 def grid_instances() -> UdInstance:
@@ -601,44 +587,11 @@ def suite_simulate(seed: int = 42, n: int = 10**6) -> SuiteResult:
 
 def suite_failure_modes() -> SuiteResult:
     """Singular sources, zero-probability outcomes, and invalid inputs fail loudly."""
-    failures = []
-
-    def expect(name: str, exc_type, fn) -> None:
-        try:
-            fn()
-        except exc_type:
-            failures.append(Check(name, 0.0, 0.5))
-        except RetrodictorError as exc:
-            failures.append(Check(f"{name} (raised {type(exc).__name__})", 1.0, 0.5))
-        else:
-            failures.append(Check(f"{name} (no error raised)", 1.0, 0.5))
-
-    expect(
-        "alpha-to-zero-raises-singular",
-        SingularOperator,
-        lambda: omega_closed_form(UdInstance(1e-8, (0.5, 0.5))),
-    )
-    expect(
-        "near-identical-states-retro-basis",
-        SingularOperator,
-        lambda: retro_basis(UdInstance(1e-8, (0.6, 0.4))),
-    )
-
     pure = np.diag([1.0, 0.0])
     rank_deficient = Ensemble((pure, pure), np.array([0.5, 0.5]))
     mixed = Ensemble((np.eye(2) / 2.0,), np.array([1.0]))
     never_clicks = Povm((np.eye(2), np.zeros((2, 2))))  # outcome 1 has probability 0
     every_outcome = np.ones(len(never_clicks), dtype=bool)
-    expect(
-        "rank-deficient-source-raises-singular",
-        SingularOperator,
-        lambda: retro_transform(rank_deficient, _projective_qubit_povm()),
-    )
-    expect(
-        "zero-probability-outcome-raises",
-        ZeroProbabilityOutcome,
-        lambda: bayes_table(joint_table(mixed.priors, mixed.matrices, never_clicks.elements), every_outcome),
-    )
 
     def flagged_undefined():
         dual = retro_transform(mixed, never_clicks)
@@ -648,53 +601,82 @@ def suite_failure_modes() -> SuiteResult:
         born = born_table(dual.povm_stack, dual.state_stack, "retrodictive probability")
         return dual.defined[1] or bayes_table(born * dual.mu, every_outcome)
 
-    expect("undefined-retro-state-flagged", ZeroProbabilityOutcome, flagged_undefined)
-
-    expect(
-        "invalid-priors-rejected",
-        ValidationError,
-        lambda: Ensemble(np.concatenate([mixed.matrices] * 2), np.array([0.5, 0.4])),
-    )
-
+    checks = [
+        _expect("alpha-to-zero-raises-singular", SingularOperator,
+                lambda: omega_closed_form(UdInstance(1e-8, (0.5, 0.5)))),
+        _expect("near-identical-states-retro-basis", SingularOperator,
+                lambda: retro_basis(UdInstance(1e-8, (0.6, 0.4)))),
+        _expect("rank-deficient-source-raises-singular", SingularOperator,
+                lambda: retro_transform(rank_deficient, _projective_qubit_povm())),
+        _expect("zero-probability-outcome-raises", ZeroProbabilityOutcome, lambda: bayes_table(
+            joint_table(mixed.priors, mixed.matrices, never_clicks.elements), every_outcome)),
+        _expect("undefined-retro-state-flagged", ZeroProbabilityOutcome, flagged_undefined),
+        _expect("invalid-priors-rejected", ValidationError,
+                lambda: Ensemble(np.concatenate([mixed.matrices] * 2), np.array([0.5, 0.4]))),
+    ]
     try:
         dual = retro_transform(rank_deficient, _projective_qubit_povm(), support_restricted=True)
-        failures.append(Check("support-restricted-mode-runs", float(dual.source_residual() > 1e-10), 0.5))
+        checks.append(Check("support-restricted-mode-runs", float(dual.source_residual() > 1e-10), 0.5))
     except RetrodictorError as exc:
-        failures.append(Check(f"support-restricted-mode-runs ({type(exc).__name__})", 1.0, 0.5))
+        checks.append(Check(f"support-restricted-mode-runs ({type(exc).__name__})", 1.0, 0.5))
+    checks.append(Check("source-floor-contract", _floor_contract_breaches(), 0.5))
+    return SuiteResult("failure-modes", tuple(checks))
 
-    failures.append(Check("source-floor-contract", _floor_contract_breaches(), 0.5))
-    return SuiteResult("failure-modes", tuple(failures))
+
+def _expect(name: str, exc_type, fn) -> Check:
+    """Passes when fn() raises exc_type; another RetrodictorError, or none, fails with its name."""
+    try:
+        fn()
+    except exc_type:
+        return Check(name, 0.0, 0.5)
+    except RetrodictorError as exc:
+        return Check(f"{name} (raised {type(exc).__name__})", 1.0, 0.5)
+    return Check(f"{name} (no error raised)", 1.0, 0.5)
 
 
 def _floor_contract_breaches() -> float:
-    """Floor-sweep inputs that miss an identity above the floor or raise no SingularOperator below."""
-    transforms, uds = floor_sweep()
+    """Floor-sweep rows that break the source-floor contract, in each dimension's stack and the UD stack."""
+    transforms, (w2, uds) = floor_sweep()
+    breaches = sum(
+        _stack_breaches(levels, lambda k: _transform_rows(priors[k], states[k], elements[k]), TRANSFORM_CHECKS)
+        for levels, priors, states, elements in transforms
+    )
+    return float(breaches + _stack_breaches(w2, lambda k: _ud_rows(uds[k]), UD_CHECKS + CHANNEL_CHECKS))
 
-    def transform_checks(priors, states, elements):
-        dual = transform_stack(priors, states, elements)
-        return _checks(TRANSFORM_CHECKS, transform_residuals(joint_table(priors, states, elements), dual))
 
-    runs = [(m, functools.partial(transform_checks, *pair)) for m, *pair in transforms]
-    runs += [
-        (
-            w2,
-            lambda i=inst: checks_for_ud(i, optimal_dual(i), optimal_predictive_povm(i))
-            + checks_for_channel(i, no_signaling_check(i)),
-        )
-        for w2, inst in uds
-    ]
-    breaches = 0
-    for level, run in runs:
-        above = level >= linalg.MIN_EIG_DEFAULT
-        try:
-            checks = run()
-        except SingularOperator:
-            breaches += above
-        except RetrodictorError:
-            breaches += 1
-        else:
-            breaches += not above or not all(c.passed for c in checks)
-    return float(breaches)
+def _transform_rows(priors: np.ndarray, states: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """The TRANSFORM_CHECKS values of each pair of a stack."""
+    return transform_residuals(joint_table(priors, states, elements), transform_stack(priors, states, elements))
+
+
+def _ud_rows(x: UdInstance) -> np.ndarray:
+    """The UD_CHECKS, then the CHANNEL_CHECKS values of each instance of a stack."""
+    return np.column_stack([_ud_grid_rows(x)[:, 2:], channel_residuals(x, no_signaling_check(x))])
+
+
+def _stack_breaches(levels: np.ndarray, rows, table) -> int:
+    """The rows of one floor-sweep stack that break the source-floor contract.
+
+    rows(index) gives table's check values of the stack's rows at index.  The
+    whole stack must raise SingularOperator naming exactly its rows below the
+    floor; the rows above it that were not named then run once as a stack and
+    must pass every check (NaN fails).  Another error makes every row of its
+    run a breach.
+    """
+    below = levels < linalg.MIN_EIG_DEFAULT
+    named = np.zeros_like(below)
+    try:
+        rows(np.arange(len(levels)))
+    except SingularOperator as exc:
+        named[[k for (k,) in exc.rows]] = True
+    except RetrodictorError:
+        return len(levels)
+    above = np.flatnonzero(~below & ~named)
+    try:
+        missed = np.count_nonzero(~(rows(above) < [tol for _, tol in table]).all(axis=-1))
+    except RetrodictorError:
+        missed = len(above)
+    return int(np.count_nonzero(named != below) + missed)
 
 
 def _projective_qubit_povm() -> Povm:

@@ -90,7 +90,8 @@ def _raised(fn, x):
     return None
 
 
-BELOW_FLOOR = [inst for w2, inst in verify.floor_sweep()[1] if w2 < 1e-5]
+SWEEP_W2, SWEEP_INSTANCES = verify.floor_sweep()[1]
+BELOW_FLOOR = list(SWEEP_INSTANCES[SWEEP_W2 < 1e-5])
 
 
 @pytest.mark.parametrize("fn", [optimal_dual, optimal_predictive_povm, no_signaling_check])

@@ -136,14 +136,22 @@ def test_the_drawer_is_seed_deterministic_and_keys_each_group_by_its_shape(draw)
 
 
 def test_the_floor_sweep_is_deterministic_and_its_pairs_are_read_only_slices():
-    transforms, again = verify.floor_sweep()[0], verify.floor_sweep()[0]
+    (stacks, (w2, uds)), (again, (w2_again, uds_again)) = verify.floor_sweep(), verify.floor_sweep()
     levels = verify.FLOOR_SWEEP_ABOVE + verify.FLOOR_SWEEP_BELOW
+    # One stack per dimension, in order, of three pairs per level, level-major.
+    assert [states.shape[-1] for _, _, states, _ in stacks] == list(verify.FLOOR_SWEEP_DIMS)
+    pairs = [pair for stack in stacks for pair in zip(*stack)]
     expected = [(d, m) for d in verify.FLOOR_SWEEP_DIMS for m in levels for _ in range(3)]
-    assert [(states.shape[-1], m) for m, _, states, _ in transforms] == expected
-    for (_, *pair), (_, *pair_again) in zip(transforms, again):
-        assert all(np.array_equal(a, b) for a, b in zip(pair, pair_again))
-        group_shapes([tuple(a[None] for a in pair)])
+    assert [(states.shape[-1], m) for m, _, states, _ in pairs] == expected
+    group_shapes([stack[1:] for stack in stacks])
+    for stack, stack_again in zip(stacks, again):
+        assert all(np.array_equal(a, b) for a, b in zip(stack, stack_again))
+        assert not any(a.flags.writeable for a in stack)
+    for _, *pair in pairs:
         assert not any(a.flags.writeable or a.flags.owndata for a in pair)
+    assert w2.tolist() == [m for _ in range(2) for m in levels] and not w2.flags.writeable
+    assert np.array_equal(w2, w2_again) and np.array_equal(uds.alpha, uds_again.alpha)
+    assert np.array_equal(uds.eta, uds_again.eta)
 
 
 @pytest.mark.parametrize("seed", [verify.DEFAULT_SEED + 1, 11, 21])

@@ -149,6 +149,29 @@ def test_dim_mismatch_rejected(tmp_path):
     assert any(v.check == "dim_mismatch" for v in excinfo.value.violations)
 
 
+@pytest.mark.parametrize(
+    "vector, check",
+    [
+        ([[1e308, 0.0], [1e308, 0.0]], "unit_norm"),
+        ([[float("inf"), 0.0], [0.0, 0.0]], "finite_entries"),
+        ([[2.0, 0.0], [0.0, 0.0]], "unit_norm"),
+    ],
+    ids=["huge", "inf", "non-unit"],
+)
+def test_a_failed_pure_vector_is_named_once(tmp_path, vector, check):
+    # Its projector (overflowed, or of trace 4) is not validated as a second violation.
+    doc = {
+        "dim": 2,
+        "states": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], {"pure": True, "vector": vector}],
+        "priors": [0.5, 0.5],
+    }
+    path = tmp_path / "vector.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as excinfo:
+        parse_ensemble_file(str(path))
+    assert [(v.check, v.message.split()[0]) for v in excinfo.value.violations] == [(check, "states[1]")]
+
+
 def test_non_square_matrix_rejected(tmp_path):
     doc = {"dim": 2, "elements": [[[[1.0, 0.0]]], [[[0.0, 0.0]]]]}
     path = tmp_path / "notsquare.json"

@@ -63,7 +63,8 @@ def test_the_oracle_is_the_full_scan_on_every_grid_instance(step):
 
 @pytest.mark.parametrize("step", [verify.GRID_STEP, 1e-3])
 def test_the_oracle_is_the_full_scan_on_the_floor_sweep_instances_above_the_floor(step):
-    above = [inst for w2, inst in verify.floor_sweep()[1] if w2 >= linalg.MIN_EIG_DEFAULT]
+    w2, instances = verify.floor_sweep()[1]
+    above = instances[w2 >= linalg.MIN_EIG_DEFAULT]
     assert len(above) == 2 * len(verify.FLOOR_SWEEP_ABOVE)
     for inst in above:
         assert brute_force_dual(inst, step) == full_scan(inst, step)

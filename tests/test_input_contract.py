@@ -118,6 +118,8 @@ BAD_COLLECTIONS = [
     ("ensemble-numpy-scalar", lambda: Ensemble(np.float64(0.5), [1.0]), "states_shape", "fixed"),
     ("povm-int", lambda: Povm(5), "elements_shape", "fixed"),
     ("povm-none", lambda: Povm(None), "elements_shape", "fixed"),
+    # numpy's broadcast ValueError escaped from the completeness check.
+    ("povm-sum-target-3x3", lambda: Povm((HALF, HALF), sum_target=np.eye(3)), "sum_target_shape", "fixed"),
 ]
 
 
@@ -129,6 +131,20 @@ def test_collections_name_the_violation(build, check):
     with pytest.raises(ValidationError) as excinfo:
         build()
     assert check in _checks(excinfo)
+
+
+# Valid items given as a generator: validation read it, then the constructor stored the
+# exhausted generator and raised a bare TypeError.
+GENERATOR_INPUTS = [
+    pytest.param(lambda items: Ensemble(items, [0.5, 0.5]).matrices, id="ensemble-generator-fixed"),
+    pytest.param(lambda items: Povm(items).elements, id="povm-generator-fixed"),
+]
+
+
+@pytest.mark.parametrize("build", GENERATOR_INPUTS)
+def test_a_generator_is_read_once_and_stored_as_validated(build):
+    stored = build(m for m in (HALF, HALF))
+    assert np.array_equal(stored, np.array([HALF, HALF])) and not stored.flags.writeable
 
 
 def _pair_rows(matrix) -> list:

@@ -40,10 +40,16 @@ def wrap(monkeypatch, owner, name, record):
         record(args, result)
         return result
 
-    monkeypatch.setattr(owner, name, wrapped)
+    rebind(monkeypatch, owner, name, wrapped)
+
+
+def rebind(monkeypatch, owner, name, replacement):
+    """Replace owner.name on owner and wherever a retrodictor module binds it."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, replacement)
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "retrodictor" and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, wrapped)
+            monkeypatch.setattr(module, name, replacement)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -235,18 +241,42 @@ def test_unbiased_corpus_validates_each_shape_group_once(monkeypatch):
         assert [len(args[0]) for args in priors] == [len(p) for p, _, _ in groups]
 
 
+def more_floor_levels(mp, repeat):
+    """Each floor-sweep level repeat times over."""
+    mp.setattr(verify, "FLOOR_SWEEP_ABOVE", verify.FLOOR_SWEEP_ABOVE * repeat)
+    mp.setattr(verify, "FLOOR_SWEEP_BELOW", verify.FLOOR_SWEEP_BELOW * repeat)
+
+
 def test_floor_sweep_validation_does_not_grow_with_the_pair_count(monkeypatch):
-    # One state stack per dimension and one stack per POVM shape, whatever the pair count.
+    # Per dimension: its states, splitting POVMs and POVMs as one stack each, whatever the pair count.
     calls = count_calls(monkeypatch, ensembles, "_validate_operators")
-    bound = len(verify.FLOOR_SWEEP_DIMS) * (1 + 2 * 3)  # states, two POVMs of 2 to 4 elements
     for repeat in (1, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verify, "FLOOR_SWEEP_ABOVE", verify.FLOOR_SWEEP_ABOVE * repeat)
-            mp.setattr(verify, "FLOOR_SWEEP_BELOW", verify.FLOOR_SWEEP_BELOW * repeat)
+            more_floor_levels(mp, repeat)
             calls.clear()
             transforms, _ = verify.floor_sweep()
-            assert len(transforms) == 60 * repeat
-            assert len(calls) <= bound
+            assert sum(len(levels) for levels, *_ in transforms) == 60 * repeat
+            assert len(calls) == 3 * len(verify.FLOOR_SWEEP_DIMS)
+
+
+def test_the_floor_contract_transforms_each_stack_at_most_twice(monkeypatch):
+    # Each dimension's stack, then its rows above the floor; the UD stack transforms only
+    # its rows above the floor (its closed form raises first on the whole stack).
+    # Calls are counted as they begin, the raising ones too.
+    calls = []
+    original = retrodiction.transform_stack
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    rebind(monkeypatch, retrodiction, "transform_stack", counted)
+    for repeat in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            more_floor_levels(mp, repeat)
+            calls.clear()
+            assert verify._floor_contract_breaches() == 0.0
+            assert len(calls) == 2 * len(verify.FLOOR_SWEEP_DIMS) + 1
 
 
 def test_ud_suite_runs_the_grid_oracle_once_per_grid_slice(monkeypatch):
