@@ -283,13 +283,10 @@ def validate_ensemble(state_matrices, priors) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def validate_povm(elements, sum_target=None) -> ValidationReport:
+def validate_povm(elements) -> ValidationReport:
     """Report every violated Povm invariant: per-element PSD, sum to identity.
 
-    The elements are validated as one stack.  sum_target overrides the
-    identity as the completeness target (used for measurements restricted to
-    the support of a singular source); one that is not a d x d matrix is a
-    sum_target_shape violation.
+    The elements are validated as one stack.
     """
     elems = _items(elements)
     if elems is None:
@@ -298,14 +295,10 @@ def validate_povm(elements, sum_target=None) -> ValidationReport:
         return ValidationReport((Violation("elements_count", 0.0, "POVM has no elements"),))
     violations, arrays, stack = _validate_operators(elems, lambda k: f"element[{k}]")
     dims = {a.shape[0] for a in arrays if a is not None and a.ndim == 2 and a.shape[0] == a.shape[1]}
-    target = None if sum_target is None else _as_array(sum_target, np.complex128)
     if len(dims) > 1:
         violations.append(Violation("common_dim", 0.0, f"elements have mixed dims {sorted(dims)}"))
-    elif stack is not None and sum_target is not None and getattr(target, "shape", None) != stack.shape[1:]:
-        message = f"completeness target is not a {stack.shape[1]} x {stack.shape[2]} matrix"
-        violations.append(Violation("sum_target_shape", 0.0, message))
     elif stack is not None:
-        violations.extend(_completeness_violations(stack, target, lambda k: "elements"))
+        violations.extend(_completeness_violations(stack, None, lambda k: "elements"))
     return ValidationReport(tuple(violations))
 
 
@@ -368,20 +361,15 @@ class Ensemble:
 class Povm:
     """Positive operators summing to the identity: Bob's detectors.
 
-    elements is one read-only complex128 (n, d, d) stack.  sum_target replaces
-    the identity as the completeness target; it is only used by the
-    support-restricted transform of a singular source.
+    elements is one read-only complex128 (n, d, d) stack.
     """
 
     elements: np.ndarray
-    sum_target: np.ndarray | None = None
 
     def __post_init__(self):
         elements = _items(self.elements)
-        validate_povm(elements, self.sum_target).raise_if_failed()
+        validate_povm(elements).raise_if_failed()
         object.__setattr__(self, "elements", _frozen(elements))
-        if self.sum_target is not None:
-            object.__setattr__(self, "sum_target", _frozen(self.sum_target))
 
     @property
     def dim(self) -> int:

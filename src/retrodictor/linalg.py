@@ -109,11 +109,11 @@ class Spectrum:
         """Apply a real function, elementwise on an eigenvalue array (a ufunc), to the operator.
 
         The one matrix-function body.  For f with a pole at 0, pass min_eig:
-        eigenvalues below it raise SingularOperator, naming the stack's rows
-        that hold them. With support_restricted=True, those at most
-        PSD_CLIP_TOL (zero up to roundoff) are instead mapped to 0 (f never
-        sees them), so that f acts on the operator's support only. The support mode deviates from the
-        underlying theory, which assumes an invertible source.
+        eigenvalues below it raise SingularOperator, which names the rows of
+        a stack that hold them. With support_restricted=True, those at most
+        PSD_CLIP_TOL (zero up to roundoff) are mapped to 0 instead (f never
+        sees them), so f acts on the operator's support only; this mode
+        deviates from the underlying theory, which assumes an invertible source.
         """
         vals = self.eigenvalues
         small = vals < (-math.inf if min_eig is None else min_eig)

@@ -165,16 +165,15 @@ def transform_stack(
     rho_j^ret = sqrt(Omega) Pi_j sqrt(Omega) / mu_j, from one stacked
     eigendecomposition of the sources; each derived stack is validated once.
 
-    Raises SingularOperator when a source function has an eigenvalue below
-    linalg.MIN_EIG_DEFAULT; on a stack, its rows are the leading indices of
-    the pairs below the floor. With support_restricted=True, eigenvalues at
-    most linalg.PSD_CLIP_TOL (zero up to roundoff) count as outside the
-    support instead: the inversion acts on the support only, and completeness
-    holds on the support projector instead of the identity. Above the floor
-    every identity holds at its fixed tolerance; operators that still miss
-    their invariants raise NumericIntegrityError, not a degraded dual.  The
-    messages of SingularOperator and of the validation failures name the
-    failing pairs of a stack.
+    Raises SingularOperator, whose rows and message name the pairs of a stack
+    below the floor, when a source function has an eigenvalue below
+    linalg.MIN_EIG_DEFAULT. With support_restricted=True, eigenvalues at most
+    linalg.PSD_CLIP_TOL (zero up to roundoff) count as outside the support
+    instead: the inversion acts on the support only, and completeness holds
+    on the support projector instead of the identity. Above the floor every
+    identity holds at its fixed tolerance; operators that still miss their
+    invariants raise NumericIntegrityError, not a degraded dual, and the
+    validation messages name the failing pairs of a stack.
     """
     priors, states, elements = map(np.ascontiguousarray, (priors, states, elements))
     weighted, omega = _source(priors, states, elements)

@@ -203,12 +203,11 @@ def omega_closed_form(x: UdInstance) -> OmegaClosedForm:
     root = np.hypot(np.cos(two_alpha), (e1 - e2) * np.sin(two_alpha))
     w1 = 0.5 * (1.0 + root)
     w2 = 0.5 * (1.0 - root)
-    below = w2 < linalg.MIN_EIG_DEFAULT
-    if np.any(below):
+    if np.any(w2 < linalg.MIN_EIG_DEFAULT):
         raise SingularOperator(
             f"source function eigenvalue {np.min(w2):.3e} below {linalg.MIN_EIG_DEFAULT:.0e}"
             " (states nearly identical, or a prior near 0)",
-            np.argwhere(below),
+            np.argwhere(w2 < linalg.MIN_EIG_DEFAULT),
         )
     angle = 0.5 * np.arctan2((e1 - e2) * np.sin(two_alpha), np.cos(two_alpha))
     return OmegaClosedForm(w1, w2, angle)

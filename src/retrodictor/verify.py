@@ -587,11 +587,44 @@ def suite_simulate(seed: int = 42, n: int = 10**6) -> SuiteResult:
 
 def suite_failure_modes() -> SuiteResult:
     """Singular sources, zero-probability outcomes, and invalid inputs fail loudly."""
+    failures = []
+
+    def expect(name: str, exc_type, fn) -> None:
+        try:
+            fn()
+        except exc_type:
+            failures.append(Check(name, 0.0, 0.5))
+        except RetrodictorError as exc:
+            failures.append(Check(f"{name} (raised {type(exc).__name__})", 1.0, 0.5))
+        else:
+            failures.append(Check(f"{name} (no error raised)", 1.0, 0.5))
+
+    expect(
+        "alpha-to-zero-raises-singular",
+        SingularOperator,
+        lambda: omega_closed_form(UdInstance(1e-8, (0.5, 0.5))),
+    )
+    expect(
+        "near-identical-states-retro-basis",
+        SingularOperator,
+        lambda: retro_basis(UdInstance(1e-8, (0.6, 0.4))),
+    )
+
     pure = np.diag([1.0, 0.0])
     rank_deficient = Ensemble((pure, pure), np.array([0.5, 0.5]))
     mixed = Ensemble((np.eye(2) / 2.0,), np.array([1.0]))
     never_clicks = Povm((np.eye(2), np.zeros((2, 2))))  # outcome 1 has probability 0
     every_outcome = np.ones(len(never_clicks), dtype=bool)
+    expect(
+        "rank-deficient-source-raises-singular",
+        SingularOperator,
+        lambda: retro_transform(rank_deficient, _projective_qubit_povm()),
+    )
+    expect(
+        "zero-probability-outcome-raises",
+        ZeroProbabilityOutcome,
+        lambda: bayes_table(joint_table(mixed.priors, mixed.matrices, never_clicks.elements), every_outcome),
+    )
 
     def flagged_undefined():
         dual = retro_transform(mixed, never_clicks)
@@ -601,79 +634,63 @@ def suite_failure_modes() -> SuiteResult:
         born = born_table(dual.povm_stack, dual.state_stack, "retrodictive probability")
         return dual.defined[1] or bayes_table(born * dual.mu, every_outcome)
 
-    checks = [
-        _expect("alpha-to-zero-raises-singular", SingularOperator,
-                lambda: omega_closed_form(UdInstance(1e-8, (0.5, 0.5)))),
-        _expect("near-identical-states-retro-basis", SingularOperator,
-                lambda: retro_basis(UdInstance(1e-8, (0.6, 0.4)))),
-        _expect("rank-deficient-source-raises-singular", SingularOperator,
-                lambda: retro_transform(rank_deficient, _projective_qubit_povm())),
-        _expect("zero-probability-outcome-raises", ZeroProbabilityOutcome, lambda: bayes_table(
-            joint_table(mixed.priors, mixed.matrices, never_clicks.elements), every_outcome)),
-        _expect("undefined-retro-state-flagged", ZeroProbabilityOutcome, flagged_undefined),
-        _expect("invalid-priors-rejected", ValidationError,
-                lambda: Ensemble(np.concatenate([mixed.matrices] * 2), np.array([0.5, 0.4]))),
-    ]
+    expect("undefined-retro-state-flagged", ZeroProbabilityOutcome, flagged_undefined)
+
+    expect(
+        "invalid-priors-rejected",
+        ValidationError,
+        lambda: Ensemble(np.concatenate([mixed.matrices] * 2), np.array([0.5, 0.4])),
+    )
+
     try:
         dual = retro_transform(rank_deficient, _projective_qubit_povm(), support_restricted=True)
-        checks.append(Check("support-restricted-mode-runs", float(dual.source_residual() > 1e-10), 0.5))
+        failures.append(Check("support-restricted-mode-runs", float(dual.source_residual() > 1e-10), 0.5))
     except RetrodictorError as exc:
-        checks.append(Check(f"support-restricted-mode-runs ({type(exc).__name__})", 1.0, 0.5))
-    checks.append(Check("source-floor-contract", _floor_contract_breaches(), 0.5))
-    return SuiteResult("failure-modes", tuple(checks))
+        failures.append(Check(f"support-restricted-mode-runs ({type(exc).__name__})", 1.0, 0.5))
 
-
-def _expect(name: str, exc_type, fn) -> Check:
-    """Passes when fn() raises exc_type; another RetrodictorError, or none, fails with its name."""
-    try:
-        fn()
-    except exc_type:
-        return Check(name, 0.0, 0.5)
-    except RetrodictorError as exc:
-        return Check(f"{name} (raised {type(exc).__name__})", 1.0, 0.5)
-    return Check(f"{name} (no error raised)", 1.0, 0.5)
+    failures.append(Check("source-floor-contract", _floor_contract_breaches(), 0.5))
+    return SuiteResult("failure-modes", tuple(failures))
 
 
 def _floor_contract_breaches() -> float:
     """Floor-sweep rows that break the source-floor contract, in each dimension's stack and the UD stack."""
     transforms, (w2, uds) = floor_sweep()
-    breaches = sum(
-        _stack_breaches(levels, lambda k: _transform_rows(priors[k], states[k], elements[k]), TRANSFORM_CHECKS)
-        for levels, priors, states, elements in transforms
-    )
-    return float(breaches + _stack_breaches(w2, lambda k: _ud_rows(uds[k]), UD_CHECKS + CHANNEL_CHECKS))
+    breaches = sum(_stack_breaches(levels, _transform_rows, TRANSFORM_CHECKS, *pairs) for levels, *pairs in transforms)
+    return float(breaches + _stack_breaches(w2, _ud_rows, UD_CHECKS + CHANNEL_CHECKS, uds))
 
 
-def _transform_rows(priors: np.ndarray, states: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """The TRANSFORM_CHECKS values of each pair of a stack."""
-    return transform_residuals(joint_table(priors, states, elements), transform_stack(priors, states, elements))
+def _transform_rows(*pairs: np.ndarray) -> np.ndarray:
+    """The TRANSFORM_CHECKS values of each pair of a stack (priors, states, elements)."""
+    return transform_residuals(joint_table(*pairs), transform_stack(*pairs))
 
 
 def _ud_rows(x: UdInstance) -> np.ndarray:
     """The UD_CHECKS, then the CHANNEL_CHECKS values of each instance of a stack."""
-    return np.column_stack([_ud_grid_rows(x)[:, 2:], channel_residuals(x, no_signaling_check(x))])
+    ud_povm = optimal_predictive_povm(x)
+    residuals = ud_residuals(x, optimal_dual(x), ud_povm, ud_retro_dual(x, ud_povm))
+    return np.column_stack([residuals, channel_residuals(x, no_signaling_check(x))])
 
 
-def _stack_breaches(levels: np.ndarray, rows, table) -> int:
+def _stack_breaches(levels: np.ndarray, rows, table, *stacks) -> int:
     """The rows of one floor-sweep stack that break the source-floor contract.
 
-    rows(index) gives table's check values of the stack's rows at index.  The
-    whole stack must raise SingularOperator naming exactly its rows below the
-    floor; the rows above it that were not named then run once as a stack and
-    must pass every check (NaN fails).  Another error makes every row of its
-    run a breach.
+    rows(*stacks) gives table's check values of each row of the stacks, whose
+    source levels are levels.  The whole stack must raise SingularOperator
+    naming exactly its rows below the floor; the rows above it that were not
+    named then run once as a stack and must pass every check (NaN fails).
+    Another error makes every row of its run a breach.
     """
     below = levels < linalg.MIN_EIG_DEFAULT
     named = np.zeros_like(below)
     try:
-        rows(np.arange(len(levels)))
+        rows(*stacks)
     except SingularOperator as exc:
         named[[k for (k,) in exc.rows]] = True
     except RetrodictorError:
         return len(levels)
     above = np.flatnonzero(~below & ~named)
     try:
-        missed = np.count_nonzero(~(rows(above) < [tol for _, tol in table]).all(axis=-1))
+        missed = np.count_nonzero(~(rows(*(s[above] for s in stacks)) < [tol for _, tol in table]).all(axis=-1))
     except RetrodictorError:
         missed = len(above)
     return int(np.count_nonzero(named != below) + missed)

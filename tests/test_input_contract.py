@@ -118,8 +118,6 @@ BAD_COLLECTIONS = [
     ("ensemble-numpy-scalar", lambda: Ensemble(np.float64(0.5), [1.0]), "states_shape", "fixed"),
     ("povm-int", lambda: Povm(5), "elements_shape", "fixed"),
     ("povm-none", lambda: Povm(None), "elements_shape", "fixed"),
-    # numpy's broadcast ValueError escaped from the completeness check.
-    ("povm-sum-target-3x3", lambda: Povm((HALF, HALF), sum_target=np.eye(3)), "sum_target_shape", "fixed"),
 ]
 
 

@@ -171,7 +171,7 @@ def test_the_floor_contract_counts_each_row_that_breaks_it(named, values, breach
         assert index.tolist() == [k for k in (0, 1) if k not in named]
         return np.array(values)[:, None]
 
-    assert verify._stack_breaches(levels, rows, (("check", 1e-10),)) == breaches
+    assert verify._stack_breaches(levels, rows, (("check", 1e-10),), np.arange(len(levels))) == breaches
 
 
 def test_cli_transform_below_floor_exits_2(tmp_path):
