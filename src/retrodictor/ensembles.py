@@ -5,13 +5,13 @@ every violated check with its measured residual; the validate_* functions
 return the same findings as a report without raising, so callers (the CLI in
 particular) can show all problems in malformed input at once.
 
-Ensemble and Povm are the input types: each holds its validated operators as
-a read-only (n, d, d) stack, matrices or elements, built from an (n, d, d)
-array or a sequence of d x d array-likes and checked by one validate_ensemble
-or validate_povm call.  Every other value is a validated array.  Operators
-are validated per stack, with one reduction per invariant after each item's
-own conversion and shape check.  The computing is done by the stack
-functions of `retrodiction`, which read these arrays.
+One stack validator per kind checks every invariant over leading axes:
+validate_operator_stack, validate_povm_stack, validate_priors_stack and
+validate_vector_stack.  The one-object validators and the input types
+Ensemble and Povm (each holding a read-only (n, d, d) stack) read what a
+caller passes, an (n, d, d) array, a sequence or a generator (read once),
+through one front end that converts it to one complex array and names its
+shape errors; items that form no one stack are checked one by one.
 """
 
 from __future__ import annotations
@@ -74,12 +74,10 @@ def _entry_violation(arr: np.ndarray | None, label: str) -> Violation | None:
 def validate_state_vector(amplitudes, label: str = "state") -> ValidationReport:
     """Check a pure-state amplitude vector: numeric, finite and unit norm."""
     arr = _as_array(amplitudes, np.complex128)
-    violation = _entry_violation(arr, label)
-    if violation is None and (arr.ndim != 1 or arr.shape[0] < 1):
-        violation = Violation("vector_shape", 0.0, f"{label} is not a vector")
-    if violation is None:
+    if arr is not None and arr.ndim == 1 and arr.shape[0] >= 1:
         return validate_vector_stack(arr, label)
-    return ValidationReport((violation,))
+    not_vector = Violation("vector_shape", 0.0, f"{label} is not a vector")
+    return ValidationReport((_entry_violation(arr, label) or not_vector,))
 
 
 def validate_vector_stack(vectors: np.ndarray, label) -> ValidationReport:
@@ -94,11 +92,8 @@ def validate_vector_stack(vectors: np.ndarray, label) -> ValidationReport:
     finite = np.isfinite(flat).all(axis=1)
     with np.errstate(over="ignore"):
         norm_residual = np.abs(linalg.norm_each(flat) - 1.0)
-    flagged = ~finite | (norm_residual > NORM_TOL)
-    if not flagged.any():
-        return ValidationReport(())
     violations = []
-    for k in np.flatnonzero(flagged).tolist():
+    for k in np.flatnonzero(~finite | (norm_residual > NORM_TOL)).tolist():
         if not finite[k]:
             violations.append(_entry_violation(flat[k], label(k)))
         else:
@@ -106,80 +101,37 @@ def validate_vector_stack(vectors: np.ndarray, label) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def _is_stack(items) -> bool:
-    """Whether items is an (n, d, d) array, validated as one stack as it is."""
-    return isinstance(items, np.ndarray) and items.ndim == 3 and items.shape[1] == items.shape[2] >= 1
+def _items(items) -> np.ndarray | list | None:
+    """The front end: items as one complex (n, d, d) array when they form one, else as a list.
 
-
-def _items(items) -> list | np.ndarray | None:
-    """items as a list (a generator read once), an (n, d, d) array as it is, or None if not a collection."""
-    if _is_stack(items):
-        return items
+    items is an (n, d, d) array, a sequence or a generator (read once) of
+    d x d array-likes; None if it is not a collection.
+    """
     try:
-        return list(items)
+        items = items if isinstance(items, np.ndarray) and items.ndim else list(items)
     except TypeError:
         return None
+    stack = _as_array(items, np.complex128)
+    if stack is not None and stack.ndim == 3 and stack.shape[1] == stack.shape[2] >= 1:
+        return stack
+    return list(items)
 
 
-def _validate_operators(items, label, unit_trace: bool = False):
-    """Violations in element order, the items as arrays (None if not numeric), and their stack.
+def _each_item(items: list, name: str, unit_trace: bool) -> tuple[list[Violation], list[tuple[int, int]]]:
+    """The violations of items that form no one stack, each checked on its own, in element order.
 
-    label(k) names item k.  The d x d items of each d are checked as one
-    stack: finiteness, then Hermiticity, PSD (eigvalsh of the Hermitian part)
-    and, for states, trace.  A numeric (n, d, d) array is that stack already.
-    The stack is returned when every item is a d x d matrix of one d.
+    Item k is named name[k].  Also returns the shape of each numeric 2-d item.
     """
-    if _is_stack(items):
-        stack = _as_array(items, np.complex128)
-    else:
-        stack = None
-    found: dict[int, list[Violation]] = {}
-    if stack is not None:
-        arrays = stack
-        groups = [(np.arange(len(stack)), stack)]
-    else:
-        arrays = [_as_array(m, np.complex128) for m in items]
-        by_dim: dict[int, list[int]] = {}
-        for k, arr in enumerate(arrays):
-            if arr is not None and arr.ndim == 2 and arr.shape[0] == arr.shape[1] >= 1:
-                by_dim.setdefault(arr.shape[0], []).append(k)
-            else:
-                not_square = Violation("square_shape", 0.0, f"{label(k)} is not square")
-                found[k] = [_entry_violation(arr, label(k)) or not_square]
-        groups = [(np.array(ks), np.array([arrays[k] for k in ks])) for ks in by_dim.values()]
-        if len(groups) == 1 and len(groups[0][0]) == len(arrays):
-            stack = groups[0][1]
-    for ks, group in groups:
-        finite = np.isfinite(group).all(axis=(1, 2))
-        rows, ops = ks, group
-        if not finite.all():
-            for k in ks[~finite].tolist():
-                found.setdefault(k, []).append(_entry_violation(arrays[k], label(k)))
-            rows, ops = ks[finite], group[finite]
-        adj = linalg.dag(ops)
-        # Entries near the float64 limit must not overflow: halving before adding
-        # keeps the Hermitian part finite, and an overflowed residual or trace
-        # is reported as the violation it is.
-        with np.errstate(over="ignore"):
-            herm = np.abs(ops - adj).max(axis=(1, 2))
-            traces = ops.trace(axis1=1, axis2=2).real
-        w_min = np.linalg.eigvalsh(ops / 2.0 + adj / 2.0)[:, 0]
-        flagged = (herm > linalg.TOL_HERM) | (w_min < -PSD_TOL)
-        if unit_trace:
-            flagged |= np.abs(traces - 1.0) > TRACE_TOL
-        if not flagged.any():
-            continue
-        for k, res, w, tr in zip(
-            rows[flagged].tolist(), herm[flagged].tolist(), w_min[flagged].tolist(), traces[flagged].tolist()
-        ):
-            vs = found.setdefault(k, [])
-            if res > linalg.TOL_HERM:
-                vs.append(Violation("hermiticity", res, f"{label(k)} is not Hermitian"))
-            if w < -PSD_TOL:
-                vs.append(Violation("psd", -w, f"{label(k)} has negative eigenvalue {w:.3e}"))
-            if unit_trace and abs(tr - 1.0) > TRACE_TOL:
-                vs.append(Violation("unit_trace", abs(tr - 1.0), f"{label(k)} trace differs from 1"))
-    return [v for k in sorted(found) for v in found[k]], arrays, stack
+    arrays = [_as_array(item, np.complex128) for item in items]
+    violations = [v for k, arr in enumerate(arrays) for v in _matrix_violations(arr, f"{name}[{k}]", unit_trace)]
+    return violations, [arr.shape for arr in arrays if arr is not None and arr.ndim == 2]
+
+
+def _matrix_violations(arr: np.ndarray | None, label: str, unit_trace: bool) -> tuple[Violation, ...]:
+    """One converted operator's entry or shape violation, or its findings as a stack of one."""
+    if arr is None or arr.ndim != 2 or not arr.shape[0] == arr.shape[1] >= 1:
+        return (_entry_violation(arr, label) or Violation("square_shape", 0.0, f"{label} is not square"),)
+    return validate_operator_stack(arr, label, unit_trace).violations
 
 
 def _stack_label(label: str, shape: tuple[int, ...]):
@@ -190,49 +142,69 @@ def _stack_label(label: str, shape: tuple[int, ...]):
 
 
 def validate_operator_stack(ops: np.ndarray, label, unit_trace: bool = False) -> ValidationReport:
-    """Check each matrix of a (..., d, d) stack of derived operators, as one stack.
+    """Check each matrix of a complex (..., d, d) stack, as one stack.
 
-    unit_trace=True checks density operators.  label is a name, which
-    violations suffix with the matrix's index, or label(k) for the k-th
+    Finiteness, Hermiticity, PSD (one eigvalsh of the Hermitian parts) and,
+    with unit_trace=True (density operators), the trace.  label is a name,
+    which violations suffix with the matrix's index, or label(k) for the k-th
     matrix in flat order.
+    """
+    return _checked_stack(ops, label, unit_trace)[0]
+
+
+def _checked_stack(ops: np.ndarray, label, unit_trace: bool, decompose: bool = False):
+    """validate_operator_stack's report, and with decompose=True ops' linalg.hermitian_eig Spectrum.
+
+    The decomposition runs only when every matrix passes the finite, Hermitian and
+    trace checks (else it is None), and the PSD check then reads its eigenvalues.
     """
     flat = ops.reshape(-1, *ops.shape[-2:])
     if isinstance(label, str):
         label = _stack_label(label, ops.shape[:-2])
-    violations = _validate_operators(flat, label, unit_trace)[0]
-    return ValidationReport(tuple(violations))
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    found = {k: [_entry_violation(flat[k], label(k))] for k in np.flatnonzero(~finite).tolist()}
+    rows = np.flatnonzero(finite)
+    if found:
+        flat = flat[finite]
+    adj = linalg.dag(flat)
+    # Entries near the float64 limit must not overflow: halving before adding
+    # keeps the Hermitian part finite, and an overflowed residual or trace
+    # is reported as the violation it is.
+    with np.errstate(over="ignore"):
+        herm = np.abs(flat - adj).max(axis=(1, 2))
+        traces = flat.trace(axis1=1, axis2=2).real
+    flagged = herm > linalg.TOL_HERM
+    if unit_trace:
+        flagged |= np.abs(traces - 1.0) > TRACE_TOL
+    spectrum = None
+    if decompose and not found and not flagged.any():
+        spectrum = linalg.hermitian_eig(ops)
+        w_min = spectrum.eigenvalues.reshape(len(flat), -1)[:, 0]
+    else:
+        w_min = np.linalg.eigvalsh(flat / 2.0 + adj / 2.0)[:, 0]
+    flagged |= w_min < -PSD_TOL
+    for k, res, w, tr in zip(
+        rows[flagged].tolist(), herm[flagged].tolist(), w_min[flagged].tolist(), traces[flagged].tolist()
+    ):
+        vs = found.setdefault(k, [])
+        if res > linalg.TOL_HERM:
+            vs.append(Violation("hermiticity", res, f"{label(k)} is not Hermitian"))
+        if w < -PSD_TOL:
+            vs.append(Violation("psd", -w, f"{label(k)} has negative eigenvalue {w:.3e}"))
+        if unit_trace and abs(tr - 1.0) > TRACE_TOL:
+            vs.append(Violation("unit_trace", abs(tr - 1.0), f"{label(k)} trace differs from 1"))
+    return ValidationReport(tuple(v for k in sorted(found) for v in found[k])), spectrum
 
 
 def validate_hermitian_matrix(matrix, label: str = "operator") -> ValidationReport:
     """Check squareness, finiteness, and Hermiticity of one matrix."""
-    violations = _validate_operators([matrix], lambda k: label)[0]
+    violations = _matrix_violations(_as_array(matrix, np.complex128), label, False)
     return ValidationReport(tuple(v for v in violations if v.check != "psd"))
 
 
 def validate_density_matrix(matrix, label: str = "state") -> ValidationReport:
     """Check a density matrix: Hermitian, PSD, unit trace (a stack of one)."""
-    return ValidationReport(tuple(_validate_operators([matrix], lambda k: label, unit_trace=True)[0]))
-
-
-def _priors_violations(rows: np.ndarray, where) -> list[Violation]:
-    """The finite, nonnegative and sum-to-1 (within PRIORS_TOL) checks of each row of (N, n) priors.
-
-    where(k) is appended to the messages of row k ("" for a lone vector).
-    """
-    finite = np.isfinite(rows).all(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        low = rows.min(axis=1)
-        off = np.abs(rows.sum(axis=1) - 1.0)
-    violations = []
-    for k in np.flatnonzero(~finite | (low < 0.0) | (off > PRIORS_TOL)).tolist():
-        if not finite[k]:
-            violations.append(Violation("finite_entries", 0.0, f"priors has non-finite entries{where(k)}"))
-            continue
-        if low[k] < 0.0:
-            violations.append(Violation("priors_nonnegative", -float(low[k]), f"negative prior{where(k)}"))
-        if off[k] > PRIORS_TOL:
-            violations.append(Violation("priors_sum", float(off[k]), f"priors do not sum to 1{where(k)}"))
-    return violations
+    return ValidationReport(_matrix_violations(_as_array(matrix, np.complex128), label, True))
 
 
 def validate_priors(priors) -> ValidationReport:
@@ -241,43 +213,60 @@ def validate_priors(priors) -> ValidationReport:
     if arr is None or arr.ndim != 1 or arr.shape[0] < 1:
         what = "a vector of real numbers" if arr is None else "a non-empty vector"
         return ValidationReport((Violation("priors_shape", 0.0, f"priors is not {what}"),))
-    return ValidationReport(tuple(_priors_violations(arr[None], lambda k: "")))
+    return validate_priors_stack(arr, "")
 
 
 def validate_priors_stack(priors: np.ndarray, label: str) -> ValidationReport:
-    """Check each row of a (..., n) stack of derived priors as validate_priors does, in one pass.
+    """Check each row of a (..., n) stack of priors, in one pass: finite, nonnegative, summing to 1.
 
-    Violations name the row as label[index].
+    The sum is held to PRIORS_TOL.  Violations name the row as label[index];
+    an empty label names no row.
     """
     name = _stack_label(label, priors.shape[:-1])
     rows = priors.reshape(-1, priors.shape[-1])
-    return ValidationReport(tuple(_priors_violations(rows, lambda k: f" ({name(k)})")))
+    finite = np.isfinite(rows).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = rows.min(axis=1)
+        off = np.abs(rows.sum(axis=1) - 1.0)
+    violations = []
+    for k in np.flatnonzero(~finite | (low < 0.0) | (off > PRIORS_TOL)).tolist():
+        where = f" ({name(k)})" if label else ""
+        if not finite[k]:
+            violations.append(Violation("finite_entries", 0.0, f"priors has non-finite entries{where}"))
+            continue
+        if low[k] < 0.0:
+            violations.append(Violation("priors_nonnegative", -float(low[k]), f"negative prior{where}"))
+        if off[k] > PRIORS_TOL:
+            violations.append(Violation("priors_sum", float(off[k]), f"priors do not sum to 1{where}"))
+    return ValidationReport(tuple(violations))
 
 
 def validate_ensemble(state_matrices, priors) -> ValidationReport:
     """Report every violated Ensemble invariant for raw state matrices and priors.
 
-    The states are an (n, d, d) array or a sequence of d x d array-likes.
-    Valid priors, one per state, then the states' own violations, then one
-    dimension for all states.
+    The states are an (n, d, d) array, a sequence or a generator of d x d
+    array-likes.  Valid priors, one per state, then the states' own
+    violations, then one dimension for all states.
     """
-    mats = _items(state_matrices)
-    if mats is None:
-        not_states = Violation("states_shape", 0.0, "states is not a sequence of matrices")
-        return ValidationReport(validate_priors(priors).violations + (not_states,))
-    state_violations, arrays, _ = _validate_operators(mats, lambda k: f"state[{k}]", unit_trace=True)
+    states = _items(state_matrices)
     violations = list(validate_priors(priors).violations)
+    if states is None:
+        return ValidationReport((*violations, Violation("states_shape", 0.0, "states is not a sequence of matrices")))
     arr = _as_array(priors, np.float64)
     n_priors = None if arr is None else len(np.atleast_1d(arr))
-    if len(mats) < 1:
+    if len(states) < 1:
         violations.append(Violation("states_count", 0.0, "ensemble has no states"))
-    elif n_priors not in (None, len(mats)):
+    elif n_priors not in (None, len(states)):
         violations.append(
-            Violation("states_priors_length", float(abs(len(mats) - n_priors)),
+            Violation("states_priors_length", float(abs(len(states) - n_priors)),
                       "states and priors differ in length")
         )
-    violations.extend(state_violations)
-    dims = {a.shape[0] for a in arrays if a is not None and a.ndim == 2}
+    if isinstance(states, np.ndarray):
+        violations.extend(validate_operator_stack(states, "state", unit_trace=True).violations)
+        return ValidationReport(tuple(violations))
+    found, shapes = _each_item(states, "state", unit_trace=True)
+    violations.extend(found)
+    dims = {rows for rows, _ in shapes}
     if len(dims) > 1:
         violations.append(Violation("common_dim", 0.0, f"states have mixed dims {sorted(dims)}"))
     return ValidationReport(tuple(violations))
@@ -286,44 +275,42 @@ def validate_ensemble(state_matrices, priors) -> ValidationReport:
 def validate_povm(elements) -> ValidationReport:
     """Report every violated Povm invariant: per-element PSD, sum to identity.
 
-    The elements are validated as one stack.
+    The elements are an (n, d, d) array, a sequence or a generator of d x d
+    array-likes.
     """
-    elems = _items(elements)
-    if elems is None:
+    elements = _items(elements)
+    if elements is None:
         return ValidationReport((Violation("elements_shape", 0.0, "POVM elements are not a sequence of matrices"),))
-    if len(elems) < 1:
+    if len(elements) < 1:
         return ValidationReport((Violation("elements_count", 0.0, "POVM has no elements"),))
-    violations, arrays, stack = _validate_operators(elems, lambda k: f"element[{k}]")
-    dims = {a.shape[0] for a in arrays if a is not None and a.ndim == 2 and a.shape[0] == a.shape[1]}
+    if isinstance(elements, np.ndarray):
+        return validate_povm_stack(elements, "")
+    violations, shapes = _each_item(elements, "element", unit_trace=False)
+    dims = {rows for rows, cols in shapes if rows == cols}
     if len(dims) > 1:
         violations.append(Violation("common_dim", 0.0, f"elements have mixed dims {sorted(dims)}"))
-    elif stack is not None:
-        violations.extend(_completeness_violations(stack, None, lambda k: "elements"))
     return ValidationReport(tuple(violations))
 
 
-def _completeness_violations(elements: np.ndarray, sum_target, label) -> list[Violation]:
-    """The completeness check of each POVM of a (..., n, d, d) stack; label(k) names the k-th POVM."""
-    target = np.eye(elements.shape[-1]) if sum_target is None else np.asarray(sum_target)
-    residual = linalg.maxabs_each(elements.sum(axis=-3) - target).reshape(-1)
-    what = "identity" if sum_target is None else "completeness target"
-    return [
-        Violation("completeness", float(residual[k]), f"{label(k)} do not sum to the {what}")
-        for k in np.flatnonzero(residual > PSD_TOL).tolist()
-    ]
-
-
 def validate_povm_stack(elements: np.ndarray, label: str, sum_target=None) -> ValidationReport:
-    """Check each POVM of a (..., n, d, d) stack of derived measurements, as one operator stack.
+    """Check each POVM of a complex (..., n, d, d) stack as one operator stack, then its completeness.
 
-    sum_target, if given, is the (..., d, d) completeness target of each POVM.
+    sum_target, if given, is the (..., d, d) completeness target of each POVM
+    (else the identity).  Element j of POVM k is named label[k] element[j]
+    and its completeness label[k] elements; an empty label names one POVM's
+    element[j] and elements.
     """
-    report = validate_operator_stack(elements, f"{label} element")
-    lead = elements.shape[:-3]
-    completeness = _completeness_violations(
-        elements, sum_target, lambda k: f"{_stack_label(label, lead)(k)} elements"
+    report = validate_operator_stack(elements, f"{label} element".lstrip())
+    name = _stack_label(label, elements.shape[:-3])
+    target = np.eye(elements.shape[-1]) if sum_target is None else np.asarray(sum_target)
+    with np.errstate(over="ignore"):  # an overflowed sum is the completeness violation it is
+        residual = linalg.maxabs_each(elements.sum(axis=-3) - target).reshape(-1)
+    what = "identity" if sum_target is None else "completeness target"
+    completeness = tuple(
+        Violation("completeness", float(residual[k]), f"{name(k)} elements do not sum to the {what}".lstrip())
+        for k in np.flatnonzero(residual > PSD_TOL).tolist()
     )
-    return ValidationReport(report.violations + tuple(completeness))
+    return ValidationReport(report.violations + completeness)
 
 
 def _frozen(arr: np.ndarray, dtype=np.complex128) -> np.ndarray:

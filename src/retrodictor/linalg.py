@@ -143,14 +143,14 @@ def hermitian_eig(matrix) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, or of each of a stack, by LAPACK (numpy.linalg.eigh).
 
     The input is checked for Hermiticity (NonHermitianInput beyond TOL_HERM)
-    and symmetrised first; LAPACK's arbitrary eigenvector phases are then
-    fixed by the Spectrum convention.
+    and symmetrised first, halved before adding so as not to overflow;
+    LAPACK's arbitrary eigenvector phases are then fixed by the Spectrum convention.
     """
     a = as_complex_matrix(matrix)
     residual = maxabs(a - dag(a))
     if residual > TOL_HERM:
         raise NonHermitianInput(f"Hermiticity residual {residual:.3e} exceeds {TOL_HERM:.3e}")
-    return Spectrum(*np.linalg.eigh((a + dag(a)) / 2.0))
+    return Spectrum(*np.linalg.eigh(a / 2.0 + dag(a) / 2.0))
 
 
 def sqrtm_psd(matrix) -> np.ndarray:

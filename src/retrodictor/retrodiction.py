@@ -35,6 +35,7 @@ from .ensembles import (
     TRACE_TOL,
     Ensemble,
     Povm,
+    _checked_stack,
     require_same_dim,
     validate_operator_stack,
     validate_povm_stack,
@@ -91,17 +92,25 @@ def _click_probabilities(elements: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """mu_j = Tr(Pi_j Omega) of (..., m, d, d) elements against (..., d, d) sources, validated.
 
     Each mu_j may dip PROB_CLAMP_TOL below 0 (clipped to 0), and each row
-    must sum to 1 (= Tr(Omega)) within TRACE_TOL; otherwise NumericIntegrityError.
+    must sum to 1 (= Tr(Omega)) within TRACE_TOL; otherwise NumericIntegrityError,
+    which names the pair of a stack.
     """
     mu = (elements * np.swapaxes(omega, -1, -2)[..., None, :, :]).real.sum(axis=(-2, -1))
     if np.any(mu < -PROB_CLAMP_TOL):
-        raise NumericIntegrityError(f"negative outcome probability {mu.min():.3e}")
+        low = np.unravel_index(np.argmin(mu), mu.shape)
+        raise NumericIntegrityError(f"negative outcome probability {mu[low]:.3e}{_of_pair(low[:-1])}")
     mu = np.clip(mu, 0.0, None)
     total = mu.sum(axis=-1)
     off = np.abs(total - 1.0) > TRACE_TOL
     if np.any(off):
-        raise NumericIntegrityError(f"outcome probabilities sum to {float(total[off].flat[0])!r}")
+        pair = tuple(np.argwhere(off)[0])
+        raise NumericIntegrityError(f"outcome probabilities{_of_pair(pair)} sum to {float(total[pair])!r}")
     return mu
+
+
+def _of_pair(pair: tuple) -> str:
+    """' of pair i' naming a stack's pair by its leading index ('' for one pair)."""
+    return f" of pair {', '.join(map(str, pair))}" if pair else ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,13 +154,15 @@ class RetroDual:
         return linalg.maxabs_each(total - self.omega_matrix)[()]
 
 
-def _source(priors: np.ndarray, states: np.ndarray, elements: np.ndarray):
-    """The weighted states eta_i rho_i and their sum Omega, validated as a state (of each pair)."""
+def _source(priors: np.ndarray, states: np.ndarray, elements: np.ndarray, decompose: bool = False):
+    """The weighted states eta_i rho_i and their sum Omega, validated as a state (of each pair),
+    and with decompose=True Omega's one Spectrum, which its PSD check reads."""
     require_same_dim(states.shape[-1], elements.shape[-1], "ensemble vs POVM")
     weighted = priors[..., None, None] * states
     omega = weighted.sum(axis=-3)
-    validate_operator_stack(omega, "source", unit_trace=True).raise_if_failed()
-    return weighted, omega
+    report, spectrum = _checked_stack(omega, "source", True, decompose)
+    report.raise_if_failed()
+    return weighted, omega, spectrum
 
 
 def transform_stack(
@@ -176,8 +187,7 @@ def transform_stack(
     validation messages name the failing pairs of a stack.
     """
     priors, states, elements = map(np.ascontiguousarray, (priors, states, elements))
-    weighted, omega = _source(priors, states, elements)
-    spectrum = linalg.hermitian_eig(omega)
+    weighted, omega, spectrum = _source(priors, states, elements, decompose=True)
     inv_root = spectrum.inv_sqrt(support_restricted=support_restricted)[..., None, :, :]
     root = spectrum.sqrt()[..., None, :, :]
 
@@ -203,7 +213,7 @@ def transform_stack(
 
     def label(k):
         *pair, j = index[k]
-        return f"retrodictive state {j}" + (f" of pair {', '.join(map(str, pair))}" if pair else "")
+        return f"retrodictive state {j}{_of_pair(pair)}"
 
     try:
         validate_operator_stack(s, label, unit_trace=True).raise_if_failed()
@@ -226,7 +236,7 @@ def unbiased_stack(priors: np.ndarray, states: np.ndarray, elements: np.ndarray)
     otherwise the retrodictive POVM is not complete and ValidationError is raised.
     """
     priors, states, elements = map(np.ascontiguousarray, (priors, states, elements))
-    _, omega = _source(priors, states, elements)
+    _, omega, _ = _source(priors, states, elements)
     retro_elements = states.shape[-1] * priors[..., None, None] * states
     validate_povm_stack(retro_elements, "unbiased retrodictive POVM").raise_if_failed()
     mu = _click_probabilities(elements, omega)

@@ -50,7 +50,7 @@ def test_transform_ud_files_pass(ud_files, tmp_path):
 def test_transform_unnormalized_priors_exit_1(ud_files, tmp_path, capsys):
     _, povm_path = ud_files
     bad = tmp_path / "bad.json"
-    doc = json.loads(open(ud_files[0]).read())
+    doc = json.loads(pathlib.Path(ud_files[0]).read_text())
     doc["priors"] = [0.5, 0.4]
     bad.write_text(json.dumps(doc))
     code = main(["transform", str(bad), povm_path])

@@ -18,7 +18,14 @@ import numpy as np
 import pytest
 
 from retrodictor.cli import main
-from retrodictor.ensembles import Ensemble, Povm, validate_density_matrix, validate_state_vector
+from retrodictor.ensembles import (
+    Ensemble,
+    Povm,
+    validate_density_matrix,
+    validate_ensemble,
+    validate_povm,
+    validate_state_vector,
+)
 from retrodictor.errors import RetrodictorError, ValidationError
 from retrodictor.formats import parse_ensemble_file, parse_povm_file
 
@@ -43,6 +50,8 @@ BAD_OPERATORS = [
     # Finite entries whose Hermitian part (A + A^dag) / 2 overflowed to inf,
     # so eigvalsh returned NaN and the negative eigenvalue went unreported.
     ("huge", np.array([[0.5, 1e308], [1e308, 0.5]]), "psd", "vector_shape", "fixed"),
+    ("non-hermitian", np.array([[0.5, 0.05], [0.0, 0.5]]), "hermiticity", "vector_shape", "pin"),
+    ("negative", np.diag([1.5, -0.5]), "psd", "vector_shape", "pin"),
 ]
 
 
@@ -96,11 +105,35 @@ def test_ensemble_names_the_violation(value, check):
     assert all("state[0]" not in v.message for v in excinfo.value.violations)
 
 
+# Every numeric 2x2 row above and a wrong trace (a POVM names its completeness instead),
+# each after a valid operator, then all of them at once.
+SAME_SHAPE = [(row[0], row[1]) for row in BAD_OPERATORS
+              if isinstance(row[1], np.ndarray) and row[1].dtype.kind == "f" and row[1].shape == (2, 2)] + [("wrong-trace", np.diag([0.6, 0.6]))]
+FORM_CASES = [pytest.param([HALF, value], id=case) for case, value in SAME_SHAPE] + [
+    pytest.param([value for _, value in SAME_SHAPE], id="all")
+]
+VALIDATORS = [
+    pytest.param(validate_povm, id="povm"),
+    pytest.param(lambda items: validate_ensemble(items, [0.5, 0.5]), id="ensemble"),
+]
+
+
+@pytest.mark.parametrize("validate", VALIDATORS)
+@pytest.mark.parametrize("operators", FORM_CASES)
+def test_an_array_a_list_and_a_generator_get_one_report(validate, operators):
+    report = validate(np.array(operators)).violations
+    assert report
+    assert validate(list(operators)).violations == report
+    assert validate(m for m in operators).violations == report
+
+
 BAD_COLLECTIONS = [
     ("povm-empty", lambda: Povm(()), "elements_count", "pin"),
     ("povm-mixed-dims", lambda: Povm((EYE2, np.eye(3))), "common_dim", "pin"),
     # Completeness holds exactly; only the PSD test can reject it.
     ("povm-huge-complement", lambda: Povm((HUGE_OFF, EYE2 - HUGE_OFF)), "psd", "fixed"),
+    # The completeness sum overflowed with a RuntimeWarning instead of naming the sum.
+    ("povm-huge-sum", lambda: Povm((HUGE_OFF, HUGE_OFF)), "completeness", "fixed"),
     ("ensemble-empty", lambda: Ensemble((), np.array([1.0])), "states_count", "pin"),
     ("ensemble-mixed-dims", lambda: Ensemble((HALF, THIRD), np.array([0.5, 0.5])), "common_dim", "pin"),
     ("priors-nan", lambda: Ensemble((HALF, HALF), [np.nan, 0.5]), "finite_entries", "pin"),

@@ -9,6 +9,7 @@ from retrodictor.errors import (
     DimensionMismatch,
     NumericIntegrityError,
     SingularOperator,
+    ValidationError,
     ZeroProbabilityOutcome,
 )
 from retrodictor.linalg import dag, hermitian_eig, maxabs, outer
@@ -298,6 +299,60 @@ def test_negative_input_eigenvalue_cannot_leak_into_retro_povm():
     assert abs(np.linalg.eigvalsh(source(ensemble))[0] - 2e-5) < 1e-15
     with pytest.raises(NumericIntegrityError):
         retro_transform(ensemble, projective_povm())
+
+
+PROJECTIVE = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+HALF = np.eye(2) / 2.0
+
+# Sources of one state each (the stack's pairs one per row), read as given by transform_stack,
+# and the violations it names, each before the source is decomposed.
+BAD_SOURCES = [
+    ("non-hermitian", [[[0.5, 0.05], [0.0, 0.5]]],
+     "hermiticity: source is not Hermitian (residual 5.000e-02)"),
+    ("negative", [np.diag([1.2, -0.2])],
+     "psd: source has negative eigenvalue -2.000e-01 (residual 2.000e-01)"),
+    # Finite, Hermitian and of unit trace, so only the PSD test can reject it.
+    ("huge", [[[0.5, 1e308], [1e308, 0.5]]],
+     "psd: source has negative eigenvalue -1.000e+308 (residual 1.000e+308)"),
+    ("wrong-trace", [np.diag([0.6, 0.6])], "unit_trace: source trace differs from 1 (residual 2.000e-01)"),
+    ("nan", [[[math.nan, 0.0], [0.0, 0.5]]], "finite_entries: source has non-finite entries (residual 1.000e+00)"),
+    ("negative-and-wrong-trace", [np.diag([1.5, -0.2])],
+     "psd: source has negative eigenvalue -2.000e-01 (residual 2.000e-01); "
+     "unit_trace: source trace differs from 1 (residual 3.000e-01)"),
+    ("negative-in-a-stack", [[HALF], [np.diag([1.2, -0.2])], [HALF]],
+     "psd: source[1] has negative eigenvalue -2.000e-01 (residual 2.000e-01)"),
+]
+
+
+@pytest.mark.parametrize("states, error", [pytest.param(s, e, id=n) for n, s, e in BAD_SOURCES])
+def test_a_bad_source_is_named_as_a_validation_error(states, error):
+    states = np.array(states, dtype=complex)
+    elements = np.broadcast_to(PROJECTIVE, states.shape[:-3] + PROJECTIVE.shape)
+    with pytest.raises(ValidationError) as excinfo:
+        transform_stack(np.ones(states.shape[:-2]), states, elements)
+    assert str(excinfo.value) == f"validation failed: {error}"
+
+
+# Pair 1 of each stack is at fault: its elements sum to diag(1, 0.5), or one of them has a
+# negative probability on the source diag(0.9, 0.1).
+BAD_POVM_PAIRS = [
+    ("incomplete", HALF, [np.diag([1.0, 0.0]), np.diag([0.0, 0.5])], "outcome probabilities of pair 1 sum to 0.75"),
+    ("negative", np.diag([0.9, 0.1]), [np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])],
+     "negative outcome probability -3.500e-01 of pair 1"),
+]
+
+
+@pytest.mark.parametrize("state, bad, error", [pytest.param(s, b, e, id=n) for n, s, b, e in BAD_POVM_PAIRS])
+def test_a_bad_povm_of_a_stack_names_its_pair(state, bad, error):
+    elements = np.array([PROJECTIVE, bad, PROJECTIVE], dtype=complex)
+    with pytest.raises(NumericIntegrityError) as excinfo:
+        transform_stack(np.ones((3, 1)), np.broadcast_to(state, (3, 1, 2, 2)), elements)
+    assert str(excinfo.value) == error
+
+
+def test_a_bad_povm_of_one_pair_keeps_its_message():
+    with pytest.raises(NumericIntegrityError, match=r"^outcome probabilities sum to 0\.75$"):
+        transform_stack(np.array([1.0]), HALF[None], np.array([np.diag([1.0, 0.0]), np.diag([0.0, 0.5])]))
 
 
 def test_probability_clamp_rejects_gross_violations():

@@ -190,9 +190,10 @@ def test_channel_checks_diagonalise_the_source_once(monkeypatch, inst):
     assert count() == 1
 
 
-def test_transform_validates_with_three_eigvalsh_calls(monkeypatch):
-    # The source, the retrodictive POVM, and one stack of the defined
-    # retrodictive states, whatever the number of defined outcomes.
+def test_transform_validates_with_two_eigvalsh_calls(monkeypatch):
+    # The retrodictive POVM and one stack of the defined retrodictive states,
+    # whatever the number of defined outcomes; the source's PSD check reads
+    # its one spectrum, so no eigvalsh runs on it.
     pairs = _transform_inputs()
     calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
     defined = set()
@@ -200,13 +201,16 @@ def test_transform_validates_with_three_eigvalsh_calls(monkeypatch):
         calls.clear()
         dual = retro_transform(ensemble, povm)
         defined.add(int(dual.defined.sum()))
-        assert len(calls) == 3
+        assert len(calls) == 2
+        retro_povm, retro_states = (args[0] for args in calls)
+        assert np.array_equal(retro_povm, dual.povm_stack)
+        assert np.array_equal(retro_states, dual.state_stack[dual.defined])
     assert len(defined) > 1
 
 
 def test_corpus_validation_does_not_grow_with_the_pair_count(monkeypatch):
     # Each shape group's states and POVMs are validated as two stacks.
-    calls = count_calls(monkeypatch, ensembles, "_validate_operators")
+    calls = count_calls(monkeypatch, ensembles, "validate_operator_stack")
     counts = {}
     for count in (100, 500):
         calls.clear()
@@ -218,7 +222,7 @@ def test_corpus_validation_does_not_grow_with_the_pair_count(monkeypatch):
 
 def test_corpus_priors_are_checked_once_per_shape_group(monkeypatch):
     # Each shape group's (N, n) priors are checked as one stack, not row by row.
-    calls = count_calls(monkeypatch, ensembles, "_priors_violations")
+    calls = count_calls(monkeypatch, ensembles, "validate_priors_stack")
     counts = {}
     for count in (100, 500):
         calls.clear()
@@ -230,8 +234,8 @@ def test_corpus_priors_are_checked_once_per_shape_group(monkeypatch):
 
 def test_unbiased_corpus_validates_each_shape_group_once(monkeypatch):
     # Per shape group: its priors as one stack, its states and POVMs as two operator stacks.
-    operators = count_calls(monkeypatch, ensembles, "_validate_operators")
-    priors = count_calls(monkeypatch, ensembles, "_priors_violations")
+    operators = count_calls(monkeypatch, ensembles, "validate_operator_stack")
+    priors = count_calls(monkeypatch, ensembles, "validate_priors_stack")
     for count in (60, 600):
         operators.clear()
         priors.clear()
@@ -249,7 +253,7 @@ def more_floor_levels(mp, repeat):
 
 def test_floor_sweep_validation_does_not_grow_with_the_pair_count(monkeypatch):
     # Per dimension: its states, splitting POVMs and POVMs as one stack each, whatever the pair count.
-    calls = count_calls(monkeypatch, ensembles, "_validate_operators")
+    calls = count_calls(monkeypatch, ensembles, "validate_operator_stack")
     for repeat in (1, 3):
         with pytest.MonkeyPatch.context() as mp:
             more_floor_levels(mp, repeat)
