@@ -21,8 +21,8 @@ import numpy as np
 from . import linalg
 from .ensembles import Violation, _frozen, validate_operator_stack, validate_vector_stack
 from .errors import ValidationError
+from .tolerances import REMAINDER_PSD_TOL
 from .ud import (
-    REMAINDER_PSD_TOL,
     RetroBasis,
     UdInstance,
     _optimal_mu,

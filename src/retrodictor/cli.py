@@ -32,6 +32,7 @@ from .formats import (
 )
 from .retrodiction import retro_transform
 from .sim import RNG_ALGORITHM, StatTable, empirical_report, joint_probability_table, sample
+from .tolerances import GRID_ORACLE_STEPS
 from .ud import (
     UdInstance,
     brute_force_dual,
@@ -164,7 +165,7 @@ def cmd_ud(args) -> int:
     if args.grid_check is not None:
         g1, g2, pg = brute_force_dual(inst, args.grid_check)
         doc["derived"]["grid_check"] = {"step": args.grid_check, "mu": [g1, g2], "p_success": pg}
-        checks.append(Check("grid-oracle-deviation", abs(pg - opt.p_success), 2.0 * args.grid_check))
+        checks.append(Check("grid-oracle-deviation", abs(pg - opt.p_success), GRID_ORACLE_STEPS * args.grid_check))
     return _finish(doc, checks, args.out)
 
 
@@ -210,7 +211,7 @@ def cmd_simulate(args) -> int:
     total_violations = sum(
         len(t.violations()) for t in (report.outcome, report.predictive, report.retrodictive)
     )
-    checks = [Check("cells-beyond-3sigma", float(total_violations), 0.5)]
+    checks = [Check.named("cells-beyond-3sigma", total_violations)]
     doc = _base_doc("simulate")
     doc["inputs"] = {
         "ensemble_path": args.ensemble,

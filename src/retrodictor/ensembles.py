@@ -22,12 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, ValidationError
-
-PSD_TOL = 1e-10
-TRACE_TOL = 1e-10
-NORM_TOL = 1e-10
-PRIORS_TOL = 1e-12
-UNBIASED_TOL = 1e-10
+from .tolerances import NORM_TOL, PRIORS_TOL, PSD_TOL, TOL_HERM, TRACE_TOL, UNBIASED_TOL
 
 
 @dataclass(frozen=True)
@@ -117,14 +112,18 @@ def _items(items) -> np.ndarray | list | None:
     return list(items)
 
 
-def _each_item(items: list, name: str, unit_trace: bool) -> tuple[list[Violation], list[tuple[int, int]]]:
+def _each_item(items: list, name: str, unit_trace: bool) -> list[Violation]:
     """The violations of items that form no one stack, each checked on its own, in element order.
 
-    Item k is named name[k].  Also returns the shape of each numeric 2-d item.
+    Item k is named name[k]; then common_dim if the square items have mixed dimensions, so
+    an item that is not square is named once.
     """
     arrays = [_as_array(item, np.complex128) for item in items]
     violations = [v for k, arr in enumerate(arrays) for v in _matrix_violations(arr, f"{name}[{k}]", unit_trace)]
-    return violations, [arr.shape for arr in arrays if arr is not None and arr.ndim == 2]
+    dims = {arr.shape[0] for arr in arrays if arr is not None and arr.ndim == 2 and arr.shape[0] == arr.shape[1] >= 1}
+    if len(dims) > 1:
+        violations.append(Violation("common_dim", 0.0, f"{name}s have mixed dims {sorted(dims)}"))
+    return violations
 
 
 def _matrix_violations(arr: np.ndarray | None, label: str, unit_trace: bool) -> tuple[Violation, ...]:
@@ -173,7 +172,7 @@ def _checked_stack(ops: np.ndarray, label, unit_trace: bool, decompose: bool = F
     with np.errstate(over="ignore"):
         herm = np.abs(flat - adj).max(axis=(1, 2))
         traces = flat.trace(axis1=1, axis2=2).real
-    flagged = herm > linalg.TOL_HERM
+    flagged = herm > TOL_HERM
     if unit_trace:
         flagged |= np.abs(traces - 1.0) > TRACE_TOL
     spectrum = None
@@ -187,7 +186,7 @@ def _checked_stack(ops: np.ndarray, label, unit_trace: bool, decompose: bool = F
         rows[flagged].tolist(), herm[flagged].tolist(), w_min[flagged].tolist(), traces[flagged].tolist()
     ):
         vs = found.setdefault(k, [])
-        if res > linalg.TOL_HERM:
+        if res > TOL_HERM:
             vs.append(Violation("hermiticity", res, f"{label(k)} is not Hermitian"))
         if w < -PSD_TOL:
             vs.append(Violation("psd", -w, f"{label(k)} has negative eigenvalue {w:.3e}"))
@@ -208,7 +207,7 @@ def validate_density_matrix(matrix, label: str = "state") -> ValidationReport:
 
 
 def validate_priors(priors) -> ValidationReport:
-    """Check prior probabilities: a vector of reals, non-negative, summing to 1 within 1e-12."""
+    """Check prior probabilities: a vector of reals, non-negative, summing to 1 within PRIORS_TOL."""
     arr = _as_array(priors, np.float64)
     if arr is None or arr.ndim != 1 or arr.shape[0] < 1:
         what = "a vector of real numbers" if arr is None else "a non-empty vector"
@@ -264,11 +263,7 @@ def validate_ensemble(state_matrices, priors) -> ValidationReport:
     if isinstance(states, np.ndarray):
         violations.extend(validate_operator_stack(states, "state", unit_trace=True).violations)
         return ValidationReport(tuple(violations))
-    found, shapes = _each_item(states, "state", unit_trace=True)
-    violations.extend(found)
-    dims = {rows for rows, _ in shapes}
-    if len(dims) > 1:
-        violations.append(Violation("common_dim", 0.0, f"states have mixed dims {sorted(dims)}"))
+    violations.extend(_each_item(states, "state", unit_trace=True))
     return ValidationReport(tuple(violations))
 
 
@@ -285,11 +280,7 @@ def validate_povm(elements) -> ValidationReport:
         return ValidationReport((Violation("elements_count", 0.0, "POVM has no elements"),))
     if isinstance(elements, np.ndarray):
         return validate_povm_stack(elements, "")
-    violations, shapes = _each_item(elements, "element", unit_trace=False)
-    dims = {rows for rows, cols in shapes if rows == cols}
-    if len(dims) > 1:
-        violations.append(Violation("common_dim", 0.0, f"elements have mixed dims {sorted(dims)}"))
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(_each_item(elements, "element", unit_trace=False)))
 
 
 def validate_povm_stack(elements: np.ndarray, label: str, sum_target=None) -> ValidationReport:

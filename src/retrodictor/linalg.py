@@ -2,15 +2,9 @@
 
 Hermitian eigendecomposition is LAPACK's (numpy.linalg.eigh) with a fixed
 eigenvector phase convention; identical input gives bit-identical output on
-one platform and one numpy/LAPACK build.
-
-The source floor MIN_EIG_DEFAULT = 1e-5 is where the transform identities hold
-at their fixed 1e-10 tolerances.  eigh is backward stable (exact for Omega + E,
-||E|| ~ u = 2**-53, as ||Omega|| <= Tr Omega = 1), and the conditioning of the
-matrix square root (Higham, Functions of Matrices, 2008) makes the completeness
-residual of Omega^{-1/2} Omega Omega^{-1/2} about c u / w_min, with c <= 2
-measured for D = 2..8.  A 1e-10 residual thus needs w_min >= 2.2e-6; 1e-5
-leaves a 4.5x margin.
+one platform and one numpy/LAPACK build.  Inverse square roots raise
+SingularOperator below the source floor MIN_EIG_DEFAULT, whose derivation is
+its entry in the tolerances table.
 """
 
 from __future__ import annotations
@@ -22,17 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonHermitianInput, SingularOperator
-
-TOL_HERM = 1e-12
-# Inverse square roots raise SingularOperator below this source floor (see above).
-MIN_EIG_DEFAULT = 1e-5
-# Square roots clip eigenvalues in [-PSD_CLIP_TOL, 0) to 0, and support_restricted
-# drops those up to +PSD_CLIP_TOL.
-PSD_CLIP_TOL = 1e-10
-
-# Components smaller than this are ignored when picking the entry that fixes
-# each eigenvector's global phase (unit vectors always have one >= 1/sqrt(D)).
-_PHASE_PIVOT_TOL = 1e-8
+from .tolerances import MIN_EIG_DEFAULT, PHASE_PIVOT_TOL, PSD_CLIP_TOL, TOL_HERM
 
 
 def as_complex_matrix(matrix) -> np.ndarray:
@@ -78,7 +62,7 @@ class Spectrum:
 
     eigenvalues (..., d) are real and ascending; eigenvectors[..., :, k] is the
     unit eigenvector paired with eigenvalues[..., k], with its first component
-    of magnitude > 1e-8 made real and positive on construction.
+    of magnitude > PHASE_PIVOT_TOL made real and positive on construction.
     """
 
     eigenvalues: np.ndarray
@@ -86,7 +70,7 @@ class Spectrum:
 
     def __post_init__(self):
         vectors = self.eigenvectors
-        pivots = np.argmax(np.abs(vectors) > _PHASE_PIVOT_TOL, axis=-2)
+        pivots = np.argmax(np.abs(vectors) > PHASE_PIVOT_TOL, axis=-2)
         pv = np.take_along_axis(vectors, pivots[..., None, :], axis=-2)
         object.__setattr__(self, "eigenvectors", vectors * (np.conj(pv) / np.abs(pv)))
         self.eigenvalues.setflags(write=False)

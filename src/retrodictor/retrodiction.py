@@ -32,7 +32,6 @@ import numpy as np
 
 from . import linalg
 from .ensembles import (
-    TRACE_TOL,
     Ensemble,
     Povm,
     _checked_stack,
@@ -45,13 +44,11 @@ from .errors import (
     ValidationError,
     ZeroProbabilityOutcome,
 )
-
-MU_FLOOR = 1e-12
-PROB_CLAMP_TOL = 1e-12
+from .tolerances import MU_FLOOR, PROB_CLAMP_TOL, TRACE_TOL
 
 
 def _clamp_probability(value, what: str):
-    """Clip into [0, 1] elementwise, allowing only +-1e-12 of roundoff outside it."""
+    """Clip into [0, 1] elementwise, allowing only +-PROB_CLAMP_TOL of roundoff outside it."""
     value = np.asarray(value)
     outside = value[~((value >= -PROB_CLAMP_TOL) & (value <= 1.0 + PROB_CLAMP_TOL))]
     if outside.size:
@@ -158,8 +155,10 @@ def _source(priors: np.ndarray, states: np.ndarray, elements: np.ndarray, decomp
     """The weighted states eta_i rho_i and their sum Omega, validated as a state (of each pair),
     and with decompose=True Omega's one Spectrum, which its PSD check reads."""
     require_same_dim(states.shape[-1], elements.shape[-1], "ensemble vs POVM")
-    weighted = priors[..., None, None] * states
-    omega = weighted.sum(axis=-3)
+    # A non-finite or huge entry is the source's finite_entries violation, not a warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        weighted = priors[..., None, None] * states
+        omega = weighted.sum(axis=-3)
     report, spectrum = _checked_stack(omega, "source", True, decompose)
     report.raise_if_failed()
     return weighted, omega, spectrum

@@ -26,14 +26,10 @@ import numpy as np
 
 from .ensembles import Ensemble, Povm, require_same_dim
 from .retrodiction import joint_table
+from .tolerances import STAT_SIGMAS, STRUCTURAL_ZERO
 
 RNG_ALGORITHM = "philox4x64-v3"
 SHARD_SIZE = 1 << 16
-
-# Joint probabilities below this are rounding residue of structurally zero
-# cells (e.g. the unambiguous-discrimination condition); they are zeroed so
-# that impossible outcomes never appear in the counts.
-STRUCTURAL_ZERO = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +134,7 @@ class StatTable:
 def _three_sigma(p: np.ndarray, trials: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         var = p * (1.0 - p) / trials
-    return 3.0 * np.sqrt(np.where(trials > 0, var, np.inf))
+    return STAT_SIGMAS * np.sqrt(np.where(trials > 0, var, np.inf))
 
 
 @dataclass(frozen=True, eq=False)

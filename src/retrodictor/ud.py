@@ -35,7 +35,6 @@ import numpy as np
 
 from . import linalg
 from .ensembles import (
-    PRIORS_TOL,
     Ensemble,
     Violation,
     _frozen,
@@ -44,19 +43,15 @@ from .ensembles import (
     validate_vector_stack,
 )
 from .errors import SingularOperator, ValidationError
-from .retrodiction import PROB_CLAMP_TOL, RetroDual, transform_stack
-
-# Positivity tolerance of the source remainder left after the conclusive
-# weights: its diagonal and determinant may dip this far below zero.
-REMAINDER_PSD_TOL = 1e-12
-
-# Smallest brute_force_dual step: a grid of at most about 1e6 points per instance.  The
-# windowed scan holds at most one such grid's worth of points per temporary (8 MB of float64).
-MIN_GRID_STEP = 1e-6
-# Largest brute_force_dual step.  The oracle check holds the closed form to 2 * step and the
-# success probability lies in [0, 1], so from a step of 0.5 no deviation can fail it; at 0.01
-# the tolerance is 2% of that range and the grid has at least 100 points per unit of prior.
-MAX_GRID_STEP = 0.01
+from .retrodiction import RetroDual, transform_stack
+from .tolerances import (
+    MAX_GRID_STEP,
+    MIN_EIG_DEFAULT,
+    MIN_GRID_STEP,
+    PRIORS_TOL,
+    PROB_CLAMP_TOL,
+    REMAINDER_PSD_TOL,
+)
 
 
 def _require_valid(alpha, e1, e2) -> None:
@@ -203,11 +198,11 @@ def omega_closed_form(x: UdInstance) -> OmegaClosedForm:
     root = np.hypot(np.cos(two_alpha), (e1 - e2) * np.sin(two_alpha))
     w1 = 0.5 * (1.0 + root)
     w2 = 0.5 * (1.0 - root)
-    if np.any(w2 < linalg.MIN_EIG_DEFAULT):
+    if np.any(w2 < MIN_EIG_DEFAULT):
         raise SingularOperator(
-            f"source function eigenvalue {np.min(w2):.3e} below {linalg.MIN_EIG_DEFAULT:.0e}"
+            f"source function eigenvalue {np.min(w2):.3e} below {MIN_EIG_DEFAULT:.0e}"
             " (states nearly identical, or a prior near 0)",
-            np.argwhere(w2 < linalg.MIN_EIG_DEFAULT),
+            np.argwhere(w2 < MIN_EIG_DEFAULT),
         )
     angle = 0.5 * np.arctan2((e1 - e2) * np.sin(two_alpha), np.cos(two_alpha))
     return OmegaClosedForm(w1, w2, angle)

@@ -66,6 +66,17 @@ from .retrodiction import (
     unbiased_stack,
 )
 from .sim import empirical_report, sample
+from .tolerances import (
+    CHANNEL_CHECKS,
+    CHECK_TOLERANCES,
+    GRID_ORACLE_STEPS,
+    MIN_EIG_DEFAULT,
+    MIN_MU,
+    MIN_OMEGA_EIG,
+    POVM_DRAW_MIN_EIG,
+    TRANSFORM_CHECKS,
+    UD_CHECKS,
+)
 from .ud import (
     DualOptimum,
     PredictiveUdPovm,
@@ -88,12 +99,10 @@ from .ud import (
 DEFAULT_SEED = 2024
 CORPUS_SIZE = 500
 CORPUS_DIMS = (2, 3, 4)
-MIN_OMEGA_EIG = 1e-3
-MIN_MU = 1e-3
 
-# Smallest source eigenvalues on either side of linalg.MIN_EIG_DEFAULT.
-FLOOR_SWEEP_ABOVE = (1.05 * linalg.MIN_EIG_DEFAULT, 10.0 * linalg.MIN_EIG_DEFAULT)
-FLOOR_SWEEP_BELOW = (0.5 * linalg.MIN_EIG_DEFAULT, 1e-7, 1e-9)
+# Smallest source eigenvalues on either side of the source floor MIN_EIG_DEFAULT.
+FLOOR_SWEEP_ABOVE = (1.05 * MIN_EIG_DEFAULT, 10.0 * MIN_EIG_DEFAULT)
+FLOOR_SWEEP_BELOW = (0.5 * MIN_EIG_DEFAULT, 1e-7, 1e-9)
 FLOOR_SWEEP_DIMS = (2, 3, 4, 8)
 
 GRID_ETA_MAX = np.linspace(0.5, 0.98, 25)
@@ -118,6 +127,11 @@ class Check:
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "tolerance", float(self.tolerance))
 
+    @classmethod
+    def named(cls, name: str, value) -> Check:
+        """The check called name, held to its CHECK_TOLERANCES entry."""
+        return cls(name, value, CHECK_TOLERANCES[name])
+
     @property
     def passed(self) -> bool:
         return bool(self.value < self.tolerance)
@@ -139,32 +153,6 @@ class SuiteResult:
 
     def lines(self) -> list[str]:
         return [c.line(f"{self.suite}/") for c in self.checks]
-
-
-# (name, tolerance) of each transform, UD and channel check, in report order.
-TRANSFORM_CHECKS = (
-    ("symmetric-born-identity", 1e-9),
-    ("retro-povm-completeness", 1e-10),
-    ("retro-state-traces", 1e-10),
-    ("source-identity", 1e-10),
-)
-UD_CHECKS = (
-    ("retro-basis-orthonormality", 1e-9),
-    ("retro-basis-closed-vs-numeric", 1e-10),
-    ("eigenvalues-closed-vs-numeric", 1e-10),
-    ("source-in-retro-basis", 1e-10),
-    ("retro-state-purity", 1e-9),
-    ("retro-state-identification", 1e-9),
-    ("failure-state-determinant", 1e-10),
-    ("duality-bridge", 1e-10),
-)
-CHANNEL_CHECKS = (
-    ("swap-residual", 1e-10),
-    ("reduced-states-vs-source", 1e-10),
-    ("no-signaling-residual", 1e-10),
-    ("sqrt-source-symmetry", 1e-12),
-    ("asymmetric-channel-relations", 1e-10),
-)
 
 
 def _max_each(*values) -> np.ndarray:
@@ -338,7 +326,7 @@ def _draw_povm(rng: np.random.Generator, dim: int, n_elements: int, lead: tuple[
     """Random POVMs (*lead, n, d, d), drawn as one block: n Ginibre PSD operators normalised by their sum."""
     g = _ginibre(rng.standard_normal((*lead, n_elements, 2, dim, dim)))
     mats = g @ linalg.dag(g)
-    inv_root = linalg.inv_sqrtm_psd(mats.sum(axis=-3), min_eig=1e-12)[..., None, :, :]
+    inv_root = linalg.inv_sqrtm_psd(mats.sum(axis=-3), min_eig=POVM_DRAW_MIN_EIG)[..., None, :, :]
     e = inv_root @ mats @ inv_root
     return (e + linalg.dag(e)) / 2.0
 
@@ -492,9 +480,9 @@ def suite_transform(seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE) -> Suite
         "transform",
         (
             *_worst(TRANSFORM_CHECKS, np.concatenate(rows)),
-            Check("double-dual-source", max(double_src), 1e-10),
-            Check("double-dual-roundtrip", max(double_ops), 1e-9),
-            Check("unbiased-reduction", max(unbiased), 1e-10),
+            Check.named("double-dual-source", max(double_src)),
+            Check.named("double-dual-roundtrip", max(double_ops)),
+            Check.named("unbiased-reduction", max(unbiased)),
         ),
     )
 
@@ -543,11 +531,11 @@ def suite_ud() -> SuiteResult:
     return SuiteResult(
         "ud",
         (
-            Check("closed-vs-grid-oracle", rows[:, 0].max(), 2.0 * GRID_STEP),
-            Check("regime-classification-mismatches", rows[:, 1].sum(), 0.5),
-            Check("branch-continuity", worst_continuity, 1e-9),
-            Check("spot-value-even-priors", spot_even, 1e-12),
-            Check("spot-value-clamped", spot_clamped, 1e-12),
+            Check("closed-vs-grid-oracle", rows[:, 0].max(), GRID_ORACLE_STEPS * GRID_STEP),
+            Check.named("regime-classification-mismatches", rows[:, 1].sum()),
+            Check.named("branch-continuity", worst_continuity),
+            Check.named("spot-value-even-priors", spot_even),
+            Check.named("spot-value-clamped", spot_clamped),
             *_worst(UD_CHECKS, rows[:, 2:]),
         ),
     )
@@ -576,11 +564,11 @@ def suite_simulate(seed: int = 42, n: int = 10**6) -> SuiteResult:
     return SuiteResult(
         "simulate",
         (
-            Check("structural-zero-cells", structural, 0.5),
-            Check("mu0-deviation", mu0_dev, 0.0015),
-            Check("retro-conditionals-3sigma-violations", retro_violations, 0.5),
-            Check("rerun-mismatch", identical, 0.5),
-            Check("runtime-seconds", elapsed, 10.0),
+            Check.named("structural-zero-cells", structural),
+            Check.named("mu0-deviation", mu0_dev),
+            Check.named("retro-conditionals-3sigma-violations", retro_violations),
+            Check.named("rerun-mismatch", identical),
+            Check.named("runtime-seconds", elapsed),
         ),
     )
 
@@ -592,12 +580,12 @@ def suite_failure_modes() -> SuiteResult:
     def expect(name: str, exc_type, fn) -> None:
         try:
             fn()
+            failed = " (no error raised)"
         except exc_type:
-            failures.append(Check(name, 0.0, 0.5))
+            failed = ""
         except RetrodictorError as exc:
-            failures.append(Check(f"{name} (raised {type(exc).__name__})", 1.0, 0.5))
-        else:
-            failures.append(Check(f"{name} (no error raised)", 1.0, 0.5))
+            failed = f" (raised {type(exc).__name__})"
+        failures.append(Check(name + failed, float(bool(failed)), CHECK_TOLERANCES[name]))
 
     expect(
         "alpha-to-zero-raises-singular",
@@ -642,13 +630,14 @@ def suite_failure_modes() -> SuiteResult:
         lambda: Ensemble(np.concatenate([mixed.matrices] * 2), np.array([0.5, 0.4])),
     )
 
+    name = "support-restricted-mode-runs"
     try:
         dual = retro_transform(rank_deficient, _projective_qubit_povm(), support_restricted=True)
-        failures.append(Check("support-restricted-mode-runs", float(dual.source_residual() > 1e-10), 0.5))
+        failures.append(Check.named(name, dual.source_residual() > CHECK_TOLERANCES["source-identity"]))
     except RetrodictorError as exc:
-        failures.append(Check(f"support-restricted-mode-runs ({type(exc).__name__})", 1.0, 0.5))
+        failures.append(Check(f"{name} ({type(exc).__name__})", 1.0, CHECK_TOLERANCES[name]))
 
-    failures.append(Check("source-floor-contract", _floor_contract_breaches(), 0.5))
+    failures.append(Check.named("source-floor-contract", _floor_contract_breaches()))
     return SuiteResult("failure-modes", tuple(failures))
 
 
@@ -680,7 +669,7 @@ def _stack_breaches(levels: np.ndarray, rows, table, *stacks) -> int:
     named then run once as a stack and must pass every check (NaN fails).
     Another error makes every row of its run a breach.
     """
-    below = levels < linalg.MIN_EIG_DEFAULT
+    below = levels < MIN_EIG_DEFAULT
     named = np.zeros_like(below)
     try:
         rows(*stacks)

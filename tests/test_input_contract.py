@@ -127,6 +127,24 @@ def test_an_array_a_list_and_a_generator_get_one_report(validate, operators):
     assert validate(m for m in operators).violations == report
 
 
+# Items that form no one stack, of unit trace where square, and the checks that states and
+# elements both name for them: an item that is not square is not counted as a dimension too.
+MIXED_ITEMS = [
+    pytest.param([HALF, np.full((3, 2), 0.5)], ["square_shape"], id="non-square"),
+    pytest.param([HALF, np.zeros((0, 0))], ["square_shape"], id="0x0"),
+    pytest.param([HALF, THIRD], ["common_dim"], id="mixed-dims"),
+    pytest.param([HALF, THIRD, np.full((3, 2), 0.5)], ["square_shape", "common_dim"], id="mixed-dims-and-non-square"),
+    pytest.param([np.full((3, 2), 0.5), np.full((2, 3), 0.5)], ["square_shape"] * 2, id="all-non-square"),
+]
+
+
+@pytest.mark.parametrize("items, checks", MIXED_ITEMS)
+def test_states_and_elements_have_one_dims_rule(items, checks):
+    as_states = validate_ensemble(items, np.full(len(items), 1.0 / len(items))).violations
+    as_elements = validate_povm(items).violations
+    assert [v.check for v in as_states] == [v.check for v in as_elements] == checks
+
+
 BAD_COLLECTIONS = [
     ("povm-empty", lambda: Povm(()), "elements_count", "pin"),
     ("povm-mixed-dims", lambda: Povm((EYE2, np.eye(3))), "common_dim", "pin"),

@@ -316,6 +316,12 @@ BAD_SOURCES = [
      "psd: source has negative eigenvalue -1.000e+308 (residual 1.000e+308)"),
     ("wrong-trace", [np.diag([0.6, 0.6])], "unit_trace: source trace differs from 1 (residual 2.000e-01)"),
     ("nan", [[[math.nan, 0.0], [0.0, 0.5]]], "finite_entries: source has non-finite entries (residual 1.000e+00)"),
+    # inf x 0 in the weighting raised a RuntimeWarning before the source was checked.
+    ("inf", [[[math.inf, 0.0], [0.0, 0.5]]], "finite_entries: source has non-finite entries (residual 1.000e+00)"),
+    ("inf-in-a-stack", [[HALF], [[[math.inf, 0.0], [0.0, 0.5]]], [HALF]],
+     "finite_entries: source[1] has non-finite entries (residual 1.000e+00)"),
+    ("nan-in-a-stack", [[HALF], [[[0.5, math.nan], [0.0, 0.5]]], [HALF]],
+     "finite_entries: source[1] has non-finite entries (residual 1.000e+00)"),
     ("negative-and-wrong-trace", [np.diag([1.5, -0.2])],
      "psd: source has negative eigenvalue -2.000e-01 (residual 2.000e-01); "
      "unit_trace: source trace differs from 1 (residual 3.000e-01)"),
@@ -324,13 +330,25 @@ BAD_SOURCES = [
 ]
 
 
-@pytest.mark.parametrize("states, error", [pytest.param(s, e, id=n) for n, s, e in BAD_SOURCES])
-def test_a_bad_source_is_named_as_a_validation_error(states, error):
+BAD_SOURCE_CASES = [pytest.param(s, e, id=n) for n, s, e in BAD_SOURCES]
+
+
+def _bad_source_error(build, states) -> str:
     states = np.array(states, dtype=complex)
     elements = np.broadcast_to(PROJECTIVE, states.shape[:-3] + PROJECTIVE.shape)
     with pytest.raises(ValidationError) as excinfo:
-        transform_stack(np.ones(states.shape[:-2]), states, elements)
-    assert str(excinfo.value) == f"validation failed: {error}"
+        build(np.ones(states.shape[:-2]), states, elements)
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("states, error", BAD_SOURCE_CASES)
+def test_a_bad_source_is_named_as_a_validation_error(states, error):
+    assert _bad_source_error(transform_stack, states) == f"validation failed: {error}"
+
+
+@pytest.mark.parametrize("states, error", BAD_SOURCE_CASES)
+def test_the_unbiased_construction_names_a_bad_source_alike(states, error):
+    assert _bad_source_error(unbiased_stack, states) == f"validation failed: {error}"
 
 
 # Pair 1 of each stack is at fault: its elements sum to diag(1, 0.5), or one of them has a
