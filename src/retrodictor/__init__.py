@@ -54,7 +54,6 @@ from .sim import EmpiricalReport, SampleCounts, StatTable, empirical_report, sam
 from .ud import (
     DualOptimum,
     OmegaClosedForm,
-    PredictiveUdPovm,
     PurityIdentificationReport,
     RetroBasis,
     UdInstance,
@@ -63,8 +62,6 @@ from .ud import (
     omega_in_retro_basis,
     omega_matrix,
     optimal_dual,
-    optimal_predictive_povm,
-    predictive_success_probability,
     retro_basis,
     retro_basis_closed_form,
     ud_ensemble,

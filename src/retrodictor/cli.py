@@ -40,7 +40,6 @@ from .ud import (
     omega_in_retro_basis,
     omega_matrix,
     optimal_dual,
-    optimal_predictive_povm,
 )
 from .verify import Check, checks_for_channel, checks_for_transform, checks_for_ud, run_suites
 
@@ -135,8 +134,7 @@ def cmd_ud(args) -> int:
     inst = _instance_from_args(args)
     opt = optimal_dual(inst)
     cf = omega_closed_form(inst)
-    ud_povm = optimal_predictive_povm(inst)
-    checks = list(checks_for_ud(inst, opt, ud_povm))
+    checks = list(checks_for_ud(inst, opt))
     doc = _base_doc("ud")
     doc["inputs"] = {
         "alpha": inst.alpha,
@@ -158,8 +156,8 @@ def cmd_ud(args) -> int:
         },
         "rho0_ret": matrix_to_rows(opt.rho0),
         "predictive_povm": {
-            "c": [ud_povm.c[0], ud_povm.c[1]],
-            "elements": matrix_to_rows(ud_povm.elements),
+            "c": [opt.c[0], opt.c[1]],
+            "elements": matrix_to_rows(opt.elements),
         },
     }
     if args.grid_check is not None:

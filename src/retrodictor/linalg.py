@@ -34,11 +34,10 @@ def dag(matrix: np.ndarray) -> np.ndarray:
     return np.asarray(matrix).conj().swapaxes(-1, -2)
 
 
-def outer(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """Outer product v w^dag (projector |v><v| when w is omitted), of each vector of a stack."""
+def outer(v: np.ndarray) -> np.ndarray:
+    """The projector |v><v| of each vector of a stack."""
     v = np.asarray(v, dtype=np.complex128)
-    w = v if w is None else np.asarray(w, dtype=np.complex128)
-    return v[..., :, None] * w.conj()[..., None, :]
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 def maxabs(matrix: np.ndarray) -> float:

@@ -34,10 +34,12 @@ from . import linalg
 from .ensembles import (
     Ensemble,
     Povm,
+    ValidationReport,
     _checked_stack,
     require_same_dim,
     validate_operator_stack,
     validate_povm_stack,
+    validate_priors_stack,
 )
 from .errors import (
     NumericIntegrityError,
@@ -153,14 +155,17 @@ class RetroDual:
 
 def _source(priors: np.ndarray, states: np.ndarray, elements: np.ndarray, decompose: bool = False):
     """The weighted states eta_i rho_i and their sum Omega, validated as a state (of each pair),
-    and with decompose=True Omega's one Spectrum, which its PSD check reads."""
+    and with decompose=True Omega's one Spectrum, which its PSD check reads.
+
+    The priors' violations, if any, are raised with Omega's in one ValidationError.
+    """
     require_same_dim(states.shape[-1], elements.shape[-1], "ensemble vs POVM")
     # A non-finite or huge entry is the source's finite_entries violation, not a warning.
     with np.errstate(invalid="ignore", over="ignore"):
         weighted = priors[..., None, None] * states
         omega = weighted.sum(axis=-3)
     report, spectrum = _checked_stack(omega, "source", True, decompose)
-    report.raise_if_failed()
+    ValidationReport(validate_priors_stack(priors, "priors").violations + report.violations).raise_if_failed()
     return weighted, omega, spectrum
 
 

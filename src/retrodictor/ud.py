@@ -60,13 +60,14 @@ def _require_valid(alpha, e1, e2) -> None:
     Over a stack, each violation reports its first failing instance.
     """
     alpha, e1, e2 = (np.asarray(v).reshape(-1) for v in (alpha, e1, e2))
-    off = np.abs(e1 + e2 - 1.0)
+    with np.errstate(invalid="ignore"):  # inf + -inf: a NaN sum, flagged below
+        off = np.abs(e1 + e2 - 1.0)
     violations = [
         Violation(name, float(residual[failed][0]), message)
         for name, failed, residual, message in (
             ("alpha_range", ~((alpha > 0.0) & (alpha <= math.pi / 4)), alpha, "alpha must lie in (0, pi/4]"),
             ("eta_positive", ~((e1 > 0.0) & (e2 > 0.0)), np.minimum(e1, e2), "priors must be positive"),
-            ("eta_sum", off > PRIORS_TOL, off, "priors must sum to 1"),
+            ("eta_sum", ~(off <= PRIORS_TOL), off, "priors must sum to 1"),
         )
         if failed.any()
     ]
@@ -74,9 +75,11 @@ def _require_valid(alpha, e1, e2) -> None:
         raise ValidationError(violations)
 
 
-# libm acos, elementwise: np.arccos differs from it in the last bit at some
-# overlaps (0.5 among them), which would move the reported angles.
+# libm acos and pow, elementwise: np.arccos and np.power differ from them in the last
+# bit at some inputs (overlap 0.5 among them), which would move the reported angles,
+# and would give a stack other bits than its instances, which are NumPy scalars.
 _acos = np.vectorize(math.acos, otypes=[float])
+_pow = np.vectorize(math.pow, otypes=[float])
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,13 +280,15 @@ def source_remainder(x: UdInstance, mu1, mu2) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DualOptimum:
-    """Optimal weights of the retrodictive source decomposition.
+    """Optimal weights of the retrodictive source decomposition, and the measurement realizing them.
 
     mu1/mu2 weight the conclusive retro-basis states, mu0 the failure state,
     and regime is "interior" or "clamped", each (...).  rho0 (..., 2, 2) is
     the failure state's validated matrix in the computational basis; at the
     optimum it is pure (the weighted remainder has zero determinant).  basis
-    is the numeric retro_basis the failure state was built in.
+    is the numeric retro_basis the failure state was built in.  elements
+    (..., 3, 2, 2) are the validated detectors Pi_1, Pi_2, Pi_0 of the optimal
+    unambiguous measurement and c its transmission weights (c_1, c_2), each (...).
     """
 
     mu1: np.ndarray
@@ -293,6 +298,8 @@ class DualOptimum:
     p_success: np.ndarray
     regime: np.ndarray
     basis: RetroBasis
+    elements: np.ndarray
+    c: tuple[np.ndarray, np.ndarray]
 
 
 def _optimal_mu(x: UdInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -309,7 +316,12 @@ def _optimal_mu(x: UdInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def optimal_dual(x: UdInstance) -> DualOptimum:
-    """Maximize mu_1 + mu_2 subject to the remainder of the source staying PSD."""
+    """Maximize mu_1 + mu_2 subject to the remainder of the source staying PSD.
+
+    The optimal measurement comes with the optimum: Pi_i = c_i |psi_j-perp><psi_j-perp|,
+    with c_i fixed by the duality eta_i <psi_i|Pi_i|psi_i> = mu_i, so its predictive
+    success probability coincides with the retrodictive optimum.
+    """
     mu1, mu2, regime = _optimal_mu(x)
     mu0 = 1.0 - mu1 - mu2
     basis = retro_basis(x)
@@ -326,7 +338,30 @@ def optimal_dual(x: UdInstance) -> DualOptimum:
     rho0 = linalg.outer((basis.vectors @ v[..., None])[..., 0])
     rho0 = (rho0 + linalg.dag(rho0)) / 2.0
     validate_operator_stack(rho0, "failure state", unit_trace=True).raise_if_failed()
-    return DualOptimum(mu1, mu2, mu0, _frozen(rho0), mu1 + mu2, regime, basis)
+
+    one_minus_s2 = 1.0 - x.s ** 2
+    c = np.stack([mu1 / (e1 * one_minus_s2), mu2 / (e2 * one_minus_s2)], axis=-1)
+    outside = ~((c >= -PROB_CLAMP_TOL) & (c <= 1.0 + PROB_CLAMP_TOL))
+    if np.any(outside):
+        worst = float(c[np.any(outside, axis=-1)].max())
+        raise ValidationError([Violation("c_range", worst, "transmission weight outside [0, 1]")])
+    c = np.clip(c, 0.0, 1.0)
+    ca, sa = np.cos(x.alpha), np.sin(x.alpha)
+    # Rows psi_2-perp and psi_1-perp: Pi_1 = c_1 |psi_2-perp><psi_2-perp|, Pi_2 likewise.
+    conclusive = c[..., :, None, None] * linalg.outer(_mat2(sa, ca, -sa, ca))
+    # Pi_0 = I - Pi_1 - Pi_2 is rank one: |v><v|, with v = psi_2 or psi_1 when clamped, else
+    # sqrt(s)/2 ((q + 1/q)/cos(alpha), (q - 1/q)/sin(alpha)) for q = (eta_2/eta_1)^(1/4).  The
+    # subtraction leaves its zero eigenvalue at roundoff, which 1/mu_0 amplifies in rho_0^ret.
+    q = _pow(e2 / e1, 0.25)
+    r = np.sqrt(x.s) / 2.0
+    clamped = [ca, np.where(first, -sa, sa)]
+    interior = [r * (q + 1 / q) / ca, r * (q - 1 / q) / sa]
+    v = np.where(regime == "clamped", clamped, interior)
+    pi0 = linalg.outer(np.moveaxis(v, 0, -1))
+    elements = np.concatenate([conclusive, pi0[..., None, :, :]], axis=-3)
+    validate_povm_stack(elements, "predictive POVM").raise_if_failed()
+    c = (c[..., 0][()], c[..., 1][()])
+    return DualOptimum(mu1, mu2, mu0, _frozen(rho0), mu1 + mu2, regime, basis, _frozen(elements), c)
 
 
 def _grid_points(e1, e2, numerator, k, step):
@@ -424,77 +459,19 @@ def brute_force_dual(x: UdInstance, grid_step: float):
     return tuple(v.reshape(shape) for v in best)
 
 
-@dataclass(frozen=True, eq=False)
-class PredictiveUdPovm:
-    """The rank-one unambiguous measurement with its transmission weights.
+def duality_bridge(x: UdInstance, opt: DualOptimum) -> np.ndarray:
+    """eta_i <psi_i|Pi_i|psi_i>, which the duality equates with mu_i, along the last axis.
 
-    elements (..., 3, 2, 2) are the validated Pi_1, Pi_2, Pi_0 and c the
-    weights (c_1, c_2), each (...).
+    opt is x's optimal_dual; the terms sum to the predictive success probability.
     """
-
-    elements: np.ndarray
-    c: tuple[np.ndarray, np.ndarray]
-
-
-def optimal_predictive_povm(x: UdInstance) -> PredictiveUdPovm:
-    """Detectors Pi_i = c_i |psi_j-perp><psi_j-perp| realizing the optimal weights.
-
-    c_i is fixed by the duality eta_i <psi_i|Pi_i|psi_i> = mu_i, so the
-    predictive success probability coincides with the retrodictive optimum.
-    """
-    omega_closed_form(x)
-    e1, e2 = x.eta
-    mu1, mu2, regime = _optimal_mu(x)
-    one_minus_s2 = 1.0 - x.s ** 2
-    c = np.stack([mu1 / (e1 * one_minus_s2), mu2 / (e2 * one_minus_s2)], axis=-1)
-    outside = ~((c >= -PROB_CLAMP_TOL) & (c <= 1.0 + PROB_CLAMP_TOL))
-    if np.any(outside):
-        worst = float(c[np.any(outside, axis=-1)].max())
-        raise ValidationError([Violation("c_range", worst, "transmission weight outside [0, 1]")])
-    c = np.clip(c, 0.0, 1.0)
-    ca, sa = np.cos(x.alpha), np.sin(x.alpha)
-    # Rows psi_2-perp and psi_1-perp: Pi_1 = c_1 |psi_2-perp><psi_2-perp|, Pi_2 likewise.
-    conclusive = c[..., :, None, None] * linalg.outer(_mat2(sa, ca, -sa, ca))
-    # Pi_0 = I - Pi_1 - Pi_2 is rank one: |v><v|, with v = psi_2 or psi_1 when clamped, else
-    # sqrt(s)/2 ((q + 1/q)/cos(alpha), (q - 1/q)/sin(alpha)) for q = (eta_2/eta_1)^(1/4).  The
-    # subtraction leaves its zero eigenvalue at roundoff, which 1/mu_0 amplifies in rho_0^ret.
-    q = (e2 / e1) ** 0.25
-    r = np.sqrt(x.s) / 2.0
-    clamped = [ca, np.where(e1 >= e2, -sa, sa)]
-    interior = [r * (q + 1 / q) / ca, r * (q - 1 / q) / sa]
-    v = np.where(regime == "clamped", clamped, interior)
-    pi0 = linalg.outer(np.moveaxis(v, 0, -1))
-    elements = np.concatenate([conclusive, pi0[..., None, :, :]], axis=-3)
-    validate_povm_stack(elements, "predictive POVM").raise_if_failed()
-    return PredictiveUdPovm(_frozen(elements), (c[..., 0][()], c[..., 1][()]))
-
-
-def _conclusive_clicks(x: UdInstance, ud_povm: PredictiveUdPovm) -> np.ndarray:
-    """<psi_i|Pi_i|psi_i> for i = 1, 2, along the last axis."""
     psi = ud_state_vectors(x)
-    hits = (ud_povm.elements[..., :2, :, :] @ psi[..., None])[..., 0]
-    return (psi.conj() * hits).sum(axis=-1).real
+    hits = (opt.elements[..., :2, :, :] @ psi[..., None])[..., 0]
+    return _eta(x) * (psi.conj() * hits).sum(axis=-1).real
 
 
-def predictive_success_probability(x: UdInstance, ud_povm: PredictiveUdPovm) -> np.ndarray:
-    """Average success probability sum_i eta_i <psi_i|Pi_i|psi_i>."""
-    e1, e2 = x.eta
-    clicks = _conclusive_clicks(x, ud_povm)
-    return e1 * clicks[..., 0] + e2 * clicks[..., 1]
-
-
-def duality_bridge(x: UdInstance, ud_povm: PredictiveUdPovm) -> np.ndarray:
-    """eta_i <psi_i|Pi_i|psi_i>, which the duality equates with mu_i, along the last axis."""
-    return _eta(x) * _conclusive_clicks(x, ud_povm)
-
-
-def ud_retro_dual(x: UdInstance, ud_povm: PredictiveUdPovm | None = None) -> RetroDual:
-    """Transform of the instance (each of a stack) against its optimal predictive measurement.
-
-    ud_povm, if given, is x's optimal_predictive_povm.
-    """
-    ud_povm = optimal_predictive_povm(x) if ud_povm is None else ud_povm
-    return transform_stack(_eta(x), linalg.outer(ud_state_vectors(x)), ud_povm.elements)
+def ud_retro_dual(x: UdInstance, opt: DualOptimum) -> RetroDual:
+    """Transform of the instance (each of a stack) against opt.elements, opt being x's optimal_dual."""
+    return transform_stack(_eta(x), linalg.outer(ud_state_vectors(x)), opt.elements)
 
 
 @dataclass(frozen=True, eq=False)

@@ -79,7 +79,6 @@ from .tolerances import (
 )
 from .ud import (
     DualOptimum,
-    PredictiveUdPovm,
     UdInstance,
     brute_force_dual,
     duality_bridge,
@@ -87,8 +86,6 @@ from .ud import (
     omega_in_retro_basis,
     omega_matrix,
     optimal_dual,
-    optimal_predictive_povm,
-    predictive_success_probability,
     retro_basis,
     retro_basis_closed_form,
     ud_ensemble,
@@ -199,14 +196,12 @@ def checks_for_transform(ensemble: Ensemble, povm: Povm, dual: RetroDual) -> tup
     return _checks(table, transform_residuals(joint, dual))
 
 
-def ud_residuals(
-    x: UdInstance, opt: DualOptimum, ud_povm: PredictiveUdPovm, dual
-) -> np.ndarray:
+def ud_residuals(x: UdInstance, opt: DualOptimum, dual) -> np.ndarray:
     """The UD_CHECKS values of one instance, or one row of them per instance of a stack.
 
-    opt, ud_povm and dual are x's optimal_dual, optimal_predictive_povm and
-    ud_retro_dual; the numeric retro basis is opt.basis, and the numeric
-    source spectrum is the one it was built from.
+    opt and dual are x's optimal_dual and ud_retro_dual; the numeric retro
+    basis is opt.basis, and the numeric source spectrum is the one it was
+    built from.
     """
     basis = opt.basis
     u = basis.vectors
@@ -215,7 +210,7 @@ def ud_residuals(
     eigenvalues = basis.omega_spectrum.eigenvalues
     purity = verify_purity_identification(x, opt, dual)
     norms = linalg.norm_each(np.swapaxes(u, -1, -2))
-    bridge = duality_bridge(x, ud_povm)
+    bridge = duality_bridge(x, opt)
     mu = dual.mu
     return np.stack(
         np.broadcast_arrays(
@@ -237,26 +232,23 @@ def ud_residuals(
                 np.abs(bridge[..., 1] - opt.mu2),
                 np.abs(mu[..., 0] - opt.mu1),
                 np.abs(mu[..., 1] - opt.mu2),
-                np.abs(predictive_success_probability(x, ud_povm) - opt.p_success),
+                np.abs(bridge.sum(axis=-1) - opt.p_success),
             ),
         ),
         axis=-1,
     )
 
 
-def checks_for_ud(
-    inst: UdInstance, opt: DualOptimum, ud_povm: PredictiveUdPovm
-) -> tuple[Check, ...]:
+def checks_for_ud(inst: UdInstance, opt: DualOptimum) -> tuple[Check, ...]:
     """Retro-basis, source-spectrum, purity and duality identities of one UD instance.
 
-    opt and ud_povm are the instance's optimal_dual and
-    optimal_predictive_povm, which every caller has already built.  The
-    instance is transformed through retro_transform, the one-pair entry
+    opt is the instance's optimal_dual, which every caller has already built.
+    The instance is transformed through retro_transform, the one-pair entry
     point that perfbench traces as the transform layer (ud_retro_dual of a
     stack is the same transform_stack without it).
     """
-    dual = retro_transform(ud_ensemble(inst), Povm(ud_povm.elements))
-    return _checks(UD_CHECKS, ud_residuals(inst, opt, ud_povm, dual))
+    dual = retro_transform(ud_ensemble(inst), Povm(opt.elements))
+    return _checks(UD_CHECKS, ud_residuals(inst, opt, dual))
 
 
 def channel_residuals(x: UdInstance, report: NoSignalingReport) -> np.ndarray:
@@ -496,7 +488,6 @@ def _grid_slices() -> list[UdInstance]:
 def _ud_grid_rows(x: UdInstance) -> np.ndarray:
     """Per instance: the gap to the grid oracle, the regime mismatches, then the UD_CHECKS values."""
     opt = optimal_dual(x)
-    ud_povm = optimal_predictive_povm(x)
     p_grid = brute_force_dual(x, GRID_STEP)[2]
     s = x.s
     clamped = opt.regime == "clamped"
@@ -506,7 +497,7 @@ def _ud_grid_rows(x: UdInstance) -> np.ndarray:
         + (clamped & (mu_min != 0.0))
         + (~clamped & (mu_min <= 0.0))
     )
-    residuals = ud_residuals(x, opt, ud_povm, ud_retro_dual(x, ud_povm))
+    residuals = ud_residuals(x, opt, ud_retro_dual(x, opt))
     return np.column_stack([np.abs(opt.p_success - p_grid), mismatches, residuals])
 
 
@@ -551,7 +542,7 @@ def suite_simulate(seed: int = 42, n: int = 10**6) -> SuiteResult:
     """Monte Carlo reproducibility and statistical agreement on the UD instance."""
     inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
     ensemble = ud_ensemble(inst)
-    povm = Povm(optimal_predictive_povm(inst).elements)
+    povm = Povm(optimal_dual(inst).elements)
     start = time.perf_counter()
     counts = sample(ensemble, povm, n, seed)
     elapsed = time.perf_counter() - start
@@ -655,8 +646,8 @@ def _transform_rows(*pairs: np.ndarray) -> np.ndarray:
 
 def _ud_rows(x: UdInstance) -> np.ndarray:
     """The UD_CHECKS, then the CHANNEL_CHECKS values of each instance of a stack."""
-    ud_povm = optimal_predictive_povm(x)
-    residuals = ud_residuals(x, optimal_dual(x), ud_povm, ud_retro_dual(x, ud_povm))
+    opt = optimal_dual(x)
+    residuals = ud_residuals(x, opt, ud_retro_dual(x, opt))
     return np.column_stack([residuals, channel_residuals(x, no_signaling_check(x))])
 
 

@@ -12,7 +12,7 @@ from conftest import pure_ensemble_payload
 from retrodictor.cli import main
 from retrodictor.ensembles import Povm
 from retrodictor.formats import povm_to_payload, write_json
-from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_state_vectors
+from retrodictor.ud import UdInstance, optimal_dual, ud_state_vectors
 from retrodictor.verify import (
     suite_channel,
     suite_failure_modes,
@@ -132,7 +132,7 @@ def test_criterion_9_failure_mode_contract(tmp_path):
     ens_path = tmp_path / "ens.json"
     povm_path = tmp_path / "povm.json"
     write_json(pure_ensemble_payload(ud_state_vectors(inst), inst.eta), str(ens_path))
-    write_json(povm_to_payload(Povm(optimal_predictive_povm(inst).elements)), str(povm_path))
+    write_json(povm_to_payload(Povm(optimal_dual(inst).elements)), str(povm_path))
     bad = json.loads(ens_path.read_text())
     bad["priors"] = [0.5, 0.4]
     bad_path = tmp_path / "bad.json"

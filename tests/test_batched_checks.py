@@ -17,7 +17,7 @@ from retrodictor.ensembles import Ensemble, Povm
 from retrodictor.errors import RetrodictorError, ValidationError
 from retrodictor.linalg import maxabs
 from retrodictor.retrodiction import joint_table, retro_transform, transform_stack, unbiased_stack
-from retrodictor.ud import UdInstance, optimal_dual, optimal_predictive_povm, ud_retro_dual
+from retrodictor.ud import UdInstance, optimal_dual, ud_retro_dual
 
 INSTANCES = verify.grid_instances()
 
@@ -45,13 +45,22 @@ def test_grid_stack_equals_the_per_instance_construction():
 
 
 def test_batched_ud_rows_equal_the_per_instance_checks(batch):
-    ud_povm = optimal_predictive_povm(batch)
-    rows = verify.ud_residuals(batch, optimal_dual(batch), ud_povm, ud_retro_dual(batch, ud_povm))
+    opt = optimal_dual(batch)
+    rows = verify.ud_residuals(batch, opt, ud_retro_dual(batch, opt))
     assert rows.shape == (len(INSTANCES), len(verify.UD_CHECKS))
     for inst, row in zip(INSTANCES, rows):
-        checks = verify.checks_for_ud(inst, optimal_dual(inst), optimal_predictive_povm(inst))
+        checks = verify.checks_for_ud(inst, optimal_dual(inst))
         assert [(c.name, c.tolerance) for c in checks] == list(verify.UD_CHECKS)
         assert [c.value for c in checks] == row.tolist()
+
+
+def test_a_stacked_optimum_carries_each_instance_measurement(batch):
+    opt = optimal_dual(batch)
+    assert opt.elements.shape == (len(INSTANCES), 3, 2, 2)
+    for k, inst in enumerate(INSTANCES):
+        one = optimal_dual(inst)
+        assert opt.elements[k].tobytes() == one.elements.tobytes()
+        assert np.array(opt.c)[:, k].tobytes() == np.array(one.c).tobytes()
 
 
 def test_batched_channel_rows_equal_the_per_instance_checks(batch):
@@ -64,8 +73,8 @@ def test_batched_channel_rows_equal_the_per_instance_checks(batch):
 
 
 def test_suites_report_the_worst_row(batch):
-    ud_povm = optimal_predictive_povm(batch)
-    rows = verify.ud_residuals(batch, optimal_dual(batch), ud_povm, ud_retro_dual(batch, ud_povm))
+    opt = optimal_dual(batch)
+    rows = verify.ud_residuals(batch, opt, ud_retro_dual(batch, opt))
     suite = {c.name: c.value for c in verify.suite_ud().checks}
     for (name, _), worst in zip(verify.UD_CHECKS, rows.max(axis=0)):
         assert suite[name] == worst
@@ -94,7 +103,7 @@ SWEEP_W2, SWEEP_INSTANCES = verify.floor_sweep()[1]
 BELOW_FLOOR = list(SWEEP_INSTANCES[SWEEP_W2 < 1e-5])
 
 
-@pytest.mark.parametrize("fn", [optimal_dual, optimal_predictive_povm, no_signaling_check])
+@pytest.mark.parametrize("fn", [optimal_dual, no_signaling_check])
 @pytest.mark.parametrize("index", range(len(BELOW_FLOOR)))
 def test_a_batch_with_a_below_floor_instance_fails_like_the_instance(fn, index):
     inst = BELOW_FLOOR[index]
@@ -165,10 +174,10 @@ def test_a_batch_rejects_what_its_instances_reject(alpha, eta):
 def test_a_stack_over_two_leading_axes_gives_the_rows_of_the_flat_grid(batch):
     grid = UdInstance(batch.alpha.reshape(5, -1), batch.eta.reshape(2, 5, -1))
     assert len(grid) == 5 and len(grid[0]) == len(batch) // 5
-    ud_povm = optimal_predictive_povm(grid)
-    rows = verify.ud_residuals(grid, optimal_dual(grid), ud_povm, ud_retro_dual(grid, ud_povm))
-    ud_povm = optimal_predictive_povm(batch)
-    flat = verify.ud_residuals(batch, optimal_dual(batch), ud_povm, ud_retro_dual(batch, ud_povm))
+    opt = optimal_dual(grid)
+    rows = verify.ud_residuals(grid, opt, ud_retro_dual(grid, opt))
+    opt = optimal_dual(batch)
+    flat = verify.ud_residuals(batch, opt, ud_retro_dual(batch, opt))
     assert np.array_equal(rows.reshape(flat.shape), flat, equal_nan=True)
     rows = verify.channel_residuals(grid, no_signaling_check(grid))
     flat = verify.channel_residuals(batch, no_signaling_check(batch))

@@ -11,7 +11,7 @@ from retrodictor.channel import no_signaling_check
 from retrodictor.cli import main
 from retrodictor.formats import parse_ensemble_file, parse_povm_file
 from retrodictor.retrodiction import retro_transform
-from retrodictor.ud import UdInstance, optimal_dual, optimal_predictive_povm
+from retrodictor.ud import UdInstance, optimal_dual
 
 SAMPLES = pathlib.Path(__file__).resolve().parents[1] / "sample_inputs"
 ENSEMBLE = str(SAMPLES / "ud_ensemble.json")
@@ -25,7 +25,7 @@ def _transform_checks():
 
 def _ud_checks(eta1, overlap):
     inst = UdInstance.from_overlap(overlap, (eta1, 1.0 - eta1))
-    return verify.checks_for_ud(inst, optimal_dual(inst), optimal_predictive_povm(inst))
+    return verify.checks_for_ud(inst, optimal_dual(inst))
 
 
 def _channel_checks(eta1, overlap):

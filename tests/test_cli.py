@@ -14,7 +14,7 @@ from retrodictor import cli
 from retrodictor.cli import main
 from retrodictor.ensembles import UNBIASED_TOL, Ensemble, Povm, is_unbiased
 from retrodictor.formats import ensemble_to_payload, povm_to_payload, write_json
-from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_state_vectors
+from retrodictor.ud import UdInstance, optimal_dual, ud_state_vectors
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ def ud_files(tmp_path):
     ens_path = tmp_path / "ensemble.json"
     povm_path = tmp_path / "povm.json"
     write_json(pure_ensemble_payload(ud_state_vectors(inst), inst.eta), str(ens_path))
-    write_json(povm_to_payload(Povm(optimal_predictive_povm(inst).elements)), str(povm_path))
+    write_json(povm_to_payload(Povm(optimal_dual(inst).elements)), str(povm_path))
     return str(ens_path), str(povm_path)
 
 

@@ -19,7 +19,7 @@ from retrodictor.formats import (
     rows_to_matrix,
     write_json,
 )
-from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble, ud_state_vectors
+from retrodictor.ud import UdInstance, optimal_dual, ud_ensemble, ud_state_vectors
 
 
 def test_ensemble_roundtrip_is_bit_exact(tmp_path):
@@ -190,7 +190,7 @@ def test_render_json_is_canonical():
 
 def test_ud_povm_roundtrip(tmp_path):
     inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
-    povm = Povm(optimal_predictive_povm(inst).elements)
+    povm = Povm(optimal_dual(inst).elements)
     path = tmp_path / "udpovm.json"
     write_json(povm_to_payload(povm), str(path))
     loaded = parse_povm_file(str(path))

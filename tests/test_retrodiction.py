@@ -24,7 +24,7 @@ from retrodictor.retrodiction import (
 from retrodictor.sim import joint_probability_table
 from retrodictor.ud import (
     UdInstance,
-    optimal_predictive_povm,
+    optimal_dual,
     retro_basis,
     ud_ensemble,
 )
@@ -66,7 +66,7 @@ def test_predictive_prob_examples():
 
 def test_predictive_prob_ud_condition_is_exact_zero():
     inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
-    povm = Povm(optimal_predictive_povm(inst).elements)
+    povm = Povm(optimal_dual(inst).elements)
     table = born_table(ud_ensemble(inst).matrices, povm.elements, "predictive probability")
     assert table[1, 0] < 1e-15  # Tr(Pi_0 rho_1)
     assert table[0, 1] < 1e-15  # Tr(Pi_1 rho_0)
@@ -100,7 +100,7 @@ def test_outcome_probs_unbiased_projective_is_uniform():
 def test_outcome_probs_optimal_ud_weights():
     # mu_i = eta_i - sqrt(eta_1 eta_2) s = 1/4 at eta = 1/2, s = 1/2; mu_0 = 1/2.
     inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
-    mu = retro_transform(ud_ensemble(inst), Povm(optimal_predictive_povm(inst).elements)).mu
+    mu = retro_transform(ud_ensemble(inst), Povm(optimal_dual(inst).elements)).mu
     assert np.allclose(mu, [0.25, 0.25, 0.5], atol=1e-12)
     with pytest.raises(ValueError):
         mu[0] = 0.0  # read-only, like the rest of the dual
@@ -142,7 +142,7 @@ def test_transform_reduces_to_unbiased_construction():
 
 def test_transform_ud_retro_povm_is_basis_projectors():
     inst = UdInstance(math.pi / 6, (0.6, 0.4))
-    dual = retro_transform(ud_ensemble(inst), Povm(optimal_predictive_povm(inst).elements))
+    dual = retro_transform(ud_ensemble(inst), Povm(optimal_dual(inst).elements))
     basis = retro_basis(inst)
     assert maxabs(dual.povm_stack[0] - outer(basis.vectors[:, 0])) < 1e-12
     assert maxabs(dual.povm_stack[1] - outer(basis.vectors[:, 1])) < 1e-12
@@ -160,7 +160,7 @@ def test_transform_identities_on_random_biased_instance():
 
 def test_symmetric_ud_exclusion_structure():
     inst = UdInstance(math.pi / 6, (0.6, 0.4))
-    dual = retro_transform(ud_ensemble(inst), Povm(optimal_predictive_povm(inst).elements))
+    dual = retro_transform(ud_ensemble(inst), Povm(optimal_dual(inst).elements))
     assert dual.defined.all()
     table = born(dual)
     assert table[0, 1] < 1e-12
@@ -349,6 +349,29 @@ def test_a_bad_source_is_named_as_a_validation_error(states, error):
 @pytest.mark.parametrize("states, error", BAD_SOURCE_CASES)
 def test_the_unbiased_construction_names_a_bad_source_alike(states, error):
     assert _bad_source_error(unbiased_stack, states) == f"validation failed: {error}"
+
+
+# The priors (2, -1) weight diag(0.5, 0.5) and diag(0.9, 0.1) into a valid source, so only
+# the priors' own check names them; the derived retrodictive POVM is not PSD.
+NEGATIVE_PRIOR = np.array([2.0, -1.0])
+PRIOR_STATES = np.array([HALF, np.diag([0.9, 0.1])], dtype=complex)
+
+
+@pytest.mark.parametrize("build", [transform_stack, unbiased_stack])
+def test_a_negative_prior_is_named_as_a_validation_error(build):
+    with pytest.raises(ValidationError) as excinfo:
+        build(NEGATIVE_PRIOR, PRIOR_STATES, PROJECTIVE)
+    assert str(excinfo.value) == "validation failed: priors_nonnegative: negative prior (priors) (residual 1.000e+00)"
+
+
+@pytest.mark.parametrize("build", [transform_stack, unbiased_stack])
+def test_a_negative_prior_of_a_stack_names_its_pair(build):
+    priors = np.array([[0.5, 0.5], NEGATIVE_PRIOR, [0.5, 0.5]])
+    with pytest.raises(ValidationError) as excinfo:
+        build(priors, np.broadcast_to(PRIOR_STATES, (3, 2, 2, 2)), np.broadcast_to(PROJECTIVE, (3, 2, 2, 2)))
+    assert [(v.check, v.message) for v in excinfo.value.violations] == [
+        ("priors_nonnegative", "negative prior (priors[1])")
+    ]
 
 
 # Pair 1 of each stack is at fault: its elements sum to diag(1, 0.5), or one of them has a

@@ -14,7 +14,7 @@ from retrodictor.sim import (
     joint_probability_table,
     sample,
 )
-from retrodictor.ud import UdInstance, optimal_predictive_povm, ud_ensemble
+from retrodictor.ud import UdInstance, optimal_dual, ud_ensemble
 
 
 def orthogonal_setup():
@@ -25,7 +25,7 @@ def orthogonal_setup():
 
 def ud_setup():
     inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
-    return ud_ensemble(inst), Povm(optimal_predictive_povm(inst).elements)
+    return ud_ensemble(inst), Povm(optimal_dual(inst).elements)
 
 
 def test_orthogonal_states_have_zero_cross_counts():

@@ -22,7 +22,7 @@ from retrodictor import verify
 from retrodictor.errors import NumericIntegrityError, SingularOperator
 from retrodictor.formats import ensemble_to_payload, povm_to_payload, write_json
 from retrodictor.retrodiction import retro_transform, transform_stack
-from retrodictor.ud import omega_closed_form, optimal_dual, optimal_predictive_povm
+from retrodictor.ud import omega_closed_form, optimal_dual
 from retrodictor.verify import (
     FLOOR_SWEEP_ABOVE,
     FLOOR_SWEEP_BELOW,
@@ -102,9 +102,7 @@ def test_support_restricted_below_floor_raises_singular(dim, min_eig):
 
 @pytest.mark.parametrize("w2, inst", [c for c in UDS if c[0] >= FLOOR])
 def test_ud_and_channel_above_floor_hold_every_identity(w2, inst):
-    checks = checks_for_ud(
-        inst, optimal_dual(inst), optimal_predictive_povm(inst)
-    ) + checks_for_channel(inst, no_signaling_check(inst))
+    checks = checks_for_ud(inst, optimal_dual(inst)) + checks_for_channel(inst, no_signaling_check(inst))
     assert [c for c in checks if not c.passed] == []
 
 

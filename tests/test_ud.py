@@ -15,9 +15,8 @@ from retrodictor.ud import (
     omega_closed_form,
     omega_in_retro_basis,
     omega_matrix,
+    duality_bridge,
     optimal_dual,
-    optimal_predictive_povm,
-    predictive_success_probability,
     retro_basis,
     retro_basis_closed_form,
     ud_ensemble,
@@ -41,6 +40,13 @@ def test_instance_validation():
         UdInstance(0.3, (0.6, 0.6))
     with pytest.raises(ValidationError):
         UdInstance.from_overlap(1.0, (0.5, 0.5))
+
+
+def test_a_non_finite_prior_sum_is_named_not_warned():
+    # inf + -inf is NaN: it warned while summing the priors, and a NaN sum never flagged eta_sum.
+    with pytest.raises(ValidationError) as excinfo:
+        UdInstance(0.3, (np.inf, -np.inf))
+    assert "eta_sum" in [v.check for v in excinfo.value.violations]
 
 
 def test_angle_conventions():
@@ -280,43 +286,42 @@ def test_tie_priors_hit_no_strict_branch():
 
 def test_predictive_povm_annihilates_wrong_state():
     for inst in (UdInstance(0.3, (0.6, 0.4)), UdInstance.from_overlap(0.8, (0.85, 0.15))):
-        ud_povm = optimal_predictive_povm(inst)
+        opt = optimal_dual(inst)
         psi1, psi2 = ud_state_vectors(inst)
-        p12 = float(np.vdot(psi2, ud_povm.elements[0] @ psi2).real)
-        p21 = float(np.vdot(psi1, ud_povm.elements[1] @ psi1).real)
+        p12 = float(np.vdot(psi2, opt.elements[0] @ psi2).real)
+        p21 = float(np.vdot(psi1, opt.elements[1] @ psi1).real)
         assert abs(p12) < 1e-12
         assert abs(p21) < 1e-12
 
 
 def test_predictive_success_equals_dual_optimum():
     inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
-    ud_povm = optimal_predictive_povm(inst)
-    assert abs(predictive_success_probability(inst, ud_povm) - 0.5) < 1e-10
+    assert abs(duality_bridge(inst, optimal_dual(inst)).sum() - 0.5) < 1e-10
 
 
 def test_clamped_predictive_measurement_ignores_unlikely_state():
-    ud_povm = optimal_predictive_povm(UdInstance.from_overlap(math.sqrt(0.5), (0.9, 0.1)))
-    assert ud_povm.c[1] == 0.0
-    assert abs(ud_povm.c[0] - 1.0) < 1e-12
+    opt = optimal_dual(UdInstance.from_overlap(math.sqrt(0.5), (0.9, 0.1)))
+    assert opt.c[1] == 0.0
+    assert abs(opt.c[0] - 1.0) < 1e-12
 
 
 def test_duality_bridge_mu_equals_predictive_terms():
     inst = UdInstance.from_overlap(0.45, (0.7, 0.3))
     opt = optimal_dual(inst)
-    ud_povm = optimal_predictive_povm(inst)
     psi1, psi2 = ud_state_vectors(inst)
-    term1 = inst.eta[0] * float(np.vdot(psi1, ud_povm.elements[0] @ psi1).real)
-    term2 = inst.eta[1] * float(np.vdot(psi2, ud_povm.elements[1] @ psi2).real)
+    term1 = inst.eta[0] * float(np.vdot(psi1, opt.elements[0] @ psi1).real)
+    term2 = inst.eta[1] * float(np.vdot(psi2, opt.elements[1] @ psi2).real)
     assert abs(term1 - opt.mu1) < 1e-10
     assert abs(term2 - opt.mu2) < 1e-10
-    mu = retro_transform(ud_ensemble(inst), Povm(ud_povm.elements)).mu
+    mu = retro_transform(ud_ensemble(inst), Povm(opt.elements)).mu
     assert abs(mu[0] - opt.mu1) < 1e-10
     assert abs(mu[1] - opt.mu2) < 1e-10
 
 
 def _purity_identification_residuals(inst):
     """Every defined residual of the instance's purity/identification report."""
-    report = verify_purity_identification(inst, optimal_dual(inst), ud_retro_dual(inst))
+    opt = optimal_dual(inst)
+    report = verify_purity_identification(inst, opt, ud_retro_dual(inst, opt))
     values = (
         *report.purity_residuals,
         *report.projector_residuals,
@@ -334,10 +339,10 @@ def test_purity_identification_balanced_instance():
 def test_purity_identification_orthogonal_unbiased_case():
     # s = 0, eta = 1/2: the retro states are the projective detectors themselves.
     inst = UdInstance(math.pi / 4, (0.5, 0.5))
-    dual = ud_retro_dual(inst)
-    ud_povm = optimal_predictive_povm(inst)
+    opt = optimal_dual(inst)
+    dual = ud_retro_dual(inst, opt)
     for j in (0, 1):
-        element = ud_povm.elements[j]
+        element = opt.elements[j]
         expected = element / float(np.trace(element).real)
         assert dual.defined[j]
         assert maxabs(dual.state_stack[j] - expected) < 1e-12
@@ -370,10 +375,10 @@ FAR_ABOVE_FLOOR = [
 def test_small_failure_weight_instance_has_a_dual(inst):
     from retrodictor.verify import checks_for_ud
 
-    ud_povm = optimal_predictive_povm(inst)
-    dual = ud_retro_dual(inst, ud_povm)
+    opt = optimal_dual(inst)
+    dual = ud_retro_dual(inst, opt)
     assert dual.defined[2]
-    assert all(c.passed for c in checks_for_ud(inst, optimal_dual(inst), ud_povm))
+    assert all(c.passed for c in checks_for_ud(inst, opt))
 
 
 def test_ud_command_far_above_the_floor_succeeds(tmp_path):
@@ -386,10 +391,10 @@ def test_ud_command_far_above_the_floor_succeeds(tmp_path):
 @pytest.mark.parametrize("eta1", [0.5, 0.6, 0.9, 0.98, 0.1])
 def test_failure_element_is_the_remainder_and_transforms(s, eta1):
     inst = UdInstance.from_overlap(s, (eta1, 1.0 - eta1))
-    ud_povm = optimal_predictive_povm(inst)
-    pi1, pi2, pi0 = ud_povm.elements
+    opt = optimal_dual(inst)
+    pi1, pi2, pi0 = opt.elements
     assert maxabs(pi0 - (np.eye(2) - pi1 - pi2)) < 1e-15
-    ud_retro_dual(inst, ud_povm)  # validates rho_0^ret
+    ud_retro_dual(inst, opt)  # validates rho_0^ret
 
 
 # Overlaps from 0 to 0.99, dense towards orthogonal states, against priors in
@@ -411,7 +416,7 @@ def test_every_valid_instance_above_the_floor_passes_the_ud_and_channel_checks()
         for eta1 in SWEEP_ETA1:
             try:
                 inst = UdInstance.from_overlap(s, (eta1, 1.0 - eta1))
-                checks = checks_for_ud(inst, optimal_dual(inst), optimal_predictive_povm(inst))
+                checks = checks_for_ud(inst, optimal_dual(inst))
                 checks += checks_for_channel(inst, no_signaling_check(inst))
             except ValidationError as exc:
                 failures.append((s, eta1, str(exc)))

@@ -165,7 +165,7 @@ UD_INSTANCES = [
 @pytest.mark.parametrize("inst", UD_INSTANCES)
 def test_ud_checks_build_one_retro_basis(monkeypatch, inst):
     calls = count_calls(monkeypatch, ud, "retro_basis")
-    checks_for_ud(inst, ud.optimal_dual(inst), ud.optimal_predictive_povm(inst))
+    checks_for_ud(inst, ud.optimal_dual(inst))
     assert len(calls) == 1
 
 
@@ -179,7 +179,7 @@ def test_channel_checks_build_one_retro_basis(monkeypatch, inst):
 @pytest.mark.parametrize("inst", UD_INSTANCES)
 def test_ud_checks_diagonalise_the_source_once(monkeypatch, inst):
     count = omega_diagonalisations(monkeypatch)
-    checks_for_ud(inst, ud.optimal_dual(inst), ud.optimal_predictive_povm(inst))
+    checks_for_ud(inst, ud.optimal_dual(inst))
     assert count() == 1
 
 
