@@ -1,5 +1,9 @@
 """Seeded Monte Carlo sampling of the prepare-and-measure channel.
 
+`sample` builds the pair's joint table p[i, j] = eta_i Tr(Pi_j rho_i) once,
+draws the counts from it, and returns the counts carrying that table
+(read-only); `empirical_report(counts, ensemble)` compares the counts with it.
+
 Counts are sampled with the counter-based Philox 4x64 generator in
 fixed-size shards.  Each shard's stream is keyed by the 128-bit Philox key
 whose low word is the seed and whose high word is the shard index.  Seeds are
@@ -20,6 +24,7 @@ between releases.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,19 +39,24 @@ SHARD_SIZE = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class SampleCounts:
-    """Joint tallies N[i][j] of (prepared i, outcome j), with provenance."""
+    """Joint tallies N[i][j] of (prepared i, outcome j), the joint table they were drawn from, and provenance."""
 
     n_total: int
     counts: np.ndarray
     seed: int
+    table: np.ndarray
     rng_algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64).copy()
+        counts = np.array(self.counts, dtype=np.int64)
+        table = np.array(self.table, dtype=np.float64)
+        if counts.shape != table.shape:
+            raise ValueError(f"counts shape {counts.shape} does not match table shape {table.shape}")
         if int(counts.sum()) != self.n_total:
             raise ValueError("counts do not sum to n_total")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        for name, array in (("counts", counts), ("table", table)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def row_totals(self) -> np.ndarray:
@@ -65,19 +75,17 @@ def joint_probability_table(ensemble: Ensemble, povm: Povm) -> np.ndarray:
     return table
 
 
-def sample(
-    ensemble: Ensemble, povm: Povm, n: int, seed: int, table: np.ndarray | None = None
-) -> SampleCounts:
-    """Sample the joint counts of n pairs; bit-reproducible for fixed inputs and seed.
-
-    table, if given, is the pair's joint_probability_table, already built.
-    """
+def sample(ensemble: Ensemble, povm: Povm, n: int, seed: int) -> SampleCounts:
+    """Sample the joint counts of n pairs from their joint table; bit-reproducible for fixed inputs and seed."""
+    try:
+        n, seed = operator.index(n), operator.index(seed)
+    except TypeError as exc:
+        raise ValueError(f"n and seed must be integers: {exc}") from None
     if n < 1:
         raise ValueError("n must be >= 1")
     if not -(1 << 63) <= seed < 1 << 63:
         raise ValueError(f"seed {seed} is outside the signed 64-bit range [-2**63, 2**63)")
-    if table is None:
-        table = joint_probability_table(ensemble, povm)
+    table = joint_probability_table(ensemble, povm)
     # Only positive cells take part, so a structural zero can never receive
     # the multinomial's last-category remainder.  Validation lets the table
     # sum to 1 within ~1e-10, which numpy's multinomial rejects (beyond
@@ -86,7 +94,7 @@ def sample(
     p = table.reshape(-1)[live]
     p /= p.sum()
     flat = np.zeros(table.size, dtype=np.int64)
-    seed_word = int(seed) & 0xFFFFFFFFFFFFFFFF  # low 64-bit word of the Philox key
+    seed_word = seed & 0xFFFFFFFFFFFFFFFF  # low 64-bit word of the Philox key
     n_shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
     # One generator, reset to each shard's stream start (counter 0, empty
     # buffer): the state of a fresh Philox(key=seed_word | shard << 64), which
@@ -99,7 +107,7 @@ def sample(
         start["state"]["key"][1] = shard
         bits.state = start
         flat[live] += rng.multinomial(m, p)
-    return SampleCounts(n, flat.reshape(table.shape), seed)
+    return SampleCounts(n, flat.reshape(table.shape), seed, table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,80 +134,39 @@ class StatTable:
         mask = self.defined & (self.deviation > self.bound_3sigma)
         return [tuple(int(k) for k in idx) for idx in np.argwhere(mask)]
 
-    @property
-    def all_within(self) -> bool:
-        return not self.violations()
 
+def _stat_table(label: str, hits, trials, p, given) -> StatTable:
+    """The estimates hits / trials of the probabilities p / given, each bounded by STAT_SIGMAS binomial deviations.
 
-def _three_sigma(p: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    The arguments broadcast together.  A cell is defined where its
+    conditioning event occurred in the sample and has positive probability;
+    its bound is infinite where the event never occurred.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        var = p * (1.0 - p) / trials
-    return STAT_SIGMAS * np.sqrt(np.where(trials > 0, var, np.inf))
+        analytic = np.where(given > 0, p / given, 0.0)
+        empirical = np.where(trials > 0, hits / trials, 0.0)
+        var = analytic * (1.0 - analytic) / trials
+    bound = STAT_SIGMAS * np.sqrt(np.where(trials > 0, var, np.inf))
+    return StatTable(label, empirical, analytic, bound, np.broadcast_to((trials > 0) & (given > 0), analytic.shape))
 
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalReport:
     """Sampled estimates of the outcome, predictive, and retrodictive probabilities."""
 
-    counts: SampleCounts
     outcome: StatTable
     predictive: StatTable
     retrodictive: StatTable
 
-    @property
-    def all_within(self) -> bool:
-        return self.outcome.all_within and self.predictive.all_within and self.retrodictive.all_within
 
-
-def empirical_report(
-    counts: SampleCounts, ensemble: Ensemble, povm: Povm, table: np.ndarray | None = None
-) -> EmpiricalReport:
-    """Compare empirical frequencies from the counts with the analytic values.
-
-    table, if given, is the pair's joint_probability_table, already built.
-    """
-    if table is None:
-        table = joint_probability_table(ensemble, povm)
-    if counts.counts.shape != table.shape:
-        raise ValueError(
-            f"counts shape {counts.counts.shape} does not match instance shape {table.shape}"
-        )
-    n = counts.n_total
-    joint = counts.counts.astype(np.float64)
-    rows = counts.row_totals.astype(np.float64)
-    cols = counts.column_totals.astype(np.float64)
-
+def empirical_report(counts: SampleCounts, ensemble: Ensemble) -> EmpiricalReport:
+    """Compare the empirical frequencies of the counts with the joint table they carry."""
+    table = counts.table
+    if len(ensemble) != len(table):
+        raise ValueError(f"the ensemble has {len(ensemble)} states but the counts have {len(table)} rows")
     mu = table.sum(axis=0)
-    mu_hat = cols / n
-    outcome = StatTable(
-        "outcome",
-        mu_hat,
-        mu,
-        _three_sigma(mu, np.full_like(mu, float(n))),
-        np.ones_like(mu, dtype=bool),
+    return EmpiricalReport(
+        _stat_table("outcome", counts.column_totals, counts.n_total, mu, 1.0),
+        _stat_table("predictive", counts.counts, counts.row_totals[:, None], table, ensemble.priors[:, None]),
+        _stat_table("retrodictive", counts.counts, counts.column_totals, table, mu),
     )
-
-    eta = np.asarray(ensemble.priors)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        predictive_analytic = np.where(eta[:, None] > 0, table / eta[:, None], 0.0)
-        predictive_hat = np.where(rows[:, None] > 0, joint / rows[:, None], 0.0)
-    predictive = StatTable(
-        "predictive",
-        predictive_hat,
-        predictive_analytic,
-        _three_sigma(predictive_analytic, np.broadcast_to(rows[:, None], table.shape)),
-        np.broadcast_to(rows[:, None] > 0, table.shape).copy(),
-    )
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        retro_analytic = np.where(mu[None, :] > 0, table / mu[None, :], 0.0)
-        retro_hat = np.where(cols[None, :] > 0, joint / cols[None, :], 0.0)
-    retro_defined = np.broadcast_to((cols[None, :] > 0) & (mu[None, :] > 0), table.shape).copy()
-    retrodictive = StatTable(
-        "retrodictive",
-        retro_hat,
-        retro_analytic,
-        _three_sigma(retro_analytic, np.broadcast_to(cols[None, :], table.shape)),
-        retro_defined,
-    )
-    return EmpiricalReport(counts, outcome, predictive, retrodictive)

@@ -351,18 +351,16 @@ def _validated_group(priors, states, elements) -> tuple[np.ndarray, np.ndarray, 
     return priors, states, elements
 
 
-def random_corpus(
-    seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE, dims: tuple[int, ...] = CORPUS_DIMS
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def random_corpus(seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Seeded pairs clearing MIN_OMEGA_EIG and MIN_MU, as shape groups of stacked (priors, states, elements).
 
-    The slots' dimensions cycle through dims.  Each shape (n, m, d) draws as
-    many candidates as it has slots left, as one block of priors and states
-    and one of POVMs, and keeps those that clear the floors, until its slots
-    are filled.
+    The slots' dimensions cycle through CORPUS_DIMS.  Each shape (n, m, d)
+    draws as many candidates as it has slots left, as one block of priors and
+    states and one of POVMs, and keeps those that clear the floors, until its
+    slots are filled.
     """
     rng = _rng(seed)
-    shapes = _slots_by_shape(rng, [dims[k % len(dims)] for k in range(count)])
+    shapes = _slots_by_shape(rng, [CORPUS_DIMS[k % len(CORPUS_DIMS)] for k in range(count)])
     groups = []
     for (n_states, n_elements, dim), ks in shapes.items():
         kept, slots = [], len(ks)
@@ -550,7 +548,7 @@ def suite_simulate(seed: int = 42, n: int = 10**6) -> SuiteResult:
     identical = float(not np.array_equal(counts.counts, rerun.counts))
     structural = float(counts.counts[0, 1] + counts.counts[1, 0])
     mu0_dev = abs(float(counts.column_totals[2]) / n - 0.5)
-    report = empirical_report(counts, ensemble, povm)
+    report = empirical_report(counts, ensemble)
     retro_violations = float(len(report.retrodictive.violations()))
     return SuiteResult(
         "simulate",

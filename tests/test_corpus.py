@@ -100,9 +100,10 @@ def test_rejected_draws_leave_the_corpus_as_they_leave_the_per_pair_draws(monkey
     assert_same_groups(verify.random_corpus(verify.DEFAULT_SEED, 60), expected)
 
 
-def test_a_corpus_in_one_dimension_equals_its_per_pair_draws():
+def test_a_corpus_in_one_dimension_equals_its_per_pair_draws(monkeypatch):
+    monkeypatch.setattr(verify, "CORPUS_DIMS", (3,))
     expected, _ = reference_corpus(21, 6, dims=(3,))
-    assert_same_groups(verify.random_corpus(21, 6, dims=(3,)), expected)
+    assert_same_groups(verify.random_corpus(21, 6), expected)
 
 
 def test_the_per_pair_view_lists_the_pairs_group_by_group():

@@ -98,11 +98,36 @@ def test_sample_rejects_bad_n():
     ensemble, povm = orthogonal_setup()
     with pytest.raises(ValueError):
         sample(ensemble, povm, 0, seed=1)
+    with pytest.raises(ValueError, match="integers"):
+        sample(ensemble, povm, 1000.0, seed=1)
+
+
+def test_a_seed_that_is_not_an_integer_raises():
+    # Truncating a float seed made 1.5 and 1.9 draw seed 1's stream.
+    ensemble, povm = ud_setup()
+    for seed in (1.5, np.float64(1.9), "7"):
+        with pytest.raises(ValueError, match="integers"):
+            sample(ensemble, povm, 1000, seed)
+    counts = sample(ensemble, povm, 1000, np.int64(7))
+    assert counts.seed == 7 and type(counts.seed) is int
+    assert np.array_equal(counts.counts, sample(ensemble, povm, 1000, 7).counts)
 
 
 def test_sample_counts_consistency_enforced():
+    with pytest.raises(ValueError, match="n_total"):
+        SampleCounts(10, np.array([[1, 2], [3, 5]]), 0, np.full((2, 2), 0.25))
+    with pytest.raises(ValueError, match="shape"):
+        SampleCounts(11, np.array([[1, 2], [3, 5]]), 0, np.full((2, 3), 1.0 / 6.0))
+
+
+def test_the_counts_carry_the_joint_table_read_only():
+    ensemble, povm = ud_setup()
+    counts = sample(ensemble, povm, 1000, seed=1)
+    expected = joint_probability_table(ensemble, povm)
+    assert counts.table.dtype == expected.dtype and counts.table.tobytes() == expected.tobytes()
+    assert not counts.table.flags.writeable and not counts.counts.flags.writeable
     with pytest.raises(ValueError):
-        SampleCounts(10, np.array([[1, 2], [3, 5]]), seed=0)
+        counts.table[0, 0] = 0.5
 
 
 def test_joint_table_matches_born_rule():
@@ -121,7 +146,7 @@ def test_joint_table_matches_born_rule():
 def test_empirical_report_exact_zero_cells():
     ensemble, povm = ud_setup()
     counts = sample(ensemble, povm, 10**5, seed=9)
-    report = empirical_report(counts, ensemble, povm)
+    report = empirical_report(counts, ensemble)
     assert report.predictive.empirical[0, 1] == 0.0
     assert report.predictive.analytic[0, 1] == 0.0
     assert report.retrodictive.empirical[1, 0] == 0.0
@@ -133,14 +158,14 @@ def test_empirical_report_within_3sigma_random_d3():
     ensemble = random_ensemble(rng, 3, 3)
     povm = random_povm(rng, 3, 3)
     counts = sample(ensemble, povm, 10**6, seed=77)
-    report = empirical_report(counts, ensemble, povm)
-    assert report.all_within
+    report = empirical_report(counts, ensemble)
+    assert not any(table.violations() for table in (report.outcome, report.predictive, report.retrodictive))
 
 
 def test_empirical_retrodictive_matches_symmetric_born_rule():
     ensemble, povm = ud_setup()
     counts = sample(ensemble, povm, 10**6, seed=31)
-    report = empirical_report(counts, ensemble, povm)
+    report = empirical_report(counts, ensemble)
     dual = retro_transform(ensemble, povm)
     assert dual.defined.all()
     born = born_table(dual.povm_stack, dual.state_stack, "retrodictive probability")
@@ -157,9 +182,9 @@ def test_empirical_retrodictive_matches_symmetric_born_rule():
 def test_empirical_report_rejects_mismatched_counts():
     ensemble, povm = ud_setup()
     counts = sample(ensemble, povm, 1000, seed=1)
-    other_ensemble, other_povm = orthogonal_setup()
-    with pytest.raises(ValueError):
-        empirical_report(counts, other_ensemble, other_povm)
+    one_state = Ensemble((np.diag([1.0, 0.0]),), np.array([1.0]))
+    with pytest.raises(ValueError, match="1 states but the counts have 2 rows"):
+        empirical_report(counts, one_state)
 
 
 def test_three_sigma_violation_rate_is_small():
@@ -169,7 +194,7 @@ def test_three_sigma_violation_rate_is_small():
     cells = 0
     for k in range(100):
         counts = sample(ensemble, povm, 10**5, seed=5000 + k)
-        report = empirical_report(counts, ensemble, povm)
+        report = empirical_report(counts, ensemble)
         for table in (report.outcome, report.predictive, report.retrodictive):
             violations += len(table.violations())
             cells += int(table.defined.sum())
