@@ -92,8 +92,7 @@ class NoSignalingReport:
     max_residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        res = linalg.maxabs_each(self.reduced_a - self.tilde_a)[()]
-        object.__setattr__(self, "max_residual", res)
+        object.__setattr__(self, "max_residual", linalg.maxabs_each(self.reduced_a - self.tilde_a))
 
 
 def no_signaling_check(

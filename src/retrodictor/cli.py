@@ -97,10 +97,11 @@ def _base_doc(command: str) -> dict:
 
 
 def _instance_from_args(args) -> UdInstance:
-    eta = (args.eta1, 1.0 - args.eta1)
+    """The command's instance, as a stack of one."""
+    eta = [[args.eta1], [1.0 - args.eta1]]
     if args.overlap is not None:
-        return UdInstance.from_overlap(args.overlap, eta)
-    return UdInstance(args.alpha, eta)
+        return UdInstance.from_overlap([args.overlap], eta)
+    return UdInstance([args.alpha], eta)
 
 
 def cmd_transform(args) -> int:
@@ -135,35 +136,31 @@ def cmd_ud(args) -> int:
     opt = optimal_dual(inst)
     cf = omega_closed_form(inst)
     checks = list(checks_for_ud(inst, opt))
+    (e1,), (e2,) = inst.eta
     doc = _base_doc("ud")
-    doc["inputs"] = {
-        "alpha": inst.alpha,
-        "eta": [inst.eta[0], inst.eta[1]],
-        "overlap": inst.s,
-        "theta": inst.theta,
-    }
+    doc["inputs"] = {"alpha": inst.alpha[0], "eta": [e1, e2], "overlap": inst.s[0], "theta": inst.theta[0]}
     doc["derived"] = {
-        "regime": opt.regime,
-        "mu": [opt.mu1, opt.mu2, opt.mu0],
-        "p_success": opt.p_success,
-        "omega": matrix_to_rows(omega_matrix(inst)),
-        "omega_in_retro_basis": matrix_to_rows(omega_in_retro_basis(inst)),
-        "omega_eigenvalues": [cf.w1, cf.w2],
-        "omega_angle": cf.omega_angle,
+        "regime": opt.regime[0],
+        "mu": [opt.mu1[0], opt.mu2[0], opt.mu0[0]],
+        "p_success": opt.p_success[0],
+        "omega": matrix_to_rows(omega_matrix(inst)[0]),
+        "omega_in_retro_basis": matrix_to_rows(omega_in_retro_basis(inst)[0]),
+        "omega_eigenvalues": [cf.w1[0], cf.w2[0]],
+        "omega_angle": cf.omega_angle[0],
         "retro_basis": {
-            "phi1": matrix_to_rows(opt.basis.vectors[:, 0]),
-            "phi2": matrix_to_rows(opt.basis.vectors[:, 1]),
+            "phi1": matrix_to_rows(opt.basis.vectors[0, :, 0]),
+            "phi2": matrix_to_rows(opt.basis.vectors[0, :, 1]),
         },
-        "rho0_ret": matrix_to_rows(opt.rho0),
+        "rho0_ret": matrix_to_rows(opt.rho0[0]),
         "predictive_povm": {
-            "c": [opt.c[0], opt.c[1]],
-            "elements": matrix_to_rows(opt.elements),
+            "c": [opt.c[0][0], opt.c[1][0]],
+            "elements": matrix_to_rows(opt.elements[0]),
         },
     }
     if args.grid_check is not None:
-        g1, g2, pg = brute_force_dual(inst, args.grid_check)
+        (g1,), (g2,), (pg,) = brute_force_dual(inst, args.grid_check)
         doc["derived"]["grid_check"] = {"step": args.grid_check, "mu": [g1, g2], "p_success": pg}
-        checks.append(Check("grid-oracle-deviation", abs(pg - opt.p_success), GRID_ORACLE_STEPS * args.grid_check))
+        checks.append(Check("grid-oracle-deviation", abs(pg - opt.p_success[0]), GRID_ORACLE_STEPS * args.grid_check))
     return _finish(doc, checks, args.out)
 
 
@@ -171,17 +168,14 @@ def cmd_channel(args) -> int:
     inst = _instance_from_args(args)
     report = no_signaling_check(inst)
     checks = checks_for_channel(inst, report)
+    (e1,), (e2,) = inst.eta
     doc = _base_doc("channel")
-    doc["inputs"] = {
-        "alpha": inst.alpha,
-        "eta": [inst.eta[0], inst.eta[1]],
-        "overlap": inst.s,
-    }
+    doc["inputs"] = {"alpha": inst.alpha[0], "eta": [e1, e2], "overlap": inst.s[0]}
     doc["derived"] = {
-        "symmetric_state": matrix_to_rows(report.amplitudes),
-        "rho_a": matrix_to_rows(report.reduced_a),
-        "rho_a_tilde": matrix_to_rows(report.tilde_a),
-        "rho_b": matrix_to_rows(report.reduced_b),
+        "symmetric_state": matrix_to_rows(report.amplitudes[0]),
+        "rho_a": matrix_to_rows(report.reduced_a[0]),
+        "rho_a_tilde": matrix_to_rows(report.tilde_a[0]),
+        "rho_b": matrix_to_rows(report.reduced_b[0]),
     }
     return _finish(doc, checks, args.out)
 

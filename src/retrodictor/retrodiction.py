@@ -121,7 +121,7 @@ class RetroDual:
     floor, so conditioning on j is rejected rather than divided by ~0), the
     click probabilities mu (..., m) of the POVM against the source
     omega_matrix (..., d, d), and a support-restricted transform's
-    completeness target sum_target.  For one pair the residuals are floats.
+    completeness target sum_target.  The residuals carry the same leading axes.
     """
 
     povm_stack: np.ndarray
@@ -140,17 +140,17 @@ class RetroDual:
     def completeness_residual(self):
         """Max-abs residual of sum_i Pi_i^ret against the identity (or the support's sum_target)."""
         target = np.eye(self.povm_stack.shape[-1]) if self.sum_target is None else self.sum_target
-        return linalg.maxabs_each(self.povm_stack.sum(axis=-3) - target)[()]
+        return linalg.maxabs_each(self.povm_stack.sum(axis=-3) - target)
 
     def trace_residual(self):
         """Worst |Tr(rho_j^ret) - 1| over the defined retrodictive states."""
         traces = np.trace(self.state_stack, axis1=-2, axis2=-1).real
-        return np.where(self.defined, np.abs(traces - 1.0), 0.0).max(axis=-1)[()]
+        return np.where(self.defined, np.abs(traces - 1.0), 0.0).max(axis=-1)
 
     def source_residual(self):
         """Max-abs residual of sum_j mu_j rho_j^ret against the source function."""
         total = (self.mu[..., None, None] * self.state_stack).sum(axis=-3)
-        return linalg.maxabs_each(total - self.omega_matrix)[()]
+        return linalg.maxabs_each(total - self.omega_matrix)
 
 
 def _source(priors: np.ndarray, states: np.ndarray, elements: np.ndarray, decompose: bool = False):

@@ -11,13 +11,12 @@ through the generic transform machinery.  The tests hold the two against each
 other; an independent grid search over the feasible (mu_1, mu_2) region backs
 the optimal success probability.
 
-A UdInstance holds one instance or a stack of them over leading axes (...),
-and the closed forms, constructions and the grid oracle are array-valued:
-their results carry the same leading axes, from one pass of the same code
-(stacked eigendecompositions, each derived stack validated once).  For one
-instance the results have no leading axes.  Each result is its validated
-arrays; the per-instance entry point ud_ensemble raises ValueError on a
-stack.
+A UdInstance is a stack of instances over leading axes (...); one instance
+is a stack of one, shape (1,).  The closed forms, constructions and the grid
+oracle are array-valued: their results carry the same leading axes, from one
+pass of the same code (stacked eigendecompositions, each derived stack
+validated once).  Each result is its validated arrays; ud_ensemble, which
+builds one Ensemble, raises ValueError on a stack of more than one instance.
 
 The grid oracle scans a coarse subsample of its grid first, then the full
 grid only in the window where the concave feasibility bound leaves room for
@@ -76,8 +75,8 @@ def _require_valid(alpha, e1, e2) -> None:
 
 
 # libm acos and pow, elementwise: np.arccos and np.power differ from them in the last
-# bit at some inputs (overlap 0.5 among them), which would move the reported angles,
-# and would give a stack other bits than its instances, which are NumPy scalars.
+# bit at some inputs (overlap 0.5 among them), which would move the reported angles.
+# One libm call per element also gives a stack its slices' bits on any SIMD build.
 _acos = np.vectorize(math.acos, otypes=[float])
 _pow = np.vectorize(math.pow, otypes=[float])
 
@@ -87,8 +86,8 @@ class UdInstance:
     """Two equally-shaped real qubit states with priors (eta_1, eta_2), over leading axes.
 
     alpha has shape (...) and eta shape (2, ...), so e1, e2 = x.eta reads the
-    priors of one instance or of a stack alike; one instance holds NumPy
-    scalars.  Indexing a stack gives its instances along the first axis.
+    priors of every instance; one instance is a stack of one, shape (1,).
+    Indexing a stack gives its instances along the first axis.
     """
 
     alpha: np.ndarray
@@ -102,7 +101,7 @@ class UdInstance:
         _require_valid(alpha, *eta)
         for name, values in (("alpha", alpha), ("eta", eta)):
             values.setflags(write=False)
-            object.__setattr__(self, name, values[()])
+            object.__setattr__(self, name, values)
 
     @classmethod
     def from_overlap(cls, overlap, eta) -> "UdInstance":
@@ -120,8 +119,6 @@ class UdInstance:
 
     def __getitem__(self, index) -> "UdInstance":
         """The instances at index along the first axis."""
-        if np.ndim(self.alpha) == 0:
-            raise TypeError("one UdInstance is not a stack")
         return UdInstance(self.alpha[index], self.eta[:, index])
 
     @property
@@ -132,24 +129,16 @@ class UdInstance:
     @property
     def theta(self) -> np.ndarray:
         """Overlap angle: cos(theta) = s."""
-        return _acos(self.s)[()]
+        return _acos(self.s)
 
     @property
     def eta_max(self) -> np.ndarray:
         return np.maximum(*self.eta)
 
 
-def _one(x: UdInstance) -> UdInstance:
-    """x, which must be one instance: a stack raises ValueError."""
-    if np.ndim(x.alpha):
-        raise ValueError(f"UdInstance of shape {np.shape(x.alpha)} is a stack, not one instance")
-    return x
-
-
 def _mat2(a, b, c, d) -> np.ndarray:
     """The 2 x 2 matrices [[a, b], [c, d]] from entries of one shape: (..., 2, 2)."""
-    out = np.array([[a, b], [c, d]])
-    return out if out.ndim == 2 else np.moveaxis(out, (0, 1), (-2, -1)).copy()
+    return np.moveaxis(np.array([[a, b], [c, d]]), (0, 1), (-2, -1)).copy()
 
 
 def _eta(x: UdInstance) -> np.ndarray:
@@ -164,8 +153,10 @@ def ud_state_vectors(x: UdInstance) -> np.ndarray:
 
 
 def ud_ensemble(x: UdInstance) -> Ensemble:
-    """The two input states cos(alpha)|0> +- sin(alpha)|1> as projectors, with priors eta."""
-    return Ensemble(linalg.outer(ud_state_vectors(_one(x))), x.eta)
+    """The two input states cos(alpha)|0> +- sin(alpha)|1> of x's one instance as projectors, with priors eta."""
+    if x.alpha.size != 1:
+        raise ValueError(f"ud_ensemble takes one instance, not a stack of {x.alpha.size}")
+    return Ensemble(linalg.outer(ud_state_vectors(x).reshape(2, 2)), x.eta.reshape(2))
 
 
 def omega_matrix(x: UdInstance) -> np.ndarray:
@@ -312,7 +303,7 @@ def _optimal_mu(x: UdInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first = e1 >= e2
     mu1 = np.where(clamped, np.where(first, mu_max, 0.0), e1 - cross)
     mu2 = np.where(clamped, np.where(first, 0.0, mu_max), e2 - cross)
-    return mu1[()], mu2[()], np.where(clamped, "clamped", "interior")[()]
+    return mu1, mu2, np.where(clamped, "clamped", "interior")
 
 
 def optimal_dual(x: UdInstance) -> DualOptimum:
@@ -360,7 +351,7 @@ def optimal_dual(x: UdInstance) -> DualOptimum:
     pi0 = linalg.outer(np.moveaxis(v, 0, -1))
     elements = np.concatenate([conclusive, pi0[..., None, :, :]], axis=-3)
     validate_povm_stack(elements, "predictive POVM").raise_if_failed()
-    c = (c[..., 0][()], c[..., 1][()])
+    c = (c[..., 0], c[..., 1])
     return DualOptimum(mu1, mu2, mu0, _frozen(rho0), mu1 + mu2, regime, basis, _frozen(elements), c)
 
 
@@ -398,7 +389,7 @@ def _chunks(sizes, budget):
 
 
 def brute_force_dual(x: UdInstance, grid_step: float):
-    """Grid-search oracle for the dual optimum: (mu_1, mu_2, mu_1 + mu_2), floats or arrays over x's axes.
+    """Grid-search oracle for the dual optimum: (mu_1, mu_2, mu_1 + mu_2), each an array over x's axes.
 
     Scans mu_1 on the grid k * grid_step <= eta_1 and pairs it with the
     largest grid mu_2 keeping the source remainder PSD (non-negative
@@ -453,10 +444,7 @@ def brute_force_dual(x: UdInstance, grid_step: float):
         peak = np.maximum.reduceat(total, offsets)
         at = np.minimum.reduceat(np.where(total == peak[run], np.arange(total.size), total.size), offsets)
         best[:, scan[part]] = mu1[at], mu2[at], total[at]
-    shape = np.shape(x.alpha)
-    if not shape:
-        return tuple(float(v) for v in best[:, 0])
-    return tuple(v.reshape(shape) for v in best)
+    return tuple(v.reshape(x.alpha.shape) for v in best)
 
 
 def duality_bridge(x: UdInstance, opt: DualOptimum) -> np.ndarray:
@@ -520,5 +508,5 @@ def verify_purity_identification(
         where_defined(purity),
         where_defined(linalg.maxabs_each(states - projectors)),
         where_defined(linalg.maxabs_each(states - linalg.outer(vec))),
-        np.abs(np.linalg.det(source_remainder(x, opt.mu1, opt.mu2)))[()],
+        np.abs(np.linalg.det(source_remainder(x, opt.mu1, opt.mu2))),
     )

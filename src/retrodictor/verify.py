@@ -9,9 +9,10 @@ classification, branch continuity, spot values).
 
 Every identity family is array-valued: `transform_residuals`,
 `ud_residuals` and `channel_residuals` give one row of their check table's
-values per instance, for one instance (what the `checks_for_*` functions
-report) or for a whole stack.  The seeded inputs come from one block drawer
-on the sampler's counter-based generator, so suite runs are reproducible:
+values per instance of a stack; the `checks_for_*` functions report the row
+of their one instance, which for UD is a stack of one.  The seeded inputs
+come from one block drawer on the sampler's counter-based generator, so
+suite runs are reproducible:
 each corpus draws its slots' state and outcome counts as one block, groups
 the slots by shape (n, m, d), and draws each input kind of a shape as one
 block (priors and states, POVMs, unitaries, the floor sweep's spectra and
@@ -163,7 +164,11 @@ def _max_defined(values: np.ndarray) -> np.ndarray:
 
 
 def _checks(table, values) -> tuple[Check, ...]:
-    return tuple(Check(name, value, tol) for (name, tol), value in zip(table, values))
+    """The table's checks at one row of values (under leading axes of size one)."""
+    rows = np.reshape(values, (-1, len(table)))
+    if len(rows) != 1:
+        raise ValueError(f"checks take one instance, not a stack of {len(rows)}")
+    return tuple(Check(name, value, tol) for (name, tol), value in zip(table, rows[0]))
 
 
 def _worst(table, rows: np.ndarray) -> tuple[Check, ...]:
@@ -240,14 +245,14 @@ def ud_residuals(x: UdInstance, opt: DualOptimum, dual) -> np.ndarray:
 
 
 def checks_for_ud(inst: UdInstance, opt: DualOptimum) -> tuple[Check, ...]:
-    """Retro-basis, source-spectrum, purity and duality identities of one UD instance.
+    """Retro-basis, source-spectrum, purity and duality identities of one UD instance, a stack of one.
 
     opt is the instance's optimal_dual, which every caller has already built.
     The instance is transformed through retro_transform, the one-pair entry
     point that perfbench traces as the transform layer (ud_retro_dual of a
     stack is the same transform_stack without it).
     """
-    dual = retro_transform(ud_ensemble(inst), Povm(opt.elements))
+    dual = retro_transform(ud_ensemble(inst), Povm(opt.elements.reshape(3, 2, 2)))
     return _checks(UD_CHECKS, ud_residuals(inst, opt, dual))
 
 
@@ -282,7 +287,7 @@ def channel_residuals(x: UdInstance, report: NoSignalingReport) -> np.ndarray:
 
 
 def checks_for_channel(inst: UdInstance, report: NoSignalingReport) -> tuple[Check, ...]:
-    """Swap symmetry, reduced states, no-signaling and basis-change identities of one channel.
+    """Swap symmetry, reduced states, no-signaling and basis-change identities of one channel, a stack of one.
 
     report is the instance's no_signaling_check at the optimal weights.
     """
@@ -512,10 +517,8 @@ def suite_ud() -> SuiteResult:
         clamped = eta_max * (1.0 - float(s) ** 2)
         worst_continuity = max(worst_continuity, abs(interior - clamped))
 
-    spot_even = abs(optimal_dual(UdInstance.from_overlap(0.5, (0.5, 0.5))).p_success - 0.5)
-    spot_clamped = abs(
-        optimal_dual(UdInstance.from_overlap(math.sqrt(0.5), (0.9, 0.1))).p_success - 0.45
-    )
+    spot = optimal_dual(UdInstance.from_overlap([0.5, math.sqrt(0.5)], [[0.5, 0.9], [0.5, 0.1]]))
+    spot_even, spot_clamped = np.abs(spot.p_success - [0.5, 0.45])
 
     return SuiteResult(
         "ud",
@@ -538,9 +541,9 @@ def suite_channel() -> SuiteResult:
 
 def suite_simulate(seed: int = 42, n: int = 10**6) -> SuiteResult:
     """Monte Carlo reproducibility and statistical agreement on the UD instance."""
-    inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
+    inst = UdInstance.from_overlap([0.5], [[0.5], [0.5]])
     ensemble = ud_ensemble(inst)
-    povm = Povm(optimal_dual(inst).elements)
+    povm = Povm(optimal_dual(inst).elements[0])
     start = time.perf_counter()
     counts = sample(ensemble, povm, n, seed)
     elapsed = time.perf_counter() - start
@@ -579,12 +582,12 @@ def suite_failure_modes() -> SuiteResult:
     expect(
         "alpha-to-zero-raises-singular",
         SingularOperator,
-        lambda: omega_closed_form(UdInstance(1e-8, (0.5, 0.5))),
+        lambda: omega_closed_form(UdInstance([1e-8], [[0.5], [0.5]])),
     )
     expect(
         "near-identical-states-retro-basis",
         SingularOperator,
-        lambda: retro_basis(UdInstance(1e-8, (0.6, 0.4))),
+        lambda: retro_basis(UdInstance([1e-8], [[0.6], [0.4]])),
     )
 
     pure = np.diag([1.0, 0.0])

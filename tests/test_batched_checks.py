@@ -1,8 +1,9 @@
 """The suites evaluate the per-instance checks over whole stacks at once.
 
 Each batched residual row must equal, exactly, what checks_for_ud,
-checks_for_channel and checks_for_transform report for that instance, and a
-batch must fail the way its instances fail one at a time.
+checks_for_channel and checks_for_transform report for that instance (for UD,
+the stack's slice of one), and a batch must fail the way its instances fail
+one at a time.
 """
 
 import math
@@ -38,18 +39,18 @@ def test_grid_stack_equals_the_per_instance_construction():
     assert len(INSTANCES) == len(expected)
     assert INSTANCES.alpha.tobytes() == alpha.tobytes()
     assert INSTANCES.eta.tobytes() == np.array([e1, e2]).tobytes()
-    inst = INSTANCES[7]
-    assert (inst.alpha, *inst.eta) == expected[7]
-    with pytest.raises(TypeError):
-        inst[0]
+    one = INSTANCES[7:8]
+    assert (one.alpha.tolist(), one.eta.tolist()) == ([expected[7][0]], [[expected[7][1]], [expected[7][2]]])
+    assert one[0].alpha == one.alpha[0]
 
 
 def test_batched_ud_rows_equal_the_per_instance_checks(batch):
     opt = optimal_dual(batch)
     rows = verify.ud_residuals(batch, opt, ud_retro_dual(batch, opt))
     assert rows.shape == (len(INSTANCES), len(verify.UD_CHECKS))
-    for inst, row in zip(INSTANCES, rows):
-        checks = verify.checks_for_ud(inst, optimal_dual(inst))
+    for k, row in enumerate(rows):
+        one = INSTANCES[k : k + 1]
+        checks = verify.checks_for_ud(one, optimal_dual(one))
         assert [(c.name, c.tolerance) for c in checks] == list(verify.UD_CHECKS)
         assert [c.value for c in checks] == row.tolist()
 
@@ -57,17 +58,18 @@ def test_batched_ud_rows_equal_the_per_instance_checks(batch):
 def test_a_stacked_optimum_carries_each_instance_measurement(batch):
     opt = optimal_dual(batch)
     assert opt.elements.shape == (len(INSTANCES), 3, 2, 2)
-    for k, inst in enumerate(INSTANCES):
-        one = optimal_dual(inst)
-        assert opt.elements[k].tobytes() == one.elements.tobytes()
-        assert np.array(opt.c)[:, k].tobytes() == np.array(one.c).tobytes()
+    for k in range(len(INSTANCES)):
+        one = optimal_dual(INSTANCES[k : k + 1])
+        assert opt.elements[k : k + 1].tobytes() == one.elements.tobytes()
+        assert np.array(opt.c)[:, k : k + 1].tobytes() == np.array(one.c).tobytes()
 
 
 def test_batched_channel_rows_equal_the_per_instance_checks(batch):
     rows = verify.channel_residuals(batch, no_signaling_check(batch))
     assert rows.shape == (len(INSTANCES), len(verify.CHANNEL_CHECKS))
-    for inst, row in zip(INSTANCES, rows):
-        checks = verify.checks_for_channel(inst, no_signaling_check(inst))
+    for k, row in enumerate(rows):
+        one = INSTANCES[k : k + 1]
+        checks = verify.checks_for_channel(one, no_signaling_check(one))
         assert [(c.name, c.tolerance) for c in checks] == list(verify.CHANNEL_CHECKS)
         assert [c.value for c in checks] == row.tolist()
 

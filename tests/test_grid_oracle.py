@@ -82,8 +82,8 @@ def test_the_oracle_is_the_full_scan_at_the_step_floor():
 
 def test_the_oracle_of_a_stack_is_the_oracle_of_each_instance():
     stack = random_instances(40, seed=11)
-    rows = np.array([brute_force_dual(inst, 1e-3) for inst in stack]).T
-    assert all(isinstance(v, float) for v in brute_force_dual(stack[0], 1e-3))
+    rows = np.concatenate([brute_force_dual(stack[k : k + 1], 1e-3) for k in range(len(stack))], axis=1)
+    assert [v.shape for v in brute_force_dual(stack[:1], 1e-3)] == [(1,)] * 3
     assert np.array_equal(np.array(brute_force_dual(stack, 1e-3)), rows)
     square = UdInstance(stack.alpha[:36].reshape(6, 6), stack.eta[:, :36].reshape(2, 6, 6))
     out = brute_force_dual(square, 1e-3)

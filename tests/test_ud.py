@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from retrodictor.channel import no_signaling_check
 from retrodictor.ensembles import Povm
 from retrodictor.errors import SingularOperator, ValidationError
 from retrodictor.linalg import dag, hermitian_eig, maxabs, outer
@@ -24,6 +25,7 @@ from retrodictor.ud import (
     ud_state_vectors,
     verify_purity_identification,
 )
+from retrodictor.verify import checks_for_channel, checks_for_ud
 
 ETA_GRID = np.linspace(0.5, 0.98, 20)
 ALPHA_GRID = np.linspace(0.02, math.pi / 4 - 0.01, 20)
@@ -440,8 +442,17 @@ def test_a_stack_with_mismatched_shapes_or_an_overlap_out_of_range_raises_a_name
     assert [(v.check, v.residual) for v in overlap.value.violations] == [("overlap_range", 1.0)]
 
 
-@pytest.mark.parametrize("fn", [ud_ensemble])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        ud_ensemble,
+        pytest.param(lambda x: checks_for_ud(x, optimal_dual(x)), id="checks_for_ud"),
+        pytest.param(lambda x: checks_for_channel(x, no_signaling_check(x)), id="checks_for_channel"),
+    ],
+)
 def test_per_instance_entry_points_raise_on_a_stack(fn):
+    # One instance is a stack of one; a longer stack is named, not broadcast.
+    fn(UdInstance.from_overlap([0.5], [[0.5], [0.5]]))
     stack = UdInstance.from_overlap([0.5, 0.3], [[0.5, 0.7], [0.5, 0.3]])
-    with pytest.raises(ValueError, match="is a stack"):
+    with pytest.raises(ValueError, match="one instance, not a stack of 2"):
         fn(stack)
