@@ -143,12 +143,27 @@ def _stack_label(label: str, shape: tuple[int, ...]):
 def validate_operator_stack(ops: np.ndarray, label, unit_trace: bool = False) -> ValidationReport:
     """Check each matrix of a complex (..., d, d) stack, as one stack.
 
-    Finiteness, Hermiticity, PSD (one eigvalsh of the Hermitian parts) and,
-    with unit_trace=True (density operators), the trace.  label is a name,
-    which violations suffix with the matrix's index, or label(k) for the k-th
-    matrix in flat order.
+    Finiteness, Hermiticity, PSD (one Cholesky gate of the Hermitian parts,
+    and one eigvalsh only when it fails) and, with unit_trace=True (density
+    operators), the trace.  label is a name, which violations suffix with the
+    matrix's index, or label(k) for the k-th matrix in flat order.
     """
     return _checked_stack(ops, label, unit_trace)[0]
+
+
+def _psd_gate(herm: np.ndarray) -> np.ndarray:
+    """The PSD check's reading of a Hermitian (k, d, d) stack: each matrix's smallest eigenvalue, or 0.
+
+    One Cholesky factorisation of the stack shifted by PSD_TOL I gates it: when
+    every shifted matrix is positive definite, every eigenvalue is above
+    -PSD_TOL, and zeros stand in for them.  Only a stack that fails the gate
+    runs eigvalsh, whose eigenvalues flag and name the failing matrices.
+    """
+    try:
+        np.linalg.cholesky(herm + PSD_TOL * np.eye(herm.shape[-1]))
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvalsh(herm)[:, 0]
+    return np.zeros(len(herm))
 
 
 def _checked_stack(ops: np.ndarray, label, unit_trace: bool, decompose: bool = False):
@@ -180,7 +195,7 @@ def _checked_stack(ops: np.ndarray, label, unit_trace: bool, decompose: bool = F
         spectrum = linalg.hermitian_eig(ops)
         w_min = spectrum.eigenvalues.reshape(len(flat), -1)[:, 0]
     else:
-        w_min = np.linalg.eigvalsh(flat / 2.0 + adj / 2.0)[:, 0]
+        w_min = _psd_gate(flat / 2.0 + adj / 2.0)
     flagged |= w_min < -PSD_TOL
     for k, res, w, tr in zip(
         rows[flagged].tolist(), herm[flagged].tolist(), w_min[flagged].tolist(), traces[flagged].tolist()

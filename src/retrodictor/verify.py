@@ -12,17 +12,19 @@ Every identity family is array-valued: `transform_residuals`,
 values per instance of a stack; the `checks_for_*` functions report the row
 of their one instance, which for UD is a stack of one.  The seeded inputs
 come from one block drawer on the sampler's counter-based generator, so
-suite runs are reproducible:
-each corpus draws its slots' state and outcome counts as one block, groups
-the slots by shape (n, m, d), and draws each input kind of a shape as one
-block (priors and states, POVMs, unitaries, the floor sweep's spectra and
-splittings), validated once.  The transform suite runs one
-`transform_stack` per shape group; `floor_sweep` gives one stack per
-dimension, which the floor contract transforms whole, then once more for
-its rows above the floor.  The `ud` and `channel` suites are a
-few vectorised passes over slices of the grid (GRID_BATCH instances each),
-the grid oracle included.  Each suite reports each column's worst value (NaN
-is worst).
+suite runs are reproducible: each corpus draws its slots' state and outcome
+counts as one block, then each dimension of CORPUS_DIMS as one stack, each
+input kind (priors and states, POVMs, unitaries) as one block, validated
+once.  A corpus pads each pair to PADDED_COUNT outcomes with zero POVM
+elements, and the random corpus to PADDED_COUNT states with states at prior
+0; the padding drops out of every check.  The transform suite runs one
+`transform_stack` per dimension for the corpus, its double dual and the
+unbiased corpus; `floor_sweep` gives one stack per dimension, which the
+floor contract transforms whole, then once more for its rows above the
+floor.  The `ud` and `channel` suites are a few
+vectorised passes over slices of the grid (GRID_BATCH instances each), the
+grid oracle included.  Each suite reports each column's worst value (NaN is
+worst).
 """
 
 from __future__ import annotations
@@ -97,6 +99,9 @@ from .ud import (
 DEFAULT_SEED = 2024
 CORPUS_SIZE = 500
 CORPUS_DIMS = (2, 3, 4)
+# Corpus and floor-sweep pairs have 2 to PADDED_COUNT states and outcomes each;
+# the corpus pads every pair of a dimension's stack to PADDED_COUNT of both.
+PADDED_COUNT = 4
 
 # Smallest source eigenvalues on either side of the source floor MIN_EIG_DEFAULT.
 FLOOR_SWEEP_ABOVE = (1.05 * MIN_EIG_DEFAULT, 10.0 * MIN_EIG_DEFAULT)
@@ -309,47 +314,45 @@ def _draw_unitaries(rng: np.random.Generator, dim: int, lead: tuple[int, ...]) -
     return linalg.hermitian_eig((g + linalg.dag(g)) / 2.0).eigenvectors
 
 
+def _live(counts: np.ndarray) -> np.ndarray:
+    """The (..., PADDED_COUNT) mask of the live items of padded pairs with counts (...) of them."""
+    return np.arange(PADDED_COUNT) < counts[..., None]
+
+
 def _draw_states(
-    rng: np.random.Generator, dim: int, n_states: int, lead: tuple[int, ...] = ()
+    rng: np.random.Generator, dim: int, n_states: int, lead: tuple[int, ...] = (), live: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Priors (*lead, n) and Ginibre states (*lead, n, d, d) of ensembles, each drawn as one block."""
+    """Priors (*lead, n) and Ginibre states (*lead, n, d, d) of ensembles, each drawn as one block.
+
+    live, if given, is the (*lead, n) mask of the live states; the others get prior 0.
+    """
     priors = rng.random((*lead, n_states)) + 0.1
+    if live is not None:
+        priors = np.where(live, priors, 0.0)
     g = _ginibre(rng.standard_normal((*lead, n_states, 2, dim, dim + 1)))
     m = g @ linalg.dag(g)
     return priors / priors.sum(axis=-1, keepdims=True), m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _draw_povm(rng: np.random.Generator, dim: int, n_elements: int, lead: tuple[int, ...] = ()) -> np.ndarray:
-    """Random POVMs (*lead, n, d, d), drawn as one block: n Ginibre PSD operators normalised by their sum."""
+def _draw_povm(
+    rng: np.random.Generator, dim: int, n_elements: int, lead: tuple[int, ...] = (), live: np.ndarray | None = None
+) -> np.ndarray:
+    """Random POVMs (*lead, n, d, d), drawn as one block: n Ginibre PSD operators normalised by their sum.
+
+    live, if given, is the (*lead, n) mask of the live elements; the others are zeroed before
+    normalising, so they stay exact zeros and the live ones sum to the identity.
+    """
     g = _ginibre(rng.standard_normal((*lead, n_elements, 2, dim, dim)))
     mats = g @ linalg.dag(g)
+    if live is not None:
+        mats = np.where(live[..., None, None], mats, 0.0)
     inv_root = linalg.inv_sqrtm_psd(mats.sum(axis=-3), min_eig=POVM_DRAW_MIN_EIG)[..., None, :, :]
     e = inv_root @ mats @ inv_root
     return (e + linalg.dag(e)) / 2.0
 
 
-def _slots_by_shape(
-    rng: np.random.Generator, dims: list[int], n_states: list[int] | None = None
-) -> dict[tuple[int, int, int], list[int]]:
-    """The indices of slots of dimensions dims, grouped by shape (n, m, d) in order of first appearance.
-
-    The drawer's first step: the slots' (states, outcomes) counts, 2 to 4
-    each, are drawn as one block.  n_states, if given, fixes the state counts
-    and only the outcome counts are drawn.  Each shape then draws every input
-    kind of its slots as one block.
-    """
-    if n_states is None:
-        n_states, n_outcomes = rng.integers(2, 5, (len(dims), 2)).T.tolist()
-    else:
-        n_outcomes = rng.integers(2, 5, len(dims)).tolist()
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for k, shape in enumerate(zip(n_states, n_outcomes, dims)):
-        groups.setdefault(shape, []).append(k)
-    return groups
-
-
 def _validated_group(priors, states, elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A shape group of pairs, validated once: priors, states and POVMs as stacks."""
+    """A stack of pairs of one shape, validated once: priors, states and POVMs as stacks."""
     validate_priors_stack(priors, "corpus priors").raise_if_failed()
     validate_operator_stack(states, "corpus state", unit_trace=True).raise_if_failed()
     validate_povm_stack(elements, "corpus POVM").raise_if_failed()
@@ -357,48 +360,59 @@ def _validated_group(priors, states, elements) -> tuple[np.ndarray, np.ndarray, 
 
 
 def random_corpus(seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Seeded pairs clearing MIN_OMEGA_EIG and MIN_MU, as shape groups of stacked (priors, states, elements).
+    """Seeded pairs clearing MIN_OMEGA_EIG and MIN_MU, as one stacked (priors, states, elements) per dimension.
 
-    The slots' dimensions cycle through CORPUS_DIMS.  Each shape (n, m, d)
-    draws as many candidates as it has slots left, as one block of priors and
-    states and one of POVMs, and keeps those that clear the floors, until its
-    slots are filled.
+    Slot k has dimension CORPUS_DIMS[k % 3] and its (states, outcomes)
+    counts, 2 to PADDED_COUNT each; the counts of all slots are drawn first, as
+    one block.  Each dimension's stack holds its slots in order, padded to
+    PADDED_COUNT states and outcomes: a pair's extra states are valid states at
+    prior 0 and its extra POVM elements are zero.  A dimension draws one
+    candidate per unfilled slot, as one block of priors and states and one of
+    POVMs, and keeps those that clear the floors on their live outcomes,
+    until every slot is filled.
     """
     rng = _rng(seed)
-    shapes = _slots_by_shape(rng, [CORPUS_DIMS[k % len(CORPUS_DIMS)] for k in range(count)])
-    groups = []
-    for (n_states, n_elements, dim), ks in shapes.items():
-        kept, slots = [], len(ks)
-        while slots:
-            priors, states = _draw_states(rng, dim, n_states, (slots,))
-            elements = _draw_povm(rng, dim, n_elements, (slots,))
-            omega = (priors[..., None, None] * states).sum(axis=-3)
+    counts = rng.integers(2, PADDED_COUNT + 1, (count, 2))
+    stacks = []
+    for k, dim in enumerate(CORPUS_DIMS):
+        live_states, live_elements = _live(counts[k :: len(CORPUS_DIMS)].T)
+        priors = np.empty(live_states.shape)
+        states, elements = (np.empty((*live_states.shape, dim, dim), dtype=np.complex128) for _ in range(2))
+        todo = np.arange(len(priors))
+        while len(todo):
+            p, s = _draw_states(rng, dim, PADDED_COUNT, todo.shape, live_states[todo])
+            e = _draw_povm(rng, dim, PADDED_COUNT, todo.shape, live_elements[todo])
+            omega = (p[..., None, None] * s).sum(axis=-3)
             w_min = np.linalg.eigvalsh((omega + linalg.dag(omega)) / 2.0)[:, 0]
-            keep = (w_min >= MIN_OMEGA_EIG) & (_click_probabilities(elements, omega).min(axis=-1) >= MIN_MU)
-            kept.append((priors[keep], states[keep], elements[keep]))
-            slots -= int(keep.sum())
-        groups.append(_validated_group(*map(np.concatenate, zip(*kept))))
-    return groups
+            mu = np.where(live_elements[todo], _click_probabilities(e, omega), np.inf)
+            keep = (w_min >= MIN_OMEGA_EIG) & (mu.min(axis=-1) >= MIN_MU)
+            priors[todo[keep]], states[todo[keep]], elements[todo[keep]] = p[keep], s[keep], e[keep]
+            todo = todo[~keep]
+        stacks.append(_validated_group(priors, states, elements))
+    return stacks
 
 
 def unbiased_corpus(seed: int, count: int = 60) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Pairs whose source is maximally mixed (orthonormal pure states, uniform priors), as shape groups.
+    """Pairs whose source is maximally mixed (orthonormal pure states, uniform priors), one stack per dimension.
 
-    Slot k has dimension d = CORPUS_DIMS[k % 3] and d states, the columns of
-    a random unitary.  Each shape draws its unitaries, then its POVMs, as one
-    block each.
+    Slot k has dimension d = CORPUS_DIMS[k % 3], d states, the columns of a
+    random unitary, and 2 to PADDED_COUNT outcomes; the outcome counts of all
+    slots are drawn first, as one block.  Each dimension's stack holds its
+    slots in order, each POVM padded to PADDED_COUNT elements with zeros, and
+    draws its unitaries, then its POVMs, as one block each.
     """
     rng = _rng(seed)
-    dims = [CORPUS_DIMS[k % len(CORPUS_DIMS)] for k in range(count)]
-    groups = []
-    for (_, n_elements, dim), ks in _slots_by_shape(rng, dims, n_states=dims).items():
-        lead = (len(ks),)
+    counts = rng.integers(2, PADDED_COUNT + 1, count)
+    stacks = []
+    for k, dim in enumerate(CORPUS_DIMS):
+        live = _live(counts[k :: len(CORPUS_DIMS)])
+        lead = live.shape[:1]
         # C order, as each pair's own arrays are: the sources then sum their
         # states in the same order for the stack as for each pair alone.
         states = np.ascontiguousarray(linalg.outer(np.swapaxes(_draw_unitaries(rng, dim, lead), -1, -2)))
-        elements = _draw_povm(rng, dim, n_elements, lead)
-        groups.append(_validated_group(np.full((*lead, dim), 1.0 / dim), states, elements))
-    return groups
+        elements = _draw_povm(rng, dim, PADDED_COUNT, lead, live)
+        stacks.append(_validated_group(np.full((*lead, dim), 1.0 / dim), states, elements))
+    return stacks
 
 
 def floor_sweep() -> tuple[list[tuple[np.ndarray, ...]], tuple[np.ndarray, UdInstance]]:
@@ -408,7 +422,7 @@ def floor_sweep() -> tuple[list[tuple[np.ndarray, ...]], tuple[np.ndarray, UdIns
     priors, states, elements) of three pairs per level, level-major.  Pair k
     is a random POVM {E_i} splitting Omega = U diag(levels[k], ...) U^dag as
     eta_i rho_i = sqrt(Omega) E_i sqrt(Omega), measured by another random
-    POVM.  The dimensions' (n, m), 2 to 4 each, are drawn as one block; each
+    POVM.  The dimensions' (n, m), 2 to PADDED_COUNT each, are drawn as one block; each
     dimension then draws its spectra, unitaries, splittings and POVMs as one
     block each, validated once.  The UD stack is (w2, instances): the
     instance at each level w2 of its smallest source eigenvalue, at priors
@@ -418,7 +432,8 @@ def floor_sweep() -> tuple[list[tuple[np.ndarray, ...]], tuple[np.ndarray, UdIns
     levels = np.repeat(FLOOR_SWEEP_ABOVE + FLOOR_SWEEP_BELOW, 3)
     levels.setflags(write=False)
     transforms = []
-    for n_states, n_elements, dim in _slots_by_shape(rng, list(FLOOR_SWEEP_DIMS)):
+    counts = rng.integers(2, PADDED_COUNT + 1, (len(FLOOR_SWEEP_DIMS), 2)).tolist()
+    for (n_states, n_elements), dim in zip(counts, FLOOR_SWEEP_DIMS):
         lead = levels.shape
         rest = levels[:, None] + rng.dirichlet(np.ones(dim - 1), lead) * (1.0 - dim * levels)[:, None]
         u = _draw_unitaries(rng, dim, lead)
@@ -451,7 +466,12 @@ def grid_instances() -> UdInstance:
 
 
 def suite_transform(seed: int = DEFAULT_SEED, count: int = CORPUS_SIZE) -> SuiteResult:
-    """Transform identities over the corpus, double dual, unbiased reduction: one stack per shape."""
+    """Transform identities over the corpus, double dual, unbiased reduction: one stack per dimension.
+
+    A padded pair's zero-prior states and zero POVM elements drop out of
+    every check: the undefined outcomes' columns are 0 in both tables, and
+    the double dual's back.defined mask zeroes the padded states.
+    """
     rows, double_src, double_ops = [], [0.0], [0.0]
     for priors, states, elements in random_corpus(seed, count):
         dual = transform_stack(priors, states, elements)

@@ -23,9 +23,14 @@ def random_ensemble(rng: np.random.Generator, dim: int, n_states: int) -> Ensemb
     return Ensemble(states, priors)
 
 
-def corpus_pairs(groups) -> list[tuple[Ensemble, Povm]]:
-    """Each pair of each shape group of a corpus, built as an Ensemble and a Povm."""
-    return [(Ensemble(s, p), Povm(e)) for g in groups for p, s, e in zip(*g)]
+def strip(priors, states, elements):
+    """One padded corpus pair as drawn: without its states at prior 0 and its zero POVM elements."""
+    return priors[priors > 0], states[priors > 0], elements[elements.any(axis=(-2, -1))]
+
+
+def corpus_pairs(stacks) -> list[tuple[Ensemble, Povm]]:
+    """Each pair of each stack of a corpus, in order, stripped of its padding and built as an Ensemble and a Povm."""
+    return [(Ensemble(s, p), Povm(e)) for stack in stacks for p, s, e in (strip(*pair) for pair in zip(*stack))]
 
 
 def pure_ensemble_payload(vectors, priors) -> dict:

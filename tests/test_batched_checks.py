@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import corpus_pairs
+from conftest import corpus_pairs, strip
 from retrodictor import verify
 from retrodictor.channel import no_signaling_check
 from retrodictor.ensembles import Ensemble, Povm
 from retrodictor.errors import RetrodictorError, ValidationError
-from retrodictor.linalg import maxabs
+from retrodictor.linalg import maxabs, maxabs_each
 from retrodictor.retrodiction import joint_table, retro_transform, transform_stack, unbiased_stack
 from retrodictor.ud import UdInstance, optimal_dual, ud_retro_dual
 
@@ -120,7 +120,7 @@ CORPUS = verify.random_corpus()
 
 
 def test_grouped_transform_rows_equal_the_per_pair_checks():
-    assert len(CORPUS) < verify.CORPUS_SIZE / 10
+    assert len(CORPUS) == len(verify.CORPUS_DIMS)
     for group in CORPUS:
         dual = transform_stack(*group)
         rows = verify.transform_residuals(joint_table(*group), dual)
@@ -132,9 +132,55 @@ def test_grouped_transform_rows_equal_the_per_pair_checks():
             assert [c.value for c in checks] == row.tolist()
 
 
+def _double_dual_differences(priors, states, elements):
+    """Per pair of a stack: the double dual's source difference, its POVM and its state differences."""
+    dual = transform_stack(priors, states, elements)
+    back = transform_stack(dual.mu, dual.state_stack, dual.povm_stack)
+    defined = back.defined[..., None, None]
+    return np.stack([
+        maxabs_each(back.omega_matrix - dual.omega_matrix),
+        maxabs_each(back.povm_stack - elements).max(axis=-1),
+        maxabs_each(back.state_stack - defined * states).max(axis=-1),
+    ], axis=-1)
+
+
+def _unbiased_differences(priors, states, elements):
+    """Per pair of a stack: the unbiased reduction's POVM and (jointly defined) state differences."""
+    dual, ref = transform_stack(priors, states, elements), unbiased_stack(priors, states, elements)
+    both = (dual.defined & ref.defined)[..., None, None]
+    return np.stack([
+        maxabs_each(dual.povm_stack - ref.povm_stack).max(axis=-1),
+        maxabs_each(both * (dual.state_stack - ref.state_stack)).max(axis=-1),
+    ], axis=-1)
+
+
+@pytest.mark.parametrize(
+    "draw, seed, differences",
+    [
+        (verify.random_corpus, verify.DEFAULT_SEED, _double_dual_differences),
+        (verify.unbiased_corpus, verify.DEFAULT_SEED + 1, _unbiased_differences),
+    ],
+)
+def test_padded_stack_rows_equal_those_of_each_pair_alone(draw, seed, differences):
+    # Each row of a dimension's padded stack, and its double-dual (or unbiased)
+    # differences, bit for bit against the same pair with its zero-prior states
+    # and zero elements stripped.
+    padded = 0
+    for stack in draw(seed, 60):
+        rows = verify.transform_residuals(joint_table(*stack), transform_stack(*stack))
+        stacked = differences(*stack)
+        for k, pair in enumerate(zip(*stack)):
+            alone = strip(*pair)
+            padded += any(len(a) < len(p) for a, p in zip(alone, pair))
+            assert rows[k].tolist() == verify.transform_residuals(joint_table(*alone), transform_stack(*alone)).tolist()
+            assert stacked[k].tolist() == differences(*alone).tolist()
+    assert padded > 10
+
+
 def test_transform_suite_equals_its_per_pair_definition():
     # The double dual and the unbiased reduction, pair by pair through objects
-    # built by their constructors, reduce to the grouped suite's values exactly.
+    # built by their constructors and stripped of their padding, reduce to the
+    # stacked suite's values exactly.
     count, seed = 60, verify.DEFAULT_SEED
     rows, double_src, double_ops, unbiased = [], 0.0, 0.0, 0.0
     for ensemble, povm in corpus_pairs(verify.random_corpus(seed, count)):

@@ -1,31 +1,22 @@
 """The verification inputs of the block drawer.
 
 random_corpus equals its pairs built one at a time: the reference below
-builds each pair as a validated Ensemble and Povm, rejects it on its source
-function and click probabilities (plain numpy expressions here, not the
-package's own), and groups the kept pairs by shape (n, m, d) in draw order,
-bit for bit.  unbiased_corpus and floor_sweep
-are held to the drawer's contract: seed-deterministic, each group of the shape
-it is keyed by, and the unbiased sources maximally mixed.
+builds each pair as a validated Ensemble and Povm from the live part of its
+draws, rejects it on its source function and click probabilities (plain
+numpy expressions here, not the package's own), and pads the kept pairs into
+one stack per dimension, bit for bit.  unbiased_corpus and floor_sweep are
+held to the drawer's contract: seed-deterministic, one stack per dimension
+of the shape it holds, and the unbiased sources maximally mixed.
 """
-
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import corpus_pairs, random_ensemble, random_povm
 from retrodictor import linalg, verify
+from retrodictor.ensembles import validate_operator_stack
 
-
-def _grouped(pairs):
-    """Pairs grouped by shape (n, m, d) in order of first appearance, as stacked arrays."""
-    groups = {}
-    for ensemble, povm in pairs:
-        group = groups.setdefault((len(ensemble), *povm.elements.shape), ([], [], []))
-        for stack, array in zip(group, (ensemble.priors, ensemble.matrices, povm.elements)):
-            stack.append(array)
-    return [tuple(map(np.array, group)) for group in groups.values()]
+PAD = verify.PADDED_COUNT
 
 
 class _Replay:
@@ -42,39 +33,55 @@ class _Replay:
     random = standard_normal = _next
 
 
+def _padded(ensemble, povm, padded_states):
+    """A pair padded to PAD states and outcomes: priors 0 for padded_states' extra states, zero extra elements."""
+    n, (m, d, _) = len(ensemble), povm.elements.shape
+    assert np.array_equal(padded_states[:n], ensemble.matrices)
+    elements = np.concatenate([povm.elements, np.zeros((PAD - m, d, d), dtype=complex)])
+    return np.concatenate([ensemble.priors, np.zeros(PAD - n)]), padded_states, elements
+
+
 def reference_corpus(seed, count, dims=verify.CORPUS_DIMS):
-    """random_corpus pair by pair, and the number of draws it rejected.
+    """random_corpus pair by pair, padded into one stack per dimension, and the number of draws it rejected.
 
     The slots' (states, outcomes) counts come first, dimensions cycling
-    through dims.  Each shape, in order of first appearance, then draws
-    blocks of as many candidates as it has slots left: the uniforms of the
-    priors, the normals of the states, the normals of the POVMs.  Each
-    candidate is built from its slice of the blocks by random_ensemble and
-    random_povm and kept or rejected on its own: on the smallest eigenvalue
-    of its source sum_i eta_i rho_i and its smallest click probability
-    Tr(Pi_j Omega).
+    through dims.  Each dimension in turn then draws blocks of one candidate
+    per unfilled slot, in slot order, each padded to PAD states and outcomes:
+    the uniforms of the priors, the normals of the states, the normals of the
+    POVMs.  Each candidate is built by random_ensemble and random_povm from
+    the live part of its slice of the blocks (its first n uniforms and state
+    normals, its first m POVM normals) and kept or rejected on its own: on
+    the smallest eigenvalue of its source sum_i eta_i rho_i and its smallest
+    click probability Tr(Pi_j Omega).  Its padded states are the states of
+    all PAD state normals.
     """
     rng = verify._rng(seed)
-    sizes = rng.integers(2, 5, (count, 2))
-    shapes = Counter((int(n), int(m), dims[k % len(dims)]) for k, (n, m) in enumerate(sizes))
-    pairs, rejected = [], 0
-    for (n_states, n_elements, dim), slots in shapes.items():
-        while slots:
-            uniforms = rng.random((slots, n_states))
-            state_normals = rng.standard_normal((slots, n_states, 2, dim, dim + 1))
-            povm_normals = rng.standard_normal((slots, n_elements, 2, dim, dim))
-            for draws in zip(uniforms, state_normals, povm_normals):
-                replay = _Replay(*draws)
+    sizes = rng.integers(2, PAD + 1, (count, 2)).tolist()
+    stacks, rejected = [], 0
+    for k, dim in enumerate(dims):
+        slots = sizes[k :: len(dims)]
+        rows, todo = [None] * len(slots), list(range(len(slots)))
+        while todo:
+            uniforms = rng.random((len(todo), PAD))
+            state_normals = rng.standard_normal((len(todo), PAD, 2, dim, dim + 1))
+            povm_normals = rng.standard_normal((len(todo), PAD, 2, dim, dim))
+            unfilled = []
+            for slot, u, z_states, z_povm in zip(todo, uniforms, state_normals, povm_normals):
+                n_states, n_elements = slots[slot]
+                replay = _Replay(u[:n_states], z_states[:n_states], z_povm[:n_elements])
                 ensemble = random_ensemble(replay, dim, n_states)
                 povm = random_povm(replay, dim, n_elements)
                 omega = sum(eta * rho for eta, rho in zip(ensemble.priors, ensemble.matrices))
                 clicks = np.trace(povm.elements @ omega, axis1=1, axis2=2).real
                 if np.linalg.eigvalsh(omega)[0] < verify.MIN_OMEGA_EIG or clicks.min() < verify.MIN_MU:
                     rejected += 1
+                    unfilled.append(slot)
                     continue
-                pairs.append((ensemble, povm))
-                slots -= 1
-    return _grouped(pairs), rejected
+                padded_states = random_ensemble(_Replay(u, z_states), dim, PAD).matrices
+                rows[slot] = _padded(ensemble, povm, padded_states)
+            todo = unfilled
+        stacks.append(tuple(map(np.array, zip(*rows))))
+    return stacks, rejected
 
 
 def assert_same_groups(groups, expected):
@@ -87,9 +94,9 @@ def assert_same_groups(groups, expected):
 
 def test_the_default_corpus_equals_its_per_pair_draws():
     expected, _ = reference_corpus(verify.DEFAULT_SEED, verify.CORPUS_SIZE)
-    groups = verify.random_corpus()
-    assert_same_groups(groups, expected)
-    assert sum(len(priors) for priors, _, _ in groups) == verify.CORPUS_SIZE
+    stacks = verify.random_corpus()
+    assert_same_groups(stacks, expected)
+    assert sum(len(priors) for priors, _, _ in stacks) == verify.CORPUS_SIZE
 
 
 @pytest.mark.parametrize("name, value", [("MIN_OMEGA_EIG", 0.05), ("MIN_MU", 0.1)])
@@ -107,11 +114,18 @@ def test_a_corpus_in_one_dimension_equals_its_per_pair_draws(monkeypatch):
 
 
 def test_the_per_pair_view_lists_the_pairs_group_by_group():
-    groups = verify.random_corpus(verify.DEFAULT_SEED, 30)
-    pairs = corpus_pairs(groups)
+    # corpus_pairs strips each stack row of its padding, which trails its live states and outcomes.
+    stacks = verify.random_corpus(verify.DEFAULT_SEED, 30)
+    pairs = corpus_pairs(stacks)
     assert len(pairs) == 30
-    assert_same_groups(groups, _grouped(pairs))
-
+    rows = [row for stack in stacks for row in zip(*stack)]
+    for (ensemble, povm), (priors, states, elements) in zip(pairs, rows):
+        n, m = len(ensemble), len(povm)
+        assert np.array_equal(priors[:n], ensemble.priors) and not priors[n:].any()
+        assert np.array_equal(states[:n], ensemble.matrices)
+        assert np.array_equal(elements[:m], povm.elements) and not elements[m:].any()
+    assert all(validate_operator_stack(states, "state", unit_trace=True).ok for _, states, _ in stacks)
+    assert any(len(ensemble) < PAD or len(povm) < PAD for ensemble, povm in pairs)
 
 
 def group_shapes(groups):
@@ -131,9 +145,16 @@ def test_the_drawer_is_seed_deterministic_and_keys_each_group_by_its_shape(draw)
     groups, other = draw(seed, 60), draw(seed + 1, 60)
     assert_same_groups(groups, draw(seed, 60))
     assert not all(np.array_equal(a, b) for g, h in zip(groups, other) for a, b in zip(g, h))
+    # One stack per dimension, in order, padded to PAD outcomes; the random corpus also to PAD states.
     shapes = group_shapes(groups)
-    assert len(set(shapes)) == len(shapes) and {d for _, _, d in shapes} == set(verify.CORPUS_DIMS)
+    assert [(m, d) for _, m, d in shapes] == [(PAD, d) for d in verify.CORPUS_DIMS]
+    assert [n for n, _, _ in shapes] == [PAD if draw is verify.random_corpus else d for d in verify.CORPUS_DIMS]
     assert sum(len(priors) for priors, _, _ in groups) == 60
+    # Each POVM's live elements come first and sum to the identity; the padded ones are exact zeros.
+    for _, _, elements in groups:
+        live = elements.any(axis=(-2, -1))
+        assert (np.sort(live, axis=-1)[:, ::-1] == live).all() and (live.sum(axis=-1) >= 2).all() and not live.all()
+        assert linalg.maxabs(elements.sum(axis=-3) - np.eye(elements.shape[-1])) < 1e-12
 
 
 def test_the_floor_sweep_is_deterministic_and_its_pairs_are_read_only_slices():

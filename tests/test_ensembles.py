@@ -12,6 +12,7 @@ from retrodictor.ensembles import (
     is_unbiased,
     validate_density_matrix,
     validate_ensemble,
+    validate_operator_stack,
     validate_povm,
     validate_priors,
     validate_priors_stack,
@@ -202,6 +203,63 @@ def test_psd_check_rejects_twice_its_tolerance_below_zero(dim):
             build()
         (psd,) = [v for v in excinfo.value.violations if v.check == "psd"]
         assert abs(psd.residual - (-w_min)) <= 1e-15
+
+
+def _operator(rng, dim, w_min):
+    """A Hermitian dim x dim operator with smallest eigenvalue w_min (the others in [0.1, 1]), in a random basis."""
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    m = (u * np.r_[w_min, rng.uniform(0.1, 1.0, dim - 1)]) @ u.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def _mixed_stack(dim, w_min, bad=2, size=5):
+    """A stack of PSD operators whose member bad has smallest eigenvalue w_min."""
+    rng = np.random.default_rng(dim)
+    return np.array([_operator(rng, dim, w_min if k == bad else 0.0) for k in range(size)])
+
+
+def _eigvalsh_psd_findings(stack, label):
+    """(check, residual, message) of each matrix that eigvalsh alone finds below -PSD_TOL."""
+    w = np.linalg.eigvalsh(stack)[:, 0]
+    return [("psd", -w[k], f"{label}[{k}] has negative eigenvalue {w[k]:.3e}") for k in np.flatnonzero(w < -PSD_TOL)]
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+@pytest.mark.parametrize("w_min", [-2.0 * PSD_TOL, -1.25e-6, -0.5])
+def test_the_cholesky_gate_flags_and_names_what_eigvalsh_does(dim, w_min):
+    stack = _mixed_stack(dim, w_min)
+    report = validate_operator_stack(stack, "op")
+    findings = [(v.check, v.residual, v.message) for v in report.violations]
+    assert findings == _eigvalsh_psd_findings(stack, "op") and [f[2][:5] for f in findings] == ["op[2]"]
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+@pytest.mark.parametrize("w_min", [-0.5 * PSD_TOL, -5e-11, None])
+def test_the_cholesky_gate_passes_half_its_tolerance_and_zeros_without_eigvalsh(monkeypatch, dim, w_min):
+    # None: the stack's members are zero matrices, as a padded corpus POVM's are.
+    stack = np.zeros((3, dim, dim), dtype=complex) if w_min is None else _mixed_stack(dim, w_min)
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: calls.append(args))
+    assert validate_operator_stack(stack, "op").ok
+    assert not calls
+
+
+def test_the_cholesky_gate_gives_eigvalsh_verdicts_around_its_threshold():
+    # Seeded smallest eigenvalues over +-10 PSD_TOL, and densely within 10% of
+    # -PSD_TOL, except a relative 1e-3 window around it where roundoff may
+    # decide either way.
+    rng = np.random.default_rng(2024)
+    near = -PSD_TOL * (1.0 + rng.choice([-1.0, 1.0], 200) * rng.uniform(0.0, 0.1, 200))
+    targets = np.r_[rng.uniform(-10.0 * PSD_TOL, 10.0 * PSD_TOL, 400), near]
+    targets = targets[np.abs(targets / -PSD_TOL - 1.0) > 1e-3]
+    dims = rng.choice([2, 3, 4, 8], len(targets))
+    verdicts, expected = [], []
+    for dim, w_min in zip(dims, targets):
+        op = _operator(rng, dim, w_min)[None]
+        verdicts.append(validate_operator_stack(op, "op").ok)
+        expected.append(not _eigvalsh_psd_findings(op, "op"))
+    assert verdicts == expected
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_ensemble_constructor_and_report_share_their_invariants():

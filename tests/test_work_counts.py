@@ -59,6 +59,18 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def count_started_calls(monkeypatch, owner, name):
+    """The list of owner.name's call arguments, filled as the calls begin, so the raising ones count too."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    rebind(monkeypatch, owner, name, counted)
+    return calls
+
+
 def omega_diagonalisations(monkeypatch):
     """A counter of hermitian_eig calls on an array that ud.omega_matrix returned.
 
@@ -107,36 +119,59 @@ def test_parsed_povm_is_validated_once(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def psd_gates(monkeypatch):
+    """The argument lists of the PSD check's Cholesky gates (a failing one too) and of its eigvalsh runs."""
+    return count_started_calls(monkeypatch, np.linalg, "cholesky"), count_calls(monkeypatch, np.linalg, "eigvalsh")
+
+
+def shifted(stack):
+    """A Hermitian stack as the PSD gate factors it: shifted by PSD_TOL I."""
+    return stack + ensembles.PSD_TOL * np.eye(stack.shape[-1])
+
+
 def test_parsed_ensemble_is_validated_once(monkeypatch):
-    # One validate_ensemble over the state stack: its priors once, its states as one eigvalsh.
+    # One validate_ensemble over the state stack: its priors once, its states as one Cholesky gate.
     ensemble_calls = count_calls(monkeypatch, ensembles, "validate_ensemble")
     states = count_calls(monkeypatch, ensembles, "validate_density_matrix")
     priors = count_calls(monkeypatch, ensembles, "validate_priors")
-    eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    cholesky, eigvalsh = psd_gates(monkeypatch)
     ensemble = parse_ensemble_file(str(SAMPLE_INPUTS / "ud_ensemble.json"))
     assert len(ensemble) == 2
     assert (len(ensemble_calls), len(states), len(priors)) == (1, 0, 1)
-    assert [args[0].shape for args in eigvalsh] == [(2, 2, 2)]
+    assert [args[0].shape for args in cholesky] == [(2, 2, 2)]
+    assert np.array_equal(cholesky[0][0], shifted(ensemble.matrices))
+    assert not eigvalsh
 
 
 def test_ud_ensemble_is_validated_once(monkeypatch):
     # The two projectors are validated as one (2, 2, 2) stack; the state vectors are not validated apart.
     ensemble_calls = count_calls(monkeypatch, ensembles, "validate_ensemble")
     vectors = count_calls(monkeypatch, ensembles, "validate_state_vector")
-    eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    cholesky, eigvalsh = psd_gates(monkeypatch)
     ensemble = ud.ud_ensemble(ud.UdInstance.from_overlap(0.4, (0.7, 0.3)))
     assert len(ensemble) == 2
     assert (len(ensemble_calls), len(vectors)) == (1, 0)
-    assert [args[0].shape for args in eigvalsh] == [(2, 2, 2)]
+    assert [args[0].shape for args in cholesky] == [(2, 2, 2)]
+    assert not eigvalsh
 
 
-def test_povm_validation_is_one_eigvalsh(monkeypatch):
-    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-    for _, povm in _transform_inputs():
-        calls.clear()
+def test_povm_validation_is_one_cholesky(monkeypatch):
+    pairs = _transform_inputs()
+    cholesky, eigvalsh = psd_gates(monkeypatch)
+    for _, povm in pairs:
+        cholesky.clear()
         assert validate_povm(povm.elements).ok
-        assert len(calls) == 1
-        assert calls[0][0].shape == povm.elements.shape
+        assert len(cholesky) == 1
+        assert np.array_equal(cholesky[0][0], shifted(povm.elements))
+    assert not eigvalsh
+
+
+def test_a_failing_stack_runs_one_eigvalsh_after_its_cholesky(monkeypatch):
+    # Only a stack that fails the gate is decomposed, once, to name the failing matrices.
+    cholesky, eigvalsh = psd_gates(monkeypatch)
+    report = validate_povm([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])])
+    assert [v.check for v in report.violations] == ["psd"]
+    assert [args[0].shape for args in cholesky] == [args[0].shape for args in eigvalsh] == [(2, 2, 2)]
 
 
 def test_transform_checks_read_two_tables(monkeypatch):
@@ -190,26 +225,27 @@ def test_channel_checks_diagonalise_the_source_once(monkeypatch, inst):
     assert count() == 1
 
 
-def test_transform_validates_with_two_eigvalsh_calls(monkeypatch):
+def test_transform_validates_with_two_cholesky_calls(monkeypatch):
     # The retrodictive POVM and one stack of the defined retrodictive states,
-    # whatever the number of defined outcomes; the source's PSD check reads
-    # its one spectrum, so no eigvalsh runs on it.
+    # whatever the number of defined outcomes, each pass one Cholesky gate; the
+    # source's PSD check reads its one spectrum, so no gate runs on it.
     pairs = _transform_inputs()
-    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    cholesky, eigvalsh = psd_gates(monkeypatch)
     defined = set()
     for ensemble, povm in pairs:
-        calls.clear()
+        cholesky.clear()
         dual = retro_transform(ensemble, povm)
         defined.add(int(dual.defined.sum()))
-        assert len(calls) == 2
-        retro_povm, retro_states = (args[0] for args in calls)
-        assert np.array_equal(retro_povm, dual.povm_stack)
-        assert np.array_equal(retro_states, dual.state_stack[dual.defined])
+        assert len(cholesky) == 2
+        retro_povm, retro_states = (args[0] for args in cholesky)
+        assert np.array_equal(retro_povm, shifted(dual.povm_stack))
+        assert np.array_equal(retro_states, shifted(dual.state_stack[dual.defined]))
     assert len(defined) > 1
+    assert not eigvalsh
 
 
 def test_corpus_validation_does_not_grow_with_the_pair_count(monkeypatch):
-    # Each shape group's states and POVMs are validated as two stacks.
+    # Each dimension's states and POVMs are validated as two stacks.
     calls = count_calls(monkeypatch, ensembles, "validate_operator_stack")
     counts = {}
     for count in (100, 500):
@@ -221,7 +257,7 @@ def test_corpus_validation_does_not_grow_with_the_pair_count(monkeypatch):
 
 
 def test_corpus_priors_are_checked_once_per_shape_group(monkeypatch):
-    # Each shape group's (N, n) priors are checked as one stack, not row by row.
+    # Each dimension's (N, PADDED_COUNT) priors are checked as one stack, not row by row.
     calls = count_calls(monkeypatch, ensembles, "validate_priors_stack")
     counts = {}
     for count in (100, 500):
@@ -233,14 +269,15 @@ def test_corpus_priors_are_checked_once_per_shape_group(monkeypatch):
 
 
 def test_unbiased_corpus_validates_each_shape_group_once(monkeypatch):
-    # Per shape group: its priors as one stack, its states and POVMs as two operator stacks.
+    # Per dimension, the one shape (d, PADDED_COUNT, d) of its stack: its priors as one stack,
+    # its states and POVMs as two operator stacks.
     operators = count_calls(monkeypatch, ensembles, "validate_operator_stack")
     priors = count_calls(monkeypatch, ensembles, "validate_priors_stack")
     for count in (60, 600):
         operators.clear()
         priors.clear()
         groups = verify.unbiased_corpus(verify.DEFAULT_SEED + 1, count)
-        assert len(groups) <= 9  # three outcome counts in each of the three dimensions
+        assert len(groups) == len(verify.CORPUS_DIMS)
         assert (len(operators), len(priors)) == (2 * len(groups), len(groups))
         assert [len(args[0]) for args in priors] == [len(p) for p, _, _ in groups]
 
@@ -267,14 +304,7 @@ def test_the_floor_contract_transforms_each_stack_at_most_twice(monkeypatch):
     # Each dimension's stack, then its rows above the floor; the UD stack transforms only
     # its rows above the floor (its closed form raises first on the whole stack).
     # Calls are counted as they begin, the raising ones too.
-    calls = []
-    original = retrodiction.transform_stack
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    rebind(monkeypatch, retrodiction, "transform_stack", counted)
+    calls = count_started_calls(monkeypatch, retrodiction, "transform_stack")
     for repeat in (1, 3):
         with pytest.MonkeyPatch.context() as mp:
             more_floor_levels(mp, repeat)
@@ -291,18 +321,16 @@ def test_ud_suite_runs_the_grid_oracle_once_per_grid_slice(monkeypatch):
 
 
 def test_transform_suite_transforms_once_per_shape_group(monkeypatch):
-    # The corpus and its double dual take one transform per shape (n, m, d),
-    # the unbiased corpus one more per shape; the pair count does not matter.
+    # Each dimension's stack is one shape: the corpus, its double dual and the
+    # unbiased corpus take one transform each per dimension, and the unbiased
+    # reduction one unbiased_stack; the pair count does not matter.
     calls = count_calls(monkeypatch, retrodiction, "transform_stack")
-    counts = {}
+    unbiased = count_calls(monkeypatch, retrodiction, "unbiased_stack")
     for count in (100, 500):
         calls.clear()
+        unbiased.clear()
         assert verify.suite_transform(count=count).passed
-        groups = len(random_corpus(count=count))
-        unbiased = len(verify.unbiased_corpus(verify.DEFAULT_SEED + 1))
-        assert len(calls) == 2 * groups + unbiased
-        counts[count] = len(calls)
-    assert counts[100] == counts[500] < 100
+        assert (len(calls), len(unbiased)) == (9, 3) == (3 * len(verify.CORPUS_DIMS), len(verify.CORPUS_DIMS))
 
 
 GRIDS = {
