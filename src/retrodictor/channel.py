@@ -8,8 +8,9 @@ source function.  The no-signaling statement -- Bob's measurement cannot
 change Alice's reduced state -- is the same constraint that bounds the dual
 optimization.
 
-A two-qubit state is its validated (..., 4) amplitude array, subsystem a
-first; reduced_matrix and swap_residual read such arrays.
+A two-qubit state is its validated (n, 4) amplitude array, one row per
+instance of a UD stack, subsystem a first; reduced_matrix and swap_residual
+read such arrays.
 """
 
 from __future__ import annotations
@@ -38,18 +39,18 @@ _SWAP_ORDER = [0, 2, 1, 3]
 
 
 def reduced_matrix(amplitudes: np.ndarray, trace_out: int) -> np.ndarray:
-    """Reduced state of one qubit of each (..., 4) two-qubit vector (trace_out=0 removes a, 1 removes b)."""
+    """Reduced state of one qubit of each (n, 4) two-qubit vector, (n, 2, 2) (trace_out=0 removes a, 1 removes b)."""
     m = linalg.partial_trace(linalg.outer(amplitudes), (2, 2), trace_out)
     return (m + linalg.dag(m)) / 2.0
 
 
 def swap_residual(amplitudes: np.ndarray) -> np.ndarray:
-    """Norm distance between each (..., 4) two-qubit vector and its a<->b swap."""
+    """Norm distance between each (n, 4) two-qubit vector and its a<->b swap, (n,)."""
     return linalg.norm_each(amplitudes - amplitudes[..., _SWAP_ORDER])
 
 
 def _two_qubit_vectors(x: UdInstance, alice: np.ndarray) -> np.ndarray:
-    """sum_i sqrt(eta_i) |alice_i>|psi_i> as validated (..., 4) amplitudes; alice_i are the columns of alice."""
+    """sum_i sqrt(eta_i) |alice_i>|psi_i> as validated (n, 4) amplitudes; alice_i are the columns of alice."""
     products = np.swapaxes(alice, -1, -2)[..., :, :, None] * ud_state_vectors(x)[..., :, None, :]
     amplitudes = (np.sqrt(_eta(x))[..., :, None, None] * products).sum(axis=-3)
     amplitudes = amplitudes.reshape(*amplitudes.shape[:-2], 4)
@@ -58,12 +59,12 @@ def _two_qubit_vectors(x: UdInstance, alice: np.ndarray) -> np.ndarray:
 
 
 def entangled_state(x: UdInstance) -> np.ndarray:
-    """Shared state whose computational-basis preparation on a emits the UD pair, as (..., 4) amplitudes."""
+    """Shared state whose computational-basis preparation on a emits the UD pair, as (n, 4) amplitudes."""
     return _two_qubit_vectors(x, np.eye(2))
 
 
 def symmetric_state(x: UdInstance, basis: RetroBasis) -> np.ndarray:
-    """Shared state prepared in x's retro_basis, as (..., 4) amplitudes; invariant under the a<->b swap."""
+    """Shared state prepared in x's retro_basis, as (n, 4) amplitudes; invariant under the a<->b swap."""
     return _two_qubit_vectors(x, basis.vectors)
 
 
@@ -79,9 +80,9 @@ class NoSignalingReport:
 
     reduced_a and reduced_b reduce the symmetric state (amplitudes) built in
     basis; tilde_a is Alice's mu-weighted decomposition; the three are
-    validated density matrices.  max_residual is recomputed from the two
-    operators on construction; a value at roundoff scale is the no-signaling
-    statement for this channel.
+    validated density matrices, each (n, 2, 2).  max_residual (n,) is
+    recomputed from the two operators on construction; a value at roundoff
+    scale is the no-signaling statement for this channel.
     """
 
     reduced_a: np.ndarray
@@ -99,7 +100,7 @@ def no_signaling_check(
     x: UdInstance,
     mu: tuple[float, float] | None = None,
 ) -> NoSignalingReport:
-    """Compare Alice's reduced state with the mu-weighted decomposition (of each instance of a stack).
+    """Compare Alice's reduced state with the mu-weighted decomposition, for each instance of x.
 
     mu defaults to the closed-form optimal weights; any feasible pair may be passed.
     The failure contribution is the remainder of the source after removing the

@@ -75,10 +75,6 @@ class Spectrum:
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
-
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue-weighted eigenprojectors."""
         return (self.eigenvectors * self.eigenvalues[..., None, :]) @ dag(self.eigenvectors)

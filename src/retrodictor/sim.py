@@ -119,7 +119,6 @@ class StatTable:
     excluded from the violation count.
     """
 
-    label: str
     empirical: np.ndarray
     analytic: np.ndarray
     bound_3sigma: np.ndarray
@@ -135,7 +134,7 @@ class StatTable:
         return [tuple(int(k) for k in idx) for idx in np.argwhere(mask)]
 
 
-def _stat_table(label: str, hits, trials, p, given) -> StatTable:
+def _stat_table(hits, trials, p, given) -> StatTable:
     """The estimates hits / trials of the probabilities p / given, each bounded by STAT_SIGMAS binomial deviations.
 
     The arguments broadcast together.  A cell is defined where its
@@ -147,7 +146,7 @@ def _stat_table(label: str, hits, trials, p, given) -> StatTable:
         empirical = np.where(trials > 0, hits / trials, 0.0)
         var = analytic * (1.0 - analytic) / trials
     bound = STAT_SIGMAS * np.sqrt(np.where(trials > 0, var, np.inf))
-    return StatTable(label, empirical, analytic, bound, np.broadcast_to((trials > 0) & (given > 0), analytic.shape))
+    return StatTable(empirical, analytic, bound, np.broadcast_to((trials > 0) & (given > 0), analytic.shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +165,7 @@ def empirical_report(counts: SampleCounts, ensemble: Ensemble) -> EmpiricalRepor
         raise ValueError(f"the ensemble has {len(ensemble)} states but the counts have {len(table)} rows")
     mu = table.sum(axis=0)
     return EmpiricalReport(
-        _stat_table("outcome", counts.column_totals, counts.n_total, mu, 1.0),
-        _stat_table("predictive", counts.counts, counts.row_totals[:, None], table, ensemble.priors[:, None]),
-        _stat_table("retrodictive", counts.counts, counts.column_totals, table, mu),
+        _stat_table(counts.column_totals, counts.n_total, mu, 1.0),
+        _stat_table(counts.counts, counts.row_totals[:, None], table, ensemble.priors[:, None]),
+        _stat_table(counts.counts, counts.column_totals, table, mu),
     )

@@ -11,12 +11,16 @@ through the generic transform machinery.  The tests hold the two against each
 other; an independent grid search over the feasible (mu_1, mu_2) region backs
 the optimal success probability.
 
-A UdInstance is a stack of instances over leading axes (...); one instance
-is a stack of one, shape (1,).  The closed forms, constructions and the grid
-oracle are array-valued: their results carry the same leading axes, from one
-pass of the same code (stacked eigendecompositions, each derived stack
-validated once).  Each result is its validated arrays; ud_ensemble, which
-builds one Ensemble, raises ValueError on a stack of more than one instance.
+A UdInstance is a stack of n instances, alpha of shape (n,) and eta of
+shape (2, n); one instance is a stack of one, and an integer index gives
+its instance as one, so stack[k] is stack[k:k+1].  Any other shape, or input
+that is not an array of real numbers, is rejected with a named
+ValidationError.  The closed forms, constructions and the grid oracle are
+array-valued: their results run over the stack's n instances first ((n,),
+(n, 2, 2), ...), from one pass of the same code (stacked
+eigendecompositions, each derived stack validated once).  Each result is its
+validated arrays; ud_ensemble, which builds one Ensemble, raises ValueError
+on a stack of more than one instance.
 
 The grid oracle scans a coarse subsample of its grid first, then the full
 grid only in the window where the concave feasibility bound leaves room for
@@ -36,6 +40,7 @@ from . import linalg
 from .ensembles import (
     Ensemble,
     Violation,
+    _as_array,
     _frozen,
     validate_operator_stack,
     validate_povm_stack,
@@ -53,12 +58,19 @@ from .tolerances import (
 )
 
 
+def _real_array(values, name: str) -> np.ndarray:
+    """values as a float array, or ValidationError when they are not an array of real numbers."""
+    arr = _as_array(values, float)
+    if arr is None:
+        raise ValidationError([Violation("real_entries", 0.0, f"{name} is not an array of real numbers")])
+    return arr
+
+
 def _require_valid(alpha, e1, e2) -> None:
     """Raise ValidationError unless alpha is in (0, pi/4] and the priors are positive and sum to 1.
 
-    Over a stack, each violation reports its first failing instance.
+    Each violation reports its first failing instance of the (n,) stacks.
     """
-    alpha, e1, e2 = (np.asarray(v).reshape(-1) for v in (alpha, e1, e2))
     with np.errstate(invalid="ignore"):  # inf + -inf: a NaN sum, flagged below
         off = np.abs(e1 + e2 - 1.0)
     violations = [
@@ -83,21 +95,24 @@ _pow = np.vectorize(math.pow, otypes=[float])
 
 @dataclass(frozen=True, eq=False)
 class UdInstance:
-    """Two equally-shaped real qubit states with priors (eta_1, eta_2), over leading axes.
+    """A stack of n pairs of equally-shaped real qubit states, each with priors (eta_1, eta_2).
 
-    alpha has shape (...) and eta shape (2, ...), so e1, e2 = x.eta reads the
+    alpha has shape (n,) and eta shape (2, n), so e1, e2 = x.eta reads the
     priors of every instance; one instance is a stack of one, shape (1,).
-    Indexing a stack gives its instances along the first axis.
+    Any other shape raises ValidationError (instance_shape), and input that
+    is not an array of real numbers raises it too (real_entries).  Indexing
+    gives a stack: an integer k gives instance k as the stack of one
+    stack[k:k+1], so iterating gives len(stack) stacks of one.
     """
 
     alpha: np.ndarray
     eta: np.ndarray
 
     def __post_init__(self):
-        alpha, eta = np.array(self.alpha, dtype=float), np.array(self.eta, dtype=float)
-        if eta.shape != (2, *alpha.shape):
-            message = f"eta of shape {eta.shape} must have shape (2, *{alpha.shape})"
-            raise ValidationError([Violation("eta_shape", float(eta.size), message)])
+        alpha, eta = _real_array(self.alpha, "alpha").copy(), _real_array(self.eta, "eta").copy()
+        if alpha.ndim != 1 or eta.shape != (2, len(alpha)):
+            message = f"alpha of shape {alpha.shape} and eta of shape {eta.shape} must have shapes (n,) and (2, n)"
+            raise ValidationError([Violation("instance_shape", 0.0, message)])
         _require_valid(alpha, *eta)
         for name, values in (("alpha", alpha), ("eta", eta)):
             values.setflags(write=False)
@@ -105,8 +120,8 @@ class UdInstance:
 
     @classmethod
     def from_overlap(cls, overlap, eta) -> "UdInstance":
-        """Build from the state overlaps s = <psi_1|psi_2>, each in [0, 1)."""
-        overlap = np.asarray(overlap, dtype=float)
+        """Build from the (n,) state overlaps s = <psi_1|psi_2>, each in [0, 1)."""
+        overlap = _real_array(overlap, "overlap")
         outside = ~((overlap >= 0.0) & (overlap < 1.0))
         if outside.any():
             raise ValidationError(
@@ -118,7 +133,10 @@ class UdInstance:
         return len(self.alpha)
 
     def __getitem__(self, index) -> "UdInstance":
-        """The instances at index along the first axis."""
+        """The instances at index, as a stack; an integer k gives the stack of one self[k:k+1]."""
+        if isinstance(index, (int, np.integer)):
+            k = range(len(self))[index]  # IndexError out of range, which ends iteration
+            index = slice(k, k + 1)
         return UdInstance(self.alpha[index], self.eta[:, index])
 
     @property
@@ -137,30 +155,30 @@ class UdInstance:
 
 
 def _mat2(a, b, c, d) -> np.ndarray:
-    """The 2 x 2 matrices [[a, b], [c, d]] from entries of one shape: (..., 2, 2)."""
+    """The 2 x 2 matrices [[a, b], [c, d]] from (n,) entries: (n, 2, 2)."""
     return np.moveaxis(np.array([[a, b], [c, d]]), (0, 1), (-2, -1)).copy()
 
 
 def _eta(x: UdInstance) -> np.ndarray:
-    """(eta_1, eta_2) along the last axis."""
+    """(eta_1, eta_2) of each instance: (n, 2)."""
     return np.moveaxis(x.eta, 0, -1)
 
 
 def ud_state_vectors(x: UdInstance) -> np.ndarray:
-    """The input states as rows: [..., i, :] is psi_{i+1} = (cos(alpha), +-sin(alpha))."""
+    """The input states as rows, (n, 2, 2): [k, i, :] is psi_{i+1} = (cos(alpha), +-sin(alpha))."""
     c, s = np.cos(x.alpha), np.sin(x.alpha)
     return _mat2(c, s, c, -s)
 
 
 def ud_ensemble(x: UdInstance) -> Ensemble:
     """The two input states cos(alpha)|0> +- sin(alpha)|1> of x's one instance as projectors, with priors eta."""
-    if x.alpha.size != 1:
-        raise ValueError(f"ud_ensemble takes one instance, not a stack of {x.alpha.size}")
-    return Ensemble(linalg.outer(ud_state_vectors(x).reshape(2, 2)), x.eta.reshape(2))
+    if len(x) != 1:
+        raise ValueError(f"ud_ensemble takes one instance, not a stack of {len(x)}")
+    return Ensemble(linalg.outer(ud_state_vectors(x)[0]), x.eta[:, 0])
 
 
 def omega_matrix(x: UdInstance) -> np.ndarray:
-    """Source function in the computational basis."""
+    """Source function in the computational basis, (n, 2, 2)."""
     c, s = np.cos(x.alpha), np.sin(x.alpha)
     e1, e2 = x.eta
     delta = e1 - e2
@@ -169,7 +187,7 @@ def omega_matrix(x: UdInstance) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OmegaClosedForm:
-    """Spectrum of the source function: eigenvalues w1 >= w2 and the basis angle, each (...)."""
+    """Spectrum of the source function: eigenvalues w1 >= w2 and the basis angle, each (n,)."""
 
     w1: np.ndarray
     w2: np.ndarray
@@ -206,9 +224,9 @@ def omega_closed_form(x: UdInstance) -> OmegaClosedForm:
 class RetroBasis:
     """The orthonormal retrodictive basis built from the input pair and the source spectrum.
 
-    vectors[..., :, i] is phi_{i+1}, validated as unit vectors on
-    construction (the basis-change unitary with phi_1, phi_2 as columns);
-    omega_spectrum is the source spectrum it was built from.
+    vectors (n, 2, 2) has phi_{i+1} of instance k at [k, :, i], validated as
+    unit vectors on construction (the basis-change unitary with phi_1, phi_2
+    as columns); omega_spectrum is the source spectrum it was built from.
     """
 
     vectors: np.ndarray
@@ -256,14 +274,14 @@ def retro_basis_closed_form(x: UdInstance) -> RetroBasis:
 
 
 def omega_in_retro_basis(x: UdInstance) -> np.ndarray:
-    """Matrix of the source function in the retrodictive basis."""
+    """Matrix of the source function in the retrodictive basis, (n, 2, 2)."""
     e1, e2 = x.eta
     off = np.sqrt(e1 * e2) * x.s
     return _mat2(e1, off, off, e2).astype(np.complex128)
 
 
 def source_remainder(x: UdInstance, mu1, mu2) -> np.ndarray:
-    """The source in the retrodictive basis less the conclusive weights: mu_0 rho_0 in that basis."""
+    """The source in the retrodictive basis less the conclusive weights: mu_0 rho_0 in that basis, (n, 2, 2)."""
     e1, e2 = x.eta
     off = np.sqrt(e1 * e2) * x.s
     return _mat2(e1 - mu1, off, off, e2 - mu2)
@@ -274,12 +292,12 @@ class DualOptimum:
     """Optimal weights of the retrodictive source decomposition, and the measurement realizing them.
 
     mu1/mu2 weight the conclusive retro-basis states, mu0 the failure state,
-    and regime is "interior" or "clamped", each (...).  rho0 (..., 2, 2) is
+    and regime is "interior" or "clamped", each (n,).  rho0 (n, 2, 2) is
     the failure state's validated matrix in the computational basis; at the
     optimum it is pure (the weighted remainder has zero determinant).  basis
     is the numeric retro_basis the failure state was built in.  elements
-    (..., 3, 2, 2) are the validated detectors Pi_1, Pi_2, Pi_0 of the optimal
-    unambiguous measurement and c its transmission weights (c_1, c_2), each (...).
+    (n, 3, 2, 2) are the validated detectors Pi_1, Pi_2, Pi_0 of the optimal
+    unambiguous measurement and c its transmission weights (c_1, c_2), each (n,).
     """
 
     mu1: np.ndarray
@@ -389,7 +407,7 @@ def _chunks(sizes, budget):
 
 
 def brute_force_dual(x: UdInstance, grid_step: float):
-    """Grid-search oracle for the dual optimum: (mu_1, mu_2, mu_1 + mu_2), each an array over x's axes.
+    """Grid-search oracle for the dual optimum: (mu_1, mu_2, mu_1 + mu_2), each (n,).
 
     Scans mu_1 on the grid k * grid_step <= eta_1 and pairs it with the
     largest grid mu_2 keeping the source remainder PSD (non-negative
@@ -413,8 +431,8 @@ def brute_force_dual(x: UdInstance, grid_step: float):
             f"grid_step must be finite and at least {MIN_GRID_STEP:g}, and at most {MAX_GRID_STEP:g},"
             f" got {grid_step!r}"
         )
-    e1, e2 = (np.reshape(v, -1) for v in x.eta)
-    numerator = e1 * e2 * np.reshape(x.s ** 2, -1) - REMAINDER_PSD_TOL
+    e1, e2 = x.eta
+    numerator = e1 * e2 * x.s ** 2 - REMAINDER_PSD_TOL
     # Determinant constraint inactive at tolerance (orthogonal states): the whole source.
     best = np.array([e1, e2, e1 + e2])
     scan = np.flatnonzero(numerator > 0.0)
@@ -444,11 +462,11 @@ def brute_force_dual(x: UdInstance, grid_step: float):
         peak = np.maximum.reduceat(total, offsets)
         at = np.minimum.reduceat(np.where(total == peak[run], np.arange(total.size), total.size), offsets)
         best[:, scan[part]] = mu1[at], mu2[at], total[at]
-    return tuple(v.reshape(x.alpha.shape) for v in best)
+    return tuple(best)
 
 
 def duality_bridge(x: UdInstance, opt: DualOptimum) -> np.ndarray:
-    """eta_i <psi_i|Pi_i|psi_i>, which the duality equates with mu_i, along the last axis.
+    """eta_i <psi_i|Pi_i|psi_i>, which the duality equates with mu_i, as (n, 2).
 
     opt is x's optimal_dual; the terms sum to the predictive success probability.
     """
@@ -458,7 +476,7 @@ def duality_bridge(x: UdInstance, opt: DualOptimum) -> np.ndarray:
 
 
 def ud_retro_dual(x: UdInstance, opt: DualOptimum) -> RetroDual:
-    """Transform of the instance (each of a stack) against opt.elements, opt being x's optimal_dual."""
+    """Transform of each instance against opt.elements, opt being x's optimal_dual: a RetroDual over (n,)."""
     return transform_stack(_eta(x), linalg.outer(ud_state_vectors(x)), opt.elements)
 
 
@@ -466,8 +484,7 @@ def ud_retro_dual(x: UdInstance, opt: DualOptimum) -> RetroDual:
 class PurityIdentificationReport:
     """Residuals tying the conclusive retrodictive states to the retro basis.
 
-    Each residual pair runs over the two conclusive outcomes, along the last
-    axis.  Outcomes with click probability below the floor (a clamped
+    Each residual pair is (n, 2), over the two conclusive outcomes.  Outcomes with click probability below the floor (a clamped
     instance's unlikely state) carry NaN residuals.  verify.checks_for_ud
     holds the defined residuals to their tolerances; the report carries no
     verdict.

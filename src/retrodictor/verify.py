@@ -207,7 +207,7 @@ def checks_for_transform(ensemble: Ensemble, povm: Povm, dual: RetroDual) -> tup
 
 
 def ud_residuals(x: UdInstance, opt: DualOptimum, dual) -> np.ndarray:
-    """The UD_CHECKS values of one instance, or one row of them per instance of a stack.
+    """The UD_CHECKS values of each instance of x, one row each: (n, len(UD_CHECKS)).
 
     opt and dual are x's optimal_dual and ud_retro_dual; the numeric retro
     basis is opt.basis, and the numeric source spectrum is the one it was
@@ -257,12 +257,12 @@ def checks_for_ud(inst: UdInstance, opt: DualOptimum) -> tuple[Check, ...]:
     point that perfbench traces as the transform layer (ud_retro_dual of a
     stack is the same transform_stack without it).
     """
-    dual = retro_transform(ud_ensemble(inst), Povm(opt.elements.reshape(3, 2, 2)))
+    dual = retro_transform(ud_ensemble(inst), Povm(opt.elements[0]))
     return _checks(UD_CHECKS, ud_residuals(inst, opt, dual))
 
 
 def channel_residuals(x: UdInstance, report: NoSignalingReport) -> np.ndarray:
-    """The CHANNEL_CHECKS values of one instance, or one row of them per instance of a stack.
+    """The CHANNEL_CHECKS values of each instance of x, one row each: (n, len(CHANNEL_CHECKS)).
 
     report is x's no_signaling_check at the optimal weights; its symmetric
     state, reduced states and retro basis are checked here.

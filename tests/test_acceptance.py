@@ -128,11 +128,11 @@ def test_criterion_9_failure_mode_contract(tmp_path):
     ok = result.passed
 
     # CLI part: invalid files exit 1 with named residuals.
-    inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
+    inst = UdInstance.from_overlap([0.5], [[0.5], [0.5]])
     ens_path = tmp_path / "ens.json"
     povm_path = tmp_path / "povm.json"
-    write_json(pure_ensemble_payload(ud_state_vectors(inst), inst.eta), str(ens_path))
-    write_json(povm_to_payload(Povm(optimal_dual(inst).elements)), str(povm_path))
+    write_json(pure_ensemble_payload(ud_state_vectors(inst)[0], inst.eta[:, 0]), str(ens_path))
+    write_json(povm_to_payload(Povm(optimal_dual(inst).elements[0])), str(povm_path))
     bad = json.loads(ens_path.read_text())
     bad["priors"] = [0.5, 0.4]
     bad_path = tmp_path / "bad.json"

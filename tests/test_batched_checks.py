@@ -41,7 +41,25 @@ def test_grid_stack_equals_the_per_instance_construction():
     assert INSTANCES.eta.tobytes() == np.array([e1, e2]).tobytes()
     one = INSTANCES[7:8]
     assert (one.alpha.tolist(), one.eta.tolist()) == ([expected[7][0]], [[expected[7][1]], [expected[7][2]]])
-    assert one[0].alpha == one.alpha[0]
+    assert (one[0].alpha.tobytes(), one[0].eta.tobytes()) == (one.alpha.tobytes(), one.eta.tobytes())
+
+
+@pytest.mark.parametrize("k", [0, -1, 612])
+def test_an_integer_index_gives_the_stack_of_one_at_it(k):
+    j = range(len(INSTANCES))[k]
+    one, sliced = INSTANCES[k], INSTANCES[j : j + 1]
+    assert (one.alpha.shape, one.eta.shape) == (sliced.alpha.shape, sliced.eta.shape) == ((1,), (2, 1))
+    assert (one.alpha.tobytes(), one.eta.tobytes()) == (sliced.alpha.tobytes(), sliced.eta.tobytes())
+
+
+def test_iterating_a_stack_gives_its_instances_as_stacks_of_one():
+    instances = list(INSTANCES)
+    assert len(instances) == len(INSTANCES) == 1225
+    assert all(len(one) == 1 for one in instances)
+    assert np.concatenate([one.alpha for one in instances]).tobytes() == INSTANCES.alpha.tobytes()
+    assert np.concatenate([one.eta for one in instances], axis=1).tobytes() == INSTANCES.eta.tobytes()
+    with pytest.raises(IndexError):
+        INSTANCES[len(INSTANCES)]
 
 
 def test_batched_ud_rows_equal_the_per_instance_checks(batch):
@@ -112,7 +130,7 @@ def test_a_batch_with_a_below_floor_instance_fails_like_the_instance(fn, index):
     expected = _raised(fn, inst)
     assert expected is not None
     stack = [*INSTANCES[:5], inst, *INSTANCES[5:10]]
-    stack = UdInstance(np.array([i.alpha for i in stack]), np.array([i.eta for i in stack]).T)
+    stack = UdInstance(np.concatenate([i.alpha for i in stack]), np.concatenate([i.eta for i in stack], axis=1))
     assert _raised(fn, stack) is expected
 
 
@@ -212,21 +230,15 @@ def test_transform_suite_equals_its_per_pair_definition():
 )
 def test_a_batch_rejects_what_its_instances_reject(alpha, eta):
     with pytest.raises(ValidationError) as instance:
-        UdInstance(alpha[1], (eta[0][1], eta[1][1]))
+        UdInstance(alpha[1:], [eta[0][1:], eta[1][1:]])
     with pytest.raises(ValidationError) as batch:
         UdInstance(np.array(alpha), np.array(eta))
     assert [v.check for v in batch.value.violations] == [v.check for v in instance.value.violations]
     assert [v.residual for v in batch.value.violations] == [v.residual for v in instance.value.violations]
 
 
-def test_a_stack_over_two_leading_axes_gives_the_rows_of_the_flat_grid(batch):
-    grid = UdInstance(batch.alpha.reshape(5, -1), batch.eta.reshape(2, 5, -1))
-    assert len(grid) == 5 and len(grid[0]) == len(batch) // 5
-    opt = optimal_dual(grid)
-    rows = verify.ud_residuals(grid, opt, ud_retro_dual(grid, opt))
-    opt = optimal_dual(batch)
-    flat = verify.ud_residuals(batch, opt, ud_retro_dual(batch, opt))
-    assert np.array_equal(rows.reshape(flat.shape), flat, equal_nan=True)
-    rows = verify.channel_residuals(grid, no_signaling_check(grid))
-    flat = verify.channel_residuals(batch, no_signaling_check(batch))
-    assert np.array_equal(rows.reshape(flat.shape), flat)
+def test_a_stack_over_two_axes_is_rejected_by_name(batch):
+    # A stack has one axis: the flat grid, not a grid over two.
+    with pytest.raises(ValidationError) as grid:
+        UdInstance(batch.alpha.reshape(5, -1), batch.eta.reshape(2, 5, -1))
+    assert [v.check for v in grid.value.violations] == ["instance_shape"]

@@ -24,12 +24,12 @@ def _transform_checks():
 
 
 def _ud_checks(eta1, overlap):
-    inst = UdInstance.from_overlap(overlap, (eta1, 1.0 - eta1))
+    inst = UdInstance.from_overlap([overlap], [[eta1], [1.0 - eta1]])
     return verify.checks_for_ud(inst, optimal_dual(inst))
 
 
 def _channel_checks(eta1, overlap):
-    inst = UdInstance.from_overlap(overlap, (eta1, 1.0 - eta1))
+    inst = UdInstance.from_overlap([overlap], [[eta1], [1.0 - eta1]])
     return verify.checks_for_channel(inst, no_signaling_check(inst))
 
 

@@ -19,11 +19,11 @@ from retrodictor.ud import UdInstance, optimal_dual, ud_state_vectors
 
 @pytest.fixture
 def ud_files(tmp_path):
-    inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
+    inst = UdInstance.from_overlap([0.5], [[0.5], [0.5]])
     ens_path = tmp_path / "ensemble.json"
     povm_path = tmp_path / "povm.json"
-    write_json(pure_ensemble_payload(ud_state_vectors(inst), inst.eta), str(ens_path))
-    write_json(povm_to_payload(Povm(optimal_dual(inst).elements)), str(povm_path))
+    write_json(pure_ensemble_payload(ud_state_vectors(inst)[0], inst.eta[:, 0]), str(ens_path))
+    write_json(povm_to_payload(Povm(optimal_dual(inst).elements[0])), str(povm_path))
     return str(ens_path), str(povm_path)
 
 

@@ -139,11 +139,11 @@ def test_povm_completeness_enforced():
 
 def test_values_are_immutable():
     # Derived state vectors and density matrices are returned read-only.
-    inst = UdInstance(0.3, (0.6, 0.4))
-    vectors = retro_basis(inst).vectors
+    inst = UdInstance([0.3], [[0.6], [0.4]])
+    vectors = retro_basis(inst).vectors[0]
     with pytest.raises(ValueError):
         vectors[0, 0] = 0.0
-    rho = no_signaling_check(inst).reduced_a
+    rho = no_signaling_check(inst).reduced_a[0]
     with pytest.raises(ValueError):
         rho[0, 0] = 9.0
 

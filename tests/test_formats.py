@@ -46,9 +46,9 @@ def test_povm_roundtrip_is_bit_exact(tmp_path):
 
 
 def test_pure_state_entries_parse(tmp_path):
-    inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
+    inst = UdInstance.from_overlap([0.5], [[0.5], [0.5]])
     ensemble = ud_ensemble(inst)
-    payload = pure_ensemble_payload(ud_state_vectors(inst), inst.eta)
+    payload = pure_ensemble_payload(ud_state_vectors(inst)[0], inst.eta[:, 0])
     path = tmp_path / "pure.json"
     write_json(payload, str(path))
     loaded = parse_ensemble_file(str(path))
@@ -189,8 +189,8 @@ def test_render_json_is_canonical():
 
 
 def test_ud_povm_roundtrip(tmp_path):
-    inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
-    povm = Povm(optimal_dual(inst).elements)
+    inst = UdInstance.from_overlap([0.5], [[0.5], [0.5]])
+    povm = Povm(optimal_dual(inst).elements[0])
     path = tmp_path / "udpovm.json"
     write_json(povm_to_payload(povm), str(path))
     loaded = parse_povm_file(str(path))

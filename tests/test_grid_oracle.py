@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from retrodictor import linalg, verify
+from retrodictor.errors import ValidationError
 from retrodictor.ud import MAX_GRID_STEP, MIN_GRID_STEP, REMAINDER_PSD_TOL, UdInstance, brute_force_dual
 
 
 def full_scan(instance, grid_step):
-    """The best feasible grid point (mu_1, mu_2, mu_1 + mu_2) of one instance, scanning every mu_1."""
-    e1, e2 = instance.eta
-    s2 = instance.s ** 2
+    """The best feasible grid point (mu_1, mu_2, mu_1 + mu_2) of a stack of one, scanning every mu_1."""
+    (e1,), (e2,) = instance.eta
+    s2 = instance.s[0] ** 2
     mu1 = np.arange(0.0, e1 + grid_step / 2.0, grid_step)
     mu1 = mu1[mu1 <= e1]
     numerator = e1 * e2 * s2 - REMAINDER_PSD_TOL
@@ -67,7 +68,7 @@ def test_the_oracle_is_the_full_scan_on_the_floor_sweep_instances_above_the_floo
     above = instances[w2 >= linalg.MIN_EIG_DEFAULT]
     assert len(above) == 2 * len(verify.FLOOR_SWEEP_ABOVE)
     for inst in above:
-        assert brute_force_dual(inst, step) == full_scan(inst, step)
+        assert tuple(v[0] for v in brute_force_dual(inst, step)) == full_scan(inst, step)
 
 
 @pytest.mark.parametrize("step", [1e-4, 3.7e-4, 1e-3, 7e-3, MAX_GRID_STEP])
@@ -85,10 +86,9 @@ def test_the_oracle_of_a_stack_is_the_oracle_of_each_instance():
     rows = np.concatenate([brute_force_dual(stack[k : k + 1], 1e-3) for k in range(len(stack))], axis=1)
     assert [v.shape for v in brute_force_dual(stack[:1], 1e-3)] == [(1,)] * 3
     assert np.array_equal(np.array(brute_force_dual(stack, 1e-3)), rows)
-    square = UdInstance(stack.alpha[:36].reshape(6, 6), stack.eta[:, :36].reshape(2, 6, 6))
-    out = brute_force_dual(square, 1e-3)
-    assert [v.shape for v in out] == [(6, 6)] * 3
-    assert np.array_equal(np.array(out).reshape(3, -1), rows[:, :36])
+    with pytest.raises(ValidationError) as square:
+        UdInstance(stack.alpha[:36].reshape(6, 6), stack.eta[:, :36].reshape(2, 6, 6))
+    assert [v.check for v in square.value.violations] == ["instance_shape"]
 
 
 def test_the_oracle_of_orthogonal_states_is_the_whole_source():

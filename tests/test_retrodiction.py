@@ -65,8 +65,8 @@ def test_predictive_prob_examples():
 
 
 def test_predictive_prob_ud_condition_is_exact_zero():
-    inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
-    povm = Povm(optimal_dual(inst).elements)
+    inst = UdInstance.from_overlap([0.5], [[0.5], [0.5]])
+    povm = Povm(optimal_dual(inst).elements[0])
     table = born_table(ud_ensemble(inst).matrices, povm.elements, "predictive probability")
     assert table[1, 0] < 1e-15  # Tr(Pi_0 rho_1)
     assert table[0, 1] < 1e-15  # Tr(Pi_1 rho_0)
@@ -99,8 +99,8 @@ def test_outcome_probs_unbiased_projective_is_uniform():
 
 def test_outcome_probs_optimal_ud_weights():
     # mu_i = eta_i - sqrt(eta_1 eta_2) s = 1/4 at eta = 1/2, s = 1/2; mu_0 = 1/2.
-    inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
-    mu = retro_transform(ud_ensemble(inst), Povm(optimal_dual(inst).elements)).mu
+    inst = UdInstance.from_overlap([0.5], [[0.5], [0.5]])
+    mu = retro_transform(ud_ensemble(inst), Povm(optimal_dual(inst).elements[0])).mu
     assert np.allclose(mu, [0.25, 0.25, 0.5], atol=1e-12)
     with pytest.raises(ValueError):
         mu[0] = 0.0  # read-only, like the rest of the dual
@@ -141,11 +141,11 @@ def test_transform_reduces_to_unbiased_construction():
 
 
 def test_transform_ud_retro_povm_is_basis_projectors():
-    inst = UdInstance(math.pi / 6, (0.6, 0.4))
-    dual = retro_transform(ud_ensemble(inst), Povm(optimal_dual(inst).elements))
+    inst = UdInstance([math.pi / 6], [[0.6], [0.4]])
+    dual = retro_transform(ud_ensemble(inst), Povm(optimal_dual(inst).elements[0]))
     basis = retro_basis(inst)
-    assert maxabs(dual.povm_stack[0] - outer(basis.vectors[:, 0])) < 1e-12
-    assert maxabs(dual.povm_stack[1] - outer(basis.vectors[:, 1])) < 1e-12
+    assert maxabs(dual.povm_stack[0] - outer(basis.vectors[0, :, 0])) < 1e-12
+    assert maxabs(dual.povm_stack[1] - outer(basis.vectors[0, :, 1])) < 1e-12
 
 
 def test_transform_identities_on_random_biased_instance():
@@ -159,8 +159,8 @@ def test_transform_identities_on_random_biased_instance():
 
 
 def test_symmetric_ud_exclusion_structure():
-    inst = UdInstance(math.pi / 6, (0.6, 0.4))
-    dual = retro_transform(ud_ensemble(inst), Povm(optimal_dual(inst).elements))
+    inst = UdInstance([math.pi / 6], [[0.6], [0.4]])
+    dual = retro_transform(ud_ensemble(inst), Povm(optimal_dual(inst).elements[0]))
     assert dual.defined.all()
     table = born(dual)
     assert table[0, 1] < 1e-12

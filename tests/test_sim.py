@@ -24,8 +24,8 @@ def orthogonal_setup():
 
 
 def ud_setup():
-    inst = UdInstance.from_overlap(0.5, (0.5, 0.5))
-    return ud_ensemble(inst), Povm(optimal_dual(inst).elements)
+    inst = UdInstance.from_overlap([0.5], [[0.5], [0.5]])
+    return ud_ensemble(inst), Povm(optimal_dual(inst).elements[0])
 
 
 def test_orthogonal_states_have_zero_cross_counts():

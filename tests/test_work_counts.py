@@ -148,7 +148,7 @@ def test_ud_ensemble_is_validated_once(monkeypatch):
     ensemble_calls = count_calls(monkeypatch, ensembles, "validate_ensemble")
     vectors = count_calls(monkeypatch, ensembles, "validate_state_vector")
     cholesky, eigvalsh = psd_gates(monkeypatch)
-    ensemble = ud.ud_ensemble(ud.UdInstance.from_overlap(0.4, (0.7, 0.3)))
+    ensemble = ud.ud_ensemble(ud.UdInstance.from_overlap([0.4], [[0.7], [0.3]]))
     assert len(ensemble) == 2
     assert (len(ensemble_calls), len(vectors)) == (1, 0)
     assert [args[0].shape for args in cholesky] == [(2, 2, 2)]
@@ -192,8 +192,8 @@ def test_transform_checks_read_two_tables(monkeypatch):
 
 
 UD_INSTANCES = [
-    ud.UdInstance.from_overlap(0.3, (0.5, 0.5)),  # interior
-    ud.UdInstance.from_overlap(0.6, (0.9, 0.1)),  # clamped
+    ud.UdInstance.from_overlap([0.3], [[0.5], [0.5]]),  # interior
+    ud.UdInstance.from_overlap([0.6], [[0.9], [0.1]]),  # clamped
 ]
 
 
