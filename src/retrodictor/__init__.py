@@ -41,7 +41,6 @@ from .linalg import (
     Spectrum,
     hermitian_eig,
     inv_sqrtm_psd,
-    partial_trace,
     sqrtm_psd,
 )
 from .retrodiction import (

@@ -8,9 +8,10 @@ source function.  The no-signaling statement -- Bob's measurement cannot
 change Alice's reduced state -- is the same constraint that bounds the dual
 optimization.
 
-A two-qubit state is its validated (n, 4) amplitude array, one row per
-instance of a UD stack, subsystem a first; reduced_matrix and swap_residual
-read such arrays.
+A shared pure state is its validated (n, 2, 2) amplitude matrix M, one per
+instance of a UD stack, row = party a and column = party b.  Swapping the
+parties transposes M, and the two reduced states are M M^dag (a) and
+M^T conj(M) (b); reduced_matrix and swap_residual read such matrices.
 """
 
 from __future__ import annotations
@@ -20,52 +21,52 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .ensembles import Violation, _frozen, validate_operator_stack, validate_vector_stack
+from .ensembles import _as_array, _frozen, validate_operator_stack, validate_vector_stack
 from .errors import ValidationError
 from .tolerances import REMAINDER_PSD_TOL
 from .ud import (
     RetroBasis,
     UdInstance,
-    _optimal_mu,
     _eta,
+    _instance_violations,
+    _optimal_mu,
     retro_basis,
     source_remainder,
     ud_state_vectors,
 )
 
-# Basis order of the amplitudes: |0a 0b>, |0a 1b>, |1a 0b>, |1a 1b>; the a<->b swap
-# exchanges the middle two.
-_SWAP_ORDER = [0, 2, 1, 3]
-
 
 def reduced_matrix(amplitudes: np.ndarray, trace_out: int) -> np.ndarray:
-    """Reduced state of one qubit of each (n, 4) two-qubit vector, (n, 2, 2) (trace_out=0 removes a, 1 removes b)."""
-    m = linalg.partial_trace(linalg.outer(amplitudes), (2, 2), trace_out)
-    return (m + linalg.dag(m)) / 2.0
+    """Reduced state of one party of each (..., da, db) amplitude matrix M.
+
+    trace_out=1 removes b and gives M M^dag; trace_out=0 removes a and gives M^T conj(M).
+    """
+    m = np.swapaxes(amplitudes, -1, -2) if trace_out == 0 else amplitudes
+    reduced = np.einsum("...ij,...kj->...ik", m, m.conj())
+    return (reduced + linalg.dag(reduced)) / 2.0
 
 
 def swap_residual(amplitudes: np.ndarray) -> np.ndarray:
-    """Norm distance between each (n, 4) two-qubit vector and its a<->b swap, (n,)."""
-    return linalg.norm_each(amplitudes - amplitudes[..., _SWAP_ORDER])
+    """Norm distance between each (..., d, d) amplitude matrix and its a<->b swap, its transpose."""
+    return np.sqrt((np.abs(amplitudes - np.swapaxes(amplitudes, -1, -2)) ** 2).sum(axis=(-2, -1)))
 
 
-def _two_qubit_vectors(x: UdInstance, alice: np.ndarray) -> np.ndarray:
-    """sum_i sqrt(eta_i) |alice_i>|psi_i> as validated (n, 4) amplitudes; alice_i are the columns of alice."""
+def _two_qubit_amplitudes(x: UdInstance, alice: np.ndarray) -> np.ndarray:
+    """sum_i sqrt(eta_i) |alice_i>|psi_i> as validated (n, 2, 2) amplitudes; alice_i are the columns of alice."""
     products = np.swapaxes(alice, -1, -2)[..., :, :, None] * ud_state_vectors(x)[..., :, None, :]
     amplitudes = (np.sqrt(_eta(x))[..., :, None, None] * products).sum(axis=-3)
-    amplitudes = amplitudes.reshape(*amplitudes.shape[:-2], 4)
-    validate_vector_stack(amplitudes, "two-qubit state").raise_if_failed()
+    validate_vector_stack(amplitudes.reshape(*amplitudes.shape[:-2], -1), "two-qubit state").raise_if_failed()
     return amplitudes
 
 
 def entangled_state(x: UdInstance) -> np.ndarray:
-    """Shared state whose computational-basis preparation on a emits the UD pair, as (n, 4) amplitudes."""
-    return _two_qubit_vectors(x, np.eye(2))
+    """Shared state whose computational-basis preparation on a emits the UD pair, as (n, 2, 2) amplitudes."""
+    return _two_qubit_amplitudes(x, np.eye(2))
 
 
 def symmetric_state(x: UdInstance, basis: RetroBasis) -> np.ndarray:
-    """Shared state prepared in x's retro_basis, as (n, 4) amplitudes; invariant under the a<->b swap."""
-    return _two_qubit_vectors(x, basis.vectors)
+    """Shared state prepared in x's retro_basis, as (n, 2, 2) amplitudes; symmetric, so swap-invariant."""
+    return _two_qubit_amplitudes(x, basis.vectors)
 
 
 def sqrt_omega_in_retro_basis(basis: RetroBasis) -> np.ndarray:
@@ -98,29 +99,31 @@ class NoSignalingReport:
 
 def no_signaling_check(
     x: UdInstance,
-    mu: tuple[float, float] | None = None,
+    mu: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> NoSignalingReport:
     """Compare Alice's reduced state with the mu-weighted decomposition, for each instance of x.
 
-    mu defaults to the closed-form optimal weights; any feasible pair may be passed.
-    The failure contribution is the remainder of the source after removing the
-    conclusive weights; if the remainder fails positivity (an infeasible mu),
-    a ValidationError naming the PSD violation is raised.
+    mu defaults to the closed-form optimal weights; any feasible weights may be
+    passed, as two (n,) arrays (mu_1, mu_2) over x's instances, and any other
+    shape raises ValueError.  The failure contribution is the remainder of the
+    source after removing the conclusive weights; if the remainder fails
+    positivity (an infeasible mu), a ValidationError naming the PSD violation
+    of each failing instance is raised.
     """
-    mu1, mu2 = _optimal_mu(x)[:2] if mu is None else (float(mu[0]), float(mu[1]))
+    if mu is None:
+        mu1, mu2 = _optimal_mu(x)[:2]
+    else:
+        weights = _as_array(mu, float)
+        if weights is None or weights.shape != (2, len(x)):
+            raise ValueError(f"mu must be two arrays of shape ({len(x)},), one weight per instance")
+        mu1, mu2 = weights
     remainder = source_remainder(x, mu1, mu2)
-    violations = []
     diagonal = np.minimum(remainder[..., 0, 0], remainder[..., 1, 1])
-    if np.any(diagonal < -REMAINDER_PSD_TOL):
-        violations.append(
-            Violation("psd", -float(np.min(diagonal)),
-                      "weighted failure state has a negative diagonal entry")
-        )
     det = remainder[..., 0, 0] * remainder[..., 1, 1] - remainder[..., 0, 1] * remainder[..., 1, 0]
-    if np.any(det < -REMAINDER_PSD_TOL):
-        violations.append(
-            Violation("psd", -float(np.min(det)), "weighted failure state has negative determinant")
-        )
+    violations = _instance_violations([
+        ("psd", diagonal < -REMAINDER_PSD_TOL, -diagonal, "weighted failure state has a negative diagonal entry"),
+        ("psd", det < -REMAINDER_PSD_TOL, -det, "weighted failure state has negative determinant"),
+    ])
     if violations:
         raise ValidationError(violations)
 
@@ -129,8 +132,8 @@ def no_signaling_check(
     u = basis.vectors
     projectors = linalg.outer(np.swapaxes(u, -1, -2))
     tilde = (
-        np.asarray(mu1)[..., None, None] * projectors[..., 0, :, :]
-        + np.asarray(mu2)[..., None, None] * projectors[..., 1, :, :]
+        mu1[..., None, None] * projectors[..., 0, :, :]
+        + mu2[..., None, None] * projectors[..., 1, :, :]
         + u @ remainder.astype(np.complex128) @ linalg.dag(u)
     )
     states = np.stack(

@@ -172,7 +172,7 @@ def cmd_channel(args) -> int:
     doc = _base_doc("channel")
     doc["inputs"] = {"alpha": inst.alpha[0], "eta": [e1, e2], "overlap": inst.s[0]}
     doc["derived"] = {
-        "symmetric_state": matrix_to_rows(report.amplitudes[0]),
+        "symmetric_state": matrix_to_rows(report.amplitudes[0].reshape(-1)),
         "rho_a": matrix_to_rows(report.reduced_a[0]),
         "rho_a_tilde": matrix_to_rows(report.tilde_a[0]),
         "rho_b": matrix_to_rows(report.reduced_b[0]),

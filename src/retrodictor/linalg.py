@@ -75,10 +75,6 @@ class Spectrum:
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue-weighted eigenprojectors."""
-        return (self.eigenvectors * self.eigenvalues[..., None, :]) @ dag(self.eigenvectors)
-
     def map(
         self,
         f: Callable[[np.ndarray], np.ndarray],
@@ -144,20 +140,3 @@ def inv_sqrtm_psd(
 ) -> np.ndarray:
     """Inverse square root of a positive definite Hermitian matrix (see Spectrum.map)."""
     return hermitian_eig(matrix).inv_sqrt(min_eig, support_restricted)
-
-
-def partial_trace(matrix, dims: tuple[int, int], trace_out: int) -> np.ndarray:
-    """Partial trace of an operator (or a stack) on a (dims[0] * dims[1])-dimensional product space.
-
-    trace_out=0 removes the first factor, trace_out=1 the second.
-    """
-    da, db = dims
-    m = as_complex_matrix(matrix)
-    if m.shape[-1] != da * db:
-        raise ValueError(f"operator dim {m.shape[-1]} != {da}*{db}")
-    t = m.reshape(*m.shape[:-2], da, db, da, db)
-    if trace_out == 0:
-        return np.einsum("...ijik->...jk", t)
-    if trace_out == 1:
-        return np.einsum("...ijkj->...ik", t)
-    raise ValueError("trace_out must be 0 or 1")

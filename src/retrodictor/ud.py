@@ -42,6 +42,7 @@ from .ensembles import (
     Violation,
     _as_array,
     _frozen,
+    _stack_label,
     validate_operator_stack,
     validate_povm_stack,
     validate_vector_stack,
@@ -66,22 +67,34 @@ def _real_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _instance_violations(checks) -> list[Violation]:
+    """A Violation for each failing instance of each check, instance by instance.
+
+    checks are (name, failed, residual, message) with failed and residual over the
+    (n,) stack; each message names its instance as the stack validators name rows.
+    """
+    failed = np.array([bad for _, bad, _, _ in checks])
+    instance = _stack_label("instance", failed.shape[1:])
+    return [
+        Violation(name, float(residual[k]), f"{message} ({instance(k)})")
+        for k in np.flatnonzero(failed.any(axis=0)).tolist()
+        for name, bad, residual, message in checks
+        if bad[k]
+    ]
+
+
 def _require_valid(alpha, e1, e2) -> None:
     """Raise ValidationError unless alpha is in (0, pi/4] and the priors are positive and sum to 1.
 
-    Each violation reports its first failing instance of the (n,) stacks.
+    Each violation names its failing instance of the (n,) stacks.
     """
     with np.errstate(invalid="ignore"):  # inf + -inf: a NaN sum, flagged below
         off = np.abs(e1 + e2 - 1.0)
-    violations = [
-        Violation(name, float(residual[failed][0]), message)
-        for name, failed, residual, message in (
-            ("alpha_range", ~((alpha > 0.0) & (alpha <= math.pi / 4)), alpha, "alpha must lie in (0, pi/4]"),
-            ("eta_positive", ~((e1 > 0.0) & (e2 > 0.0)), np.minimum(e1, e2), "priors must be positive"),
-            ("eta_sum", ~(off <= PRIORS_TOL), off, "priors must sum to 1"),
-        )
-        if failed.any()
-    ]
+    violations = _instance_violations([
+        ("alpha_range", ~((alpha > 0.0) & (alpha <= math.pi / 4)), alpha, "alpha must lie in (0, pi/4]"),
+        ("eta_positive", ~((e1 > 0.0) & (e2 > 0.0)), np.minimum(e1, e2), "priors must be positive"),
+        ("eta_sum", ~(off <= PRIORS_TOL), off, "priors must sum to 1"),
+    ])
     if violations:
         raise ValidationError(violations)
 
@@ -352,8 +365,9 @@ def optimal_dual(x: UdInstance) -> DualOptimum:
     c = np.stack([mu1 / (e1 * one_minus_s2), mu2 / (e2 * one_minus_s2)], axis=-1)
     outside = ~((c >= -PROB_CLAMP_TOL) & (c <= 1.0 + PROB_CLAMP_TOL))
     if np.any(outside):
-        worst = float(c[np.any(outside, axis=-1)].max())
-        raise ValidationError([Violation("c_range", worst, "transmission weight outside [0, 1]")])
+        raise ValidationError(_instance_violations(
+            [("c_range", outside.any(axis=-1), c.max(axis=-1), "transmission weight outside [0, 1]")]
+        ))
     c = np.clip(c, 0.0, 1.0)
     ca, sa = np.cos(x.alpha), np.sin(x.alpha)
     # Rows psi_2-perp and psi_1-perp: Pi_1 = c_1 |psi_2-perp><psi_2-perp|, Pi_2 likewise.

@@ -272,7 +272,7 @@ def channel_residuals(x: UdInstance, report: NoSignalingReport) -> np.ndarray:
     plain = entangled_state(x)
     plain_reduced = np.stack([reduced_matrix(plain, 0), reduced_matrix(plain, 1)], axis=-3)
     validate_operator_stack(plain_reduced, "entangled-state reduction", unit_trace=True).raise_if_failed()
-    lifted = report.basis.vectors @ plain.reshape(*plain.shape[:-1], 2, 2)
+    lifted = report.basis.vectors @ plain
     return np.stack(
         np.broadcast_arrays(
             swap_residual(report.amplitudes),
@@ -284,7 +284,7 @@ def channel_residuals(x: UdInstance, report: NoSignalingReport) -> np.ndarray:
             _max_each(
                 linalg.maxabs_each(plain_reduced[..., 0, :, :] - om),
                 linalg.maxabs_each(plain_reduced[..., 1, :, :] - omega_in_retro_basis(x)),
-                np.abs(lifted.reshape(plain.shape) - report.amplitudes).max(axis=-1),
+                linalg.maxabs_each(lifted - report.amplitudes),
             ),
         ),
         axis=-1,

@@ -12,7 +12,7 @@ from retrodictor.channel import (
     symmetric_state,
 )
 from retrodictor.errors import SingularOperator, ValidationError
-from retrodictor.linalg import hermitian_eig, maxabs
+from retrodictor.linalg import hermitian_eig, maxabs, outer
 from retrodictor.ud import UdInstance, omega_in_retro_basis, omega_matrix, optimal_dual, retro_basis
 
 ETA_GRID = np.linspace(0.5, 0.98, 12)
@@ -42,10 +42,10 @@ def test_entangled_state_reduced_a_is_source_in_retro_matrix_form():
 def test_symmetric_state_swap_invariance():
     inst = UdInstance([math.pi / 8], [[0.5], [0.5]])
     state = symmetric_state(inst, retro_basis(inst))[0]
-    assert state.shape == (4,) and abs(np.linalg.norm(state) - 1.0) < 1e-12
+    assert state.shape == (2, 2) and abs(np.linalg.norm(state) - 1.0) < 1e-12
     assert swap_residual(state) < 1e-12
-    # Amplitude order |0a 0b>, |0a 1b>, |1a 0b>, |1a 1b>: the swap exchanges the middle two.
-    assert maxabs(state[[0, 2, 1, 3]] - state) < 1e-12
+    # Row = party a, column = party b: the swap transposes the amplitude matrix.
+    assert maxabs(state.T - state) < 1e-12
 
 
 def test_symmetric_state_both_reductions_equal_source():
@@ -59,7 +59,7 @@ def test_symmetric_state_both_reductions_equal_source():
 def test_symmetric_state_is_alice_basis_change_of_entangled_state():
     inst = UdInstance.from_overlap([0.45], [[0.65], [0.35]])
     u = retro_basis(inst).vectors[0]
-    lifted = np.kron(u, np.eye(2)) @ entangled_state(inst)[0]
+    lifted = u @ entangled_state(inst)[0]
     assert maxabs(lifted - symmetric_state(inst, retro_basis(inst))[0]) < 1e-10
 
 
@@ -79,17 +79,52 @@ def test_no_signaling_at_optimum():
 
 def test_no_signaling_for_any_feasible_decomposition():
     inst = UdInstance.from_overlap([0.5], [[0.6], [0.4]])
-    report = no_signaling_check(inst, mu=(0.12, 0.07))
+    report = no_signaling_check(inst, mu=([0.12], [0.07]))
     assert report.max_residual[0] < 1e-10
 
 
 def test_no_signaling_infeasible_mu_reports_psd_violation():
     inst = UdInstance.from_overlap([0.5], [[0.6], [0.4]])
     with pytest.raises(ValidationError) as excinfo:
-        no_signaling_check(inst, mu=(0.7, 0.0))
+        no_signaling_check(inst, mu=([0.7], [0.0]))
     violation = excinfo.value.violations[0]
     assert violation.check == "psd"
     assert violation.residual > 0.09  # eta_1 - mu_1 = -0.1 on the diagonal
+
+
+def test_no_signaling_per_instance_weights_equal_each_instance_alone():
+    x = UdInstance.from_overlap([0.5, 0.3], [[0.6, 0.35], [0.4, 0.65]])
+    mu1, mu2 = np.array([0.12, 0.2]), np.array([0.07, 0.3])
+    report = no_signaling_check(x, mu=(mu1, mu2))
+    for k in range(len(x)):
+        alone = no_signaling_check(x[k], mu=(mu1[k:k + 1], mu2[k:k + 1]))
+        for name in ("reduced_a", "tilde_a", "reduced_b", "amplitudes", "max_residual"):
+            assert np.array_equal(getattr(report, name)[k], getattr(alone, name)[0]), name
+
+
+def test_no_signaling_names_each_infeasible_instance_only():
+    x = UdInstance.from_overlap([0.5, 0.5, 0.5], [[0.6, 0.6, 0.6], [0.4, 0.4, 0.4]])
+    with pytest.raises(ValidationError) as excinfo:
+        no_signaling_check(x, mu=([0.12, 0.7, 0.12], [0.07, 0.0, 0.07]))
+    violations = excinfo.value.violations
+    assert violations and all(v.check == "psd" and v.message.endswith("(instance[1])") for v in violations)
+
+
+@pytest.mark.parametrize("mu", [(0.12, 0.07), ([0.12, 0.1], [0.07, 0.05]), ([0.12, 0.1], [0.07]), ("a", "b")])
+def test_no_signaling_rejects_weights_of_another_shape(mu):
+    with pytest.raises(ValueError, match=r"two arrays of shape \(1,\)"):
+        no_signaling_check(UdInstance.from_overlap([0.5], [[0.6], [0.4]]), mu=mu)
+
+
+def test_reduced_matrix_of_product_state():
+    # A rectangular 3 x 2 amplitude matrix: the product of an (unnormalised) a and b.
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    na, nb = np.vdot(a, a).real, np.vdot(b, b).real
+    amplitudes = a[:, None] * b[None, :]
+    assert maxabs(reduced_matrix(amplitudes, 1) - outer(a) * nb) < 1e-12 * na * nb
+    assert maxabs(reduced_matrix(amplitudes, 0) - outer(b) * na) < 1e-12 * na * nb
 
 
 def test_sqrt_omega_symmetric_in_retro_basis():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from retrodictor import ud as ud_module
 from retrodictor.channel import no_signaling_check
 from retrodictor.ensembles import Povm
 from retrodictor.errors import SingularOperator, ValidationError
@@ -49,6 +50,37 @@ def test_a_non_finite_prior_sum_is_named_not_warned():
     with pytest.raises(ValidationError) as excinfo:
         UdInstance([0.3], [[np.inf], [-np.inf]])
     assert "eta_sum" in [v.check for v in excinfo.value.violations]
+
+
+def test_ud_violations_name_every_failing_instance_only():
+    with pytest.raises(ValidationError) as excinfo:
+        UdInstance([0.3, 0.4, 0.5], [[0.5, 0.5, 1.5], [0.5, 0.5, -0.5]])
+    assert [str(v) for v in excinfo.value.violations] == [
+        "eta_positive: priors must be positive (instance[2]) (residual -5.000e-01)"
+    ]
+    with pytest.raises(ValidationError) as excinfo:
+        UdInstance([1.0, 0.3, 0.0], [[0.5, 0.6, 0.5], [0.5, 0.6, 0.5]])
+    assert [(v.check, v.message) for v in excinfo.value.violations] == [
+        ("alpha_range", "alpha must lie in (0, pi/4] (instance[0])"),
+        ("eta_sum", "priors must sum to 1 (instance[1])"),
+        ("alpha_range", "alpha must lie in (0, pi/4] (instance[2])"),
+    ]
+
+
+def test_c_range_names_every_failing_instance_only(monkeypatch):
+    # c is in [0, 1] at the closed-form weights; doubling instance 1's mu_1 puts its c_1 at 4/3.
+    optimal_mu = ud_module._optimal_mu
+
+    def doubled(x):
+        mu1, mu2, regime = optimal_mu(x)
+        return mu1 * [1.0, 2.0, 1.0], mu2, regime
+
+    monkeypatch.setattr(ud_module, "_optimal_mu", doubled)
+    with pytest.raises(ValidationError) as excinfo:
+        optimal_dual(UdInstance.from_overlap([0.5, 0.5, 0.5], [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]))
+    assert [(v.check, v.message) for v in excinfo.value.violations] == [
+        ("c_range", "transmission weight outside [0, 1] (instance[1])")
+    ]
 
 
 def test_angle_conventions():
@@ -155,7 +187,8 @@ def test_retro_bases_carry_the_source_spectrum_they_were_built_from():
                 inst = UdInstance([float(alpha)], [[float(eta[0])], [float(eta[1])]])
                 numeric = retro_basis(inst).omega_spectrum
                 closed = retro_basis_closed_form(inst).omega_spectrum
-                assert maxabs(numeric.reconstruct() - omega_matrix(inst)) < 1e-14
+                rebuilt = (numeric.eigenvectors * numeric.eigenvalues[..., None, :]) @ dag(numeric.eigenvectors)
+                assert maxabs(rebuilt - omega_matrix(inst)) < 1e-14
                 assert maxabs(numeric.eigenvalues - closed.eigenvalues) < 1e-12
                 # Same vectors, phases included: both follow the Spectrum convention.
                 assert maxabs(numeric.eigenvectors - closed.eigenvectors) < 1e-12
