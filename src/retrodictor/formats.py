@@ -7,8 +7,11 @@ reproduces every value bit-exactly and identical inputs yield byte-identical
 documents.
 
 The canonical form of a document is defined as the standard library's
-json.dumps(doc, indent=2, sort_keys=True) plus a newline.  render_json
-produces exactly that text, faster; tests/test_canonical_json.py pins it.
+json.dumps(doc, indent=2, sort_keys=True) plus a newline, where a float64
+array stands for its .tolist().  render_json produces exactly that text,
+faster; tests/test_canonical_json.py pins it.  Report matrices stay float64
+arrays (matrix_to_rows) from the program to the text: no nested lists are
+built for them.
 """
 
 from __future__ import annotations
@@ -32,10 +35,15 @@ from .ensembles import (
 from .errors import ValidationError
 
 
-def matrix_to_rows(matrix: np.ndarray) -> list:
-    """The [re, im] pair of each entry of a complex array, nested as the array is: rows of a matrix."""
-    arr = np.asarray(matrix, dtype=complex)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+def matrix_to_rows(matrix: np.ndarray) -> np.ndarray:
+    """The [re, im] pair of each entry of a complex array (ndim >= 1), as a float64 array of shape (*matrix.shape, 2).
+
+    It is a view of the complex128 data (a copy only when matrix is not already
+    C-contiguous complex128); render_json writes it as the nested [re, im]
+    lists that .tolist() gives.
+    """
+    arr = np.ascontiguousarray(matrix, np.complex128)
+    return arr.view(np.float64).reshape(*arr.shape, 2)
 
 
 def _entries_to_complex(entries: list, where: str) -> np.ndarray:
@@ -177,16 +185,21 @@ def write_json(doc: dict, path: str) -> None:
 def render_json(doc: Any) -> str:
     """Canonical rendering: exactly json.dumps(doc, indent=2, sort_keys=True) + "\\n".
 
-    json's indented encoder is pure Python; this one renders each rectangular
-    nested list of floats through one %-template and raises what json raises.
-    That includes a cycle, which gets json's ValueError rather than a hang:
-    _float_block gives up on a list it has met before, and RecursionError
-    hands the document to json.dumps.
+    A numpy float64 array of one or more dimensions is rendered as json
+    renders its .tolist(); any other numpy array, and anything else json
+    rejects, raises json's own error.  json's indented encoder is pure
+    Python; this one fills one %-template of the shape with the floats of
+    each finite non-empty float64 array, and of each rectangular nested list
+    of floats.  A non-finite or empty array is rendered through .tolist(),
+    so NaN, Infinity and [] come out as json writes them.  An array holds no
+    references, so only lists and dicts can form a cycle, which gets json's
+    ValueError rather than a hang: _float_block gives up on a list it has
+    met before, and RecursionError hands the document to json.dumps.
     """
     try:
         return _render(doc, "") + "\n"
     except RecursionError:  # a cycle, or nesting too deep: json.dumps raises its own error
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, default=_as_lists) + "\n"
 
 
 def _render(x: Any, indent: str) -> str:
@@ -203,6 +216,10 @@ def _render(x: Any, indent: str) -> str:
         return int.__repr__(x)
     if isinstance(x, float):
         return _float_text(x)
+    if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim:
+        if x.size and (block := _fill(x.shape, indent, x.ravel().tolist())) is not None:
+            return block
+        return _render(x.tolist(), indent)  # empty, NaN or infinite: as json writes the lists
     inner = indent + "  "
     if isinstance(x, (list, tuple)):
         if not x:
@@ -218,7 +235,14 @@ def _render(x: Any, indent: str) -> str:
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     # Non-str keys and unknown types: json's own text or error.  Newlines in
     # json text are all structural (strings escape them), so this re-indents it.
-    return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    return json.dumps(x, indent=2, sort_keys=True, default=_as_lists).replace("\n", "\n" + indent)
+
+
+def _as_lists(x: Any) -> list:
+    """json.dumps's default: a float64 array of one or more dimensions as its .tolist(), else json's TypeError."""
+    if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim:
+        return x.tolist()
+    return json.JSONEncoder.default(None, x)
 
 
 def _float_text(x: float) -> str:
@@ -241,13 +265,16 @@ def _float_block(x: list, indent: str) -> str | None:
             return None  # ragged, empty, or a list met twice (shared or cyclic)
         shape.append(lengths.pop())
         level = list(chain.from_iterable(level))
-    if types != {float}:
-        return None
-    text = _template(shape, indent) % tuple(map(float.__repr__, level))
+    return _fill(shape, indent, level) if types == {float} else None
+
+
+def _fill(shape, indent: str, values: list) -> str | None:
+    """The non-empty floats of values as a nested list of this shape, None if one is not finite."""
+    text = _template(shape, indent) % tuple(map(float.__repr__, values))
     return None if "n" in text else text  # nan and inf: json spells them NaN, Infinity
 
 
-def _template(shape: list, indent: str) -> str:
+def _template(shape, indent: str) -> str:
     """A nested list of this shape as json indents it, with %s for each float."""
     inner = indent + "  "
     item = _template(shape[1:], inner) if shape[1:] else "%s"

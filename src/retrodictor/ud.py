@@ -83,6 +83,13 @@ def _instance_violations(checks) -> list[Violation]:
     ]
 
 
+def _require_shapes(name: str, values: np.ndarray, eta: np.ndarray) -> None:
+    """Raise ValidationError (instance_shape) unless values has shape (n,) and eta shape (2, n)."""
+    if values.ndim != 1 or eta.shape != (2, len(values)):
+        message = f"{name} of shape {values.shape} and eta of shape {eta.shape} must have shapes (n,) and (2, n)"
+        raise ValidationError([Violation("instance_shape", 0.0, message)])
+
+
 def _require_valid(alpha, e1, e2) -> None:
     """Raise ValidationError unless alpha is in (0, pi/4] and the priors are positive and sum to 1.
 
@@ -123,9 +130,7 @@ class UdInstance:
 
     def __post_init__(self):
         alpha, eta = _real_array(self.alpha, "alpha").copy(), _real_array(self.eta, "eta").copy()
-        if alpha.ndim != 1 or eta.shape != (2, len(alpha)):
-            message = f"alpha of shape {alpha.shape} and eta of shape {eta.shape} must have shapes (n,) and (2, n)"
-            raise ValidationError([Violation("instance_shape", 0.0, message)])
+        _require_shapes("alpha", alpha, eta)
         _require_valid(alpha, *eta)
         for name, values in (("alpha", alpha), ("eta", eta)):
             values.setflags(write=False)
@@ -133,13 +138,16 @@ class UdInstance:
 
     @classmethod
     def from_overlap(cls, overlap, eta) -> "UdInstance":
-        """Build from the (n,) state overlaps s = <psi_1|psi_2>, each in [0, 1)."""
-        overlap = _real_array(overlap, "overlap")
+        """Build from the (n,) state overlaps s = <psi_1|psi_2>, each in [0, 1).
+
+        Each overlap outside [0, 1) is named by its instance, after the shapes are checked.
+        """
+        overlap, eta = _real_array(overlap, "overlap"), _real_array(eta, "eta")
+        _require_shapes("overlap", overlap, eta)
         outside = ~((overlap >= 0.0) & (overlap < 1.0))
-        if outside.any():
-            raise ValidationError(
-                [Violation("overlap_range", float(overlap[outside][0]), "overlap must lie in [0, 1)")]
-            )
+        violations = _instance_violations([("overlap_range", outside, overlap, "overlap must lie in [0, 1)")])
+        if violations:
+            raise ValidationError(violations)
         return cls(_acos(overlap) / 2.0, eta)
 
     def __len__(self) -> int:
@@ -169,12 +177,12 @@ class UdInstance:
 
 def _mat2(a, b, c, d) -> np.ndarray:
     """The 2 x 2 matrices [[a, b], [c, d]] from (n,) entries: (n, 2, 2)."""
-    return np.moveaxis(np.array([[a, b], [c, d]]), (0, 1), (-2, -1)).copy()
+    return np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)
 
 
 def _eta(x: UdInstance) -> np.ndarray:
     """(eta_1, eta_2) of each instance: (n, 2)."""
-    return np.moveaxis(x.eta, 0, -1)
+    return x.eta.T
 
 
 def ud_state_vectors(x: UdInstance) -> np.ndarray:
@@ -356,7 +364,7 @@ def optimal_dual(x: UdInstance) -> DualOptimum:
     v = np.where(
         regime == "clamped", [np.where(first, r1 * x.s, r1), np.where(first, r2, r2 * x.s)], 1.0
     )
-    v = np.moveaxis(v / np.hypot(*v), 0, -1)
+    v = (v / np.hypot(*v)).T
     rho0 = linalg.outer((basis.vectors @ v[..., None])[..., 0])
     rho0 = (rho0 + linalg.dag(rho0)) / 2.0
     validate_operator_stack(rho0, "failure state", unit_trace=True).raise_if_failed()
@@ -380,7 +388,7 @@ def optimal_dual(x: UdInstance) -> DualOptimum:
     clamped = [ca, np.where(first, -sa, sa)]
     interior = [r * (q + 1 / q) / ca, r * (q - 1 / q) / sa]
     v = np.where(regime == "clamped", clamped, interior)
-    pi0 = linalg.outer(np.moveaxis(v, 0, -1))
+    pi0 = linalg.outer(v.T)
     elements = np.concatenate([conclusive, pi0[..., None, :, :]], axis=-3)
     validate_povm_stack(elements, "predictive POVM").raise_if_failed()
     c = (c[..., 0], c[..., 1])

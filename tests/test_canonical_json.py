@@ -1,8 +1,10 @@
 """render_json is the stdlib's canonical form: json.dumps(doc, indent=2, sort_keys=True) + "\\n".
 
-The renderer walks a document itself and fills each rectangular nested list of
-floats through one template, so these tests compare it with the stdlib on
-seeded random documents, on what json rejects, and on every CLI report.
+A float64 array of one or more dimensions stands for its .tolist().  The
+renderer walks a document itself and fills each such array, and each
+rectangular nested list of floats, through one template, so these tests
+compare it with the stdlib on seeded random documents, on what json rejects,
+and on every CLI report.
 """
 
 import json
@@ -14,8 +16,10 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import random_ensemble, random_povm
 from retrodictor.cli import main
-from retrodictor.formats import render_json
+from retrodictor.ensembles import Povm
+from retrodictor.formats import ensemble_to_payload, povm_to_payload, render_json, write_json
 
 SAMPLES = pathlib.Path(__file__).resolve().parents[1] / "sample_inputs"
 
@@ -72,10 +76,20 @@ def float_block(rng: random.Random, shape: list):
     return row
 
 
+def float_array(rng: random.Random) -> np.ndarray:
+    """A float64 array of 1 to 4 dimensions, some empty, some a non-contiguous view, with edge values in some."""
+    shape = [rng.randint(0 if rng.random() < 0.1 else 1, 3) for _ in range(rng.randint(1, 4))]
+    draw = random_float if rng.random() < 0.5 else random.Random.random  # NaN, ±inf, -0.0, subnormals
+    arr = np.array([draw(rng) for _ in range(math.prod(shape))], np.float64).reshape(shape)
+    return arr.T if rng.random() < 0.2 else arr
+
+
 def value(rng: random.Random, depth: int):
-    k = rng.randrange(10) if depth < 3 else 0
+    k = rng.randrange(11) if depth < 3 else rng.choice([0, 10])  # at the deepest level, a scalar or an array
     if k < 3:
         return scalar(rng)
+    if k == 10:
+        return float_array(rng)
     if k < 5:
         return float_block(rng, [rng.randint(1, 3) for _ in range(rng.randint(1, 4))])
     if k == 5:
@@ -95,13 +109,24 @@ def value(rng: random.Random, depth: int):
 def unrenderable(rng: random.Random):
     """Something json.dumps rejects, or may: numpy ints and arrays, objects, mixed or odd keys."""
     return rng.choice([
-        np.int64(3), np.float32(0.5), np.zeros(2), np.bool_(True), object(), {1, 2},
+        np.int64(3), np.float32(0.5), np.zeros(2, np.int64), np.bool_(True), object(), {1, 2},
         {"a": 1, 1: 2}, {(1, 2): 3}, {None: 1, "b": 2}, {True: [0.5]},
     ])
 
 
 def stdlib(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def lists(doc):
+    """doc with each float64 array of one or more dimensions replaced by its .tolist()."""
+    if type(doc) is np.ndarray and doc.dtype == np.float64 and doc.ndim:
+        return doc.tolist()
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(lists, doc))
+    if isinstance(doc, dict):
+        return {k: lists(v) for k, v in doc.items()}
+    return doc
 
 
 def test_random_documents_render_as_the_stdlib_does():
@@ -112,7 +137,7 @@ def test_random_documents_render_as_the_stdlib_does():
         if rng.random() < 0.05:
             doc = [doc, unrenderable(rng)] if rng.random() < 0.5 else {"z": doc, "bad": unrenderable(rng)}
         try:
-            expected = stdlib(doc)
+            expected = stdlib(lists(doc))
         except (TypeError, ValueError) as exc:
             rejected += 1
             with pytest.raises(type(exc)) as excinfo:
@@ -130,9 +155,13 @@ def test_random_documents_render_as_the_stdlib_does():
     {"x": [np.float64(0.1), np.float64(-0.0)], "y": (0.5, 1.0), "z": [1, 0.5]},
     {"é": "ü\n", "\"": {"": []}},
     {3: [0.5], 1: {"a": [[0.5]]}},
+    {"x": np.array([[1.0, math.nan], [math.inf, -math.inf]]), "y": np.array([-0.0, 5e-324])},
+    {"x": np.zeros(0), "y": np.zeros((2, 0)), "z": np.zeros((0, 3))},
+    {3: np.array([0.5, math.nan]), 1: {"a": np.array([[0.5]])}},
+    [np.arange(24.0).reshape(2, 3, 4).T, np.arange(6.0).reshape(2, 3)[:, ::2], None],
 ])
 def test_edge_documents_render_as_the_stdlib_does(doc):
-    assert render_json(doc) == stdlib(doc)
+    assert render_json(doc) == stdlib(lists(doc))
 
 
 def test_shared_and_cyclic_lists_behave_as_in_the_stdlib():
@@ -147,7 +176,7 @@ def test_shared_and_cyclic_lists_behave_as_in_the_stdlib():
             render_json(doc)
 
 
-@pytest.mark.parametrize("bad", [np.int64(3), np.zeros((2, 2)), object(), {"a": [0.5, np.int64(1)]}])
+@pytest.mark.parametrize("bad", [np.int64(3), np.zeros((2, 2), np.complex128), object(), {"a": [0.5, np.int64(1)]}])
 def test_what_json_rejects_raises_the_same_type_error(bad):
     with pytest.raises(TypeError) as stdlib_error:
         stdlib(bad)
@@ -157,19 +186,38 @@ def test_what_json_rejects_raises_the_same_type_error(bad):
 
 
 SAMPLE_PAIR = [str(SAMPLES / "ud_ensemble.json"), str(SAMPLES / "ud_povm.json")]
-REPORTS = [
-    ["transform", *SAMPLE_PAIR],
-    ["transform", *SAMPLE_PAIR, "--support-restricted"],
-    ["simulate", *SAMPLE_PAIR, "--n", "10000", "--seed", "3"],
-    ["ud", "--eta1", "0.5", "--overlap", "0.5", "--grid-check", "1e-3"],
-    ["ud", "--eta1", "0.9", "--overlap", "0.7071067811865476"],
-    ["channel", "--eta1", "0.7", "--alpha", "0.4"],
-    ["verify", "--suite", "ud", "--suite", "channel"],
-]
+REPORTS = {
+    "transform": ["transform", *SAMPLE_PAIR],
+    "support-restricted": ["transform", *SAMPLE_PAIR, "--support-restricted"],
+    # 8 x 8 matrices, and a null among the retrodictive states (the POVM's zero element never fires).
+    "transform-d8": ["transform", "{ensemble8}", "{povm8}"],
+    "undefined-outcome": ["transform", SAMPLE_PAIR[0], "{never_fires}"],
+    "simulate": ["simulate", *SAMPLE_PAIR, "--n", "10000", "--seed", "3"],
+    "ud-grid": ["ud", "--eta1", "0.5", "--overlap", "0.5", "--grid-check", "1e-3"],
+    "ud": ["ud", "--eta1", "0.9", "--overlap", "0.7071067811865476"],
+    "channel": ["channel", "--eta1", "0.7", "--alpha", "0.4"],
+    "verify": ["verify", "--suite", "ud", "--suite", "channel"],
+}
 
 
-@pytest.mark.parametrize("argv", REPORTS, ids=["transform", "support-restricted", "simulate", "ud-grid", "ud", "channel", "verify"])
-def test_cli_reports_are_the_stdlib_rendering_of_themselves(argv, tmp_path, capsys):
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> dict:
+    """Paths of the input files the REPORTS name in braces."""
+    rng = np.random.default_rng(8)
+    docs = {
+        "ensemble8": ensemble_to_payload(random_ensemble(rng, 8, 5)),
+        "povm8": povm_to_payload(random_povm(rng, 8, 6)),
+        "never_fires": povm_to_payload(Povm((np.eye(2), np.zeros((2, 2))))),
+    }
+    folder = tmp_path_factory.mktemp("inputs")
+    for name, doc in docs.items():
+        write_json(doc, str(folder / f"{name}.json"))
+    return {name: str(folder / f"{name}.json") for name in docs}
+
+
+@pytest.mark.parametrize("argv", REPORTS.values(), ids=REPORTS.keys())
+def test_cli_reports_are_the_stdlib_rendering_of_themselves(argv, inputs, tmp_path, capsys):
+    argv = [arg.format(**inputs) for arg in argv]
     out = tmp_path / "report.json"
     assert main([*argv, "--out", str(out)]) == 0
     text = out.read_text()

@@ -478,6 +478,15 @@ def test_a_stack_with_mismatched_shapes_or_an_overlap_out_of_range_raises_a_name
     assert [(v.check, v.residual) for v in overlap.value.violations] == [("overlap_range", 1.0)]
 
 
+def test_every_overlap_out_of_range_is_named_by_its_instance():
+    with pytest.raises(ValidationError) as excinfo:
+        UdInstance.from_overlap([0.3, 1.2, 1.5], [[0.5] * 3] * 2)
+    assert [(v.check, v.residual, v.message) for v in excinfo.value.violations] == [
+        ("overlap_range", 1.2, "overlap must lie in [0, 1) (instance[1])"),
+        ("overlap_range", 1.5, "overlap must lie in [0, 1) (instance[2])"),
+    ]
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -485,6 +494,8 @@ def test_a_stack_with_mismatched_shapes_or_an_overlap_out_of_range_raises_a_name
         pytest.param(lambda: UdInstance.from_overlap(0.5, (0.6, 0.4)), id="0-d-overlap"),
         pytest.param(lambda: UdInstance(np.full((6, 6), 0.3), np.full((2, 6, 6), 0.5)), id="6x6"),
         pytest.param(lambda: UdInstance.from_overlap(np.full((6, 6), 0.5), np.full((2, 6, 6), 0.5)), id="6x6-overlap"),
+        # The shape is checked before the range, so no overlap of a 2-D stack is named by a flat index.
+        pytest.param(lambda: UdInstance.from_overlap([[1.5, 0.5]], np.full((2, 1, 2), 0.5)), id="2-d-overlap-above-1"),
     ],
 )
 def test_an_instance_that_is_not_one_dimensional_raises_the_named_shape_violation(build):
