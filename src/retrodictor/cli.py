@@ -32,7 +32,6 @@ from .formats import (
 )
 from .retrodiction import retro_transform
 from .sim import RNG_ALGORITHM, StatTable, empirical_report, sample
-from .tolerances import GRID_ORACLE_STEPS
 from .ud import (
     UdInstance,
     brute_force_dual,
@@ -41,7 +40,7 @@ from .ud import (
     omega_matrix,
     optimal_dual,
 )
-from .verify import Check, checks_for_channel, checks_for_transform, checks_for_ud, run_suites
+from .verify import Check, checks_for_channel, checks_for_transform, checks_for_ud, grid_oracle_check, run_suites
 
 SEED_ENV_VAR = "RETRODICTOR_SEED"
 
@@ -65,14 +64,6 @@ def _check_doc(check: Check) -> dict:
         "tolerance": check.tolerance,
         "passed": check.passed,
     }
-
-
-def _finite_or_none(x: float):
-    return float(x) if math.isfinite(x) else None
-
-
-def _float_table(arr: np.ndarray) -> list:
-    return [[_finite_or_none(v) for v in row] for row in np.atleast_2d(np.asarray(arr, float))]
 
 
 def _finish(doc: dict, checks, out_path: str | None) -> int:
@@ -121,7 +112,7 @@ def cmd_transform(args) -> int:
     doc["derived"] = {
         "omega": matrix_to_rows(dual.omega_matrix),
         "unbiased": is_unbiased(dual.omega_matrix),
-        "mu": [float(m) for m in dual.mu],
+        "mu": dual.mu,
         "undefined_outcomes": [j for j, ok in enumerate(dual.defined.tolist()) if not ok],
         "retro_povm": matrix_to_rows(dual.povm_stack),
         "retro_states": [
@@ -160,7 +151,7 @@ def cmd_ud(args) -> int:
     if args.grid_check is not None:
         (g1,), (g2,), (pg,) = brute_force_dual(inst, args.grid_check)
         doc["derived"]["grid_check"] = {"step": args.grid_check, "mu": [g1, g2], "p_success": pg}
-        checks.append(Check("grid-oracle-deviation", abs(pg - opt.p_success[0]), GRID_ORACLE_STEPS * args.grid_check))
+        checks.append(grid_oracle_check("grid-oracle-deviation", opt.p_success, pg, args.grid_check))
     return _finish(doc, checks, args.out)
 
 
@@ -181,11 +172,13 @@ def cmd_channel(args) -> int:
 
 
 def _stat_table_doc(table: StatTable) -> dict:
+    """The table's arrays as rows; bound_3sigma holds null where a cell's bound is undefined (infinite)."""
+    bounds = np.atleast_2d(table.bound_3sigma).tolist()
     return {
-        "empirical": _float_table(table.empirical),
-        "analytic": _float_table(table.analytic),
-        "deviation": _float_table(table.deviation),
-        "bound_3sigma": _float_table(table.bound_3sigma),
+        "empirical": np.atleast_2d(table.empirical),
+        "analytic": np.atleast_2d(table.analytic),
+        "deviation": np.atleast_2d(table.deviation),
+        "bound_3sigma": [[v if math.isfinite(v) else None for v in row] for row in bounds],
         "defined": [[bool(v) for v in row] for row in np.atleast_2d(table.defined)],
         "violations": [list(idx) for idx in table.violations()],
     }

@@ -237,10 +237,10 @@ def validate_priors_stack(priors: np.ndarray, label: str) -> ValidationReport:
     an empty label names no row.
     """
     name = _stack_label(label, priors.shape[:-1])
-    rows = priors.reshape(-1, priors.shape[-1])
+    rows = priors.reshape(np.prod(priors.shape[:-1], dtype=int), priors.shape[-1])  # -1 fails on empty rows
     finite = np.isfinite(rows).all(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        low = rows.min(axis=1)
+        low = rows.min(axis=1, initial=np.inf)
         off = np.abs(rows.sum(axis=1) - 1.0)
     violations = []
     for k in np.flatnonzero(~finite | (low < 0.0) | (off > PRIORS_TOL)).tolist():

@@ -9,9 +9,10 @@ documents.
 The canonical form of a document is defined as the standard library's
 json.dumps(doc, indent=2, sort_keys=True) plus a newline, where a float64
 array stands for its .tolist().  render_json produces exactly that text,
-faster; tests/test_canonical_json.py pins it.  Report matrices stay float64
-arrays (matrix_to_rows) from the program to the text: no nested lists are
-built for them.
+faster; tests/test_canonical_json.py pins it.  Every block of floats in a
+report (matrices through matrix_to_rows, priors, click probabilities, the
+simulate tables) stays a float64 array from the program to the text; a list
+renders item by item.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def ensemble_to_payload(ensemble: Ensemble) -> dict:
     return {
         "dim": ensemble.dim,
         "states": matrix_to_rows(ensemble.matrices),
-        "priors": [float(p) for p in ensemble.priors],
+        "priors": ensemble.priors,
     }
 
 
@@ -189,12 +190,13 @@ def render_json(doc: Any) -> str:
     renders its .tolist(); any other numpy array, and anything else json
     rejects, raises json's own error.  json's indented encoder is pure
     Python; this one fills one %-template of the shape with the floats of
-    each finite non-empty float64 array, and of each rectangular nested list
-    of floats.  A non-finite or empty array is rendered through .tolist(),
-    so NaN, Infinity and [] come out as json writes them.  An array holds no
-    references, so only lists and dicts can form a cycle, which gets json's
-    ValueError rather than a hang: _float_block gives up on a list it has
-    met before, and RecursionError hands the document to json.dumps.
+    each finite non-empty float64 array, the form in which blocks of floats
+    arrive, and renders lists and tuples item by item.  A non-finite or
+    empty array is rendered through .tolist(), so NaN, Infinity and [] come
+    out as json writes them.  An array holds no references, so only lists
+    and dicts can form a cycle, which gets json's ValueError rather than a
+    hang: the walk ends in RecursionError, which hands the document to
+    json.dumps.
     """
     try:
         return _render(doc, "") + "\n"
@@ -217,15 +219,15 @@ def _render(x: Any, indent: str) -> str:
     if isinstance(x, float):
         return _float_text(x)
     if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim:
-        if x.size and (block := _fill(x.shape, indent, x.ravel().tolist())) is not None:
-            return block
+        if x.size:
+            block = _template(x.shape, indent) % tuple(map(float.__repr__, x.ravel().tolist()))
+            if "n" not in block:  # nan and inf: json spells them NaN, Infinity
+                return block
         return _render(x.tolist(), indent)  # empty, NaN or infinite: as json writes the lists
     inner = indent + "  "
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        if (block := _float_block(x, indent)) is not None:
-            return block
         items = [_render(v, inner) for v in x]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if isinstance(x, dict) and set(map(type, x)) <= {str}:
@@ -253,25 +255,6 @@ def _float_text(x: float) -> str:
     if x == -math.inf:
         return "-Infinity"
     return float.__repr__(x)
-
-
-def _float_block(x: list, indent: str) -> str | None:
-    """A non-empty rectangular nested list of Python floats as one template fill, else None."""
-    level, shape, seen = x, [len(x)], {id(x)}
-    while (types := set(map(type, level))) == {list}:
-        lengths, known = set(map(len, level)), len(seen)
-        seen.update(map(id, level))
-        if len(lengths) != 1 or 0 in lengths or len(seen) != known + len(level):
-            return None  # ragged, empty, or a list met twice (shared or cyclic)
-        shape.append(lengths.pop())
-        level = list(chain.from_iterable(level))
-    return _fill(shape, indent, level) if types == {float} else None
-
-
-def _fill(shape, indent: str, values: list) -> str | None:
-    """The non-empty floats of values as a nested list of this shape, None if one is not finite."""
-    text = _template(shape, indent) % tuple(map(float.__repr__, values))
-    return None if "n" in text else text  # nan and inf: json spells them NaN, Infinity
 
 
 def _template(shape, indent: str) -> str:

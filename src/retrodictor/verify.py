@@ -72,6 +72,7 @@ from .sim import empirical_report, sample
 from .tolerances import (
     CHANNEL_CHECKS,
     CHECK_TOLERANCES,
+    COUNT_THRESHOLD,
     GRID_ORACLE_STEPS,
     MIN_EIG_DEFAULT,
     MIN_MU,
@@ -299,6 +300,11 @@ def checks_for_channel(inst: UdInstance, report: NoSignalingReport) -> tuple[Che
     return _checks(CHANNEL_CHECKS, channel_residuals(inst, report))
 
 
+def grid_oracle_check(name: str, p_success: np.ndarray, p_grid, step: float) -> Check:
+    """The worst gap of closed-form success probabilities to the grid oracle's at step, held to GRID_ORACLE_STEPS steps."""
+    return Check(name, np.max(np.abs(p_success - p_grid)), GRID_ORACLE_STEPS * step)
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
@@ -509,7 +515,7 @@ def _grid_slices() -> list[UdInstance]:
 
 
 def _ud_grid_rows(x: UdInstance) -> np.ndarray:
-    """Per instance: the gap to the grid oracle, the regime mismatches, then the UD_CHECKS values."""
+    """Per instance: the closed-form and the grid-oracle success probability, the regime mismatches, the UD_CHECKS values."""
     opt = optimal_dual(x)
     p_grid = brute_force_dual(x, GRID_STEP)[2]
     s = x.s
@@ -521,7 +527,7 @@ def _ud_grid_rows(x: UdInstance) -> np.ndarray:
         + (~clamped & (mu_min <= 0.0))
     )
     residuals = ud_residuals(x, opt, ud_retro_dual(x, opt))
-    return np.column_stack([np.abs(opt.p_success - p_grid), mismatches, residuals])
+    return np.column_stack([opt.p_success, p_grid, mismatches, residuals])
 
 
 def suite_ud() -> SuiteResult:
@@ -543,12 +549,12 @@ def suite_ud() -> SuiteResult:
     return SuiteResult(
         "ud",
         (
-            Check("closed-vs-grid-oracle", rows[:, 0].max(), GRID_ORACLE_STEPS * GRID_STEP),
-            Check.named("regime-classification-mismatches", rows[:, 1].sum()),
+            grid_oracle_check("closed-vs-grid-oracle", rows[:, 0], rows[:, 1], GRID_STEP),
+            Check.named("regime-classification-mismatches", rows[:, 2].sum()),
             Check.named("branch-continuity", worst_continuity),
             Check.named("spot-value-even-priors", spot_even),
             Check.named("spot-value-clamped", spot_clamped),
-            *_worst(UD_CHECKS, rows[:, 2:]),
+            *_worst(UD_CHECKS, rows[:, 3:]),
         ),
     )
 
@@ -711,10 +717,20 @@ SUITES = {
 
 
 def run_suites(names: list[str] | None = None) -> list[SuiteResult]:
-    """Run the named suites (all of them when names is None or contains 'all')."""
+    """Run the named suites (all of them when names is None or contains 'all').
+
+    A suite that raises RetrodictorError or ValueError is reported as failed,
+    with one check named after the error; the other suites still run.
+    """
     if not names or "all" in names:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; choose from {', '.join(SUITES)}")
-    return [SUITES[name]() for name in names]
+    results = []
+    for name in names:
+        try:
+            results.append(SUITES[name]())
+        except (RetrodictorError, ValueError) as exc:
+            results.append(SuiteResult(name, (Check(f"{type(exc).__name__}: {exc}", 1.0, COUNT_THRESHOLD),)))
+    return results

@@ -10,10 +10,12 @@ import pytest
 
 import retrodictor
 from conftest import pure_ensemble_payload
-from retrodictor import cli
+from retrodictor import cli, verify
 from retrodictor.cli import main
-from retrodictor.ensembles import UNBIASED_TOL, Ensemble, Povm, is_unbiased
+from retrodictor.ensembles import UNBIASED_TOL, Ensemble, Povm, Violation, is_unbiased
+from retrodictor.errors import ValidationError
 from retrodictor.formats import ensemble_to_payload, povm_to_payload, write_json
+from retrodictor.tolerances import COUNT_THRESHOLD
 from retrodictor.ud import UdInstance, optimal_dual, ud_state_vectors
 
 
@@ -211,6 +213,30 @@ def test_verify_failure_modes_suite(capsys):
 
 def test_verify_unknown_suite_exit_1():
     assert main(["verify", "--suite", "nonsense"]) == 1
+
+
+def test_a_suite_that_raises_is_reported_as_failed_exit_2(monkeypatch, tmp_path, capsys):
+    def raises():
+        raise ValidationError([Violation("c_range", 1.0, "c out of range")])
+
+    monkeypatch.setitem(verify.SUITES, "ud", raises)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "ud", "--suite", "failure-modes", "--out", str(out)]) == 2
+    assert "[FAIL] ud/ValidationError: validation failed: c_range: c out of range" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["passed"] is False
+    (ud_suite, other) = doc["suites"]
+    assert ud_suite == {
+        "suite": "ud",
+        "checks": [{
+            "name": "ValidationError: validation failed: c_range: c out of range (residual 1.000e+00)",
+            "value": 1.0,
+            "tolerance": COUNT_THRESHOLD,
+            "passed": False,
+        }],
+        "passed": False,
+    }
+    assert other["suite"] == "failure-modes" and other["passed"] is True
 
 
 def test_json_report_to_stdout(ud_files, capsys):

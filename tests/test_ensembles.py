@@ -85,6 +85,14 @@ def test_a_priors_stack_reports_what_each_row_reports():
     assert validate_priors_stack(rows[[0, 4]], "corpus priors").ok
 
 
+def test_a_priors_stack_of_empty_rows_names_each_row():
+    violations = validate_priors_stack(np.zeros((3, 0)), "p").violations
+    assert [(v.check, v.residual, v.message) for v in violations] == [
+        ("priors_sum", 1.0, f"priors do not sum to 1 (p[{k}])") for k in range(3)
+    ]
+    assert validate_priors_stack(np.zeros((0, 3)), "p").ok  # no rows, nothing to name
+
+
 def test_povm_psd_violation_magnitude_measured():
     # Perturb a valid element so one eigenvalue dips to about -1e-3.
     eps = 1e-3

@@ -374,6 +374,17 @@ def test_a_negative_prior_of_a_stack_names_its_pair(build):
     ]
 
 
+@pytest.mark.parametrize("build", [transform_stack, unbiased_stack])
+def test_a_pair_of_no_states_is_named_as_a_validation_error(build):
+    # Empty priors sum to 0, and the empty source Omega = 0 has trace 0.
+    with pytest.raises(ValidationError) as excinfo:
+        build(np.zeros(0), np.zeros((0, 2, 2)), PROJECTIVE)
+    assert [(v.check, v.message) for v in excinfo.value.violations] == [
+        ("priors_sum", "priors do not sum to 1 (priors)"),
+        ("unit_trace", "source trace differs from 1"),
+    ]
+
+
 # Pair 1 of each stack is at fault: its elements sum to diag(1, 0.5), or one of them has a
 # negative probability on the source diag(0.9, 0.1).
 BAD_POVM_PAIRS = [
